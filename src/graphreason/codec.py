@@ -24,7 +24,6 @@ from typing import Sequence
 
 from .graph import (
     ERROR_CYCLE,
-    DuplicateEdgeError,
     InvalidGraphError,
     ReasoningGraph,
     normalize_text,
@@ -109,8 +108,12 @@ def _find(text: str, token: str, start: int, ci: bool) -> int:
     return (text.lower() if ci else text).find(token, start)
 
 
-def _split_step(content: str, offset: int) -> tuple[str, str]:
-    """Split one step body on its single dependency arrow."""
+def _split_step(content: str, offset: int) -> tuple[str, str, str, str]:
+    """Split one step body on its single dependency arrow.
+
+    Returns (parent text, parent key, child text, child key): each
+    endpoint is normalized here, once.
+    """
     arrow_hits = content.count(ARROW) + content.count("->")
     if arrow_hits == 0:
         raise TemplateParseError(MALFORMED_STEP, offset, "step has no dependency arrow")
@@ -122,23 +125,20 @@ def _split_step(content: str, offset: int) -> tuple[str, str]:
         lhs, rhs = content.split(ARROW, 1)
     else:
         lhs, rhs = content.split("->", 1)
-    sides = []
+    sides: list[tuple[str, str]] = []
     for raw in (lhs, rhs):
         side = raw.strip()
         if "<" in side or ">" in side:
             raise TemplateParseError(
                 MALFORMED_STEP, offset, f"markup inside step text: {side!r}"
             )
-        if not side or not _normalizes(side):
+        key = normalize_text(side)
+        if not key:
             raise TemplateParseError(
                 EMPTY_ENDPOINT, offset, "step endpoint is empty after normalization"
             )
-        sides.append(side)
-    return sides[0], sides[1]
-
-
-def _normalizes(side: str) -> bool:
-    return bool(normalize_text(side))
+        sides.append((side, key))
+    return (*sides[0], *sides[1])
 
 
 def parse(text: str, mode: str = STRICT) -> StructuredOutput:
@@ -169,7 +169,7 @@ def parse(text: str, mode: str = STRICT) -> StructuredOutput:
         pos += len(_REASONING_OPEN)
 
     block_start = pos
-    steps: list[tuple[str, str, int]] = []
+    steps: list[tuple[str, str, str, str, int]] = []
     while True:
         pos = _skip_ws(text, pos)
         if pos >= len(text):
@@ -184,8 +184,7 @@ def parse(text: str, mode: str = STRICT) -> StructuredOutput:
             end = _find(text, _STEP_CLOSE, body_start, ci)
             if end < 0:
                 raise TemplateParseError(MALFORMED_STEP, pos, "unterminated <step>")
-            lhs, rhs = _split_step(text[body_start:end], pos)
-            steps.append((lhs, rhs, pos))
+            steps.append((*_split_step(text[body_start:end], pos), pos))
             pos = end + len(_STEP_CLOSE)
             continue
         raise TemplateParseError(
@@ -219,26 +218,27 @@ def parse(text: str, mode: str = STRICT) -> StructuredOutput:
             )
 
     graph = ReasoningGraph()
-    step_count = 0
-    for lhs, rhs, loc in steps:
-        step_count += 1
-        try:
-            graph.add_edge(lhs, rhs)
-        except DuplicateEdgeError:
+    for lhs, lkey, rhs, rkey, loc in steps:
+        graph._put_node(lkey, lhs)
+        graph._put_node(rkey, rhs)
+        if not graph._put_edge(lkey, rkey):
             if not ci:
                 raise TemplateParseError(
                     DUPLICATE_STEP, loc, f"step repeats an earlier dependency: {lhs!r} -> {rhs!r}"
-                ) from None
+                )
             log.warning("lenient parse collapsed a duplicated step: %r -> %r", lhs, rhs)
 
-    diag = validate(graph)
-    for violation in diag.errors:
-        if violation.kind == ERROR_CYCLE:
-            raise TemplateParseError(CYCLE_IN_STEPS, block_start, violation.detail)
-    if diag.errors:  # pragma: no cover - unreachable via this constructor
-        raise TemplateParseError(MALFORMED_STEP, block_start, diag.errors[0].detail)
+    # The acyclicity test marks the graph checked; only a failing graph
+    # pays for validate(), which names the cycle.
+    if not graph.check_dag():
+        diag = validate(graph)
+        for violation in diag.errors:
+            if violation.kind == ERROR_CYCLE:
+                raise TemplateParseError(CYCLE_IN_STEPS, block_start, violation.detail)
+        if diag.errors:  # pragma: no cover - unreachable via this constructor
+            raise TemplateParseError(MALFORMED_STEP, block_start, diag.errors[0].detail)
 
-    return StructuredOutput(graph=graph, answer=answer, step_count=step_count)
+    return StructuredOutput(graph=graph, answer=answer, step_count=len(steps))
 
 
 _RESERVED_IN_NODE = ("<", ">") + _ARROW_TOKENS
@@ -253,32 +253,31 @@ def render(output: StructuredOutput) -> str:
     (no edges, isolated nodes, reserved tokens inside node text).
     """
     graph = output.graph
-    diag = validate(graph)
-    if diag.errors:
-        kinds = sorted({v.kind for v in diag.errors})
+    if not graph.check_dag():
+        kinds = sorted({v.kind for v in validate(graph).errors})
         raise InvalidGraphError(f"cannot render invalid graph: {', '.join(kinds)}")
-    if graph.edge_count == 0:
+    edges = graph.edge_keys
+    if not edges:
         raise InvalidGraphError("cannot render a graph with no edges")
-    on_edge = {key for edge in graph.edges for key in edge.key}
-    isolated = [n.id.key for n in graph.nodes if n.id.key not in on_edge]
+    texts = graph.texts
+    on_edge = {key for edge in edges for key in edge}
+    isolated = [key for key in texts if key not in on_edge]
     if isolated:
         raise InvalidGraphError(
             f"step grammar cannot express isolated nodes: {', '.join(map(repr, isolated))}"
         )
-    for node in graph.nodes:
+    for text in texts.values():
         for token in _RESERVED_IN_NODE:
-            if token in node.text:
+            if token in text:
                 raise InvalidGraphError(
-                    f"node text contains reserved token {token!r}: {node.text!r}"
+                    f"node text contains reserved token {token!r}: {text!r}"
                 )
     if "<" in output.answer or ">" in output.answer:
         raise InvalidGraphError("answer text may not contain angle brackets")
 
     lines = [_REASONING_OPEN]
-    for edge in graph.edges:
-        parent = graph.node(edge.parent).text
-        child = graph.node(edge.child).text
-        lines.append(f"<step> {parent} {ARROW} {child} </step>")
+    for parent, child in edges:
+        lines.append(f"<step> {texts[parent]} {ARROW} {texts[child]} </step>")
     lines.append(_REASONING_CLOSE)
     lines.append(f"<answer> {output.answer} </answer>")
     return "\n".join(lines)

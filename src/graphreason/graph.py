@@ -1,16 +1,41 @@
 """Directed graphs of atomic reasoning steps.
 
 Nodes are identified by their normalized text, edges express logical
-dependency (parent must be established before child). Graphs are plain
-containers: structural rules (acyclicity, endpoint presence, and so on)
-are checked by :func:`validate`, which reports violations as data so
-callers can decide how to react.
+dependency (parent must be established before child). Structural rules
+(acyclicity, endpoint presence, no repeated edge) are checked by
+:func:`validate`, which reports violations as data so callers can
+decide how to react.
+
+The DAG guarantee is established once, where a graph is built, and the
+graph carries it as its :attr:`ReasoningGraph.checked` mark. The mark
+is set by :meth:`ReasoningGraph.check_dag`, one O(V + E) pass that
+passes exactly when ``validate`` would report no error: at least one
+node, no cycle (self-loops included), no dangling edge and no repeated
+edge. ``codec.parse`` and ``merge.merge_deterministic`` run it on every
+graph they build, so every graph they return is marked; a document
+whose steps fail it is a cycle, and only then does ``parse`` call
+``validate`` to name it.
+
+Consumers that need a clean graph (``codec.render``, :func:`sinks`,
+:func:`topological_order`, :func:`export_dot` and the merge's
+candidate filter) ask ``check_dag``, which answers a marked graph at
+once and tests an unmarked one; ``validate`` runs only to name the
+errors of a graph that fails. Mutation clears the mark: every
+``add_node`` and ``add_edge`` call does, and
+:meth:`~ReasoningGraph.from_parts` returns an unmarked graph.
+
+Internally a graph is string keys only: a key-to-display-text dict, an
+insertion-ordered list of ``(parent key, child key)`` pairs and a
+parent-to-children adjacency dict. Each endpoint is normalized once, on
+insertion. :class:`NodeId`, :class:`ReasoningNode` and
+:class:`ReasoningEdge` objects are built only by the public accessors.
 """
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 ERROR_CYCLE = "cycle"
 ERROR_DANGLING_EDGE = "dangling-edge"
@@ -51,6 +76,13 @@ def normalize_text(text: str) -> str:
     return collapsed.strip(_STRIP_CHARS)
 
 
+def _node_key(text: str) -> str:
+    key = normalize_text(text)
+    if not key:
+        raise ValueError(f"node text normalizes to nothing: {text!r}")
+    return key
+
+
 @dataclass(frozen=True, order=True)
 class NodeId:
     """Identity of a reasoning step: its normalized text."""
@@ -63,10 +95,7 @@ class NodeId:
 
     @classmethod
     def from_text(cls, text: str) -> "NodeId":
-        key = normalize_text(text)
-        if not key:
-            raise ValueError(f"node text normalizes to nothing: {text!r}")
-        return cls(key)
+        return cls(_node_key(text))
 
 
 @dataclass(frozen=True)
@@ -128,12 +157,15 @@ class ReasoningGraph:
     everything else is representable and only reported by
     :func:`validate`. Deserializers use :meth:`from_parts` to build
     graphs that may carry dangling or duplicated edges for diagnosis.
+    ``codec`` and ``merge`` insert through ``_put_node``/``_put_edge``
+    with keys they have already normalized.
     """
 
     def __init__(self) -> None:
-        self._nodes: dict[str, ReasoningNode] = {}
-        self._edges: list[ReasoningEdge] = []
-        self._edge_keys: set[tuple[str, str]] = set()
+        self._text: dict[str, str] = {}  # node key -> display text
+        self._edges: list[tuple[str, str]] = []  # (parent key, child key)
+        self._children: dict[str, dict[str, None]] = {}  # parent key -> child keys
+        self._checked = False
 
     # -- construction -------------------------------------------------
 
@@ -143,10 +175,7 @@ class ReasoningGraph:
         The first spelling of a step wins; later re-additions return the
         existing id without touching the stored display text.
         """
-        node = ReasoningNode.from_text(text)
-        if node.id.key not in self._nodes:
-            self._nodes[node.id.key] = node
-        return node.id
+        return NodeId(self._add_text(text))
 
     def add_edge(self, parent: str | NodeId, child: str | NodeId) -> ReasoningEdge:
         """Insert a dependency, adding endpoints as needed.
@@ -155,21 +184,39 @@ class ReasoningGraph:
         already present. Self-loops and cycles are accepted here and
         flagged by validate().
         """
-        pid = self._coerce_new(parent)
-        cid = self._coerce_new(child)
-        edge = ReasoningEdge(pid, cid)
-        if edge.key in self._edge_keys:
-            raise DuplicateEdgeError(f"duplicate edge {edge.key[0]!r} -> {edge.key[1]!r}")
-        self._edges.append(edge)
-        self._edge_keys.add(edge.key)
-        return edge
+        pkey = self._coerce_new(parent)
+        ckey = self._coerce_new(child)
+        if not self._put_edge(pkey, ckey):
+            raise DuplicateEdgeError(f"duplicate edge {pkey!r} -> {ckey!r}")
+        return ReasoningEdge(NodeId(pkey), NodeId(ckey))
 
-    def _coerce_new(self, ref: str | NodeId) -> NodeId:
+    def _add_text(self, text: str) -> str:
+        key = _node_key(text)
+        self._put_node(key, text.strip())
+        return key
+
+    def _coerce_new(self, ref: str | NodeId) -> str:
         if isinstance(ref, NodeId):
-            if ref.key not in self._nodes:
-                self._nodes[ref.key] = ReasoningNode(ref, ref.key)
-            return ref
-        return self.add_node(ref)
+            self._put_node(ref.key, ref.key)
+            return ref.key
+        return self._add_text(ref)
+
+    def _put_node(self, key: str, text: str) -> None:
+        """Insert a node under its normalized ``key`` unless present."""
+        self._checked = False
+        if key not in self._text:
+            self._text[key] = text
+            self._children[key] = {}
+
+    def _put_edge(self, parent: str, child: str) -> bool:
+        """Append an edge between present nodes; False if it already exists."""
+        self._checked = False
+        out = self._children[parent]
+        if child in out:
+            return False
+        out[child] = None
+        self._edges.append((parent, child))
+        return True
 
     @classmethod
     def from_edges(cls, pairs: Iterable[tuple[str, str]]) -> "ReasoningGraph":
@@ -187,40 +234,90 @@ class ReasoningGraph:
         """Unchecked assembly: edges may dangle, repeat or self-loop."""
         graph = cls()
         for text in node_texts:
-            graph.add_node(text)
+            graph._add_text(text)
         for parent, child in edge_pairs:
-            edge = ReasoningEdge(NodeId.from_text(parent), NodeId.from_text(child))
-            graph._edges.append(edge)
-            graph._edge_keys.add(edge.key)
+            pkey, ckey = _node_key(parent), _node_key(child)
+            graph._edges.append((pkey, ckey))
+            graph._children.setdefault(pkey, {})[ckey] = None
         return graph
+
+    # -- the clean-DAG mark --------------------------------------------
+
+    @property
+    def checked(self) -> bool:
+        """True while the graph carries the clean-DAG mark; mutation clears it."""
+        return self._checked
+
+    def check_dag(self) -> bool:
+        """Whether the graph is a clean DAG, marking it when it is.
+
+        A marked graph answers at once. Otherwise one O(V + E) pass
+        checks for at least one node and present endpoints, then places
+        every node by Kahn's algorithm over the adjacency, which fails
+        on a cycle or a repeated edge. The result is True exactly when
+        ``validate(self)`` has no errors.
+        """
+        if self._checked:
+            return True
+        text, edges, children = self._text, self._edges, self._children
+        if not text:
+            return False
+        in_deg = dict.fromkeys(text, 0)
+        for parent, child in edges:
+            if parent not in in_deg or child not in in_deg:
+                return False
+            in_deg[child] += 1
+        # A repeated edge counts twice here but is one adjacency entry,
+        # so its child, like every node on a cycle, is never placed.
+        ready = [key for key, deg in in_deg.items() if not deg]
+        placed = 0
+        while ready:
+            placed += 1
+            for child in children[ready.pop()]:
+                in_deg[child] -= 1
+                if not in_deg[child]:
+                    ready.append(child)
+        self._checked = placed == len(text)
+        return self._checked
 
     # -- access -------------------------------------------------------
 
     @property
     def nodes(self) -> tuple[ReasoningNode, ...]:
-        return tuple(self._nodes.values())
+        return tuple(ReasoningNode(NodeId(key), text) for key, text in self._text.items())
 
     @property
     def edges(self) -> tuple[ReasoningEdge, ...]:
+        return tuple(ReasoningEdge(NodeId(p), NodeId(c)) for p, c in self._edges)
+
+    @property
+    def texts(self) -> Mapping[str, str]:
+        """Read-only view of node key -> display text, in insertion order."""
+        return MappingProxyType(self._text)
+
+    @property
+    def edge_keys(self) -> tuple[tuple[str, str], ...]:
+        """(parent key, child key) pairs in insertion order."""
         return tuple(self._edges)
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self._text)
 
     @property
     def edge_count(self) -> int:
         return len(self._edges)
 
     def has_node(self, ref: str | NodeId) -> bool:
-        return self._key_of(ref) in self._nodes
+        return self._key_of(ref) in self._text
 
     def node(self, ref: str | NodeId) -> ReasoningNode:
         key = self._key_of(ref)
         try:
-            return self._nodes[key]
+            text = self._text[key]
         except KeyError:
             raise UnknownNodeError(f"no such node: {key!r}") from None
+        return ReasoningNode(NodeId(key), text)
 
     @staticmethod
     def _key_of(ref: str | NodeId) -> str:
@@ -231,10 +328,7 @@ class ReasoningGraph:
         # the same order. Display spellings are deliberately ignored.
         if not isinstance(other, ReasoningGraph):
             return NotImplemented
-        return (
-            set(self._nodes) == set(other._nodes)
-            and [e.key for e in self._edges] == [e.key for e in other._edges]
-        )
+        return self._text.keys() == other._text.keys() and self._edges == other._edges
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -249,9 +343,8 @@ def _well_formed_edges(graph: ReasoningGraph) -> list[tuple[str, str]]:
     """Deduplicated edges with both endpoints present and no self-loops."""
     keys = set()
     out: list[tuple[str, str]] = []
-    node_keys = {n.id.key for n in graph.nodes}
-    for edge in graph.edges:
-        k = edge.key
+    node_keys = graph._text
+    for k in graph._edges:
         if k in keys or k[0] == k[1]:
             continue
         if k[0] not in node_keys or k[1] not in node_keys:
@@ -324,11 +417,10 @@ def validate(graph: ReasoningGraph) -> GraphDiagnostics:
         diag.errors.append(GraphViolation(ERROR_EMPTY_GRAPH, "graph has no nodes"))
         return diag
 
-    node_keys = [n.id.key for n in graph.nodes]
+    node_keys = list(graph._text)
     node_set = set(node_keys)
     seen_edges: set[tuple[str, str]] = set()
-    for edge in graph.edges:
-        k = edge.key
+    for k in graph._edges:
         if k in seen_edges:
             diag.errors.append(
                 GraphViolation(ERROR_DUPLICATE_EDGE, f"edge repeated: {k[0]!r} -> {k[1]!r}", k)
@@ -420,49 +512,45 @@ def _weak_components(
 
 
 def _require_clean(graph: ReasoningGraph, operation: str) -> None:
-    diag = validate(graph)
-    if not diag.ok:
-        kinds = sorted({v.kind for v in diag.errors})
-        raise InvalidGraphError(f"{operation} requires a clean graph, found: {', '.join(kinds)}")
+    if graph.check_dag():
+        return
+    kinds = sorted({v.kind for v in validate(graph).errors})
+    raise InvalidGraphError(f"{operation} requires a clean graph, found: {', '.join(kinds)}")
 
 
 def parents(graph: ReasoningGraph, node: str | NodeId) -> set[NodeId]:
     """Direct prerequisites of ``node``; empty for a source node."""
-    target = graph.node(node).id
-    return {e.parent for e in graph.edges if e.child == target}
+    target = graph.node(node).id.key
+    return {NodeId(parent) for parent, child in graph._edges if child == target}
 
 
 def children(graph: ReasoningGraph, node: str | NodeId) -> set[NodeId]:
     """Direct dependents of ``node``; empty for a sink."""
-    source = graph.node(node).id
-    return {e.child for e in graph.edges if e.parent == source}
+    source = graph.node(node).id.key
+    return {NodeId(child) for child in graph._children[source]}
 
 
 def sinks(graph: ReasoningGraph) -> list[NodeId]:
     """Nodes with no outgoing edges, in first-insertion order."""
     _require_clean(graph, "sinks")
-    with_out = {e.parent.key for e in graph.edges}
-    return [n.id for n in graph.nodes if n.id.key not in with_out]
+    return [NodeId(key) for key in graph._text if not graph._children[key]]
 
 
 def topological_order(graph: ReasoningGraph) -> list[NodeId]:
     """Kahn's algorithm; ties broken by node insertion order."""
     _require_clean(graph, "topological_order")
-    node_keys = [n.id.key for n in graph.nodes]
-    position = {k: i for i, k in enumerate(node_keys)}
-    in_deg = {k: 0 for k in node_keys}
-    children_of: dict[str, list[str]] = {k: [] for k in node_keys}
-    for edge in graph.edges:
-        in_deg[edge.child.key] += 1
-        children_of[edge.parent.key].append(edge.child.key)
+    position = {k: i for i, k in enumerate(graph._text)}
+    in_deg = dict.fromkeys(position, 0)
+    for _, child in graph._edges:
+        in_deg[child] += 1
 
-    ready = sorted((k for k in node_keys if in_deg[k] == 0), key=position.__getitem__)
+    ready = [k for k in position if in_deg[k] == 0]
     order: list[NodeId] = []
     while ready:
         key = ready.pop(0)
-        order.append(graph.node(key).id)
+        order.append(NodeId(key))
         changed = False
-        for child_key in children_of[key]:
+        for child_key in graph._children[key]:
             in_deg[child_key] -= 1
             if in_deg[child_key] == 0:
                 ready.append(child_key)
@@ -485,9 +573,7 @@ def export_dot(graph: ReasoningGraph, answer: str | None = None) -> str:
     byte-deterministic: statements follow insertion order.
     """
     _require_clean(graph, "export_dot")
-    out_deg: dict[str, int] = {n.id.key: 0 for n in graph.nodes}
-    for edge in graph.edges:
-        out_deg[edge.parent.key] += 1
+    out_deg = {key: len(graph._children[key]) for key in graph._text}
     sink_keys = [k for k, d in out_deg.items() if d == 0]
     decision_key = sink_keys[0] if len(sink_keys) == 1 else None
 
@@ -496,9 +582,7 @@ def export_dot(graph: ReasoningGraph, answer: str | None = None) -> str:
         "  rankdir=TB;",
         '  node [shape=box, style="rounded,filled", fillcolor="white"];',
     ]
-    for node in graph.nodes:
-        key = node.id.key
-        label = node.text
+    for key, label in graph._text.items():
         attrs = []
         if key == decision_key:
             if answer is not None:
@@ -508,7 +592,7 @@ def export_dot(graph: ReasoningGraph, answer: str | None = None) -> str:
             attrs.append('fillcolor="lightblue"')
         attrs.insert(0, f'label="{_dot_escape(label)}"')
         lines.append(f'  "{_dot_escape(key)}" [{" ".join(attrs)}];')
-    for edge in graph.edges:
-        lines.append(f'  "{_dot_escape(edge.parent.key)}" -> "{_dot_escape(edge.child.key)}";')
+    for parent, child in graph._edges:
+        lines.append(f'  "{_dot_escape(parent)}" -> "{_dot_escape(child)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,6 +9,7 @@ document.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -20,7 +21,6 @@ from .graph import (
     ReasoningGraph,
     sinks,
     strongly_connected_components,
-    validate,
 )
 from .prompts import INTEGRATION_PROMPT, REPAIR_SUFFIX, format_candidates
 
@@ -45,6 +45,10 @@ class NoValidCandidateError(MergeError):
 
 class LLMMergeFailedError(MergeError):
     """The integration model never produced a parseable document."""
+
+
+class EdgelessMergeError(MergeError):
+    """The conclusion kept no incoming edge, so the merge cannot render."""
 
 
 @dataclass
@@ -87,7 +91,7 @@ def _valid_candidates(
     kept = [
         (output, idx)
         for output, idx in candidate_set.candidates
-        if validate(output.graph).ok
+        if output.graph.check_dag()
     ]
     if not kept:
         raise NoValidCandidateError(
@@ -117,6 +121,56 @@ def _majority_group(
     return best
 
 
+def _break_cycles(
+    node_order: list[str],
+    edge_order: list[tuple[str, str]],
+    multiplicity: dict[tuple[str, str], int],
+) -> list[tuple[str, str]]:
+    """Edges to drop, in drop order, so that ``edge_order`` becomes acyclic.
+
+    Each drop takes the weakest edge still on a cycle: lowest
+    multiplicity, ties to the lexicographically greatest key. Dropping
+    an edge never puts another edge on a cycle, so one ranking of the
+    initially cyclic edges, skipping those no longer on a cycle, gives
+    the drop order. A drop can only split the strongly connected
+    component that held it (Tarjan 1972), so only that component is
+    decomposed again.
+    """
+    component_of: dict[str, int] = {}  # node key -> id of its cyclic component
+    members_of: dict[int, list[str]] = {}
+    edges_of: dict[int, list[tuple[str, str]]] = {}
+    ids = itertools.count()
+
+    def assign(components: list[list[str]], edges: list[tuple[str, str]]) -> None:
+        for component in components:
+            if len(component) == 1:
+                component_of.pop(component[0], None)
+                continue
+            cid = next(ids)
+            members_of[cid] = component
+            edges_of[cid] = []
+            for key in component:
+                component_of[key] = cid
+        for edge in edges:
+            cid = component_of.get(edge[0])
+            if cid is not None and component_of.get(edge[1]) == cid:
+                edges_of[cid].append(edge)
+
+    assign(strongly_connected_components(node_order, edge_order), edge_order)
+    ranked = sorted((e for edges in edges_of.values() for e in edges), reverse=True)
+    ranked.sort(key=multiplicity.__getitem__)
+    dropped: list[tuple[str, str]] = []
+    for victim in ranked:
+        cid = component_of.get(victim[0])
+        if cid is None or component_of.get(victim[1]) != cid:
+            continue
+        dropped.append(victim)
+        members = members_of.pop(cid)
+        rest = [e for e in edges_of.pop(cid) if e != victim]
+        assign(strongly_connected_components(members, rest), rest)
+    return dropped
+
+
 def merge_deterministic(candidate_set: CandidateSet) -> MergedResult:
     """Majority-answer union merge with reproducible tie-breaking.
 
@@ -126,48 +180,29 @@ def merge_deterministic(candidate_set: CandidateSet) -> MergedResult:
     greatest (parent, child) key), and the conclusion is the first sink
     of the winning group's lowest-index candidate. Nodes that cannot
     reach the conclusion are pruned, with each dropped edge recorded.
+    Raises EdgelessMergeError when the conclusion keeps no incoming
+    edge. The returned graph carries the checked-DAG mark.
     """
     members = _majority_group(_valid_candidates(candidate_set))
     answer = members[0][0].answer
 
     display: dict[str, str] = {}
-    node_order: list[str] = []
     multiplicity: dict[tuple[str, str], int] = {}
-    edge_order: list[tuple[str, str]] = []
     for output, _ in members:
-        for node in output.graph.nodes:
-            if node.id.key not in display:
-                display[node.id.key] = node.text
-                node_order.append(node.id.key)
-        for edge in output.graph.edges:
-            if edge.key not in multiplicity:
-                multiplicity[edge.key] = 0
-                edge_order.append(edge.key)
-            multiplicity[edge.key] += 1
+        for key, text in output.graph.texts.items():
+            display.setdefault(key, text)
+        for edge in output.graph.edge_keys:
+            multiplicity[edge] = multiplicity.get(edge, 0) + 1
+    node_order = list(display)
+    edge_order = list(multiplicity)
 
-    dropped: list[DroppedEdge] = []
-    working = list(edge_order)
-    while True:
-        component_of: dict[str, int] = {}
-        for i, component in enumerate(
-            strongly_connected_components(node_order, working)
-        ):
-            if len(component) > 1:
-                for key in component:
-                    component_of[key] = i
-        cyclic = [
-            e
-            for e in working
-            if e[0] in component_of and component_of[e[0]] == component_of.get(e[1])
-        ]
-        if not cyclic:
-            break
-        weakest = min(multiplicity[e] for e in cyclic)
-        victim = max(e for e in cyclic if multiplicity[e] == weakest)
-        working.remove(victim)
-        dropped.append(
-            DroppedEdge(victim[0], victim[1], DROP_CYCLE_BREAK, multiplicity[victim])
-        )
+    victims = _break_cycles(node_order, edge_order, multiplicity)
+    dropped = [
+        DroppedEdge(parent, child, DROP_CYCLE_BREAK, multiplicity[(parent, child)])
+        for parent, child in victims
+    ]
+    cut = set(victims)
+    working = [edge for edge in edge_order if edge not in cut]
 
     conclusion = sinks(members[0][0].graph)[0]
 
@@ -182,20 +217,27 @@ def merge_deterministic(candidate_set: CandidateSet) -> MergedResult:
             if parent not in keep:
                 keep.add(parent)
                 queue.append(parent)
+    if len(keep) == 1:
+        raise EdgelessMergeError(
+            f"conclusion {conclusion.key!r} keeps no incoming edge "
+            f"({len(victims)} edge(s) dropped to break cycles)"
+        )
 
     graph = ReasoningGraph()
     for key in node_order:
         if key in keep:
-            graph.add_node(display[key])
+            graph._put_node(key, display[key])
     for parent, child in working:
         if parent in keep and child in keep:
-            graph.add_edge(display[parent], display[child])
+            graph._put_edge(parent, child)
         else:
             dropped.append(
                 DroppedEdge(parent, child, DROP_PRUNED, multiplicity[(parent, child)])
             )
+    if not graph.check_dag():  # pragma: no cover - defensive
+        raise MergeError("merge produced an invalid graph")
 
-    result = MergedResult(
+    return MergedResult(
         graph=graph,
         answer=answer,
         conclusion=conclusion,
@@ -203,9 +245,6 @@ def merge_deterministic(candidate_set: CandidateSet) -> MergedResult:
         dropped_edges=dropped,
         merge_mode=MODE_DETERMINISTIC,
     )
-    if not validate(result.graph).ok:  # pragma: no cover - defensive
-        raise MergeError("merge produced an invalid graph")
-    return result
 
 
 def merge_llm(

@@ -24,6 +24,7 @@ from .merge import (
     MODE_DETERMINISTIC,
     MODE_LLM,
     CandidateSet,
+    EdgelessMergeError,
     LLMMergeFailedError,
     MergedResult,
     NoValidCandidateError,
@@ -37,10 +38,13 @@ log = logging.getLogger(__name__)
 DISCARD_ANSWER_MISMATCH = "answer-mismatch"
 DISCARD_ALL_CANDIDATES_FAILED = "all-candidates-failed"
 DISCARD_PARSE_FAILURE = "parse-failure"
+# The deterministic merge broke every edge into its conclusion.
+DISCARD_EDGELESS_MERGE = "edgeless-merge"
 DISCARD_REASONS = (
     DISCARD_ANSWER_MISMATCH,
     DISCARD_ALL_CANDIDATES_FAILED,
     DISCARD_PARSE_FAILURE,
+    DISCARD_EDGELESS_MERGE,
 )
 
 DEFAULT_SPLIT_SEED = 42
@@ -252,8 +256,9 @@ def build_instance(
     """Process one source item end to end.
 
     Samples k trajectories, merges the parseable ones, and keeps the
-    result only when the merged answer matches the reference label and
-    the merged graph re-renders to a strict-parseable document.
+    result only when the merged answer matches the reference label; the
+    merged graph is then rendered as the strict template document. A
+    merge whose conclusion keeps no edge is discarded as edgeless-merge.
     """
     if merge_mode not in MERGE_MODES:
         raise ValueError(f"merge_mode must be one of {MERGE_MODES}, got {merge_mode!r}")
@@ -277,6 +282,8 @@ def build_instance(
         return DiscardRecord(item.source_id, DISCARD_ALL_CANDIDATES_FAILED, str(err))
     except LLMMergeFailedError as err:
         return DiscardRecord(item.source_id, DISCARD_PARSE_FAILURE, str(err))
+    except EdgelessMergeError as err:
+        return DiscardRecord(item.source_id, DISCARD_EDGELESS_MERGE, str(err))
 
     if not answers_match(merged.answer, item.label):
         return DiscardRecord(
@@ -286,12 +293,6 @@ def build_instance(
         )
 
     graph_text = render(StructuredOutput.from_graph(merged.graph, merged.answer))
-    try:
-        parse(graph_text, STRICT)
-    except TemplateParseError as err:  # pragma: no cover - render guards this
-        return DiscardRecord(
-            item.source_id, DISCARD_PARSE_FAILURE, f"re-render not parseable: {err}"
-        )
 
     provenance = Provenance(
         source_id=item.source_id,

@@ -32,7 +32,7 @@ from graphreason.bench import (
 from graphreason.client import ChatClient, CompletionRequest, MockBackend, SamplingConfig
 from graphreason.codec import STRICT, StructuredOutput, parse, render
 from graphreason.graph import children, export_dot, sinks, validate
-from graphreason.merge import CandidateSet, merge_deterministic
+from graphreason.merge import CandidateSet, EdgelessMergeError, merge_deterministic
 from graphreason.pipeline import (
     DISCARD_ALL_CANDIDATES_FAILED,
     SourceQA,
@@ -165,6 +165,7 @@ def test_criterion_04_merge_properties():
     rng = random.Random(44)
     started = time.perf_counter()
     sets = 500
+    edgeless = 0
     for _ in range(sets):
         pool = [f"fact {w} {i}" for i, w in enumerate("abcdefghij")]
         k = rng.randint(1, 7)
@@ -173,16 +174,6 @@ def test_criterion_04_merge_properties():
             for _ in range(k)
         ]
         candidate_set = CandidateSet([(c, i) for i, c in enumerate(candidates)], "q")
-        merged = merge_deterministic(candidate_set)
-
-        diagnostics = validate(merged.graph)
-        assert diagnostics.errors == []
-        assert merged.graph.has_node(merged.conclusion.key)
-        assert children(merged.graph, merged.conclusion) == set()
-
-        counts = Counter(normalize_freeform(c.answer) for c in candidates)
-        assert counts[normalize_freeform(merged.answer)] == max(counts.values())
-
         once = merge_deterministic(CandidateSet([(candidates[0], 0)], "q"))
         again = merge_deterministic(
             CandidateSet([(StructuredOutput.from_graph(once.graph, once.answer), 0)], "q")
@@ -190,12 +181,29 @@ def test_criterion_04_merge_properties():
         assert again.graph == once.graph
         assert again.answer == once.answer
         assert again.conclusion == once.conclusion
+
+        try:
+            merged = merge_deterministic(candidate_set)
+        except EdgelessMergeError:
+            edgeless += 1
+            continue
+
+        diagnostics = validate(merged.graph)
+        assert diagnostics.errors == []
+        assert merged.graph.has_node(merged.conclusion.key)
+        assert children(merged.graph, merged.conclusion) == set()
+        document = render(StructuredOutput.from_graph(merged.graph, merged.answer))
+        assert parse(document, STRICT).graph == merged.graph
+
+        counts = Counter(normalize_freeform(c.answer) for c in candidates)
+        assert counts[normalize_freeform(merged.answer)] == max(counts.values())
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"merge property sweep took {elapsed:.2f}s"
     _pass(
         4,
-        f"{sets} random candidate sets (k<=7): acyclic merges, sink conclusions, "
-        f"maximal majorities, idempotent single-candidate merges in {elapsed:.2f}s",
+        f"{sets} random candidate sets (k<=7): acyclic, renderable merges, sink "
+        f"conclusions, maximal majorities, idempotent single-candidate merges, "
+        f"{edgeless} edgeless merges refused, in {elapsed:.2f}s",
     )
 
 

@@ -131,6 +131,19 @@ class TestMerge:
         assert parse(out.read_text(), STRICT).answer == "4"
         assert "mode: llm" in capsys.readouterr().out
 
+    def test_edgeless_merge_fails_with_message(self, tmp_path, capsys):
+        path = tmp_path / "samples.json"
+        cycle = [
+            "<reasoning>\n<step> a → b </step>\n</reasoning>\n<answer> 4 </answer>",
+            "<reasoning>\n<step> b → a </step>\n</reasoning>\n<answer> 4 </answer>",
+            "<reasoning>\n<step> b → a </step>\n</reasoning>\n<answer> 4 </answer>",
+        ]
+        path.write_text(json.dumps({"question": "q", "samples": cycle}))
+        assert main(["merge", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: conclusion 'b' keeps no incoming edge" in captured.err
+
     def test_unparseable_samples_fail(self, tmp_path, capsys):
         path = tmp_path / "samples.json"
         path.write_text(json.dumps({"question": "q", "samples": ["prose", None]}))

@@ -10,13 +10,20 @@ from hypothesis import strategies as st
 from graphreason.answers import normalize_freeform
 from graphreason.client import ChatClient, MockBackend, SamplingConfig
 from graphreason.codec import StructuredOutput, render
-from graphreason.graph import ReasoningGraph, children, validate
+from graphreason.graph import (
+    ReasoningGraph,
+    children,
+    sinks,
+    strongly_connected_components,
+    validate,
+)
 from graphreason.merge import (
     DROP_CYCLE_BREAK,
     DROP_PRUNED,
     MODE_LLM,
     MODE_LLM_FALLBACK,
     CandidateSet,
+    EdgelessMergeError,
     LLMMergeFailedError,
     MergedResult,
     NoValidCandidateError,
@@ -164,6 +171,20 @@ class TestUnionAndCycles:
         pruned = {(d.parent, d.child) for d in merged.dropped_edges if d.reason == DROP_PRUNED}
         assert pruned == {("c", "d"), ("d", "e")}
 
+    def test_edgeless_conclusion_raises(self):
+        # Regression: the cycle break cuts a -> b (multiplicity 1), and
+        # conclusion b, the sink of candidate 0, keeps no edge at all.
+        with pytest.raises(EdgelessMergeError, match="'b' keeps no incoming edge"):
+            merge_deterministic(
+                cset(output([("a", "b")], "4"), output([("b", "a")], "4"), output([("b", "a")], "4"))
+            )
+
+    def test_result_carries_the_checked_mark(self):
+        merged = merge_deterministic(
+            cset(output([("A", "B"), ("B", "C")], "4"), output([("B", "A"), ("A", "C")], "4"))
+        )
+        assert merged.graph.checked
+
     def test_conclusion_is_first_sink_of_lowest_index_candidate(self):
         merged = merge_deterministic(
             cset(output([("root", "left"), ("root", "right")], "4"))
@@ -213,7 +234,12 @@ def test_merge_properties_random(seed):
     candidates = [
         (random_candidate_output(rng, pool, rng.choice(answers)), i) for i in range(k)
     ]
-    merged = merge_deterministic(CandidateSet(candidates, "Q?"))
+    try:
+        merged = merge_deterministic(CandidateSet(candidates, "Q?"))
+    except EdgelessMergeError:
+        # Refused only when the conclusion really keeps no edge.
+        assert whole_graph_merge(candidates)[0].edge_count == 0
+        return
 
     diag = validate(merged.graph)
     assert diag.errors == []
@@ -227,6 +253,105 @@ def test_merge_properties_random(seed):
     indices = {idx for _, idx in candidates}
     assert merged.contributing_indices
     assert set(merged.contributing_indices) <= indices
+
+
+def whole_graph_merge(candidates):
+    """Oracle: the deterministic merge with one whole-graph SCC pass per drop.
+
+    A test-local copy of the merge as it stood before cycle breaking
+    learned to recompute only the component that held the victim; it
+    returns (graph, conclusion key, dropped edges as tuples).
+    """
+    valid = [(out, idx) for out, idx in candidates if validate(out.graph).ok]
+    groups = {}
+    for out, idx in valid:
+        groups.setdefault(normalize_freeform(out.answer), []).append((out, idx))
+    members = min(groups.values(), key=lambda group: (-len(group), group[0][1]))
+
+    display, multiplicity = {}, {}
+    for out, _ in members:
+        for node in out.graph.nodes:
+            display.setdefault(node.id.key, node.text)
+        for edge in out.graph.edges:
+            multiplicity[edge.key] = multiplicity.get(edge.key, 0) + 1
+    node_order, working = list(display), list(multiplicity)
+
+    dropped = []
+    while True:
+        component_of = {}
+        for i, component in enumerate(strongly_connected_components(node_order, working)):
+            if len(component) > 1:
+                for key in component:
+                    component_of[key] = i
+        cyclic = [
+            e for e in working
+            if e[0] in component_of and component_of[e[0]] == component_of.get(e[1])
+        ]
+        if not cyclic:
+            break
+        weakest = min(multiplicity[e] for e in cyclic)
+        victim = max(e for e in cyclic if multiplicity[e] == weakest)
+        working.remove(victim)
+        dropped.append((*victim, DROP_CYCLE_BREAK, multiplicity[victim]))
+
+    conclusion = sinks(members[0][0].graph)[0].key
+    incoming = {key: [] for key in node_order}
+    for parent, child in working:
+        incoming[child].append(parent)
+    keep, queue = {conclusion}, [conclusion]
+    while queue:
+        for parent in incoming[queue.pop()]:
+            if parent not in keep:
+                keep.add(parent)
+                queue.append(parent)
+    graph = ReasoningGraph()
+    for key in node_order:
+        if key in keep:
+            graph.add_node(display[key])
+    for parent, child in working:
+        if parent in keep and child in keep:
+            graph.add_edge(display[parent], display[child])
+        else:
+            dropped.append((parent, child, DROP_PRUNED, multiplicity[(parent, child)]))
+    return graph, conclusion, dropped
+
+
+def cyclic_candidates(rng: random.Random) -> list[tuple[StructuredOutput, int]]:
+    """Candidates that each order a shared pool differently, so unions cycle."""
+    pool = [f"Fact {w}" for w in "ABCDEFGHIJKL"[: rng.randint(3, 12)]]
+    candidates = []
+    for idx in range(rng.randint(1, 7)):
+        order = rng.sample(pool, rng.randint(2, len(pool)))
+        n = len(order)
+        pairs = {(rng.randrange(j), j) for j in range(1, n)}
+        pairs |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, n))}
+        edges = [(order[a], order[b]) for a, b in sorted(pairs)]
+        rng.shuffle(edges)
+        answer = rng.choice(["4", "4", "5"])
+        candidates.append((output(edges, answer), idx))
+    return candidates
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_localized_cycle_break_matches_whole_graph_oracle(seed):
+    candidates = cyclic_candidates(random.Random(seed))
+    graph, conclusion, dropped = whole_graph_merge(candidates)
+    try:
+        merged = merge_deterministic(CandidateSet(candidates, "Q?"))
+    except EdgelessMergeError:
+        assert graph.edge_count == 0
+        return
+    assert graph.edge_count > 0
+    assert merged.conclusion.key == conclusion
+    assert merged.graph == graph
+    assert [n.text for n in merged.graph.nodes] == [n.text for n in graph.nodes]
+    assert [
+        (d.parent, d.child, d.reason, d.multiplicity) for d in merged.dropped_edges
+    ] == dropped
+    assert render(StructuredOutput.from_graph(merged.graph, merged.answer)) == render(
+        StructuredOutput.from_graph(graph, merged.answer)
+    )
 
 
 class TestLLMMerge:

@@ -9,6 +9,7 @@ from graphreason.codec import STRICT, parse
 from graphreason.pipeline import (
     DISCARD_ALL_CANDIDATES_FAILED,
     DISCARD_ANSWER_MISMATCH,
+    DISCARD_EDGELESS_MERGE,
     DISCARD_PARSE_FAILURE,
     BuildReport,
     DiscardRecord,
@@ -175,6 +176,26 @@ class TestBuildInstance:
         with pytest.raises(ValueError, match="merge_mode"):
             build_instance(ITEM, client_for({}), CONFIG, merge_mode="vote")
 
+    def test_edgeless_merge_is_discarded(self):
+        # The majority {a -> b, b -> a, b -> a} loses a -> b to the cycle
+        # break, and conclusion b (candidate 0's sink) keeps no edge.
+        replies = {"q1:": EDGELESS_REPLIES}
+        result = build_instance(ITEM, client_for(replies), CONFIG)
+        assert isinstance(result, DiscardRecord)
+        assert result.reason == DISCARD_EDGELESS_MERGE
+        assert "'b'" in result.detail
+
+    def test_edgeless_fallback_merge_is_discarded(self):
+        replies = {"Candidate reasoning graphs:": "not a template", "q1:": EDGELESS_REPLIES}
+        result = build_instance(
+            ITEM, client_for(replies), CONFIG, merge_mode="llm-with-fallback"
+        )
+        assert isinstance(result, DiscardRecord)
+        assert result.reason == DISCARD_EDGELESS_MERGE
+
+
+EDGELESS_REPLIES = [doc([("a", "b")], "4"), doc([("b", "a")], "4"), doc([("b", "a")], "4")]
+
 
 def make_instances(n: int) -> list[TrainingInstance]:
     prov = Provenance("s", "m", 3, (0,), "deterministic")
@@ -247,6 +268,19 @@ class TestBuildDataset:
             DISCARD_ALL_CANDIDATES_FAILED: 1,
         }
         assert report.split_sizes == {"train": 2, "valid": 0}
+
+    def test_edgeless_merge_keeps_the_rest_of_the_build(self, tmp_path):
+        items = corpus_items() + [SourceQA("q5: fifth", "4", "q5")]
+        replies = {**corpus_replies(), "q5:": EDGELESS_REPLIES}
+        result = build_dataset(items, client_for(replies), CONFIG)
+        assert [i.provenance.source_id for i in result.instances] == ["q1", "q4"]
+        assert result.report.discarded_by_reason == {
+            DISCARD_ANSWER_MISMATCH: 1,
+            DISCARD_ALL_CANDIDATES_FAILED: 1,
+            DISCARD_EDGELESS_MERGE: 1,
+        }
+        report = json.loads(write_dataset(result, tmp_path)["report"].read_text())
+        assert {"source_id": "q5", "reason": "edgeless-merge"}.items() <= report["discards"][-1].items()
 
     def test_serial_and_parallel_agree(self):
         serial = build_dataset(
