@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -434,12 +434,19 @@ def evaluate_item(
     paradigm: str,
     client: ChatClient,
     config: SamplingConfig,
+    *,
+    reply: Future | None = None,
 ) -> ItemRecord:
-    """Score one item; transport failures become records, not exceptions."""
-    system, user = PARADIGM_PROMPTS[paradigm].fill(question=item.question)
-    request = CompletionRequest(system, user, config)
+    """Score one item; transport failures become records, not exceptions.
+
+    ``reply`` is the item's completion already started with
+    ``client.submit``; without it the completion is requested here.
+    """
     try:
-        reply = client.complete(request)
+        if reply is None:
+            text = client.complete(eval_request(item, paradigm, config)).text
+        else:
+            text = reply.result().text
     except ClientError as err:
         log.warning("item %s failed in transport: %s", item.item_id, err)
         return ItemRecord(
@@ -451,7 +458,7 @@ def evaluate_item(
             correct=False,
             error=str(err),
         )
-    candidate, node_count, edge_count = extract_candidate(reply.text, paradigm)
+    candidate, node_count, edge_count = extract_candidate(text, paradigm)
     correct = candidate is not None and answers_match(candidate, item.label)
     return ItemRecord(
         item_id=item.item_id,
@@ -465,15 +472,25 @@ def evaluate_item(
     )
 
 
+def eval_request(item: BenchmarkItem, paradigm: str, config: SamplingConfig) -> CompletionRequest:
+    """The one completion request that evaluates ``item`` under ``paradigm``."""
+    system, user = PARADIGM_PROMPTS[paradigm].fill(question=item.question)
+    return CompletionRequest(system, user, config)
+
+
 def evaluate(
     items: Sequence[BenchmarkItem],
     paradigm: str,
     client: ChatClient,
     config: SamplingConfig,
-    *,
-    workers: int = 4,
 ) -> EvalReport:
-    """Evaluate items under one paradigm, one greedy completion each."""
+    """Evaluate items under one paradigm, one greedy completion each.
+
+    Requests go through ``client.submit`` up to ``client.lookahead``
+    items ahead (a warm-cache hit answers at once, in this thread),
+    while this thread extracts and matches each reply in input order;
+    ``client.concurrency`` is the one parallelism setting.
+    """
     if paradigm not in PARADIGM_PROMPTS:
         raise ValueError(f"paradigm must be one of {PARADIGMS}, got {paradigm!r}")
     ids = [item.item_id for item in items]
@@ -481,17 +498,13 @@ def evaluate(
         raise ValueError("item ids must be unique")
 
     eval_config = replace(config, temperature=0.0, k=1)
-    if not items:
-        records: list[ItemRecord] = []
-    elif workers <= 1:
-        records = [evaluate_item(item, paradigm, client, eval_config) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(
-                    lambda item: evaluate_item(item, paradigm, client, eval_config), items
-                )
-            )
+    def ask(item: BenchmarkItem) -> Future:
+        return client.submit(eval_request(item, paradigm, eval_config))
+
+    records = [
+        evaluate_item(item, paradigm, client, eval_config, reply=reply)
+        for item, reply in client.ahead(items, ask)
+    ]
 
     per_benchmark: dict[str, BenchmarkScore] = {}
     order: list[str] = []

@@ -52,14 +52,15 @@ from .client import (
     SamplingConfig,
 )
 from .codec import LENIENT, STRICT, StructuredOutput, TemplateParseError, parse, render
-from .graph import export_dot, validate
-from .merge import MERGE_MODES, MODE_DETERMINISTIC, CandidateSet, MergeError, merge_deterministic, merge_llm
+from .graph import InvalidGraphError, export_dot, validate
+from .merge import MERGE_MODES, MODE_DETERMINISTIC, CandidateSet, MergeError
 from .pipeline import (
     DEFAULT_SPLIT_SEED,
     PipelineError,
     build_dataset,
     parse_candidates,
     read_sources,
+    run_merge,
     write_dataset,
 )
 from .prompts import TRAJECTORY_PROMPT
@@ -301,10 +302,10 @@ def cmd_viz(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
-    client = make_client(cfg)
     config = make_sampling_config(cfg)
     try:
-        samples = client.sample_trajectories(args.question, config, TRAJECTORY_PROMPT)
+        with make_client(cfg) as client:
+            samples = client.sample_trajectories(args.question, config, TRAJECTORY_PROMPT)
     except AllSamplesFailedError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE
@@ -342,16 +343,13 @@ def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
         return EXIT_FAILURE
     candidate_set = CandidateSet(candidates, question=str(data["question"]))
 
-    if cfg.merge_mode == MODE_DETERMINISTIC:
-        merged = merge_deterministic(candidate_set)
-    else:
-        client = make_client(cfg)
-        config = make_sampling_config(cfg)
-        merged = merge_llm(
-            candidate_set, client, config, fallback=cfg.merge_mode != "llm"
-        )
-
-    document = render(StructuredOutput.from_graph(merged.graph, merged.answer)) + "\n"
+    client = None if cfg.merge_mode == MODE_DETERMINISTIC else make_client(cfg)
+    try:
+        merged = run_merge(candidate_set, client, make_sampling_config(cfg), cfg.merge_mode)
+        document = render(StructuredOutput.from_graph(merged.graph, merged.answer)) + "\n"
+    except InvalidGraphError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_FAILURE
     if args.out:
         atomic_write_text(Path(args.out), document)
         suffix = ", fell back" if merged.fell_back else ""
@@ -363,16 +361,14 @@ def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_build(args: argparse.Namespace, cfg: RunConfig) -> int:
     items = read_sources(args.sources)
-    client = make_client(cfg)
-    config = make_sampling_config(cfg)
-    result = build_dataset(
-        items,
-        client,
-        config,
-        merge_mode=cfg.merge_mode,
-        split_seed=cfg.split_seed,
-        workers=args.workers,
-    )
+    with make_client(cfg) as client:
+        result = build_dataset(
+            items,
+            client,
+            make_sampling_config(cfg),
+            merge_mode=cfg.merge_mode,
+            split_seed=cfg.split_seed,
+        )
     paths = write_dataset(result, args.out)
     report = result.report
     print(f"sources: {report.total_in}")
@@ -410,9 +406,8 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         print("error: no items to evaluate", file=sys.stderr)
         return EXIT_FAILURE
 
-    client = make_client(cfg)
-    config = make_sampling_config(cfg)
-    report = evaluate(items, cfg.paradigm, client, config, workers=args.workers)
+    with make_client(cfg) as client:
+        report = evaluate(items, cfg.paradigm, client, make_sampling_config(cfg))
     print(render_table(report), end="")
     if args.out:
         paths = write_report(report, args.out)
@@ -472,7 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     settings.add_argument("--model", help="model name sent to the endpoint")
     settings.add_argument("--mock", help="scripted-replies JSON file instead of a network backend")
     settings.add_argument("--cache-dir", dest="cache_dir", help="completion cache directory")
-    settings.add_argument("--concurrency", help="max in-flight requests")
+    settings.add_argument(
+        "--concurrency", help="max in-flight requests; also sizes the client's thread pool"
+    )
     settings.add_argument("--retry-cap", dest="retry_cap", help="max attempts per request")
     settings.add_argument("--k", help="samples per question")
     settings.add_argument("--temperature", help="sampling temperature")
@@ -521,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("build", help="build a training dataset")
     p.add_argument("--sources", required=True, help="JSONL of question/label records")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=4, help="parallel items")
     p.set_defaults(handler=cmd_build)
 
     p = add_parser("ingest", help="normalize a benchmark file")
@@ -535,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--benchmark", choices=BENCHMARKS, help="load upstream file directly")
     p.add_argument("--path", help="upstream benchmark file (with --benchmark)")
     p.add_argument("--out", help="directory for report files")
-    p.add_argument("--workers", type=int, default=4, help="parallel items")
     p.set_defaults(handler=cmd_eval)
 
     p = add_parser("score", help="reward-score completions")

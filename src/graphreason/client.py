@@ -5,6 +5,8 @@ The wire protocol is the common JSON chat shape: POST a ``model`` +
 compatible server works. Credentials travel only through an
 environment variable, never through flags or config files. A mock
 backend with the same interface supports tests and offline runs.
+Batch callers send through the client's one executor, sized by
+``concurrency``.
 """
 from __future__ import annotations
 
@@ -15,11 +17,15 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import weakref
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from datetime import timezone
+from email.utils import parsedate_to_datetime
 from pathlib import Path
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 
 import requests
 
@@ -32,6 +38,14 @@ DEFAULT_MAX_ATTEMPTS = 4
 DEFAULT_CONCURRENCY = 8
 DEFAULT_CREDENTIAL_ENV = "GRAPHREASON_API_KEY"
 DEFAULT_TIMEOUT = 60.0
+# Executor threads per concurrency slot: a send holds a slot, while backoff
+# sleeps and cache writes run on a thread without one.
+THREADS_PER_SLOT = 2
+# Items that batch callers (build, eval) submit ahead, per concurrency slot.
+LOOKAHEAD_PER_SLOT = 4
+
+T = TypeVar("T")
+S = TypeVar("S")
 
 
 class ClientError(Exception):
@@ -47,11 +61,18 @@ class ProtocolError(ClientError):
 
 
 class TransientError(ClientError):
-    """Retryable condition: timeout, connection drop, 429 or 5xx."""
+    """Retryable condition: timeout, connection drop, 429 or 5xx.
 
-    def __init__(self, message: str, status: int | None = None) -> None:
+    ``retry_after`` is the server's requested wait in seconds, when it
+    sent one; the client never retries sooner.
+    """
+
+    def __init__(
+        self, message: str, status: int | None = None, retry_after: float | None = None
+    ) -> None:
         super().__init__(message)
         self.status = status
+        self.retry_after = retry_after
 
 
 class TransportExhaustedError(ClientError):
@@ -119,6 +140,44 @@ class TrajectorySamples:
         return [(i, t) for i, t in enumerate(self.texts) if t is not None]
 
 
+def trajectory_requests(question: str, config: SamplingConfig, prompt) -> list[CompletionRequest]:
+    """The k sampling requests for one question, by sample index.
+
+    ``prompt`` is any object with fill(question=...) -> (system, user).
+    When config.seed is set, sample i is sent with seed + i so siblings
+    stay distinct yet reproducible.
+    """
+    system, user = prompt.fill(question=question)
+    return [
+        CompletionRequest(
+            system, user, config if config.seed is None else replace(config, seed=config.seed + i),
+            sample_index=i,
+        )
+        for i in range(config.k)
+    ]
+
+
+def gather_trajectories(futures: Sequence[Future]) -> TrajectorySamples:
+    """Wait for one question's sample futures and collect them by index.
+
+    Partial failures are reported per index; only a fully failed round
+    raises AllSamplesFailedError.
+    """
+    texts: list[str | None] = [None] * len(futures)
+    errors: dict[int, str] = {}
+    for i, future in enumerate(futures):
+        try:
+            texts[i] = future.result().text
+        except ClientError as err:
+            errors[i] = str(err)
+            log.warning("sample %d/%d failed: %s", i + 1, len(futures), err)
+    if len(errors) == len(futures):
+        raise AllSamplesFailedError(
+            f"all {len(futures)} samples failed: " + "; ".join(errors.values())
+        )
+    return TrajectorySamples(texts=texts, errors=errors)
+
+
 def cache_key(request: CompletionRequest) -> str:
     """Content hash identifying a completion request."""
     payload = {
@@ -162,6 +221,26 @@ class ResponseCache:
 
 class Backend(Protocol):
     def send(self, request: CompletionRequest) -> str: ...
+
+
+def parse_retry_after(value: str | None) -> float | None:
+    """Seconds to wait from a Retry-After header (delta-seconds or HTTP date).
+
+    None when the header is absent or unreadable; a date in the past
+    reads 0.
+    """
+    if not value:
+        return None
+    value = value.strip()
+    if value.isdigit():
+        return float(value)
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, when.timestamp() - time.time())
 
 
 class HttpBackend:
@@ -219,7 +298,12 @@ class HttpBackend:
         if status in (401, 403):
             raise AuthError(f"credential rejected with HTTP {status}")
         if status == 429 or status >= 500:
-            raise TransientError(f"retryable HTTP status {status}", status=status)
+            retry_after = None
+            if status == 429:
+                retry_after = parse_retry_after(response.headers.get("Retry-After"))
+            raise TransientError(
+                f"retryable HTTP status {status}", status=status, retry_after=retry_after
+            )
         if not 200 <= status < 300:
             raise ProtocolError(f"unexpected HTTP status {status}")
         try:
@@ -336,9 +420,21 @@ class ChatClient:
     """Caching, retrying, concurrency-bounded completion front-end.
 
     Transient failures retry with exponential backoff (base * 2**n,
-    +/- jitter) up to ``max_attempts``; auth and protocol failures
-    propagate immediately. A semaphore shared by every caller keeps the
-    number of in-flight backend sends at or under ``concurrency``.
+    +/- jitter, never shorter than a server's Retry-After) up to
+    ``max_attempts``; auth and protocol failures propagate immediately.
+    A semaphore shared by every caller keeps the number of in-flight
+    backend sends at or under ``concurrency``.
+
+    Each client owns one executor of ``THREADS_PER_SLOT * concurrency``
+    threads, started on demand and stopped by ``close`` (or leaving a
+    ``with`` block) or when the client is garbage-collected. ``submit``
+    answers a cache hit in the caller and sends a miss from the
+    executor; ``sample_trajectories`` and the batch callers
+    (``build_dataset``, ``evaluate``) go through it, so ``concurrency``
+    is the one parallelism setting. Hard rule: no executor task ever
+    waits on a future of this client (``spawn`` tasks may call
+    ``complete``, which waits only for the semaphore), so every task
+    finishes and the executor cannot deadlock.
     """
 
     def __init__(
@@ -363,12 +459,26 @@ class ChatClient:
         self.backoff_base = backoff_base
         self.backoff_jitter = backoff_jitter
         self.concurrency = concurrency
+        self.lookahead = LOOKAHEAD_PER_SLOT * concurrency
         self.stats = ClientStats()
         self._sleep = sleep
         self._rng = rng or random.Random()
         self._semaphore = threading.Semaphore(concurrency)
         self._lock = threading.Lock()
         self._in_flight_now = 0
+        self._executor = ThreadPoolExecutor(THREADS_PER_SLOT * concurrency, "graphreason-client")
+        # Queued tasks hold the client, so it is only collected once idle.
+        self._shutdown = weakref.finalize(self, self._executor.shutdown, wait=False)
+
+    def close(self) -> None:
+        """Let the executor's threads exit once queued work is done; idempotent."""
+        self._shutdown()
+
+    def __enter__(self) -> ChatClient:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     @contextmanager
     def _in_flight(self) -> Iterator[None]:
@@ -387,19 +497,23 @@ class ChatClient:
         jitter = 1.0 + self._rng.uniform(-self.backoff_jitter, self.backoff_jitter)
         return self.backoff_base * (2 ** (attempt - 1)) * jitter
 
-    def complete(self, request: CompletionRequest) -> CompletionResult:
-        """One completion; served from cache when an identical request was seen."""
-        start = time.monotonic()
+    def _lookup(
+        self, request: CompletionRequest, start: float
+    ) -> tuple[str | None, CompletionResult | None]:
+        """The request's cache key (None without a cache) and its cached result, if any."""
+        if self.cache is None:
+            return None, None
         key = cache_key(request)
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                with self._lock:
-                    self.stats.cache_hits += 1
-                    self.stats.completions += 1
-                return CompletionResult(hit, cached=True, attempt_count=1,
-                                        latency=time.monotonic() - start)
+        hit = self.cache.get(key)
+        if hit is None:
+            return key, None
+        with self._lock:
+            self.stats.cache_hits += 1
+            self.stats.completions += 1
+        return key, CompletionResult(hit, cached=True, attempt_count=1,
+                                     latency=time.monotonic() - start)
 
+    def _send(self, request: CompletionRequest, key: str | None, start: float) -> CompletionResult:
         attempt = 0
         while True:
             attempt += 1
@@ -416,48 +530,64 @@ class ChatClient:
                     ) from err
                 with self._lock:
                     self.stats.retries += 1
-                delay = self._backoff_delay(attempt)
+                delay = max(self._backoff_delay(attempt), err.retry_after or 0.0)
                 log.warning(
                     "transient failure (%s); attempt %d/%d, retrying in %.2fs",
                     err, attempt, self.max_attempts, delay,
                 )
                 self._sleep(delay)
 
-        if self.cache is not None:
+        if key is not None:
             self.cache.put(key, text)
         with self._lock:
             self.stats.completions += 1
         return CompletionResult(text, cached=False, attempt_count=attempt,
                                 latency=time.monotonic() - start)
 
+    def complete(self, request: CompletionRequest) -> CompletionResult:
+        """One completion in this thread; served from cache when an identical request was seen."""
+        start = time.monotonic()
+        key, hit = self._lookup(request, start)
+        return hit if hit is not None else self._send(request, key, start)
+
+    def submit(self, request: CompletionRequest) -> Future:
+        """Start one completion; the future holds its CompletionResult or ClientError.
+
+        A cache hit resolves here without a thread hop; a miss is sent
+        from the executor.
+        """
+        start = time.monotonic()
+        key, hit = self._lookup(request, start)
+        if hit is None:
+            return self._executor.submit(self._send, request, key, start)
+        future: Future = Future()
+        future.set_result(hit)
+        return future
+
+    def spawn(self, fn: Callable[..., T], /, *args, **kwargs) -> Future:
+        """Run ``fn`` on the executor; it may call ``complete`` but must wait on no future."""
+        return self._executor.submit(fn, *args, **kwargs)
+
+    def ahead(self, jobs: Iterable[T], start: Callable[[T], S]) -> Iterator[tuple[T, S]]:
+        """Yield (job, start(job)) in job order, starting up to ``lookahead`` jobs early.
+
+        ``start`` submits a job's work and returns its futures, so the
+        consumer can wait on one job while the next ones are in flight;
+        the work in flight stays bounded however many jobs there are.
+        """
+        window: deque[tuple[T, S]] = deque()
+        for job in jobs:
+            window.append((job, start(job)))
+            if len(window) > self.lookahead:
+                yield window.popleft()
+        while window:
+            yield window.popleft()
+
     def sample_trajectories(self, question: str, config: SamplingConfig, prompt) -> TrajectorySamples:
         """k independent completions for one question, index-ordered.
 
-        ``prompt`` is any object with fill(question=...) -> (system, user).
-        When config.seed is set, sample i is sent with seed + i so
-        siblings stay distinct yet reproducible. Partial failures are
-        reported per index; only a fully failed round raises.
+        See ``trajectory_requests`` and ``gather_trajectories``. Waits on
+        executor futures, so it must not be called from an executor task.
         """
-        system, user = prompt.fill(question=question)
-        requests_by_index = []
-        for i in range(config.k):
-            cfg = config if config.seed is None else replace(config, seed=config.seed + i)
-            requests_by_index.append(
-                CompletionRequest(system, user, cfg, sample_index=i)
-            )
-
-        texts: list[str | None] = [None] * config.k
-        errors: dict[int, str] = {}
-        with ThreadPoolExecutor(max_workers=config.k) as pool:
-            futures = [pool.submit(self.complete, req) for req in requests_by_index]
-            for i, future in enumerate(futures):
-                try:
-                    texts[i] = future.result().text
-                except ClientError as err:
-                    errors[i] = str(err)
-                    log.warning("sample %d/%d failed: %s", i + 1, config.k, err)
-        if all(t is None for t in texts):
-            raise AllSamplesFailedError(
-                f"all {config.k} samples failed: " + "; ".join(errors.values())
-            )
-        return TrajectorySamples(texts=texts, errors=errors)
+        requests = trajectory_requests(question, config, prompt)
+        return gather_trajectories([self.submit(request) for request in requests])

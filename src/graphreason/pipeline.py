@@ -10,15 +10,22 @@ from __future__ import annotations
 import json
 import logging
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 from ._io import atomic_write_text, jsonl_dumps
 from .answers import answers_match
-from .client import AllSamplesFailedError, ChatClient, SamplingConfig
+from .client import (
+    AllSamplesFailedError,
+    ChatClient,
+    SamplingConfig,
+    TrajectorySamples,
+    gather_trajectories,
+    trajectory_requests,
+)
 from .codec import LENIENT, STRICT, StructuredOutput, TemplateParseError, parse, render
+from .graph import InvalidGraphError
 from .merge import (
     MERGE_MODES,
     MODE_DETERMINISTIC,
@@ -40,11 +47,15 @@ DISCARD_ALL_CANDIDATES_FAILED = "all-candidates-failed"
 DISCARD_PARSE_FAILURE = "parse-failure"
 # The deterministic merge broke every edge into its conclusion.
 DISCARD_EDGELESS_MERGE = "edgeless-merge"
+# The step grammar cannot express the merge that matched the label, or,
+# under an LLM merge mode, a candidate (e.g. an answer holding "<").
+DISCARD_UNRENDERABLE = "unrenderable"
 DISCARD_REASONS = (
     DISCARD_ANSWER_MISMATCH,
     DISCARD_ALL_CANDIDATES_FAILED,
     DISCARD_PARSE_FAILURE,
     DISCARD_EDGELESS_MERGE,
+    DISCARD_UNRENDERABLE,
 )
 
 DEFAULT_SPLIT_SEED = 42
@@ -232,17 +243,22 @@ def parse_candidates(texts: Sequence[str | None]) -> list[tuple[StructuredOutput
     return kept
 
 
-def _run_merge(
+def run_merge(
     candidate_set: CandidateSet,
-    client: ChatClient,
+    client: ChatClient | None,
     config: SamplingConfig,
     merge_mode: str,
 ) -> MergedResult:
+    """Merge under ``merge_mode``; only the LLM modes use ``client``."""
     if merge_mode == MODE_DETERMINISTIC:
         return merge_deterministic(candidate_set)
     if merge_mode == MODE_LLM:
         return merge_llm(candidate_set, client, config, fallback=False)
     return merge_llm(candidate_set, client, config, fallback=True)
+
+
+def _all_samples_failed(item: SourceQA, err: AllSamplesFailedError) -> DiscardRecord:
+    return DiscardRecord(item.source_id, DISCARD_ALL_CANDIDATES_FAILED, str(err))
 
 
 def build_instance(
@@ -252,20 +268,24 @@ def build_instance(
     *,
     merge_mode: str = MODE_DETERMINISTIC,
     prompt=TRAJECTORY_PROMPT,
+    samples: TrajectorySamples | None = None,
 ) -> TrainingInstance | DiscardRecord:
     """Process one source item end to end.
 
-    Samples k trajectories, merges the parseable ones, and keeps the
-    result only when the merged answer matches the reference label; the
-    merged graph is then rendered as the strict template document. A
-    merge whose conclusion keeps no edge is discarded as edgeless-merge.
+    Samples k trajectories (unless ``samples`` were already drawn),
+    merges the parseable ones, and keeps the result only when the merged
+    answer matches the reference label; the merged graph is then
+    rendered as the strict template document. A merge whose conclusion
+    keeps no edge is discarded as edgeless-merge, one the step grammar
+    cannot express as unrenderable.
     """
     if merge_mode not in MERGE_MODES:
         raise ValueError(f"merge_mode must be one of {MERGE_MODES}, got {merge_mode!r}")
-    try:
-        samples = client.sample_trajectories(item.question, config, prompt)
-    except AllSamplesFailedError as err:
-        return DiscardRecord(item.source_id, DISCARD_ALL_CANDIDATES_FAILED, str(err))
+    if samples is None:
+        try:
+            samples = client.sample_trajectories(item.question, config, prompt)
+        except AllSamplesFailedError as err:
+            return _all_samples_failed(item, err)
 
     candidates = parse_candidates(samples.texts)
     if not candidates:
@@ -277,13 +297,15 @@ def build_instance(
     candidate_set = CandidateSet(candidates, question=item.question)
 
     try:
-        merged = _run_merge(candidate_set, client, config, merge_mode)
+        merged = run_merge(candidate_set, client, config, merge_mode)
     except NoValidCandidateError as err:
         return DiscardRecord(item.source_id, DISCARD_ALL_CANDIDATES_FAILED, str(err))
     except LLMMergeFailedError as err:
         return DiscardRecord(item.source_id, DISCARD_PARSE_FAILURE, str(err))
     except EdgelessMergeError as err:
         return DiscardRecord(item.source_id, DISCARD_EDGELESS_MERGE, str(err))
+    except InvalidGraphError as err:  # an LLM mode could not quote a candidate
+        return DiscardRecord(item.source_id, DISCARD_UNRENDERABLE, str(err))
 
     if not answers_match(merged.answer, item.label):
         return DiscardRecord(
@@ -292,7 +314,10 @@ def build_instance(
             f"merged answer {merged.answer!r} does not match label {item.label!r}",
         )
 
-    graph_text = render(StructuredOutput.from_graph(merged.graph, merged.answer))
+    try:
+        graph_text = render(StructuredOutput.from_graph(merged.graph, merged.answer))
+    except InvalidGraphError as err:
+        return DiscardRecord(item.source_id, DISCARD_UNRENDERABLE, str(err))
 
     provenance = Provenance(
         source_id=item.source_id,
@@ -351,31 +376,43 @@ def build_dataset(
     *,
     merge_mode: str = MODE_DETERMINISTIC,
     split_seed: int = DEFAULT_SPLIT_SEED,
-    workers: int = 4,
     prompt=TRAJECTORY_PROMPT,
 ) -> BuildResult:
-    """Build a dataset from question/label pairs, preserving input order."""
+    """Build a dataset from question/label pairs, preserving input order.
+
+    Samples are requested through the client's executor up to
+    ``client.lookahead`` items ahead, while this thread parses, merges,
+    matches and renders each item in input order, so
+    ``client.concurrency`` is the one parallelism setting. Under the LLM
+    merge modes each item's stages after sampling run as one executor
+    task instead, so the integration sends of different items overlap.
+    """
     ids = [item.source_id for item in items]
     if len(set(ids)) != len(ids):
         raise PipelineError("source ids must be unique")
 
-    if not items:
-        outcomes: list[TrainingInstance | DiscardRecord] = []
-    elif workers <= 1:
-        outcomes = [
-            build_instance(item, client, config, merge_mode=merge_mode, prompt=prompt)
-            for item in items
-        ]
+    def draw(item: SourceQA) -> list:
+        return [client.submit(r) for r in trajectory_requests(item.question, config, prompt)]
+
+    def drawn():
+        for item, futures in client.ahead(items, draw):
+            try:
+                samples = gather_trajectories(futures)
+            except AllSamplesFailedError as err:
+                samples = _all_samples_failed(item, err)
+            yield item, samples
+
+    def finish(item: SourceQA, samples: TrajectorySamples | DiscardRecord):
+        if isinstance(samples, DiscardRecord):
+            return samples
+        return build_instance(item, client, config, merge_mode=merge_mode, samples=samples)
+
+    if merge_mode == MODE_DETERMINISTIC:
+        outcomes = [finish(item, samples) for item, samples in drawn()]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda item: build_instance(
-                        item, client, config, merge_mode=merge_mode, prompt=prompt
-                    ),
-                    items,
-                )
-            )
+        # The task calls complete() and waits on no future (ChatClient's rule).
+        tasks = client.ahead(drawn(), lambda pair: client.spawn(finish, *pair))
+        outcomes = [task.result() for _, task in tasks]
 
     instances = [o for o in outcomes if isinstance(o, TrainingInstance)]
     discards = [o for o in outcomes if isinstance(o, DiscardRecord)]

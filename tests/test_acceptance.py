@@ -333,7 +333,26 @@ def test_criterion_08_transport_behavior():
     assert bounded.calls == 8
     assert bounded.max_concurrent <= 3
     assert client.stats.max_in_flight <= 3
-    _pass(8, "retry reaches attempt 3, k=8 samples index-true, in-flight stayed <= 3")
+
+    items, replies = _retainable_corpus(12)
+    built = MockBackend(replies, delay=0.005)
+    client = quiet_client(built, concurrency=3)
+    result = build_dataset(items, client, SamplingConfig(model_name="m", k=3))
+    assert result.report.retained == 12
+    assert built.calls == 36
+    assert built.max_concurrent <= 3
+    assert client.stats.max_in_flight <= 3
+
+    questions = [BenchmarkItem(f"e{i:02d}: what?", "4", "aiw", f"e{i:02d}") for i in range(24)]
+    evaluated = MockBackend({f"e{i:02d}:": "4" for i in range(24)}, delay=0.005)
+    client = quiet_client(evaluated, concurrency=3)
+    report = evaluate(questions, "direct", client, SamplingConfig(model_name="m"))
+    assert report.per_benchmark["aiw"].correct == 24
+    assert evaluated.calls == 24
+    assert evaluated.max_concurrent <= 3
+    assert client.stats.max_in_flight <= 3
+    _pass(8, "retry reaches attempt 3, k=8 samples index-true, in-flight stayed <= 3 "
+             "in sampling, build and eval")
 
 
 def _retainable_corpus(n: int) -> tuple[list[SourceQA], dict[str, str]]:

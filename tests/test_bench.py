@@ -331,12 +331,16 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="paradigm"):
             evaluate([item(1)], "tree", client_for({}), CONFIG)
 
-    def test_serial_and_parallel_agree(self):
+    def test_serial_and_parallel_agree(self, tmp_path):
         items = [item(n) for n in range(1, 6)]
         replies = {f"q{n}:": "4" for n in range(1, 6)}
-        serial = evaluate(items, "direct", client_for(replies), CONFIG, workers=1)
-        parallel = evaluate(items, "direct", client_for(replies), CONFIG, workers=4)
-        assert render_table(serial) == render_table(parallel)
+        written = {}
+        for concurrency in (1, 8):
+            client = ChatClient(MockBackend(replies), sleep=lambda _: None, concurrency=concurrency)
+            report = evaluate(items, "direct", client, CONFIG)
+            paths = write_report(report, tmp_path / str(concurrency))
+            written[concurrency] = {name: path.read_bytes() for name, path in paths.items()}
+        assert written[1] == written[8]
 
 
 class TestReports:

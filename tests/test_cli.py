@@ -144,6 +144,16 @@ class TestMerge:
         assert captured.out == ""
         assert "error: conclusion 'b' keeps no incoming edge" in captured.err
 
+    def test_unrenderable_merge_fails_with_message(self, tmp_path, capsys):
+        path = tmp_path / "samples.json"
+        sample = "<reasoning>\n<step> a → b </step>\n</reasoning>\n<answer> x < y </answer>"
+        path.write_text(json.dumps({"question": "q", "samples": [sample, sample]}))
+        for mode_args in ([], ["--merge-mode", "llm", *mock_args(tmp_path, {}, default=GOOD_DOC)]):
+            assert main(["merge", str(path), *mode_args]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: answer text may not contain angle brackets" in captured.err
+
     def test_unparseable_samples_fail(self, tmp_path, capsys):
         path = tmp_path / "samples.json"
         path.write_text(json.dumps({"question": "q", "samples": ["prose", None]}))

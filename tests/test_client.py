@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 
 import pytest
 
@@ -17,6 +19,7 @@ from graphreason.client import (
     TransientError,
     TransportExhaustedError,
     cache_key,
+    parse_retry_after,
 )
 from graphreason.prompts import TRAJECTORY_PROMPT
 
@@ -209,9 +212,10 @@ class TestSampling:
 
 
 class _FakeResponse:
-    def __init__(self, status_code: int, body=None):
+    def __init__(self, status_code: int, body=None, headers=None):
         self.status_code = status_code
         self._body = body
+        self.headers = headers or {}
 
     def json(self):
         if self._body is None:
@@ -280,6 +284,60 @@ class TestHttpBackend:
         )
         with pytest.raises(ProtocolError):
             backend.send(request())
+
+
+class _ScriptedSession:
+    """Replies with the given responses in order."""
+
+    def __init__(self, *responses):
+        self.responses = list(responses)
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        return self.responses.pop(0)
+
+
+class TestRetryAfter:
+    @pytest.mark.parametrize(
+        "header,seconds",
+        [("7", 7.0), (" 12 ", 12.0), ("0", 0.0), ("-3", None), ("soon", None), ("", None),
+         (None, None)],
+    )
+    def test_delta_seconds(self, header, seconds):
+        assert parse_retry_after(header) == seconds
+
+    def test_http_date(self):
+        later = format_datetime(datetime.now(timezone.utc) + timedelta(seconds=30), usegmt=True)
+        assert 25.0 <= parse_retry_after(later) <= 30.0
+        assert parse_retry_after("Wed, 21 Oct 2015 07:28:00 GMT") == 0.0
+
+    def test_429_carries_the_delay(self, monkeypatch):
+        monkeypatch.setenv("GRAPHREASON_API_KEY", "sk-test")
+        session = _FakeSession(_FakeResponse(429, headers={"Retry-After": "7"}))
+        backend = HttpBackend("http://example.invalid/v1/chat", session=session)
+        with pytest.raises(TransientError) as err:
+            backend.send(request())
+        assert err.value.status == 429
+        assert err.value.retry_after == 7.0
+
+    @pytest.mark.parametrize("header,backoff,slept", [("7", 1.0, 7.0), ("1", 4.0, 4.0)])
+    def test_client_sleeps_the_longer_of_backoff_and_retry_after(
+        self, monkeypatch, header, backoff, slept
+    ):
+        monkeypatch.setenv("GRAPHREASON_API_KEY", "sk-test")
+        session = _ScriptedSession(
+            _FakeResponse(429, headers={"Retry-After": header}), _FakeResponse(200, GOOD_BODY)
+        )
+        delays = []
+        client = ChatClient(
+            HttpBackend("http://example.invalid/v1/chat", session=session),
+            sleep=delays.append,
+            backoff_base=backoff,
+            backoff_jitter=0.0,
+        )
+        result = client.complete(request())
+        assert result.text == "hi there"
+        assert result.attempt_count == 2
+        assert delays == [slept]
 
 
 class TestMockFixtureFile:

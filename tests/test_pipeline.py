@@ -11,6 +11,7 @@ from graphreason.pipeline import (
     DISCARD_ANSWER_MISMATCH,
     DISCARD_EDGELESS_MERGE,
     DISCARD_PARSE_FAILURE,
+    DISCARD_UNRENDERABLE,
     BuildReport,
     DiscardRecord,
     PipelineError,
@@ -282,17 +283,44 @@ class TestBuildDataset:
         report = json.loads(write_dataset(result, tmp_path)["report"].read_text())
         assert {"source_id": "q5", "reason": "edgeless-merge"}.items() <= report["discards"][-1].items()
 
-    def test_serial_and_parallel_agree(self):
-        serial = build_dataset(
-            corpus_items(), client_for(corpus_replies()), CONFIG, workers=1
-        )
-        parallel = build_dataset(
-            corpus_items(), client_for(corpus_replies()), CONFIG, workers=4
-        )
-        assert [i.to_dict() for i in serial.instances] == [
-            i.to_dict() for i in parallel.instances
+    def test_unrenderable_answer_keeps_the_rest_of_the_build(self):
+        # "<answer> x < y </answer>" parses strictly, but render refuses
+        # angle brackets in the answer.
+        items = [SourceQA("q1: which is smaller?", "x < y", "q1"), SourceQA("q2: sum?", "4", "q2")]
+        replies = {"q1:": chain_doc("a", "x < y"), "q2:": chain_doc("b", "4")}
+        result = build_dataset(items, client_for(replies), CONFIG)
+        assert [i.provenance.source_id for i in result.instances] == ["q2"]
+        assert result.discards == [
+            DiscardRecord("q1", DISCARD_UNRENDERABLE, "answer text may not contain angle brackets")
         ]
-        assert serial.report.to_dict() == parallel.report.to_dict()
+        assert result.report.discarded_by_reason == {DISCARD_UNRENDERABLE: 1}
+
+    @pytest.mark.parametrize("mode", ["llm", "llm-with-fallback"])
+    def test_unquotable_candidate_keeps_the_rest_of_the_build(self, mode):
+        # The integration prompt renders every candidate, and one answer
+        # holds an angle bracket.
+        items = [SourceQA("q1: which?", "4", "q1"), SourceQA("q2: sum?", "4", "q2")]
+        replies = {
+            "Candidate reasoning graphs:": chain_doc("merged", "4"),
+            "q1:": [chain_doc("a", "4"), chain_doc("b", "x < y")],
+            "q2:": chain_doc("c", "4"),
+        }
+        result = build_dataset(items, client_for(replies), CONFIG, merge_mode=mode)
+        assert [i.provenance.source_id for i in result.instances] == ["q2"]
+        assert result.discards == [
+            DiscardRecord("q1", DISCARD_UNRENDERABLE, "answer text may not contain angle brackets")
+        ]
+
+    def test_serial_and_parallel_agree(self, tmp_path):
+        written = {}
+        for concurrency in (1, 8):
+            client = ChatClient(
+                MockBackend(corpus_replies()), sleep=lambda _: None, concurrency=concurrency
+            )
+            result = build_dataset(corpus_items(), client, CONFIG)
+            paths = write_dataset(result, tmp_path / str(concurrency))
+            written[concurrency] = {name: path.read_bytes() for name, path in paths.items()}
+        assert written[1] == written[8]
 
     def test_duplicate_source_ids_rejected(self):
         items = [SourceQA("q one", "1", "dup"), SourceQA("q two", "2", "dup")]

@@ -1,0 +1,154 @@
+"""The client's one executor: fixed thread count, overlap, no deadlock, no leaked threads."""
+from __future__ import annotations
+
+import gc
+import sys
+import threading
+import time
+
+import pytest
+
+from graphreason.client import (
+    THREADS_PER_SLOT,
+    ChatClient,
+    CompletionRequest,
+    MockBackend,
+    ResponseCache,
+    SamplingConfig,
+)
+from graphreason.pipeline import SourceQA, build_dataset
+from graphreason.prompts import TRAJECTORY_PROMPT
+
+CONFIG = SamplingConfig(model_name="mock-teacher", k=3)
+MERGED = "<reasoning>\n<step> merged start → merged end </step>\n</reasoning>\n<answer> 4 </answer>"
+
+
+def chain_doc(tag: str, answer: str) -> str:
+    return (
+        f"<reasoning>\n<step> {tag} start → {tag} middle </step>\n"
+        f"<step> {tag} middle → {tag} end </step>\n</reasoning>\n<answer> {answer} </answer>"
+    )
+
+
+def corpus(n: int) -> tuple[list[SourceQA], dict[str, str]]:
+    items = [SourceQA(f"s{i:03d}: question {i}", "4", f"s{i:03d}") for i in range(n)]
+    # The integration prompt also quotes the question, so its fragment comes first.
+    replies = {"Candidate reasoning graphs:": MERGED}
+    replies.update({f"s{i:03d}:": chain_doc(f"s{i}", "4") for i in range(n)})
+    return items, replies
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Counts threading.Thread.start calls made while the test runs."""
+    started: list[threading.Thread] = []
+    original = threading.Thread.start
+
+    def counting_start(self):
+        started.append(self)
+        original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+def test_build_thread_starts_do_not_grow_with_items(thread_starts):
+    counts = {}
+    for n in (10, 50):
+        items, replies = corpus(n)
+        client = ChatClient(MockBackend(replies), concurrency=2)
+        assert build_dataset(items, client, CONFIG).report.retained == n
+        counts[n] = len(thread_starts)
+        thread_starts.clear()
+    assert all(1 <= count <= THREADS_PER_SLOT * 2 for count in counts.values()), counts
+
+
+def test_cache_hits_resolve_in_the_caller(tmp_path, thread_starts):
+    request = CompletionRequest("sys", "probe", SamplingConfig(model_name="m"))
+    cache = ResponseCache(tmp_path)
+    ChatClient(MockBackend(default="cached"), cache=cache).complete(request)
+    thread_starts.clear()
+    backend = MockBackend(default="fresh")
+    future = ChatClient(backend, cache=cache).submit(request)
+    assert future.done()
+    assert future.result().text == "cached"
+    assert backend.calls == 0
+    assert thread_starts == []
+
+
+@pytest.mark.parametrize("mode", ["llm", "llm-with-fallback"])
+def test_llm_merge_sends_of_different_items_overlap(mode):
+    items, replies = corpus(24)
+    delay = 0.05
+    backend = MockBackend(replies, delay=delay)
+    client = ChatClient(backend, concurrency=8)
+    start = time.monotonic()
+    result = build_dataset(items, client, SamplingConfig(model_name="m", k=1), merge_mode=mode)
+    elapsed = time.monotonic() - start
+    assert result.report.retained == 24
+    assert all(i.provenance.merge_mode == "llm" for i in result.instances)
+    assert backend.calls == 48
+    # One merge send after another would take at least 24 x delay.
+    assert elapsed < 0.5 * len(items) * delay
+
+
+def test_llm_build_at_concurrency_one_does_not_deadlock():
+    items, replies = corpus(30)
+    client = ChatClient(MockBackend(replies, delay=0.001), concurrency=1)
+    outcome = {}
+
+    def run():
+        outcome["result"] = build_dataset(items, client, CONFIG, merge_mode="llm")
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "build did not finish"
+    assert outcome["result"].report.retained == 30
+
+
+def _client_threads(before: set[threading.Thread]) -> list[threading.Thread]:
+    return [t for t in threading.enumerate()
+            if t not in before and t.name.startswith("graphreason-client")]
+
+
+def test_threads_exit_when_the_client_is_collected():
+    before = set(threading.enumerate())
+    client = ChatClient(MockBackend(default="ok"), concurrency=2)
+    client.sample_trajectories("what?", CONFIG, TRAJECTORY_PROMPT)
+    threads = _client_threads(before)
+    assert 1 <= len(threads) <= THREADS_PER_SLOT * 2
+    del client
+    gc.collect()
+    for thread in threads:
+        thread.join(timeout=5)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+
+def test_threads_exit_on_close():
+    before = set(threading.enumerate())
+    with ChatClient(MockBackend(default="ok"), concurrency=2) as client:
+        client.sample_trajectories("what?", CONFIG, TRAJECTORY_PROMPT)
+        threads = _client_threads(before)
+    for thread in threads:
+        thread.join(timeout=5)
+    assert threads and not any(thread.is_alive() for thread in threads)
+
+
+def test_stats_add_up_under_contention():
+    items, replies = corpus(40)
+    backend = MockBackend(replies)
+    backend.fail_first_attempts(1)
+    client = ChatClient(backend, concurrency=8, sleep=lambda _: None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = build_dataset(items, client, CONFIG)
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.report.retained == 40
+    stats = client.stats
+    assert backend.calls == stats.requests_attempted == 2 * 40 * CONFIG.k
+    assert stats.retries == stats.completions == 40 * CONFIG.k
+    assert 1 <= stats.max_in_flight <= 8
