@@ -440,13 +440,12 @@ def evaluate_item(
     """Score one item; transport failures become records, not exceptions.
 
     ``reply`` is the item's completion already started with
-    ``client.submit``; without it the completion is requested here.
+    ``client.submit``; without it the completion is submitted here.
     """
+    if reply is None:
+        reply = client.submit(eval_request(item, paradigm, config))
     try:
-        if reply is None:
-            text = client.complete(eval_request(item, paradigm, config)).text
-        else:
-            text = reply.result().text
+        text = reply.result().text
     except ClientError as err:
         log.warning("item %s failed in transport: %s", item.item_id, err)
         return ItemRecord(

@@ -38,6 +38,9 @@ DEFAULT_MAX_ATTEMPTS = 4
 DEFAULT_CONCURRENCY = 8
 DEFAULT_CREDENTIAL_ENV = "GRAPHREASON_API_KEY"
 DEFAULT_TIMEOUT = 60.0
+# Longest server-requested wait (Retry-After), in seconds, that a client
+# sleeps before a retry; a longer one fails the request at once.
+MAX_RETRY_AFTER = 120.0
 # Executor threads per concurrency slot: a send holds a slot, while backoff
 # sleeps and cache writes run on a thread without one.
 THREADS_PER_SLOT = 2
@@ -232,7 +235,8 @@ def parse_retry_after(value: str | None) -> float | None:
     if not value:
         return None
     value = value.strip()
-    if value.isdigit():
+    # isdigit alone admits non-ASCII digits, such as a superscript two, that float() rejects.
+    if value.isascii() and value.isdigit():
         return float(value)
     try:
         when = parsedate_to_datetime(value)
@@ -421,7 +425,9 @@ class ChatClient:
 
     Transient failures retry with exponential backoff (base * 2**n,
     +/- jitter, never shorter than a server's Retry-After) up to
-    ``max_attempts``; auth and protocol failures propagate immediately.
+    ``max_attempts``; a Retry-After over ``MAX_RETRY_AFTER`` seconds
+    gives up at once, and auth and protocol failures propagate
+    immediately.
     A semaphore shared by every caller keeps the number of in-flight
     backend sends at or under ``concurrency``.
 
@@ -527,6 +533,12 @@ class ChatClient:
                 if attempt >= self.max_attempts:
                     raise TransportExhaustedError(
                         f"gave up after {attempt} attempts: {err}", attempt, err
+                    ) from err
+                if err.retry_after is not None and err.retry_after > MAX_RETRY_AFTER:
+                    raise TransportExhaustedError(
+                        f"gave up after {attempt} attempts: server asked to wait "
+                        f"{err.retry_after:.0f}s, over the {MAX_RETRY_AFTER:.0f}s limit",
+                        attempt, err,
                     ) from err
                 with self._lock:
                     self.stats.retries += 1

@@ -17,6 +17,7 @@ from .answers import normalize_freeform
 from .client import ChatClient, ClientError, CompletionRequest, SamplingConfig
 from .codec import STRICT, StructuredOutput, TemplateParseError, parse, render
 from .graph import (
+    InvalidGraphError,
     NodeId,
     ReasoningGraph,
     sinks,
@@ -247,6 +248,33 @@ def merge_deterministic(candidate_set: CandidateSet) -> MergedResult:
     )
 
 
+def _integrate(
+    question: str, rendered: list[str], client: ChatClient, config: SamplingConfig
+) -> tuple[StructuredOutput | None, Exception | None]:
+    """The model's strict-parsed integration of ``rendered``, or None and why it failed."""
+    system, user = INTEGRATION_PROMPT.fill(
+        question=question, candidates=format_candidates(rendered)
+    )
+    merge_config = replace(config, temperature=0.0, k=1)
+    request = CompletionRequest(system, user, merge_config)
+    failure: Exception | None = None
+    for _ in range(2):
+        try:
+            reply = client.complete(request)
+        except ClientError as err:
+            return None, err
+        try:
+            return parse(reply.text, STRICT), None
+        except TemplateParseError as err:
+            failure = err
+            request = CompletionRequest(
+                system,
+                user + REPAIR_SUFFIX.format(kind=err.kind, detail=err.detail),
+                merge_config,
+            )
+    return None, failure
+
+
 def merge_llm(
     candidate_set: CandidateSet,
     client: ChatClient,
@@ -258,43 +286,33 @@ def merge_llm(
 
     Issues a single completion at temperature 0 and strict-parses the
     reply; one repair retry quotes the parse failure back to the model.
-    When both tries fail (or transport dies) the deterministic merge
-    takes over if ``fallback`` is set, flagged on the result; otherwise
+    A candidate the template cannot quote (an answer holding "<") is
+    left out of the prompt. When no candidate can be quoted, both tries
+    fail or transport dies, the deterministic merge takes over if
+    ``fallback`` is set, flagged on the result; otherwise
     LLMMergeFailedError is raised. Never returns an invalid graph.
     """
-    valid = _valid_candidates(candidate_set)
-    rendered = [render(output) for output, _ in valid]
-    system, user = INTEGRATION_PROMPT.fill(
-        question=candidate_set.question, candidates=format_candidates(rendered)
-    )
-    merge_config = replace(config, temperature=0.0, k=1)
-    request = CompletionRequest(system, user, merge_config)
-
-    last_failure: Exception | None = None
-    for _ in range(2):
+    quoted: list[tuple[str, int]] = []
+    last_failure: Exception | str | None = None
+    for output, index in _valid_candidates(candidate_set):
         try:
-            reply = client.complete(request)
-        except ClientError as err:
-            last_failure = err
-            break
-        try:
-            output = parse(reply.text, STRICT)
-        except TemplateParseError as err:
-            last_failure = err
-            request = CompletionRequest(
-                system,
-                user + REPAIR_SUFFIX.format(kind=err.kind, detail=err.detail),
-                merge_config,
-            )
-            continue
-        return MergedResult(
-            graph=output.graph,
-            answer=output.answer,
-            conclusion=sinks(output.graph)[0],
-            contributing_indices=tuple(idx for _, idx in valid),
-            dropped_edges=[],
-            merge_mode=MODE_LLM,
+            quoted.append((render(output), index))
+        except InvalidGraphError as err:
+            last_failure = f"no candidate can be quoted: {err}"
+            log.warning("candidate %d left out of the integration prompt: %s", index, err)
+    if quoted:
+        output, last_failure = _integrate(
+            candidate_set.question, [text for text, _ in quoted], client, config
         )
+        if output is not None:
+            return MergedResult(
+                graph=output.graph,
+                answer=output.answer,
+                conclusion=sinks(output.graph)[0],
+                contributing_indices=tuple(index for _, index in quoted),
+                dropped_edges=[],
+                merge_mode=MODE_LLM,
+            )
 
     if not fallback:
         raise LLMMergeFailedError(f"integration failed: {last_failure}")

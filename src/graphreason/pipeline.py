@@ -47,8 +47,8 @@ DISCARD_ALL_CANDIDATES_FAILED = "all-candidates-failed"
 DISCARD_PARSE_FAILURE = "parse-failure"
 # The deterministic merge broke every edge into its conclusion.
 DISCARD_EDGELESS_MERGE = "edgeless-merge"
-# The step grammar cannot express the merge that matched the label, or,
-# under an LLM merge mode, a candidate (e.g. an answer holding "<").
+# The step grammar cannot express the merge that matched the label
+# (e.g. an answer holding "<").
 DISCARD_UNRENDERABLE = "unrenderable"
 DISCARD_REASONS = (
     DISCARD_ANSWER_MISMATCH,
@@ -304,8 +304,6 @@ def build_instance(
         return DiscardRecord(item.source_id, DISCARD_PARSE_FAILURE, str(err))
     except EdgelessMergeError as err:
         return DiscardRecord(item.source_id, DISCARD_EDGELESS_MERGE, str(err))
-    except InvalidGraphError as err:  # an LLM mode could not quote a candidate
-        return DiscardRecord(item.source_id, DISCARD_UNRENDERABLE, str(err))
 
     if not answers_match(merged.answer, item.label):
         return DiscardRecord(
@@ -408,9 +406,13 @@ def build_dataset(
         return build_instance(item, client, config, merge_mode=merge_mode, samples=samples)
 
     if merge_mode == MODE_DETERMINISTIC:
+        # CPU only, so it runs here: as executor tasks, these stages lose
+        # about 12% of build items/s to GIL hand-offs between threads.
         outcomes = [finish(item, samples) for item, samples in drawn()]
     else:
-        # The task calls complete() and waits on no future (ChatClient's rule).
+        # An LLM merge sends, so it runs as a task and the integration
+        # sends of different items overlap. The task calls complete() and
+        # waits on no future (ChatClient's rule).
         tasks = client.ahead(drawn(), lambda pair: client.spawn(finish, *pair))
         outcomes = [task.result() for _, task in tasks]
 

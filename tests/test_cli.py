@@ -148,11 +148,15 @@ class TestMerge:
         path = tmp_path / "samples.json"
         sample = "<reasoning>\n<step> a → b </step>\n</reasoning>\n<answer> x < y </answer>"
         path.write_text(json.dumps({"question": "q", "samples": [sample, sample]}))
-        for mode_args in ([], ["--merge-mode", "llm", *mock_args(tmp_path, {}, default=GOOD_DOC)]):
+        llm_args = ["--merge-mode", "llm", *mock_args(tmp_path, {}, default=GOOD_DOC)]
+        for mode_args, message in [
+            ([], "error: answer text may not contain angle brackets"),
+            (llm_args, "error: integration failed: no candidate can be quoted: answer text"),
+        ]:
             assert main(["merge", str(path), *mode_args]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert "error: answer text may not contain angle brackets" in captured.err
+            assert message in captured.err
 
     def test_unparseable_samples_fail(self, tmp_path, capsys):
         path = tmp_path / "samples.json"

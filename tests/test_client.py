@@ -300,7 +300,7 @@ class TestRetryAfter:
     @pytest.mark.parametrize(
         "header,seconds",
         [("7", 7.0), (" 12 ", 12.0), ("0", 0.0), ("-3", None), ("soon", None), ("", None),
-         (None, None)],
+         (None, None), ("\u00b2", None), ("\u0661\u0662", None), ("1.5", None)],
     )
     def test_delta_seconds(self, header, seconds):
         assert parse_retry_after(header) == seconds
@@ -338,6 +338,30 @@ class TestRetryAfter:
         assert result.text == "hi there"
         assert result.attempt_count == 2
         assert delays == [slept]
+
+    @pytest.mark.parametrize("header", ["86400", "Fri, 31 Dec 9999 23:59:59 GMT"])
+    def test_oversized_retry_after_gives_up_without_sleeping(self, monkeypatch, header):
+        monkeypatch.setenv("GRAPHREASON_API_KEY", "sk-test")
+        session = _ScriptedSession(
+            _FakeResponse(429, headers={"Retry-After": header}), _FakeResponse(200, GOOD_BODY)
+        )
+        delays = []
+        client = ChatClient(
+            HttpBackend("http://example.invalid/v1/chat", session=session), sleep=delays.append
+        )
+        with pytest.raises(TransportExhaustedError, match="over the 120s limit") as err:
+            client.complete(request())
+        assert err.value.attempts == 1
+        assert err.value.last.status == 429
+        assert delays == []
+
+    def test_unreadable_retry_after_is_a_plain_transient_error(self, monkeypatch):
+        monkeypatch.setenv("GRAPHREASON_API_KEY", "sk-test")
+        session = _FakeSession(_FakeResponse(429, headers={"Retry-After": "\u00b2"}))
+        backend = HttpBackend("http://example.invalid/v1/chat", session=session)
+        with pytest.raises(TransientError) as err:
+            backend.send(request())
+        assert err.value.retry_after is None
 
 
 class TestMockFixtureFile:

@@ -429,6 +429,34 @@ class TestLLMMerge:
         assert "Candidate 1:" in seen["user"]
         assert render(candidate) in seen["user"]
 
+    def test_unquotable_candidate_is_left_out_of_the_prompt(self):
+        seen = {}
+
+        def responder(request):
+            seen["user"] = request.user_prompt
+            return GOOD_REPLY
+
+        client = ChatClient(MockBackend(responder=responder), sleep=lambda _: None)
+        quotable = output([("premise one", "conclusion two")], "4")
+        merged = merge_llm(cset(quotable, output([("c", "d")], "x < y")), client, CONFIG)
+        assert merged.merge_mode == MODE_LLM
+        assert merged.contributing_indices == (0,)
+        assert render(quotable) in seen["user"]
+        assert "x < y" not in seen["user"]
+        assert "Candidate 2:" not in seen["user"]
+
+    def test_no_quotable_candidate_falls_back_without_a_send(self):
+        backend = MockBackend(default=GOOD_REPLY)
+        client = ChatClient(backend, sleep=lambda _: None)
+        candidates = cset(output([("a", "b")], "x < y"), output([("a", "b")], "x < y"))
+        merged = merge_llm(candidates, client, CONFIG)
+        assert merged.merge_mode == MODE_LLM_FALLBACK
+        assert merged.fell_back
+        assert merged.answer == "x < y"
+        with pytest.raises(LLMMergeFailedError, match="no candidate can be quoted"):
+            merge_llm(candidates, client, CONFIG, fallback=False)
+        assert backend.calls == 0
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))

@@ -296,9 +296,9 @@ class TestBuildDataset:
         assert result.report.discarded_by_reason == {DISCARD_UNRENDERABLE: 1}
 
     @pytest.mark.parametrize("mode", ["llm", "llm-with-fallback"])
-    def test_unquotable_candidate_keeps_the_rest_of_the_build(self, mode):
-        # The integration prompt renders every candidate, and one answer
-        # holds an angle bracket.
+    def test_unquotable_candidate_is_left_out_of_the_integration(self, mode):
+        # A minority candidate's answer holds an angle bracket, so the
+        # integration prompt quotes only the other one.
         items = [SourceQA("q1: which?", "4", "q1"), SourceQA("q2: sum?", "4", "q2")]
         replies = {
             "Candidate reasoning graphs:": chain_doc("merged", "4"),
@@ -306,10 +306,26 @@ class TestBuildDataset:
             "q2:": chain_doc("c", "4"),
         }
         result = build_dataset(items, client_for(replies), CONFIG, merge_mode=mode)
+        assert result.discards == []
+        first = result.instances[0].provenance
+        assert (first.source_id, first.contributing_indices) == ("q1", (0, 2))
+        assert (first.merge_mode, first.fell_back) == ("llm", False)
+
+    @pytest.mark.parametrize(
+        "mode,reason", [("llm", DISCARD_PARSE_FAILURE), ("llm-with-fallback", DISCARD_UNRENDERABLE)]
+    )
+    def test_no_quotable_candidate_keeps_the_rest_of_the_build(self, mode, reason):
+        # Plain llm gives up; the fallback merges deterministically, and
+        # that merge's answer cannot be rendered either.
+        items = [SourceQA("q1: which?", "x < y", "q1"), SourceQA("q2: sum?", "4", "q2")]
+        replies = {
+            "Candidate reasoning graphs:": chain_doc("merged", "4"),
+            "q1:": chain_doc("a", "x < y"),
+            "q2:": chain_doc("c", "4"),
+        }
+        result = build_dataset(items, client_for(replies), CONFIG, merge_mode=mode)
         assert [i.provenance.source_id for i in result.instances] == ["q2"]
-        assert result.discards == [
-            DiscardRecord("q1", DISCARD_UNRENDERABLE, "answer text may not contain angle brackets")
-        ]
+        assert [(d.source_id, d.reason) for d in result.discards] == [("q1", reason)]
 
     def test_serial_and_parallel_agree(self, tmp_path):
         written = {}
