@@ -10,10 +10,21 @@ one dependency per step line, followed by an answer block::
 
 Both the unicode arrow and ASCII ``->`` are accepted on input; rendering
 always emits the unicode arrow. Strict parsing demands exactly this
-shape with nothing but whitespace around the blocks; lenient parsing
-additionally tolerates prose before the reasoning block and after the
-answer block, case-insensitive tags, and duplicated steps (collapsed
-with a logged warning).
+shape with nothing but whitespace around the blocks. Lenient parsing
+accepts three things more, and repairs nothing else:
+
+- prose before ``<reasoning>`` and after ``</answer>``;
+- tags whose ASCII letters differ only in case (``<Reasoning>``,
+  ``</STEP>``); non-ASCII look-alikes such as ``ſ`` or the Kelvin sign
+  never match a tag letter;
+- duplicated steps, which collapse into one edge with a logged warning.
+
+In both modes the answer ends at the first ``</answer>`` matched
+case-insensitively; strict parsing refuses the document with
+``missing-answer-block`` when that tag is not written exactly
+``</answer>``. Lenient parsing is one forward scan over the original
+text, so its cost is linear in the document and every error offset
+indexes the text as given.
 """
 from __future__ import annotations
 
@@ -55,6 +66,15 @@ _ANSWER_OPEN = "<answer>"
 _ANSWER_CLOSE = "</answer>"
 
 _ANSWER_TAG_RE = re.compile(r"<answer>(.*?)</answer>", re.IGNORECASE | re.DOTALL)
+
+# Case-insensitive forms of the tags, matched on the original text. ASCII
+# folding keeps each match the tag's own length and stops "ſ" matching "s".
+_TAG_CI = {
+    tag: re.compile(re.escape(tag), re.IGNORECASE | re.ASCII)
+    for tag in (
+        _REASONING_OPEN, _REASONING_CLOSE, _STEP_OPEN, _STEP_CLOSE, _ANSWER_OPEN, _ANSWER_CLOSE
+    )
+}
 
 
 class TemplateParseError(Exception):
@@ -100,12 +120,14 @@ def _skip_ws(text: str, pos: int) -> int:
 
 
 def _startswith(text: str, pos: int, token: str, ci: bool) -> bool:
-    chunk = text[pos : pos + len(token)]
-    return chunk.lower() == token if ci else chunk == token
+    return text.startswith(token, pos) or (ci and _TAG_CI[token].match(text, pos) is not None)
 
 
 def _find(text: str, token: str, start: int, ci: bool) -> int:
-    return (text.lower() if ci else text).find(token, start)
+    if not ci:
+        return text.find(token, start)
+    hit = _TAG_CI[token].search(text, start)
+    return hit.start() if hit else -1
 
 
 def _split_step(content: str, offset: int) -> tuple[str, str, str, str]:
@@ -202,9 +224,15 @@ def parse(text: str, mode: str = STRICT) -> StructuredOutput:
             MISSING_ANSWER_BLOCK, pos, "expected <answer> after reasoning block"
         )
     answer_start = pos + len(_ANSWER_OPEN)
-    answer_end = _find(text, _ANSWER_CLOSE, answer_start, ci)
+    # Both modes end the answer at the first </answer> in any case, so they
+    # agree on where it ends; strict then insists on the exact tag.
+    answer_end = _find(text, _ANSWER_CLOSE, answer_start, True)
     if answer_end < 0:
         raise TemplateParseError(MISSING_ANSWER_BLOCK, pos, "unterminated <answer> block")
+    if not ci and not text.startswith(_ANSWER_CLOSE, answer_end):
+        raise TemplateParseError(
+            MISSING_ANSWER_BLOCK, answer_end, "answer block must close with </answer>"
+        )
     answer = text[answer_start:answer_end].strip()
     if not answer:
         raise TemplateParseError(MISSING_ANSWER_BLOCK, answer_start, "empty answer")
@@ -299,15 +327,24 @@ def extract_answer_lenient(
 ) -> str | None:
     """Best-effort answer extraction from free-form model output.
 
-    Prefers answer-tag content, then the trailing segment after the
-    last occurrence of any cue, then the final non-empty line. Returns
-    None only when the text holds nothing extractable.
+    Prefers non-empty answer-tag content, then falls back to
+    ``extract_untagged_answer``. Returns None only when the text holds
+    nothing extractable.
     """
-    if not text or not text.strip():
-        return None
     tagged = find_answer_tag(text)
     if tagged:
         return tagged
+    return extract_untagged_answer(text, cues)
+
+
+def extract_untagged_answer(
+    text: str, cues: Sequence[str] = DEFAULT_ANSWER_CUES
+) -> str | None:
+    """The answer in prose, ignoring answer tags.
+
+    The trailing segment after the last occurrence of any cue, else the
+    final non-empty line; None when the text is blank.
+    """
     low = text.lower()
     best_pos = -1
     best_cue = ""
@@ -321,6 +358,4 @@ def extract_answer_lenient(
         if segment:
             return segment
     lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if lines:
-        return lines[-1]
-    return None  # pragma: no cover - guarded by the leading strip check
+    return lines[-1] if lines else None

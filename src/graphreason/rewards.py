@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .answers import answers_match
-from .codec import STRICT, TemplateParseError, extract_answer_lenient, find_answer_tag, parse
+from .codec import STRICT, TemplateParseError, extract_untagged_answer, find_answer_tag, parse
 
 DEFAULT_WEIGHTS = (1.0, 1.0)
 
@@ -46,11 +46,12 @@ def reward_answer(text: str, label: str) -> float:
 
     Extraction is independent of format: the last answer tag wins, and
     a tagless completion falls back to cue-based extraction so a correct
-    but unstructured answer still earns the answer component.
+    but unstructured answer still earns the answer component. A present
+    but empty tag is the answer, and matches no label.
     """
     candidate = find_answer_tag(text)
     if candidate is None:
-        candidate = extract_answer_lenient(text)
+        candidate = extract_untagged_answer(text)
     if candidate is None:
         return 0.0
     return 1.0 if answers_match(candidate, label) else 0.0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,13 @@ from graphreason.codec import (
     parse,
     render,
 )
-from graphreason.graph import InvalidGraphError, ReasoningGraph
+from graphreason.graph import (
+    ERROR_CYCLE,
+    InvalidGraphError,
+    ReasoningGraph,
+    normalize_text,
+    validate,
+)
 
 from _util import random_output
 
@@ -156,6 +163,40 @@ class TestLenientParse:
 
     def test_still_rejects_missing_block(self):
         assert kind_of("no template here", LENIENT) == MISSING_REASONING_BLOCK
+
+    def test_text_that_lowercases_longer_parses(self):
+        # "İ".lower() is two code points; tags are matched on the text itself.
+        text = doc(["İstanbul → İzmir", "İzmir → b"])
+        assert parse(text, LENIENT) == parse(text, STRICT)
+        wrapped = "İİİ said:\n" + text.replace("</step>", "</STEP>") + "\nİ"
+        assert parse(wrapped, LENIENT) == parse(text, STRICT)
+
+    def test_non_ascii_lookalikes_are_not_tag_letters(self):
+        # "ſ" folds to "s" and the Kelvin sign to "k" under unicode rules.
+        text = doc(["a → b"]).replace("<step>", "<ſtep>")
+        assert kind_of(text, LENIENT) == MALFORMED_STEP
+        text = doc(["a → b"]).replace("<reasoning>", "<reaſoning>")
+        assert kind_of(text, LENIENT) == MISSING_REASONING_BLOCK
+
+
+class TestAnswerClose:
+    """Both modes end the answer at the first </answer> in any case."""
+
+    def test_miscased_close_inside_answer(self):
+        text = "<reasoning>\n<step> a -> b </step>\n</reasoning>\n<answer> x </ANSWER> y </answer>"
+        with pytest.raises(TemplateParseError) as err:
+            parse(text, STRICT)
+        assert err.value.kind == MISSING_ANSWER_BLOCK
+        assert err.value.location == text.index("</ANSWER>")
+        assert parse(text, LENIENT).answer == "x"
+
+    def test_miscased_close_ending_an_empty_answer(self):
+        text = "<reasoning> <step>c->d</step></reasoning><answer></ANSWER><answer></answer>"
+        assert kind_of(text, STRICT) == MISSING_ANSWER_BLOCK
+        assert kind_of(text, LENIENT) == MISSING_ANSWER_BLOCK
+
+    def test_exact_close_unchanged(self):
+        assert parse(doc(["a → b"], answer="x < y"), STRICT).answer == "x < y"
 
 
 class TestGrammarOracle:
@@ -292,3 +333,209 @@ class TestAnswerExtraction:
         assert find_answer_tag("no tags") is None
         assert find_answer_tag("<answer>   </answer>") == ""
         assert find_answer_tag("<ANSWER> B </ANSWER>") == "B"
+
+
+# -- properties over arbitrary unicode ---------------------------------
+
+_TAGS = ("<reasoning>", "</reasoning>", "<step>", "</step>", "<answer>", "</answer>")
+# "İ" lowercases to two code points; "ſ" and the Kelvin sign fold to ASCII
+# letters under unicode case rules.
+_TRICKY = ("İ", "ſ", "\u212a")
+_FRAGMENTS = (
+    _TAGS
+    + tuple(tag.upper() for tag in _TAGS)
+    + ("</Answer>", "<Step>", "</ſtep>", "<İ>", "->", "→", " ", "\n", "<", ">")
+    + _TRICKY
+)
+_noise = st.lists(
+    st.one_of(st.text(max_size=3), st.sampled_from(_FRAGMENTS)), max_size=4
+).map("".join)
+_spacing = st.sampled_from(("", " ", "\n", "\u3000\t"))
+_words = st.text(alphabet=st.sampled_from(("a", "b", "X", " ") + _TRICKY), min_size=1, max_size=6)
+
+
+@st.composite
+def _near_template(draw) -> str:
+    """Template-shaped documents: about one piece in 30 is damaged or noise."""
+
+    def mostly(common, odd):
+        return draw(odd if draw(st.integers(0, 29)) == 0 else common)
+
+    def tag(name: str) -> str:
+        return mostly(st.just(name), st.sampled_from((name.upper(), name.title())))
+
+    def pad() -> str:
+        return mostly(_spacing, _noise)
+
+    def text(suffix: str) -> str:
+        return mostly(_words.map(lambda w: f"{w} {suffix}"), _noise)
+
+    parts = [pad(), tag("<reasoning>")]
+    for i in range(draw(st.integers(0, 3))):
+        arrow = draw(st.sampled_from(("->", "→")))
+        parts += [pad(), tag("<step>"), text(f"p{i}"), arrow, text(f"c{i}"), tag("</step>")]
+    # A mis-cased close inside the answer is where the two modes used to part.
+    answer = text("") + draw(st.sampled_from(("", "", "</ANSWER>", " </Answer> x")))
+    parts += [pad(), tag("</reasoning>"), pad(), tag("<answer>"), answer]
+    parts += [tag("</answer>"), pad()]
+    return "".join(parts)
+
+
+_documents = st.one_of(
+    _near_template(),
+    st.lists(st.one_of(st.text(), st.sampled_from(_FRAGMENTS))).map("".join),
+)
+
+
+class _AnswerClass(Exception):
+    """The input is one whose answer close the parent read differently."""
+
+    def __init__(self, location: int) -> None:
+        self.location = location
+
+
+def _parent_split_step(content: str, offset: int) -> tuple[str, str, str, str]:
+    arrow_hits = content.count("→") + content.count("->")
+    if arrow_hits == 0:
+        raise TemplateParseError(MALFORMED_STEP, offset, "step has no dependency arrow")
+    if arrow_hits > 1:
+        raise TemplateParseError(
+            MALFORMED_STEP, offset, "step has more than one arrow; chains are not sugar"
+        )
+    lhs, rhs = content.split("→", 1) if "→" in content else content.split("->", 1)
+    sides: list[tuple[str, str]] = []
+    for raw in (lhs, rhs):
+        side = raw.strip()
+        if "<" in side or ">" in side:
+            raise TemplateParseError(MALFORMED_STEP, offset, f"markup inside step text: {side!r}")
+        key = normalize_text(side)
+        if not key:
+            raise TemplateParseError(
+                EMPTY_ENDPOINT, offset, "step endpoint is empty after normalization"
+            )
+        sides.append((side, key))
+    return (*sides[0], *sides[1])
+
+
+def _parent_strict_parse(text: str) -> StructuredOutput:
+    """The strict parse as it stood before the answer-close rule.
+
+    Raises _AnswerClass where the rule applies: the first case-insensitive
+    </answer> after <answer> is not the exact tag.
+    """
+
+    def skip_ws(pos: int) -> int:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        return pos
+
+    pos = skip_ws(0)
+    if text[pos : pos + 11] != "<reasoning>":
+        raise TemplateParseError(
+            MISSING_REASONING_BLOCK, pos, "document must open with <reasoning>"
+        )
+    pos += 11
+    block_start = pos
+    steps = []
+    while True:
+        pos = skip_ws(pos)
+        if pos >= len(text):
+            raise TemplateParseError(MISSING_REASONING_BLOCK, pos, "unterminated <reasoning> block")
+        if text[pos : pos + 12] == "</reasoning>":
+            pos += 12
+            break
+        if text[pos : pos + 6] == "<step>":
+            end = text.find("</step>", pos + 6)
+            if end < 0:
+                raise TemplateParseError(MALFORMED_STEP, pos, "unterminated <step>")
+            steps.append((*_parent_split_step(text[pos + 6 : end], pos), pos))
+            pos = end + 7
+            continue
+        raise TemplateParseError(MALFORMED_STEP, pos, "unexpected content inside <reasoning> block")
+    if not steps:
+        raise TemplateParseError(MALFORMED_STEP, block_start, "reasoning block contains no steps")
+    pos = skip_ws(pos)
+    if text[pos : pos + 8] != "<answer>":
+        raise TemplateParseError(MISSING_ANSWER_BLOCK, pos, "expected <answer> after reasoning block")
+    answer_start = pos + 8
+    answer_end = text.find("</answer>", answer_start)
+    first_close = re.compile("</answer>", re.IGNORECASE | re.ASCII).search(text, answer_start)
+    if first_close and first_close.start() != answer_end:
+        raise _AnswerClass(first_close.start())
+    if answer_end < 0:
+        raise TemplateParseError(MISSING_ANSWER_BLOCK, pos, "unterminated <answer> block")
+    answer = text[answer_start:answer_end].strip()
+    if not answer:
+        raise TemplateParseError(MISSING_ANSWER_BLOCK, answer_start, "empty answer")
+    tail = skip_ws(answer_end + 9)
+    if tail != len(text):
+        raise TemplateParseError(TRAILING_GARBAGE, tail, "content after </answer> in strict mode")
+    graph = ReasoningGraph()
+    for lhs, lkey, rhs, rkey, loc in steps:
+        graph._put_node(lkey, lhs)
+        graph._put_node(rkey, rhs)
+        if not graph._put_edge(lkey, rkey):
+            raise TemplateParseError(
+                DUPLICATE_STEP, loc, f"step repeats an earlier dependency: {lhs!r} -> {rhs!r}"
+            )
+    if not graph.check_dag():
+        for violation in validate(graph).errors:
+            if violation.kind == ERROR_CYCLE:
+                raise TemplateParseError(CYCLE_IN_STEPS, block_start, violation.detail)
+    return StructuredOutput(graph=graph, answer=answer, step_count=len(steps))
+
+
+def _outcome(text: str, parser) -> tuple:
+    try:
+        out = parser(text)
+    except TemplateParseError as err:
+        return ("error", err.kind, err.location, err.detail)
+    return ("ok", out.graph.edge_keys, dict(out.graph.texts), out.answer, out.step_count)
+
+
+class TestParseProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(text=_documents)
+    def test_strict_ok_implies_equal_lenient_result(self, text):
+        try:
+            strict = parse(text, STRICT)
+        except TemplateParseError:
+            return
+        lenient = parse(text, LENIENT)
+        assert lenient.graph.edge_keys == strict.graph.edge_keys
+        assert dict(lenient.graph.texts) == dict(strict.graph.texts)
+        assert lenient.answer == strict.answer
+        assert lenient.step_count == strict.step_count
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_documents)
+    def test_lenient_error_locations_index_the_text(self, text):
+        try:
+            parse(text, LENIENT)
+        except TemplateParseError as err:
+            assert 0 <= err.location <= len(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_documents)
+    def test_strict_matches_parent_outside_the_answer_close_rule(self, text):
+        new = _outcome(text, lambda t: parse(t, STRICT))
+        try:
+            old = _outcome(text, _parent_strict_parse)
+        except _AnswerClass as rule:
+            assert new[:3] == ("error", MISSING_ANSWER_BLOCK, rule.location)
+            return
+        assert new == old
+
+    def test_near_template_documents_reach_strict_acceptance(self):
+        # Guards the strategy: the first property is vacuous unless many
+        # drawn documents strict-parse.
+        accepted = []
+
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(text=_near_template())
+        def draw(text):
+            accepted.append(_outcome(text, lambda t: parse(t, STRICT))[0] == "ok")
+
+        draw()
+        assert sum(accepted) >= len(accepted) // 10
+

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graphreason import codec
 from graphreason.answers import answers_match
 from graphreason.rewards import (
     DEFAULT_WEIGHTS,
@@ -65,6 +66,23 @@ class TestAnswerReward:
 
     def test_unextractable_scores_zero(self):
         assert reward_answer("", "42") == 0.0
+
+    def test_empty_tag_is_the_answer(self):
+        # A present but empty tag wins over the cue in the prose before it.
+        assert reward_answer("the answer is B <answer> </answer>", "B") == 0.0
+
+    def test_tagless_text_is_searched_for_a_tag_once(self, monkeypatch):
+        real = codec._ANSWER_TAG_RE
+        searched = []
+
+        class Counting:
+            def findall(self, text):
+                searched.append(text)
+                return real.findall(text)
+
+        monkeypatch.setattr(codec, "_ANSWER_TAG_RE", Counting())
+        assert reward_answer("thinking...\nThe answer is 42", "42") == 1.0
+        assert len(searched) == 1
 
     def test_agrees_with_matcher_on_frozen_pairs(self):
         pairs = json.loads((FIXTURES / "answer_pairs.json").read_text())["pairs"]
