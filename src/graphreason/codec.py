@@ -33,13 +33,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import (
-    ERROR_CYCLE,
-    InvalidGraphError,
-    ReasoningGraph,
-    normalize_text,
-    validate,
-)
+from .graph import InvalidGraphError, ReasoningGraph, normalize_text
 
 log = logging.getLogger(__name__)
 
@@ -65,7 +59,7 @@ _STEP_CLOSE = "</step>"
 _ANSWER_OPEN = "<answer>"
 _ANSWER_CLOSE = "</answer>"
 
-_ANSWER_TAG_RE = re.compile(r"<answer>(.*?)</answer>", re.IGNORECASE | re.DOTALL)
+_ANSWER_TAG_RE = re.compile(r"<answer>(.*?)</answer>", re.IGNORECASE | re.DOTALL | re.ASCII)
 
 # Case-insensitive forms of the tags, matched on the original text. ASCII
 # folding keeps each match the tag's own length and stops "ſ" matching "s".
@@ -245,27 +239,26 @@ def parse(text: str, mode: str = STRICT) -> StructuredOutput:
                 TRAILING_GARBAGE, tail, "content after </answer> in strict mode"
             )
 
-    graph = ReasoningGraph()
+    texts: dict[str, str] = {}
+    edges: dict[tuple[str, str], None] = {}
     for lhs, lkey, rhs, rkey, loc in steps:
-        graph._put_node(lkey, lhs)
-        graph._put_node(rkey, rhs)
-        if not graph._put_edge(lkey, rkey):
-            if not ci:
-                raise TemplateParseError(
-                    DUPLICATE_STEP, loc, f"step repeats an earlier dependency: {lhs!r} -> {rhs!r}"
-                )
+        texts.setdefault(lkey, lhs)
+        texts.setdefault(rkey, rhs)
+        if (lkey, rkey) not in edges:
+            edges[(lkey, rkey)] = None
+        elif not ci:
+            raise TemplateParseError(
+                DUPLICATE_STEP, loc, f"step repeats an earlier dependency: {lhs!r} -> {rhs!r}"
+            )
+        else:
             log.warning("lenient parse collapsed a duplicated step: %r -> %r", lhs, rhs)
 
-    # The acyclicity test marks the graph checked; only a failing graph
-    # pays for validate(), which names the cycle.
-    if not graph.check_dag():
-        diag = validate(graph)
-        for violation in diag.errors:
-            if violation.kind == ERROR_CYCLE:
-                raise TemplateParseError(CYCLE_IN_STEPS, block_start, violation.detail)
-        if diag.errors:  # pragma: no cover - unreachable via this constructor
-            raise TemplateParseError(MALFORMED_STEP, block_start, diag.errors[0].detail)
-
+    try:
+        graph = ReasoningGraph(texts, edges)
+    except InvalidGraphError as err:
+        # The steps give distinct edges and put every node on one, so
+        # only a cycle can fail the check; the error names it.
+        raise TemplateParseError(CYCLE_IN_STEPS, block_start, str(err)) from None
     return StructuredOutput(graph=graph, answer=answer, step_count=len(steps))
 
 
@@ -276,24 +269,13 @@ def render(output: StructuredOutput) -> str:
     """Render the canonical template document for ``output``.
 
     One step line per edge in insertion order, unicode arrow, answer
-    block last; byte-deterministic. Raises InvalidGraphError when the
-    graph fails validation or cannot be expressed in the step grammar
-    (no edges, isolated nodes, reserved tokens inside node text).
+    block last; byte-deterministic. Every graph is a DAG whose nodes all
+    lie on an edge, so the step grammar expresses any graph's structure;
+    InvalidGraphError is raised only for text it cannot quote: a
+    reserved token (arrow or angle bracket) inside a node's text, or an
+    angle bracket in the answer.
     """
-    graph = output.graph
-    if not graph.check_dag():
-        kinds = sorted({v.kind for v in validate(graph).errors})
-        raise InvalidGraphError(f"cannot render invalid graph: {', '.join(kinds)}")
-    edges = graph.edge_keys
-    if not edges:
-        raise InvalidGraphError("cannot render a graph with no edges")
-    texts = graph.texts
-    on_edge = {key for edge in edges for key in edge}
-    isolated = [key for key in texts if key not in on_edge]
-    if isolated:
-        raise InvalidGraphError(
-            f"step grammar cannot express isolated nodes: {', '.join(map(repr, isolated))}"
-        )
+    texts = output.graph.texts
     for text in texts.values():
         for token in _RESERVED_IN_NODE:
             if token in text:
@@ -304,7 +286,7 @@ def render(output: StructuredOutput) -> str:
         raise InvalidGraphError("answer text may not contain angle brackets")
 
     lines = [_REASONING_OPEN]
-    for parent, child in edges:
+    for parent, child in output.graph.edge_keys:
         lines.append(f"<step> {texts[parent]} {ARROW} {texts[child]} </step>")
     lines.append(_REASONING_CLOSE)
     lines.append(f"<answer> {output.answer} </answer>")
@@ -343,18 +325,22 @@ def extract_untagged_answer(
     """The answer in prose, ignoring answer tags.
 
     The trailing segment after the last occurrence of any cue, else the
-    final non-empty line; None when the text is blank.
+    final non-empty line; None when the text is blank. Cues match with
+    ASCII case folding, as tags do.
     """
-    low = text.lower()
+    # bytes.lower() folds A-Z and nothing else, and a UTF-8 match always
+    # starts on a character boundary, so the offset maps back to the text.
+    data = text.encode("utf-8", "surrogatepass").lower()
     best_pos = -1
     best_cue = ""
     for cue in cues:
-        idx = low.rfind(cue.lower())
+        idx = data.rfind(cue.encode("utf-8", "surrogatepass").lower())
         if idx > best_pos:
             best_pos = idx
             best_cue = cue
     if best_pos >= 0:
-        segment = text[best_pos + len(best_cue) :].strip().lstrip(":").strip()
+        start = len(data[:best_pos].decode("utf-8", "surrogatepass")) + len(best_cue)
+        segment = text[start:].strip().lstrip(":").strip()
         if segment:
             return segment
     lines = [line.strip() for line in text.splitlines() if line.strip()]

@@ -1,34 +1,24 @@
 """Directed graphs of atomic reasoning steps.
 
 Nodes are identified by their normalized text, edges express logical
-dependency (parent must be established before child). Structural rules
-(acyclicity, endpoint presence, no repeated edge) are checked by
-:func:`validate`, which reports violations as data so callers can
-decide how to react.
+dependency (parent must be established before child). A
+:class:`ReasoningGraph` is immutable and is a DAG by construction: its
+one constructor checks, in one O(V + E) pass, that the graph is
+non-empty, repeats no edge, has no dangling edge, no node that lies on
+no edge and no cycle, and raises :class:`InvalidGraphError` otherwise.
+``codec.parse`` and ``merge.merge_deterministic`` hand it keys they
+have already normalized; :meth:`ReasoningGraph.from_edges` normalizes
+display-text pairs first. Every consumer (``codec.render``,
+:func:`sinks`, :func:`topological_order`, :func:`export_dot`, the
+merge) relies on the type and checks nothing again. :func:`validate`
+reports the two shapes a DAG may still have that a single conclusion
+rules out: several sinks and disconnected components.
 
-The DAG guarantee is established once, where a graph is built, and the
-graph carries it as its :attr:`ReasoningGraph.checked` mark. The mark
-is set by :meth:`ReasoningGraph.check_dag`, one O(V + E) pass that
-passes exactly when ``validate`` would report no error: at least one
-node, no cycle (self-loops included), no dangling edge and no repeated
-edge. ``codec.parse`` and ``merge.merge_deterministic`` run it on every
-graph they build, so every graph they return is marked; a document
-whose steps fail it is a cycle, and only then does ``parse`` call
-``validate`` to name it.
-
-Consumers that need a clean graph (``codec.render``, :func:`sinks`,
-:func:`topological_order`, :func:`export_dot` and the merge's
-candidate filter) ask ``check_dag``, which answers a marked graph at
-once and tests an unmarked one; ``validate`` runs only to name the
-errors of a graph that fails. Mutation clears the mark: every
-``add_node`` and ``add_edge`` call does, and
-:meth:`~ReasoningGraph.from_parts` returns an unmarked graph.
-
-Internally a graph is string keys only: a key-to-display-text dict, an
-insertion-ordered list of ``(parent key, child key)`` pairs and a
-parent-to-children adjacency dict. Each endpoint is normalized once, on
-insertion. :class:`NodeId`, :class:`ReasoningNode` and
-:class:`ReasoningEdge` objects are built only by the public accessors.
+Internally a graph is string keys only: a key-to-display-text dict, a
+tuple of ``(parent key, child key)`` pairs in insertion order and a
+parent-to-children adjacency dict. :class:`NodeId`,
+:class:`ReasoningNode` and :class:`ReasoningEdge` objects are built only
+by the public accessors.
 """
 from __future__ import annotations
 
@@ -37,14 +27,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-ERROR_CYCLE = "cycle"
-ERROR_DANGLING_EDGE = "dangling-edge"
-ERROR_EMPTY_GRAPH = "empty-graph"
-ERROR_DUPLICATE_EDGE = "duplicate-edge"
-
 WARNING_MULTIPLE_SINKS = "multiple-sinks"
 WARNING_DISCONNECTED = "disconnected-components"
-WARNING_ISOLATED_NODE = "isolated-node"
 
 _STRIP_CHARS = string.punctuation + string.whitespace
 
@@ -57,12 +41,12 @@ class UnknownNodeError(GraphError):
     """A node was referenced that the graph does not contain."""
 
 
-class DuplicateEdgeError(GraphError):
-    """An identical (parent, child) edge was inserted twice."""
-
-
 class InvalidGraphError(GraphError):
-    """An operation requiring a clean graph was given one with errors."""
+    """A graph breaks a structural rule, or the template cannot express it."""
+
+
+class DuplicateEdgeError(InvalidGraphError):
+    """An identical (parent, child) edge was given twice."""
 
 
 def normalize_text(text: str) -> str:
@@ -124,7 +108,7 @@ class ReasoningEdge:
 
 @dataclass
 class GraphViolation:
-    """One structural problem found by :func:`validate`."""
+    """One warning reported by :func:`validate`."""
 
     kind: str
     detail: str
@@ -133,143 +117,48 @@ class GraphViolation:
 
 @dataclass
 class GraphDiagnostics:
-    """Outcome of validation; ``errors`` empty means the graph is usable."""
+    """Outcome of :func:`validate`: the warnings, in a fixed order."""
 
-    errors: list[GraphViolation] = field(default_factory=list)
     warnings: list[GraphViolation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def kinds(self) -> tuple[set[str], set[str]]:
-        return (
-            {v.kind for v in self.errors},
-            {v.kind for v in self.warnings},
-        )
 
 
 class ReasoningGraph:
-    """Insertion-ordered node and edge container.
+    """An immutable, non-empty DAG of reasoning steps, checked once when built.
 
-    ``add_edge`` rejects exact duplicates immediately (a duplicated
-    dependency is almost always a generation bug worth surfacing), but
-    everything else is representable and only reported by
-    :func:`validate`. Deserializers use :meth:`from_parts` to build
-    graphs that may carry dangling or duplicated edges for diagnosis.
-    ``codec`` and ``merge`` insert through ``_put_node``/``_put_edge``
-    with keys they have already normalized.
+    The constructor takes node keys that are already normalized: a
+    key-to-display-text mapping in insertion order and ``(parent key,
+    child key)`` pairs. It raises :class:`InvalidGraphError` unless the
+    graph has at least one node, every edge joins two of its nodes and
+    appears once (a repeat raises :class:`DuplicateEdgeError`), every
+    node lies on an edge, and no cycle, self-loops included, exists. A
+    cycle's error names it: the first self-loop in edge order, else the
+    first strongly connected component of two or more nodes.
+    :meth:`from_edges` builds one from display-text pairs.
     """
 
-    def __init__(self) -> None:
-        self._text: dict[str, str] = {}  # node key -> display text
-        self._edges: list[tuple[str, str]] = []  # (parent key, child key)
-        self._children: dict[str, dict[str, None]] = {}  # parent key -> child keys
-        self._checked = False
-
-    # -- construction -------------------------------------------------
-
-    def add_node(self, text: str) -> NodeId:
-        """Insert a step, deduplicating by normalized key.
-
-        The first spelling of a step wins; later re-additions return the
-        existing id without touching the stored display text.
-        """
-        return NodeId(self._add_text(text))
-
-    def add_edge(self, parent: str | NodeId, child: str | NodeId) -> ReasoningEdge:
-        """Insert a dependency, adding endpoints as needed.
-
-        Raises DuplicateEdgeError when the same (parent, child) pair is
-        already present. Self-loops and cycles are accepted here and
-        flagged by validate().
-        """
-        pkey = self._coerce_new(parent)
-        ckey = self._coerce_new(child)
-        if not self._put_edge(pkey, ckey):
-            raise DuplicateEdgeError(f"duplicate edge {pkey!r} -> {ckey!r}")
-        return ReasoningEdge(NodeId(pkey), NodeId(ckey))
-
-    def _add_text(self, text: str) -> str:
-        key = _node_key(text)
-        self._put_node(key, text.strip())
-        return key
-
-    def _coerce_new(self, ref: str | NodeId) -> str:
-        if isinstance(ref, NodeId):
-            self._put_node(ref.key, ref.key)
-            return ref.key
-        return self._add_text(ref)
-
-    def _put_node(self, key: str, text: str) -> None:
-        """Insert a node under its normalized ``key`` unless present."""
-        self._checked = False
-        if key not in self._text:
-            self._text[key] = text
-            self._children[key] = {}
-
-    def _put_edge(self, parent: str, child: str) -> bool:
-        """Append an edge between present nodes; False if it already exists."""
-        self._checked = False
-        out = self._children[parent]
-        if child in out:
-            return False
-        out[child] = None
-        self._edges.append((parent, child))
-        return True
-
-    @classmethod
-    def from_edges(cls, pairs: Iterable[tuple[str, str]]) -> "ReasoningGraph":
-        graph = cls()
-        for parent, child in pairs:
-            graph.add_edge(parent, child)
-        return graph
-
-    @classmethod
-    def from_parts(
-        cls,
-        node_texts: Iterable[str],
-        edge_pairs: Iterable[tuple[str, str]] = (),
-    ) -> "ReasoningGraph":
-        """Unchecked assembly: edges may dangle, repeat or self-loop."""
-        graph = cls()
-        for text in node_texts:
-            graph._add_text(text)
-        for parent, child in edge_pairs:
-            pkey, ckey = _node_key(parent), _node_key(child)
-            graph._edges.append((pkey, ckey))
-            graph._children.setdefault(pkey, {})[ckey] = None
-        return graph
-
-    # -- the clean-DAG mark --------------------------------------------
-
-    @property
-    def checked(self) -> bool:
-        """True while the graph carries the clean-DAG mark; mutation clears it."""
-        return self._checked
-
-    def check_dag(self) -> bool:
-        """Whether the graph is a clean DAG, marking it when it is.
-
-        A marked graph answers at once. Otherwise one O(V + E) pass
-        checks for at least one node and present endpoints, then places
-        every node by Kahn's algorithm over the adjacency, which fails
-        on a cycle or a repeated edge. The result is True exactly when
-        ``validate(self)`` has no errors.
-        """
-        if self._checked:
-            return True
-        text, edges, children = self._text, self._edges, self._children
+    def __init__(self, texts: Mapping[str, str], edges: Iterable[tuple[str, str]]) -> None:
+        text = dict(texts)
+        pairs = tuple(edges)
         if not text:
-            return False
+            raise InvalidGraphError("graph has no nodes")
+        children: dict[str, dict[str, None]] = {key: {} for key in text}
         in_deg = dict.fromkeys(text, 0)
-        for parent, child in edges:
-            if parent not in in_deg or child not in in_deg:
-                return False
-            in_deg[child] += 1
-        # A repeated edge counts twice here but is one adjacency entry,
-        # so its child, like every node on a cycle, is never placed.
+        for parent, child in pairs:
+            try:
+                out = children[parent]
+                in_deg[child] += 1
+            except KeyError:
+                raise InvalidGraphError(
+                    f"edge {parent!r} -> {child!r} names a missing node"
+                ) from None
+            if child in out:
+                raise DuplicateEdgeError(f"duplicate edge {parent!r} -> {child!r}")
+            out[child] = None
+        # Kahn's algorithm from the sources; a node on a cycle is never placed.
         ready = [key for key, deg in in_deg.items() if not deg]
+        isolated = [key for key in ready if not children[key]]
+        if isolated:
+            raise InvalidGraphError(f"nodes on no edge: {', '.join(map(repr, isolated))}")
         placed = 0
         while ready:
             placed += 1
@@ -277,8 +166,23 @@ class ReasoningGraph:
                 in_deg[child] -= 1
                 if not in_deg[child]:
                     ready.append(child)
-        self._checked = placed == len(text)
-        return self._checked
+        if placed < len(text):
+            raise InvalidGraphError(_name_cycle(text, pairs))
+        self._text = text  # node key -> display text
+        self._edges = pairs  # (parent key, child key)
+        self._children = children  # parent key -> child keys
+
+    @classmethod
+    def from_edges(cls, pairs: Iterable[tuple[str, str]]) -> "ReasoningGraph":
+        """Build from display-text (parent, child) pairs; a step's first spelling wins."""
+        texts: dict[str, str] = {}
+        edges: list[tuple[str, str]] = []
+        for parent, child in pairs:
+            pkey, ckey = _node_key(parent), _node_key(child)
+            texts.setdefault(pkey, parent.strip())
+            texts.setdefault(ckey, child.strip())
+            edges.append((pkey, ckey))
+        return cls(texts, edges)
 
     # -- access -------------------------------------------------------
 
@@ -298,7 +202,7 @@ class ReasoningGraph:
     @property
     def edge_keys(self) -> tuple[tuple[str, str], ...]:
         """(parent key, child key) pairs in insertion order."""
-        return tuple(self._edges)
+        return self._edges
 
     @property
     def node_count(self) -> int:
@@ -337,21 +241,6 @@ class ReasoningGraph:
 
 
 # -- analysis ----------------------------------------------------------
-
-
-def _well_formed_edges(graph: ReasoningGraph) -> list[tuple[str, str]]:
-    """Deduplicated edges with both endpoints present and no self-loops."""
-    keys = set()
-    out: list[tuple[str, str]] = []
-    node_keys = graph._text
-    for k in graph._edges:
-        if k in keys or k[0] == k[1]:
-            continue
-        if k[0] not in node_keys or k[1] not in node_keys:
-            continue
-        keys.add(k)
-        out.append(k)
-    return out
 
 
 def strongly_connected_components(
@@ -405,60 +294,14 @@ def strongly_connected_components(
 
 
 def validate(graph: ReasoningGraph) -> GraphDiagnostics:
-    """Check every structural rule; violations come back as data.
+    """Report multiple sinks and weakly disconnected components, as warnings.
 
-    Errors: empty graph, duplicate edges, dangling edges, cycles
-    (self-loops included). Warnings: multiple sinks, weakly
-    disconnected components, isolated nodes. This function never
-    raises on graph content.
+    The constructor rules out every structural error, so these are all
+    a graph can still show; this function never raises on graph content.
     """
     diag = GraphDiagnostics()
-    if graph.node_count == 0:
-        diag.errors.append(GraphViolation(ERROR_EMPTY_GRAPH, "graph has no nodes"))
-        return diag
-
     node_keys = list(graph._text)
-    node_set = set(node_keys)
-    seen_edges: set[tuple[str, str]] = set()
-    for k in graph._edges:
-        if k in seen_edges:
-            diag.errors.append(
-                GraphViolation(ERROR_DUPLICATE_EDGE, f"edge repeated: {k[0]!r} -> {k[1]!r}", k)
-            )
-        seen_edges.add(k)
-        missing = tuple(key for key in k if key not in node_set)
-        if missing:
-            diag.errors.append(
-                GraphViolation(
-                    ERROR_DANGLING_EDGE,
-                    f"edge endpoint(s) not in node set: {', '.join(repr(m) for m in missing)}",
-                    k,
-                )
-            )
-        if k[0] == k[1] and not missing:
-            diag.errors.append(
-                GraphViolation(ERROR_CYCLE, f"self-loop on {k[0]!r}", (k[0],))
-            )
-
-    well_formed = _well_formed_edges(graph)
-    for component in strongly_connected_components(node_keys, well_formed):
-        if len(component) > 1:
-            diag.errors.append(
-                GraphViolation(
-                    ERROR_CYCLE,
-                    "cycle through " + " -> ".join(component),
-                    tuple(component),
-                )
-            )
-
-    out_deg = {k: 0 for k in node_keys}
-    degree = {k: 0 for k in node_keys}
-    for parent, child in well_formed:
-        out_deg[parent] += 1
-        degree[parent] += 1
-        degree[child] += 1
-
-    sink_keys = [k for k in node_keys if out_deg[k] == 0]
+    sink_keys = [k for k in node_keys if not graph._children[k]]
     if len(sink_keys) > 1:
         diag.warnings.append(
             GraphViolation(
@@ -468,7 +311,7 @@ def validate(graph: ReasoningGraph) -> GraphDiagnostics:
             )
         )
 
-    components = _weak_components(node_keys, well_formed)
+    components = _weak_components(node_keys, graph._edges)
     if len(components) > 1:
         diag.warnings.append(
             GraphViolation(
@@ -476,17 +319,11 @@ def validate(graph: ReasoningGraph) -> GraphDiagnostics:
                 f"{len(components)} weakly connected components",
             )
         )
-
-    for key in node_keys:
-        if degree[key] == 0:
-            diag.warnings.append(
-                GraphViolation(WARNING_ISOLATED_NODE, f"node {key!r} touches no edge", (key,))
-            )
     return diag
 
 
 def _weak_components(
-    node_keys: list[str], edge_keys: list[tuple[str, str]]
+    node_keys: list[str], edge_keys: Iterable[tuple[str, str]]
 ) -> list[list[str]]:
     neighbours: dict[str, list[str]] = {k: [] for k in node_keys}
     for parent, child in edge_keys:
@@ -511,11 +348,13 @@ def _weak_components(
     return components
 
 
-def _require_clean(graph: ReasoningGraph, operation: str) -> None:
-    if graph.check_dag():
-        return
-    kinds = sorted({v.kind for v in validate(graph).errors})
-    raise InvalidGraphError(f"{operation} requires a clean graph, found: {', '.join(kinds)}")
+def _name_cycle(node_keys: Iterable[str], edge_keys: tuple[tuple[str, str], ...]) -> str:
+    """Name a cycle of a graph that has one: its first self-loop, else its first SCC."""
+    for parent, child in edge_keys:
+        if parent == child:
+            return f"self-loop on {parent!r}"
+    components = strongly_connected_components(node_keys, edge_keys)
+    return "cycle through " + " -> ".join(next(c for c in components if len(c) > 1))
 
 
 def parents(graph: ReasoningGraph, node: str | NodeId) -> set[NodeId]:
@@ -532,13 +371,11 @@ def children(graph: ReasoningGraph, node: str | NodeId) -> set[NodeId]:
 
 def sinks(graph: ReasoningGraph) -> list[NodeId]:
     """Nodes with no outgoing edges, in first-insertion order."""
-    _require_clean(graph, "sinks")
     return [NodeId(key) for key in graph._text if not graph._children[key]]
 
 
 def topological_order(graph: ReasoningGraph) -> list[NodeId]:
     """Kahn's algorithm; ties broken by node insertion order."""
-    _require_clean(graph, "topological_order")
     position = {k: i for i, k in enumerate(graph._text)}
     in_deg = dict.fromkeys(position, 0)
     for _, child in graph._edges:
@@ -565,14 +402,13 @@ def _dot_escape(text: str) -> str:
 
 
 def export_dot(graph: ReasoningGraph, answer: str | None = None) -> str:
-    """Render a clean graph as Graphviz DOT text.
+    """Render a graph as Graphviz DOT text.
 
     Branch nodes (out-degree >= 2) are tinted blue; the decision node
     (the unique sink, when there is exactly one) is tinted green and,
     when ``answer`` is given, carries it in its label. Output is
     byte-deterministic: statements follow insertion order.
     """
-    _require_clean(graph, "export_dot")
     out_deg = {key: len(graph._children[key]) for key in graph._text}
     sink_keys = [k for k, d in out_deg.items() if d == 0]
     decision_key = sink_keys[0] if len(sink_keys) == 1 else None

@@ -40,16 +40,12 @@ class MergeError(Exception):
     """Base for merge failures."""
 
 
-class NoValidCandidateError(MergeError):
-    """Every candidate was excluded before merging could start."""
-
-
 class LLMMergeFailedError(MergeError):
     """The integration model never produced a parseable document."""
 
 
 class EdgelessMergeError(MergeError):
-    """The conclusion kept no incoming edge, so the merge cannot render."""
+    """The conclusion kept no incoming edge, so the merge has no graph."""
 
 
 @dataclass
@@ -84,21 +80,6 @@ class MergedResult:
     dropped_edges: list[DroppedEdge] = field(default_factory=list)
     merge_mode: str = MODE_DETERMINISTIC
     fell_back: bool = False
-
-
-def _valid_candidates(
-    candidate_set: CandidateSet,
-) -> list[tuple[StructuredOutput, int]]:
-    kept = [
-        (output, idx)
-        for output, idx in candidate_set.candidates
-        if output.graph.check_dag()
-    ]
-    if not kept:
-        raise NoValidCandidateError(
-            f"no structurally valid candidate for question {candidate_set.question[:60]!r}"
-        )
-    return kept
 
 
 def _majority_group(
@@ -182,9 +163,10 @@ def merge_deterministic(candidate_set: CandidateSet) -> MergedResult:
     of the winning group's lowest-index candidate. Nodes that cannot
     reach the conclusion are pruned, with each dropped edge recorded.
     Raises EdgelessMergeError when the conclusion keeps no incoming
-    edge. The returned graph carries the checked-DAG mark.
+    edge. The result is built by the graph's checked constructor from
+    keys the candidates already normalized.
     """
-    members = _majority_group(_valid_candidates(candidate_set))
+    members = _majority_group(candidate_set.candidates)
     answer = members[0][0].answer
 
     display: dict[str, str] = {}
@@ -224,19 +206,15 @@ def merge_deterministic(candidate_set: CandidateSet) -> MergedResult:
             f"({len(victims)} edge(s) dropped to break cycles)"
         )
 
-    graph = ReasoningGraph()
-    for key in node_order:
-        if key in keep:
-            graph._put_node(key, display[key])
+    kept_edges: list[tuple[str, str]] = []
     for parent, child in working:
         if parent in keep and child in keep:
-            graph._put_edge(parent, child)
+            kept_edges.append((parent, child))
         else:
             dropped.append(
                 DroppedEdge(parent, child, DROP_PRUNED, multiplicity[(parent, child)])
             )
-    if not graph.check_dag():  # pragma: no cover - defensive
-        raise MergeError("merge produced an invalid graph")
+    graph = ReasoningGraph({key: display[key] for key in node_order if key in keep}, kept_edges)
 
     return MergedResult(
         graph=graph,
@@ -294,7 +272,7 @@ def merge_llm(
     """
     quoted: list[tuple[str, int]] = []
     last_failure: Exception | str | None = None
-    for output, index in _valid_candidates(candidate_set):
+    for output, index in candidate_set.candidates:
         try:
             quoted.append((render(output), index))
         except InvalidGraphError as err:

@@ -34,7 +34,6 @@ from .merge import (
     EdgelessMergeError,
     LLMMergeFailedError,
     MergedResult,
-    NoValidCandidateError,
     merge_deterministic,
     merge_llm,
 )
@@ -298,8 +297,6 @@ def build_instance(
 
     try:
         merged = run_merge(candidate_set, client, config, merge_mode)
-    except NoValidCandidateError as err:
-        return DiscardRecord(item.source_id, DISCARD_ALL_CANDIDATES_FAILED, str(err))
     except LLMMergeFailedError as err:
         return DiscardRecord(item.source_id, DISCARD_PARSE_FAILURE, str(err))
     except EdgelessMergeError as err:

@@ -47,10 +47,9 @@ def random_graph(
 ) -> ReasoningGraph:
     n = rng.randint(min_nodes, max_nodes)
     texts = node_texts(rng, n, tag)
-    graph = ReasoningGraph()
-    for parent, child in random_edge_indices(rng, n):
-        graph.add_edge(texts[parent], texts[child])
-    return graph
+    return ReasoningGraph.from_edges(
+        (texts[parent], texts[child]) for parent, child in random_edge_indices(rng, n)
+    )
 
 
 def random_output(
@@ -71,7 +70,7 @@ def random_candidate_output(
     """Candidate over a shared fact pool; unions across candidates may cycle."""
     n = rng.randint(min_nodes, min(max_nodes, len(pool)))
     chosen = rng.sample(pool, n)
-    graph = ReasoningGraph()
-    for parent, child in random_edge_indices(rng, n):
-        graph.add_edge(chosen[parent], chosen[child])
+    graph = ReasoningGraph.from_edges(
+        (chosen[parent], chosen[child]) for parent, child in random_edge_indices(rng, n)
+    )
     return StructuredOutput.from_graph(graph, answer)

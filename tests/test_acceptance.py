@@ -82,8 +82,7 @@ def test_criterion_02_case_study_document():
     text = (FIXTURES / "case_study.txt").read_text(encoding="utf-8")
     output = parse(text, STRICT)
     graph = output.graph
-    diagnostics = validate(graph)
-    assert diagnostics.errors == []
+    assert validate(graph).warnings == []
     assert graph.node_count == 9
     assert graph.edge_count == 8
     assert len(sinks(graph)) == 1
@@ -188,8 +187,7 @@ def test_criterion_04_merge_properties():
             edgeless += 1
             continue
 
-        diagnostics = validate(merged.graph)
-        assert diagnostics.errors == []
+        assert validate(merged.graph).warnings == []
         assert merged.graph.has_node(merged.conclusion.key)
         assert children(merged.graph, merged.conclusion) == set()
         document = render(StructuredOutput.from_graph(merged.graph, merged.answer))

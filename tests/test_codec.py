@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from graphreason.codec import (
     CYCLE_IN_STEPS,
+    DEFAULT_ANSWER_CUES,
     DUPLICATE_STEP,
     EMPTY_ENDPOINT,
     LENIENT,
@@ -21,16 +22,16 @@ from graphreason.codec import (
     StructuredOutput,
     TemplateParseError,
     extract_answer_lenient,
+    extract_untagged_answer,
     find_answer_tag,
     parse,
     render,
 )
 from graphreason.graph import (
-    ERROR_CYCLE,
     InvalidGraphError,
     ReasoningGraph,
     normalize_text,
-    validate,
+    strongly_connected_components,
 )
 
 from _util import random_output
@@ -264,14 +265,15 @@ class TestRender:
         ]
 
     def test_rejects_cyclic_graph(self):
-        g = ReasoningGraph.from_parts(["a", "b"], [("a", "b"), ("b", "a")])
+        # A cyclic graph cannot be built, so it never reaches render().
         with pytest.raises(InvalidGraphError):
+            g = ReasoningGraph.from_edges([("a", "b"), ("b", "a")])
             render(StructuredOutput(graph=g, answer="x", step_count=2))
 
     def test_rejects_isolated_node(self):
-        g = ReasoningGraph.from_edges([("a", "b")])
-        g.add_node("floating")
+        # Nor can a graph with a node on no edge, which no step could express.
         with pytest.raises(InvalidGraphError):
+            g = ReasoningGraph({"a": "a", "b": "b", "floating": "floating"}, [("a", "b")])
             render(StructuredOutput(graph=g, answer="x", step_count=1))
 
     def test_rejects_arrow_token_in_node_text(self):
@@ -288,7 +290,7 @@ class TestRender:
         with pytest.raises(ValueError):
             StructuredOutput(graph=ReasoningGraph.from_edges([("a", "b")]), answer="  ", step_count=1)
         with pytest.raises(ValueError):
-            StructuredOutput.from_graph(ReasoningGraph(), "x")
+            StructuredOutput(graph=ReasoningGraph.from_edges([("a", "b")]), answer="x", step_count=0)
 
 
 class TestRoundTrip:
@@ -303,6 +305,11 @@ class TestRoundTrip:
         again = parse(render(out), STRICT)
         assert again == out
         assert render(again) == render(out)
+
+
+def _holds_cue(text: str) -> bool:
+    low = text.lower()
+    return any(cue in low for cue in DEFAULT_ANSWER_CUES)
 
 
 class TestAnswerExtraction:
@@ -333,6 +340,40 @@ class TestAnswerExtraction:
         assert find_answer_tag("no tags") is None
         assert find_answer_tag("<answer>   </answer>") == ""
         assert find_answer_tag("<ANSWER> B </ANSWER>") == "B"
+
+    def test_cue_after_text_that_lowercases_longer(self):
+        # "İ".lower() is two code points; the cue is found on the text itself.
+        assert extract_answer_lenient("İİ in İstanbul the answer is 42") == "42"
+        assert extract_untagged_answer("İ ANSWER: İzmir") == "İzmir"
+
+    def test_cue_letters_fold_ascii_only(self):
+        # Under unicode rules the Kelvin sign lowercases to "k".
+        assert extract_untagged_answer("the \u212aey: 5", cues=("key:",)) == "the \u212aey: 5"
+        assert extract_untagged_answer("the KEY: 5", cues=("key:",)) == "5"
+
+    @pytest.mark.parametrize(
+        "text", ["<anſwer> 7 </anſwer>", "<anſwer> 7 </answer>", "<answer> 7 </anſwer>"]
+    )
+    def test_answer_tag_letters_fold_ascii_only(self, text):
+        # "ſ" folds to "s" under unicode rules; lenient parse refuses such tags.
+        assert find_answer_tag(text) is None
+        assert extract_answer_lenient(text) == text
+        assert kind_of(f"<reasoning><step> a → b </step></reasoning>{text}", LENIENT) == (
+            MISSING_ANSWER_BLOCK
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prefix=st.text(alphabet=st.sampled_from("İıaAnswer :.\n")).filter(
+            lambda t: "İ" in t and not _holds_cue(t)
+        ),
+        # A leading ":" after the cue is dropped, so no answer starts with one.
+        answer=st.text(min_size=1).filter(
+            lambda a: a.strip() and not a.strip().startswith(":") and not _holds_cue(a)
+        ),
+    )
+    def test_cue_after_a_dotted_capital_i_prefix(self, prefix, answer):
+        assert extract_untagged_answer(prefix + " the answer is " + answer) == answer.strip()
 
 
 # -- properties over arbitrary unicode ---------------------------------
@@ -470,18 +511,25 @@ def _parent_strict_parse(text: str) -> StructuredOutput:
     tail = skip_ws(answer_end + 9)
     if tail != len(text):
         raise TemplateParseError(TRAILING_GARBAGE, tail, "content after </answer> in strict mode")
-    graph = ReasoningGraph()
+    texts: dict[str, str] = {}
+    edges: list[tuple[str, str]] = []
     for lhs, lkey, rhs, rkey, loc in steps:
-        graph._put_node(lkey, lhs)
-        graph._put_node(rkey, rhs)
-        if not graph._put_edge(lkey, rkey):
+        texts.setdefault(lkey, lhs)
+        texts.setdefault(rkey, rhs)
+        if (lkey, rkey) in edges:
             raise TemplateParseError(
                 DUPLICATE_STEP, loc, f"step repeats an earlier dependency: {lhs!r} -> {rhs!r}"
             )
-    if not graph.check_dag():
-        for violation in validate(graph).errors:
-            if violation.kind == ERROR_CYCLE:
-                raise TemplateParseError(CYCLE_IN_STEPS, block_start, violation.detail)
+        edges.append((lkey, rkey))
+    for parent, child in edges:
+        if parent == child:
+            raise TemplateParseError(CYCLE_IN_STEPS, block_start, f"self-loop on {parent!r}")
+    for component in strongly_connected_components(texts, edges):
+        if len(component) > 1:
+            raise TemplateParseError(
+                CYCLE_IN_STEPS, block_start, "cycle through " + " -> ".join(component)
+            )
+    graph = ReasoningGraph.from_edges((texts[parent], texts[child]) for parent, child in edges)
     return StructuredOutput(graph=graph, answer=answer, step_count=len(steps))
 
 

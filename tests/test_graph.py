@@ -6,13 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphreason
+from graphreason import graph as graph_module
 from graphreason.graph import (
-    ERROR_CYCLE,
-    ERROR_DANGLING_EDGE,
-    ERROR_DUPLICATE_EDGE,
-    ERROR_EMPTY_GRAPH,
     WARNING_DISCONNECTED,
-    WARNING_ISOLATED_NODE,
     WARNING_MULTIPLE_SINKS,
     DuplicateEdgeError,
     InvalidGraphError,
@@ -62,24 +59,45 @@ class TestNormalization:
 
 
 class TestConstruction:
-    def test_add_node_dedups_by_key(self):
-        g = ReasoningGraph()
-        a = g.add_node("First iPhone released in 2007")
-        b = g.add_node(" first  iPhone  released in 2007.")
-        assert a == b
-        assert g.node_count == 1
+    def test_nodes_dedup_by_key(self):
+        g = ReasoningGraph.from_edges(
+            [("First iPhone released in 2007", "x"), (" first  iPhone  released in 2007.", "y")]
+        )
+        assert g.node_count == 3
+        assert [e.parent for e in g.edges] == [NodeId("first iphone released in 2007")] * 2
 
     def test_first_spelling_wins(self):
-        g = ReasoningGraph()
-        g.add_node("Compare Release Years")
-        g.add_node("compare release years")
+        g = ReasoningGraph.from_edges(
+            [("Compare Release Years", "x"), ("compare release years", "y")]
+        )
         assert g.node("compare release years").text == "Compare Release Years"
 
     def test_duplicate_edge_rejected_at_insertion(self):
-        g = ReasoningGraph()
-        g.add_edge("a", "b")
         with pytest.raises(DuplicateEdgeError):
-            g.add_edge("A", "b.")
+            ReasoningGraph.from_edges([("a", "b"), ("A", "b.")])
+        with pytest.raises(DuplicateEdgeError):
+            ReasoningGraph({"a": "a", "b": "b"}, [("a", "b"), ("a", "b")])
+
+    def test_duplicate_edge_is_an_invalid_graph(self):
+        assert issubclass(DuplicateEdgeError, InvalidGraphError)
+
+    def test_isolated_node_rejected(self):
+        with pytest.raises(InvalidGraphError, match="'floating'"):
+            ReasoningGraph({"a": "a", "b": "b", "floating": "Floating"}, [("a", "b")])
+        with pytest.raises(InvalidGraphError):
+            ReasoningGraph({"lonely thought": "lonely thought"}, [])
+
+    def test_constructor_takes_keys_as_given(self):
+        g = ReasoningGraph({"a": "A.", "b": " B "}, [("a", "b")])
+        assert dict(g.texts) == {"a": "A.", "b": " B "}
+        assert g.edge_keys == (("a", "b"),)
+
+    def test_constructor_copies_its_inputs(self):
+        texts, edges = {"a": "A", "b": "B"}, [("a", "b")]
+        g = ReasoningGraph(texts, edges)
+        texts["c"] = "C"
+        edges.append(("b", "c"))
+        assert g.node_count == 2 and g.edge_count == 1
 
     def test_edges_keep_insertion_order(self):
         g = diamond()
@@ -96,55 +114,52 @@ class TestConstruction:
 
 
 class TestValidate:
+    """``validate`` reports warnings; the structural errors cannot be built."""
+
     def test_diamond_is_clean(self):
-        diag = validate(diamond())
-        assert diag.errors == []
-        assert diag.warnings == []
+        assert validate(diamond()).warnings == []
 
     def test_empty_graph(self):
-        errors, _ = validate(ReasoningGraph()).kinds()
-        assert errors == {ERROR_EMPTY_GRAPH}
+        with pytest.raises(InvalidGraphError, match="no nodes"):
+            ReasoningGraph({}, [])
+        with pytest.raises(InvalidGraphError, match="no nodes"):
+            ReasoningGraph.from_edges([])
 
     def test_two_cycle(self):
-        g = ReasoningGraph.from_edges([("A", "B"), ("B", "A")])
-        diag = validate(g)
-        assert [v.kind for v in diag.errors] == [ERROR_CYCLE]
-        assert set(diag.errors[0].nodes) == {"a", "b"}
+        with pytest.raises(InvalidGraphError) as caught:
+            ReasoningGraph.from_edges([("A", "B"), ("B", "A")])
+        assert str(caught.value) == "cycle through a -> b"
 
     def test_self_loop_reported_as_cycle(self):
-        g = ReasoningGraph.from_parts(["A"], [("A", "a")])
-        errors, _ = validate(g).kinds()
-        assert errors == {ERROR_CYCLE}
+        with pytest.raises(InvalidGraphError) as caught:
+            ReasoningGraph.from_edges([("x", "y"), ("A", "a")])
+        assert str(caught.value) == "self-loop on 'a'"
 
     def test_dangling_edge(self):
-        g = ReasoningGraph.from_parts(["A"], [("A", "ghost")])
-        errors, _ = validate(g).kinds()
-        assert errors == {ERROR_DANGLING_EDGE}
+        with pytest.raises(InvalidGraphError, match="'ghost'"):
+            ReasoningGraph({"a": "A"}, [("a", "ghost")])
 
     def test_duplicate_edge_detected_in_loose_assembly(self):
-        g = ReasoningGraph.from_parts(["A", "B"], [("A", "B"), ("a", "b")])
-        errors, _ = validate(g).kinds()
-        assert ERROR_DUPLICATE_EDGE in errors
+        with pytest.raises(DuplicateEdgeError):
+            ReasoningGraph.from_edges([("A", "B"), ("B", "C"), ("a", "b")])
 
-    def test_single_isolated_node_warns_only(self):
-        g = ReasoningGraph()
-        g.add_node("lonely thought")
-        diag = validate(g)
-        assert diag.errors == []
-        assert [v.kind for v in diag.warnings] == [WARNING_ISOLATED_NODE]
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.text(), st.text()), min_size=1, max_size=6))
+    def test_validation_never_raises_on_content(self, pairs):
+        try:
+            g = ReasoningGraph.from_edges(pairs)
+        except (InvalidGraphError, ValueError):  # a cycle, a repeat or an empty key
+            return
+        kinds = [v.kind for v in validate(g).warnings]
+        assert kinds in ([], [WARNING_MULTIPLE_SINKS], [WARNING_DISCONNECTED],
+                         [WARNING_MULTIPLE_SINKS, WARNING_DISCONNECTED])
 
     def test_disjoint_chains_warn_sinks_and_components(self):
-        g = ReasoningGraph.from_edges([("a", "b"), ("c", "d")])
-        _, warnings = validate(g).kinds()
-        assert warnings == {WARNING_MULTIPLE_SINKS, WARNING_DISCONNECTED}
-
-    def test_validation_never_raises_on_content(self):
-        g = ReasoningGraph.from_parts(
-            ["A", "B"], [("A", "B"), ("a", "b"), ("B", "A"), ("A", "ghost")]
-        )
-        diag = validate(g)
-        assert not diag.ok
-        assert len(diag.errors) >= 3
+        diag = validate(ReasoningGraph.from_edges([("a", "b"), ("c", "d")]))
+        assert [(v.kind, v.detail, v.nodes) for v in diag.warnings] == [
+            (WARNING_MULTIPLE_SINKS, "2 sinks present", ("b", "d")),
+            (WARNING_DISCONNECTED, "2 weakly connected components", ()),
+        ]
 
 
 class TestOps:
@@ -173,9 +188,9 @@ class TestOps:
         assert [s.key for s in sinks(g)] == ["left", "right"]
 
     def test_sinks_requires_clean_graph(self):
-        g = ReasoningGraph.from_edges([("A", "B"), ("B", "A")])
+        # A cyclic graph cannot be built, so it never reaches sinks().
         with pytest.raises(InvalidGraphError):
-            sinks(g)
+            sinks(ReasoningGraph.from_edges([("A", "B"), ("B", "A")]))
 
     def test_topological_order_diamond(self):
         order = [n.key for n in topological_order(diamond())]
@@ -210,9 +225,9 @@ class TestDot:
         assert "answer: 4" not in dot
 
     def test_rejects_invalid_graph(self):
-        g = ReasoningGraph.from_edges([("A", "B"), ("B", "A")])
+        # A cyclic graph cannot be built, so it never reaches export_dot().
         with pytest.raises(InvalidGraphError):
-            export_dot(g)
+            export_dot(ReasoningGraph.from_edges([("A", "B"), ("B", "A")]))
 
     def test_label_escaping(self):
         g = ReasoningGraph.from_edges([('say "hi"', "done")])
@@ -231,7 +246,8 @@ class TestDot:
 def test_random_graphs_validate_and_sort(seed):
     g = random_graph(random.Random(seed), max_nodes=30)
     diag = validate(g)
-    assert diag.errors == []
+    # random_graph's spanning tree keeps it connected; only sinks may warn.
+    assert {v.kind for v in diag.warnings} <= {WARNING_MULTIPLE_SINKS}
     order = topological_order(g)
     assert len(order) == g.node_count
     assert len({n.key for n in order}) == g.node_count
@@ -249,3 +265,42 @@ def test_parents_children_adjoint_random(seed):
             assert node.id in parents(g, child)
         for parent in parents(g, node.id):
             assert node.id in children(g, parent)
+
+
+# Names the graph redesign deleted; none may come back.
+DELETED_GRAPH_NAMES = (
+    "ERROR_CYCLE",
+    "ERROR_DANGLING_EDGE",
+    "ERROR_DUPLICATE_EDGE",
+    "ERROR_EMPTY_GRAPH",
+    "WARNING_ISOLATED_NODE",
+    "_require_clean",
+    "_well_formed_edges",
+)
+DELETED_GRAPH_METHODS = (
+    "add_node",
+    "add_edge",
+    "_add_text",
+    "_coerce_new",
+    "_put_node",
+    "_put_edge",
+    "from_parts",
+    "checked",
+    "check_dag",
+)
+DELETED_EXPORTS = ("NoValidCandidateError",)
+
+
+def test_public_names_resolve_and_deleted_names_are_gone():
+    for name in graphreason.__all__:
+        assert getattr(graphreason, name) is not None, name
+    assert len(set(graphreason.__all__)) == len(graphreason.__all__)
+    for name in DELETED_EXPORTS:
+        assert name not in graphreason.__all__
+        assert not hasattr(graphreason, name)
+    for name in DELETED_GRAPH_NAMES:
+        assert not hasattr(graph_module, name), name
+    for name in DELETED_GRAPH_METHODS:
+        assert not hasattr(ReasoningGraph, name), name
+    for name in ("errors", "ok", "kinds"):
+        assert not hasattr(graph_module.GraphDiagnostics(), name), name

@@ -3,15 +3,21 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphreason.graph import strongly_connected_components, topological_order
+from graphreason.graph import (
+    DuplicateEdgeError,
+    InvalidGraphError,
+    ReasoningGraph,
+    normalize_text,
+    strongly_connected_components,
+    topological_order,
+)
 
 from _util import random_graph
-
-nx = pytest.importorskip("networkx")
 
 
 @settings(max_examples=100, deadline=None)
@@ -50,3 +56,32 @@ def test_topological_order_matches_networkx(seed):
     expected = list(nx.lexicographical_topological_sort(oracle, key=position.__getitem__))
 
     assert [node.key for node in topological_order(graph)] == expected
+
+
+# Several spellings per key, so distinct texts collide after normalization;
+# pairs drawn from them repeat, self-loop and cycle.
+SPELLINGS = ("A", "a.", " (a) ", "B", "b!", "C", "c", "  C  ", "Dee", "dee?", "E")
+pairs_of_spellings = st.lists(
+    st.tuples(st.sampled_from(SPELLINGS), st.sampled_from(SPELLINGS)), max_size=8
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pairs=pairs_of_spellings)
+def test_from_edges_accepts_exactly_the_nonempty_networkx_dags(pairs):
+    keyed = [(normalize_text(parent), normalize_text(child)) for parent, child in pairs]
+    oracle = nx.DiGraph(keyed)
+    repeats = len(set(keyed)) < len(keyed)
+    valid = bool(keyed) and not repeats and nx.is_directed_acyclic_graph(oracle)
+
+    if not valid:
+        with pytest.raises(DuplicateEdgeError if repeats else InvalidGraphError):
+            ReasoningGraph.from_edges(pairs)
+        return
+    graph = ReasoningGraph.from_edges(pairs)
+    assert graph.edge_keys == tuple(keyed)
+    first_spelling: dict[str, str] = {}
+    for pair in pairs:
+        for text in pair:
+            first_spelling.setdefault(normalize_text(text), text.strip())
+    assert list(graph.texts.items()) == list(first_spelling.items())

@@ -26,7 +26,6 @@ from graphreason.merge import (
     EdgelessMergeError,
     LLMMergeFailedError,
     MergedResult,
-    NoValidCandidateError,
     merge_deterministic,
     merge_llm,
 )
@@ -104,21 +103,6 @@ class TestMajority:
         )
         assert merged.contributing_indices == (0, 1)
 
-    def test_invalid_candidates_are_excluded(self):
-        cyclic = ReasoningGraph.from_parts(["a", "b"], [("a", "b"), ("b", "a")])
-        bad = StructuredOutput(graph=cyclic, answer="9", step_count=2)
-        merged = merge_deterministic(
-            CandidateSet([(bad, 0), (output([("a", "b")], "4"), 1)], "Q?")
-        )
-        assert merged.answer == "4"
-        assert merged.contributing_indices == (1,)
-
-    def test_all_invalid_raises(self):
-        cyclic = ReasoningGraph.from_parts(["a", "b"], [("a", "b"), ("b", "a")])
-        bad = StructuredOutput(graph=cyclic, answer="9", step_count=2)
-        with pytest.raises(NoValidCandidateError):
-            merge_deterministic(CandidateSet([(bad, 0)], "Q?"))
-
 
 class TestUnionAndCycles:
     def test_conflicting_edge_resolved_by_multiplicity(self):
@@ -129,7 +113,7 @@ class TestUnionAndCycles:
                 output([("A", "B"), ("B", "C")], "4"),
             )
         )
-        assert validate(merged.graph).ok
+        assert validate(merged.graph).warnings == []
         edge_keys = [e.key for e in merged.graph.edges]
         assert ("a", "b") in edge_keys
         assert ("b", "a") not in edge_keys
@@ -178,12 +162,6 @@ class TestUnionAndCycles:
             merge_deterministic(
                 cset(output([("a", "b")], "4"), output([("b", "a")], "4"), output([("b", "a")], "4"))
             )
-
-    def test_result_carries_the_checked_mark(self):
-        merged = merge_deterministic(
-            cset(output([("A", "B"), ("B", "C")], "4"), output([("B", "A"), ("A", "C")], "4"))
-        )
-        assert merged.graph.checked
 
     def test_conclusion_is_first_sink_of_lowest_index_candidate(self):
         merged = merge_deterministic(
@@ -238,11 +216,11 @@ def test_merge_properties_random(seed):
         merged = merge_deterministic(CandidateSet(candidates, "Q?"))
     except EdgelessMergeError:
         # Refused only when the conclusion really keeps no edge.
-        assert whole_graph_merge(candidates)[0].edge_count == 0
+        assert whole_graph_merge(candidates)[1] == []
         return
 
-    diag = validate(merged.graph)
-    assert diag.errors == []
+    # Only the conclusion's ancestry is kept: one sink, one component.
+    assert validate(merged.graph).warnings == []
     node_keys = {n.id.key for n in merged.graph.nodes}
     assert merged.conclusion.key in node_keys
     assert children(merged.graph, merged.conclusion) == set()
@@ -260,11 +238,12 @@ def whole_graph_merge(candidates):
 
     A test-local copy of the merge as it stood before cycle breaking
     learned to recompute only the component that held the victim; it
-    returns (graph, conclusion key, dropped edges as tuples).
+    returns (key -> display text of the kept nodes in first-seen order,
+    kept edges as display-text pairs, conclusion key, dropped edges as
+    tuples).
     """
-    valid = [(out, idx) for out, idx in candidates if validate(out.graph).ok]
     groups = {}
-    for out, idx in valid:
+    for out, idx in candidates:
         groups.setdefault(normalize_freeform(out.answer), []).append((out, idx))
     members = min(groups.values(), key=lambda group: (-len(group), group[0][1]))
 
@@ -304,16 +283,15 @@ def whole_graph_merge(candidates):
             if parent not in keep:
                 keep.add(parent)
                 queue.append(parent)
-    graph = ReasoningGraph()
-    for key in node_order:
-        if key in keep:
-            graph.add_node(display[key])
+    kept = []
     for parent, child in working:
         if parent in keep and child in keep:
-            graph.add_edge(display[parent], display[child])
+            kept.append((parent, child))
         else:
             dropped.append((parent, child, DROP_PRUNED, multiplicity[(parent, child)]))
-    return graph, conclusion, dropped
+    texts = {key: display[key] for key in node_order if key in keep}
+    edges = [(display[parent], display[child]) for parent, child in kept]
+    return texts, edges, conclusion, dropped
 
 
 def cyclic_candidates(rng: random.Random) -> list[tuple[StructuredOutput, int]]:
@@ -336,16 +314,17 @@ def cyclic_candidates(rng: random.Random) -> list[tuple[StructuredOutput, int]]:
 @given(seed=st.integers(0, 2**32 - 1))
 def test_localized_cycle_break_matches_whole_graph_oracle(seed):
     candidates = cyclic_candidates(random.Random(seed))
-    graph, conclusion, dropped = whole_graph_merge(candidates)
+    texts, edges, conclusion, dropped = whole_graph_merge(candidates)
     try:
         merged = merge_deterministic(CandidateSet(candidates, "Q?"))
     except EdgelessMergeError:
-        assert graph.edge_count == 0
+        assert edges == []
         return
-    assert graph.edge_count > 0
+    assert edges
+    graph = ReasoningGraph.from_edges(edges)
     assert merged.conclusion.key == conclusion
     assert merged.graph == graph
-    assert [n.text for n in merged.graph.nodes] == [n.text for n in graph.nodes]
+    assert list(merged.graph.texts.items()) == list(texts.items())
     assert [
         (d.parent, d.child, d.reason, d.multiplicity) for d in merged.dropped_edges
     ] == dropped
@@ -362,7 +341,7 @@ class TestLLMMerge:
         assert not merged.fell_back
         assert merged.answer == "7"
         assert merged.conclusion.key == "merged conclusion"
-        assert validate(merged.graph).ok
+        assert validate(merged.graph).warnings == []
 
     def test_repair_retry_after_bad_reply(self):
         backend = MockBackend(
@@ -397,7 +376,7 @@ class TestLLMMerge:
         assert merged.merge_mode == MODE_LLM_FALLBACK
         assert merged.fell_back
         assert merged.answer == "4"
-        assert validate(merged.graph).ok
+        assert validate(merged.graph).warnings == []
 
     def test_double_failure_without_fallback_raises(self):
         client = mock_client(default=BAD_REPLY)
@@ -466,5 +445,5 @@ def test_llm_merge_never_returns_invalid_graph(seed):
     client = mock_client(default=reply)
     candidates = cset(random_output(rng, max_nodes=6), random_output(rng, max_nodes=6))
     merged = merge_llm(candidates, client, CONFIG)
-    assert validate(merged.graph).ok
+    assert validate(merged.graph).warnings == []
     assert children(merged.graph, merged.conclusion) == set()

@@ -71,6 +71,17 @@ class TestAnswerReward:
         # A present but empty tag wins over the cue in the prose before it.
         assert reward_answer("the answer is B <answer> </answer>", "B") == 0.0
 
+    def test_cue_after_text_that_lowercases_longer(self):
+        # "İ".lower() is two code points, which once shifted the cut.
+        assert reward_answer("İİ in İstanbul the answer is 42", "42") == 1.0
+
+    def test_long_s_in_the_opening_tag_is_no_answer_tag(self):
+        assert reward_answer("<anſwer> 7 </answer>", "7") == 0.0
+
+    def test_long_s_in_the_closing_tag_is_no_answer_tag(self):
+        assert reward_answer("<anſwer> 7 </anſwer>", "7") == 0.0
+        assert reward_answer("<answer> 7 </anſwer>", "7") == 0.0
+
     def test_tagless_text_is_searched_for_a_tag_once(self, monkeypatch):
         real = codec._ANSWER_TAG_RE
         searched = []
