@@ -9,16 +9,15 @@ no edge and no cycle, and raises :class:`InvalidGraphError` otherwise.
 ``codec.parse`` and ``merge.merge_deterministic`` hand it keys they
 have already normalized; :meth:`ReasoningGraph.from_edges` normalizes
 display-text pairs first. Every consumer (``codec.render``,
-:func:`sinks`, :func:`topological_order`, :func:`export_dot`, the
-merge) relies on the type and checks nothing again. :func:`validate`
-reports the two shapes a DAG may still have that a single conclusion
-rules out: several sinks and disconnected components.
+:func:`sinks`, :func:`export_dot`, the merge) relies on the type and
+checks nothing again. :func:`validate` reports the two shapes a DAG may
+still have that a single conclusion rules out: several sinks and
+disconnected components.
 
-Internally a graph is string keys only: a key-to-display-text dict, a
-tuple of ``(parent key, child key)`` pairs in insertion order and a
-parent-to-children adjacency dict. :class:`NodeId`,
-:class:`ReasoningNode` and :class:`ReasoningEdge` objects are built only
-by the public accessors.
+The API is string keys only: a graph exposes a key-to-display-text
+mapping (:attr:`ReasoningGraph.texts`) and ``(parent key, child key)``
+pairs (:attr:`ReasoningGraph.edge_keys`), both in insertion order, and
+:func:`sinks` returns keys.
 """
 from __future__ import annotations
 
@@ -35,10 +34,6 @@ _STRIP_CHARS = string.punctuation + string.whitespace
 
 class GraphError(Exception):
     """Base for all graph-level failures."""
-
-
-class UnknownNodeError(GraphError):
-    """A node was referenced that the graph does not contain."""
 
 
 class InvalidGraphError(GraphError):
@@ -65,45 +60,6 @@ def _node_key(text: str) -> str:
     if not key:
         raise ValueError(f"node text normalizes to nothing: {text!r}")
     return key
-
-
-@dataclass(frozen=True, order=True)
-class NodeId:
-    """Identity of a reasoning step: its normalized text."""
-
-    key: str
-
-    def __post_init__(self) -> None:
-        if not self.key:
-            raise ValueError("node key must be non-empty")
-
-    @classmethod
-    def from_text(cls, text: str) -> "NodeId":
-        return cls(_node_key(text))
-
-
-@dataclass(frozen=True)
-class ReasoningNode:
-    """A single atomic reasoning step with its display text."""
-
-    id: NodeId
-    text: str
-
-    @classmethod
-    def from_text(cls, text: str) -> "ReasoningNode":
-        return cls(NodeId.from_text(text), text.strip())
-
-
-@dataclass(frozen=True)
-class ReasoningEdge:
-    """Dependency between two steps: ``parent`` feeds ``child``."""
-
-    parent: NodeId
-    child: NodeId
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.parent.key, self.child.key)
 
 
 @dataclass
@@ -187,14 +143,6 @@ class ReasoningGraph:
     # -- access -------------------------------------------------------
 
     @property
-    def nodes(self) -> tuple[ReasoningNode, ...]:
-        return tuple(ReasoningNode(NodeId(key), text) for key, text in self._text.items())
-
-    @property
-    def edges(self) -> tuple[ReasoningEdge, ...]:
-        return tuple(ReasoningEdge(NodeId(p), NodeId(c)) for p, c in self._edges)
-
-    @property
     def texts(self) -> Mapping[str, str]:
         """Read-only view of node key -> display text, in insertion order."""
         return MappingProxyType(self._text)
@@ -211,21 +159,6 @@ class ReasoningGraph:
     @property
     def edge_count(self) -> int:
         return len(self._edges)
-
-    def has_node(self, ref: str | NodeId) -> bool:
-        return self._key_of(ref) in self._text
-
-    def node(self, ref: str | NodeId) -> ReasoningNode:
-        key = self._key_of(ref)
-        try:
-            text = self._text[key]
-        except KeyError:
-            raise UnknownNodeError(f"no such node: {key!r}") from None
-        return ReasoningNode(NodeId(key), text)
-
-    @staticmethod
-    def _key_of(ref: str | NodeId) -> str:
-        return ref.key if isinstance(ref, NodeId) else normalize_text(ref)
 
     def __eq__(self, other: object) -> bool:
         # Structural equality: same steps (by key) linked the same way in
@@ -300,8 +233,7 @@ def validate(graph: ReasoningGraph) -> GraphDiagnostics:
     a graph can still show; this function never raises on graph content.
     """
     diag = GraphDiagnostics()
-    node_keys = list(graph._text)
-    sink_keys = [k for k in node_keys if not graph._children[k]]
+    sink_keys = sinks(graph)
     if len(sink_keys) > 1:
         diag.warnings.append(
             GraphViolation(
@@ -311,7 +243,7 @@ def validate(graph: ReasoningGraph) -> GraphDiagnostics:
             )
         )
 
-    components = _weak_components(node_keys, graph._edges)
+    components = _weak_components(list(graph._text), graph._edges)
     if len(components) > 1:
         diag.warnings.append(
             GraphViolation(
@@ -357,44 +289,9 @@ def _name_cycle(node_keys: Iterable[str], edge_keys: tuple[tuple[str, str], ...]
     return "cycle through " + " -> ".join(next(c for c in components if len(c) > 1))
 
 
-def parents(graph: ReasoningGraph, node: str | NodeId) -> set[NodeId]:
-    """Direct prerequisites of ``node``; empty for a source node."""
-    target = graph.node(node).id.key
-    return {NodeId(parent) for parent, child in graph._edges if child == target}
-
-
-def children(graph: ReasoningGraph, node: str | NodeId) -> set[NodeId]:
-    """Direct dependents of ``node``; empty for a sink."""
-    source = graph.node(node).id.key
-    return {NodeId(child) for child in graph._children[source]}
-
-
-def sinks(graph: ReasoningGraph) -> list[NodeId]:
-    """Nodes with no outgoing edges, in first-insertion order."""
-    return [NodeId(key) for key in graph._text if not graph._children[key]]
-
-
-def topological_order(graph: ReasoningGraph) -> list[NodeId]:
-    """Kahn's algorithm; ties broken by node insertion order."""
-    position = {k: i for i, k in enumerate(graph._text)}
-    in_deg = dict.fromkeys(position, 0)
-    for _, child in graph._edges:
-        in_deg[child] += 1
-
-    ready = [k for k in position if in_deg[k] == 0]
-    order: list[NodeId] = []
-    while ready:
-        key = ready.pop(0)
-        order.append(NodeId(key))
-        changed = False
-        for child_key in graph._children[key]:
-            in_deg[child_key] -= 1
-            if in_deg[child_key] == 0:
-                ready.append(child_key)
-                changed = True
-        if changed:
-            ready.sort(key=position.__getitem__)
-    return order
+def sinks(graph: ReasoningGraph) -> list[str]:
+    """Keys of the nodes with no outgoing edges, in first-insertion order."""
+    return [key for key in graph._text if not graph._children[key]]
 
 
 def _dot_escape(text: str) -> str:
@@ -409,8 +306,7 @@ def export_dot(graph: ReasoningGraph, answer: str | None = None) -> str:
     when ``answer`` is given, carries it in its label. Output is
     byte-deterministic: statements follow insertion order.
     """
-    out_deg = {key: len(graph._children[key]) for key in graph._text}
-    sink_keys = [k for k, d in out_deg.items() if d == 0]
+    sink_keys = sinks(graph)
     decision_key = sink_keys[0] if len(sink_keys) == 1 else None
 
     lines = [
@@ -424,7 +320,7 @@ def export_dot(graph: ReasoningGraph, answer: str | None = None) -> str:
             if answer is not None:
                 label = f"{label}\nanswer: {answer}"
             attrs.append('fillcolor="palegreen"')
-        elif out_deg[key] >= 2:
+        elif len(graph._children[key]) >= 2:
             attrs.append('fillcolor="lightblue"')
         attrs.insert(0, f'label="{_dot_escape(label)}"')
         lines.append(f'  "{_dot_escape(key)}" [{" ".join(attrs)}];')

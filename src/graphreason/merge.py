@@ -5,7 +5,8 @@ normalized answer, union the winning group, break cycles by evidence
 strength, prune to the conclusion's ancestry) and an LLM-backed
 integration call that strict-parses the model's consolidation and falls
 back to the deterministic road when the model cannot produce a valid
-document.
+document with a single conclusion. Every :class:`MergedResult` has
+exactly one sink, its conclusion.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from .answers import normalize_freeform
 from .client import ChatClient, ClientError, CompletionRequest, SamplingConfig
 from .codec import STRICT, StructuredOutput, TemplateParseError, parse, render
 from .graph import (
+    WARNING_MULTIPLE_SINKS,
     InvalidGraphError,
-    NodeId,
     ReasoningGraph,
     sinks,
     strongly_connected_components,
@@ -41,7 +42,7 @@ class MergeError(Exception):
 
 
 class LLMMergeFailedError(MergeError):
-    """The integration model never produced a parseable document."""
+    """The integration model never produced a parseable single-conclusion document."""
 
 
 class EdgelessMergeError(MergeError):
@@ -73,9 +74,11 @@ class DroppedEdge:
 
 @dataclass
 class MergedResult:
+    """A merged graph, its answer and its conclusion: the key of the graph's only sink."""
+
     graph: ReasoningGraph
     answer: str
-    conclusion: NodeId
+    conclusion: str
     contributing_indices: tuple[int, ...]
     dropped_edges: list[DroppedEdge] = field(default_factory=list)
     merge_mode: str = MODE_DETERMINISTIC
@@ -193,8 +196,8 @@ def merge_deterministic(candidate_set: CandidateSet) -> MergedResult:
     incoming: dict[str, list[str]] = {key: [] for key in node_order}
     for parent, child in working:
         incoming[child].append(parent)
-    keep = {conclusion.key}
-    queue = [conclusion.key]
+    keep = {conclusion}
+    queue = [conclusion]
     while queue:
         for parent in incoming[queue.pop()]:
             if parent not in keep:
@@ -202,7 +205,7 @@ def merge_deterministic(candidate_set: CandidateSet) -> MergedResult:
                 queue.append(parent)
     if len(keep) == 1:
         raise EdgelessMergeError(
-            f"conclusion {conclusion.key!r} keeps no incoming edge "
+            f"conclusion {conclusion!r} keeps no incoming edge "
             f"({len(victims)} edge(s) dropped to break cycles)"
         )
 
@@ -228,28 +231,38 @@ def merge_deterministic(candidate_set: CandidateSet) -> MergedResult:
 
 def _integrate(
     question: str, rendered: list[str], client: ChatClient, config: SamplingConfig
-) -> tuple[StructuredOutput | None, Exception | None]:
-    """The model's strict-parsed integration of ``rendered``, or None and why it failed."""
+) -> tuple[StructuredOutput | None, Exception | str | None]:
+    """The model's strict-parsed integration of ``rendered``, or None and why it failed.
+
+    A reply that parses but whose graph has more than one sink has no
+    single conclusion, so it fails like a parse error and is quoted back
+    in the repair retry with kind ``multiple-sinks`` and the sink texts.
+    """
     system, user = INTEGRATION_PROMPT.fill(
         question=question, candidates=format_candidates(rendered)
     )
     merge_config = replace(config, temperature=0.0, k=1)
     request = CompletionRequest(system, user, merge_config)
-    failure: Exception | None = None
+    failure: Exception | str | None = None
     for _ in range(2):
         try:
             reply = client.complete(request)
         except ClientError as err:
             return None, err
         try:
-            return parse(reply.text, STRICT), None
+            output = parse(reply.text, STRICT)
         except TemplateParseError as err:
-            failure = err
-            request = CompletionRequest(
-                system,
-                user + REPAIR_SUFFIX.format(kind=err.kind, detail=err.detail),
-                merge_config,
-            )
+            failure, kind, detail = err, err.kind, err.detail
+        else:
+            ends = sinks(output.graph)
+            if len(ends) == 1:
+                return output, None
+            kind = WARNING_MULTIPLE_SINKS
+            detail = "the graph ends at " + ", ".join(repr(output.graph.texts[key]) for key in ends)
+            failure = f"{kind}: {detail}"
+        request = CompletionRequest(
+            system, user + REPAIR_SUFFIX.format(kind=kind, detail=detail), merge_config
+        )
     return None, failure
 
 
@@ -263,12 +276,14 @@ def merge_llm(
     """Ask a model to consolidate the candidates into one graph.
 
     Issues a single completion at temperature 0 and strict-parses the
-    reply; one repair retry quotes the parse failure back to the model.
-    A candidate the template cannot quote (an answer holding "<") is
-    left out of the prompt. When no candidate can be quoted, both tries
-    fail or transport dies, the deterministic merge takes over if
-    ``fallback`` is set, flagged on the result; otherwise
-    LLMMergeFailedError is raised. Never returns an invalid graph.
+    reply. A reply whose graph has more than one sink counts as failed,
+    like a parse failure; one repair retry quotes the failure back to
+    the model. A candidate the template cannot quote (an answer holding
+    "<") is left out of the prompt. When no candidate can be quoted,
+    both tries fail or transport dies, the deterministic merge takes
+    over if ``fallback`` is set, flagged on the result; otherwise
+    LLMMergeFailedError is raised. Either way the result's conclusion
+    is the only sink of its graph.
     """
     quoted: list[tuple[str, int]] = []
     last_failure: Exception | str | None = None

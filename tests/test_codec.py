@@ -68,7 +68,7 @@ class TestStrictParse:
 
     def test_ascii_arrow_accepted(self):
         out = parse(doc(["a -> b"]), STRICT)
-        assert [e.key for e in out.graph.edges] == [("a", "b")]
+        assert list(out.graph.edge_keys) == [("a", "b")]
 
     def test_case_study_fixture(self):
         out = parse((FIXTURES / "case_study.txt").read_text(), STRICT)
@@ -140,7 +140,7 @@ class TestLenientParse:
     def test_wrapping_prose_tolerated(self):
         text = "Sure, here you go:\n" + doc(["a → b"]) + "\nHope that helps!"
         out = parse(text, LENIENT)
-        assert [e.key for e in out.graph.edges] == [("a", "b")]
+        assert list(out.graph.edge_keys) == [("a", "b")]
 
     def test_case_insensitive_tags(self):
         text = doc(["a → b"]).upper().replace("A → B", "a → b")
@@ -211,7 +211,7 @@ class TestGrammarOracle:
                 assert kind_of(text) == MALFORMED_STEP
             else:
                 out = parse(text, STRICT)
-                assert [e.key for e in out.graph.edges] == pairs
+                assert list(out.graph.edge_keys) == pairs
                 assert out.step_count == n_steps
 
     def test_every_failure_carries_one_primary_kind(self):
@@ -400,7 +400,9 @@ def _near_template(draw) -> str:
     """Template-shaped documents: about one piece in 30 is damaged or noise."""
 
     def mostly(common, odd):
-        return draw(odd if draw(st.integers(0, 29)) == 0 else common)
+        # Hypothesis over-weights the ends of an integer range, so the odd
+        # branch takes an inner value; at an end it came up in bursts.
+        return draw(odd if draw(st.integers(0, 29)) == 15 else common)
 
     def tag(name: str) -> str:
         return mostly(st.just(name), st.sampled_from((name.upper(), name.title())))
@@ -412,7 +414,8 @@ def _near_template(draw) -> str:
         return mostly(_words.map(lambda w: f"{w} {suffix}"), _noise)
 
     parts = [pad(), tag("<reasoning>")]
-    for i in range(draw(st.integers(0, 3))):
+    # A step-free reasoning block is damage too, so it is as rare.
+    for i in range(mostly(st.integers(1, 3), st.just(0))):
         arrow = draw(st.sampled_from(("->", "→")))
         parts += [pad(), tag("<step>"), text(f"p{i}"), arrow, text(f"c{i}"), tag("</step>")]
     # A mis-cased close inside the answer is where the two modes used to part.

@@ -13,16 +13,10 @@ from graphreason.graph import (
     WARNING_MULTIPLE_SINKS,
     DuplicateEdgeError,
     InvalidGraphError,
-    NodeId,
     ReasoningGraph,
-    ReasoningNode,
-    UnknownNodeError,
-    children,
     export_dot,
     normalize_text,
-    parents,
     sinks,
-    topological_order,
     validate,
 )
 
@@ -51,11 +45,15 @@ class TestNormalization:
     @pytest.mark.parametrize("bad", ["", "   ", "...", "?!"])
     def test_unusable_text_rejected(self, bad):
         with pytest.raises(ValueError):
-            NodeId.from_text(bad)
+            ReasoningGraph.from_edges([(bad, "x")])
+        with pytest.raises(ValueError):
+            ReasoningGraph.from_edges([("x", bad)])
 
     def test_node_key_matches_normalization(self):
-        node = ReasoningNode.from_text("  Compare  Release YEARS ")
-        assert node.id.key == normalize_text(node.text)
+        text = "  Compare  Release YEARS "
+        g = ReasoningGraph.from_edges([(text, "x")])
+        assert list(g.texts.items())[0] == ("compare release years", text.strip())
+        assert normalize_text(text) == "compare release years"
 
 
 class TestConstruction:
@@ -64,13 +62,13 @@ class TestConstruction:
             [("First iPhone released in 2007", "x"), (" first  iPhone  released in 2007.", "y")]
         )
         assert g.node_count == 3
-        assert [e.parent for e in g.edges] == [NodeId("first iphone released in 2007")] * 2
+        assert [parent for parent, _ in g.edge_keys] == ["first iphone released in 2007"] * 2
 
     def test_first_spelling_wins(self):
         g = ReasoningGraph.from_edges(
             [("Compare Release Years", "x"), ("compare release years", "y")]
         )
-        assert g.node("compare release years").text == "Compare Release Years"
+        assert g.texts["compare release years"] == "Compare Release Years"
 
     def test_duplicate_edge_rejected_at_insertion(self):
         with pytest.raises(DuplicateEdgeError):
@@ -101,16 +99,16 @@ class TestConstruction:
 
     def test_edges_keep_insertion_order(self):
         g = diamond()
-        assert [e.key for e in g.edges] == [
+        assert diamond().edge_keys == (
             ("a", "b"),
             ("a", "c"),
             ("b", "d"),
             ("c", "d"),
-        ]
+        )
 
     def test_unknown_node_lookup(self):
-        with pytest.raises(UnknownNodeError):
-            diamond().node("nope")
+        with pytest.raises(KeyError):
+            diamond().texts["nope"]
 
 
 class TestValidate:
@@ -164,39 +162,22 @@ class TestValidate:
 
 class TestOps:
     def test_parents_of_join_node(self):
-        g = diamond()
-        assert parents(g, "d") == {NodeId("b"), NodeId("c")}
+        assert [parent for parent, child in diamond().edge_keys if child == "d"] == ["b", "c"]
 
     def test_parents_of_source_is_empty(self):
-        assert parents(diamond(), "a") == set()
-
-    def test_parents_unknown_node(self):
-        with pytest.raises(UnknownNodeError):
-            parents(diamond(), "missing")
-
-    def test_children_adjoint_to_parents(self):
-        g = diamond()
-        for node in g.nodes:
-            for child in children(g, node.id):
-                assert node.id in parents(g, child)
+        assert [parent for parent, child in diamond().edge_keys if child == "a"] == []
 
     def test_sinks_of_diamond(self):
-        assert sinks(diamond()) == [NodeId("d")]
+        assert sinks(diamond()) == ["d"]
 
     def test_sinks_insertion_order(self):
         g = ReasoningGraph.from_edges([("root", "left"), ("root", "right")])
-        assert [s.key for s in sinks(g)] == ["left", "right"]
+        assert sinks(g) == ["left", "right"]
 
     def test_sinks_requires_clean_graph(self):
         # A cyclic graph cannot be built, so it never reaches sinks().
         with pytest.raises(InvalidGraphError):
             sinks(ReasoningGraph.from_edges([("A", "B"), ("B", "A")]))
-
-    def test_topological_order_diamond(self):
-        order = [n.key for n in topological_order(diamond())]
-        assert order.index("a") < order.index("b") < order.index("d")
-        assert order.index("a") < order.index("c") < order.index("d")
-        assert len(order) == 4
 
 
 class TestDot:
@@ -247,24 +228,31 @@ def test_random_graphs_validate_and_sort(seed):
     g = random_graph(random.Random(seed), max_nodes=30)
     diag = validate(g)
     # random_graph's spanning tree keeps it connected; only sinks may warn.
-    assert {v.kind for v in diag.warnings} <= {WARNING_MULTIPLE_SINKS}
-    order = topological_order(g)
-    assert len(order) == g.node_count
-    assert len({n.key for n in order}) == g.node_count
-    position = {n.key: i for i, n in enumerate(order)}
-    for edge in g.edges:
-        assert position[edge.parent.key] < position[edge.child.key]
+    # Each key ends in its index in random_graph's skeleton, whose edges all
+    # point from a lower to a higher index: sorted that way, edges go forward.
+    position = {key: int(key.rsplit(" ", 1)[1]) for key in g.texts}
+    assert sorted(position.values()) == list(range(g.node_count))
+    for parent, child in g.edge_keys:
+        assert position[parent] < position[child]
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_parents_children_adjoint_random(seed):
     g = random_graph(random.Random(seed), max_nodes=20)
-    for node in g.nodes:
-        for child in children(g, node.id):
-            assert node.id in parents(g, child)
-        for parent in parents(g, node.id):
-            assert node.id in children(g, parent)
+    parents = {key: [] for key in g.texts}
+    children = {key: [] for key in g.texts}
+    for parent, child in g.edge_keys:
+        parents[child].append(parent)
+        children[parent].append(child)
+    assert len(set(g.edge_keys)) == g.edge_count
+    for key in g.texts:
+        assert parents[key] or children[key]
+        for child in children[key]:
+            assert key in parents[child]
+        for parent in parents[key]:
+            assert key in children[parent]
+    assert sinks(g) == [key for key in g.texts if not children[key]]
 
 
 # Names the graph redesign deleted; none may come back.
@@ -276,6 +264,13 @@ DELETED_GRAPH_NAMES = (
     "WARNING_ISOLATED_NODE",
     "_require_clean",
     "_well_formed_edges",
+    "NodeId",
+    "ReasoningNode",
+    "ReasoningEdge",
+    "UnknownNodeError",
+    "parents",
+    "children",
+    "topological_order",
 )
 DELETED_GRAPH_METHODS = (
     "add_node",
@@ -287,8 +282,19 @@ DELETED_GRAPH_METHODS = (
     "from_parts",
     "checked",
     "check_dag",
+    "nodes",
+    "edges",
+    "has_node",
+    "node",
+    "_key_of",
 )
-DELETED_EXPORTS = ("NoValidCandidateError",)
+DELETED_EXPORTS = (
+    "NoValidCandidateError",
+    "NodeId",
+    "ReasoningEdge",
+    "ReasoningNode",
+    "topological_order",
+)
 
 
 def test_public_names_resolve_and_deleted_names_are_gone():

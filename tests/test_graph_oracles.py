@@ -14,10 +14,7 @@ from graphreason.graph import (
     ReasoningGraph,
     normalize_text,
     strongly_connected_components,
-    topological_order,
 )
-
-from _util import random_graph
 
 
 @settings(max_examples=100, deadline=None)
@@ -41,21 +38,6 @@ def test_strongly_connected_components_match_networkx(seed):
     position = {key: i for i, key in enumerate(keys)}
     for component in components:
         assert component == sorted(component, key=position.__getitem__)
-
-
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_topological_order_matches_networkx(seed):
-    graph = random_graph(random.Random(seed), min_nodes=2, max_nodes=30)
-    keys = [node.id.key for node in graph.nodes]
-    position = {key: i for i, key in enumerate(keys)}
-
-    oracle = nx.DiGraph()
-    oracle.add_nodes_from(keys)
-    oracle.add_edges_from(edge.key for edge in graph.edges)
-    expected = list(nx.lexicographical_topological_sort(oracle, key=position.__getitem__))
-
-    assert [node.key for node in topological_order(graph)] == expected
 
 
 # Several spellings per key, so distinct texts collide after normalization;

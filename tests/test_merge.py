@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from graphreason.answers import normalize_freeform
 from graphreason.client import ChatClient, MockBackend, SamplingConfig
-from graphreason.codec import StructuredOutput, render
+from graphreason.codec import STRICT, StructuredOutput, TemplateParseError, parse, render
 from graphreason.graph import (
     ReasoningGraph,
-    children,
     sinks,
     strongly_connected_components,
     validate,
@@ -30,7 +29,7 @@ from graphreason.merge import (
     merge_llm,
 )
 
-from _util import random_candidate_output, random_output
+from _util import random_candidate_output, random_graph, random_output
 
 
 def output(edges: list[tuple[str, str]], answer: str) -> StructuredOutput:
@@ -43,6 +42,10 @@ def cset(*outputs: StructuredOutput, question: str = "Q?") -> CandidateSet:
 
 GOOD_REPLY = "<reasoning>\n<step> merged premise → merged conclusion </step>\n</reasoning>\n<answer> 7 </answer>"
 BAD_REPLY = "no structure here at all"
+# Parses, but ends at two steps in two separate chains.
+MULTI_SINK_REPLY = (
+    "<reasoning>\n<step> a → b </step>\n<step> x → y </step>\n</reasoning>\n<answer> b </answer>"
+)
 
 
 def mock_client(replies=None, default=None) -> ChatClient:
@@ -114,7 +117,7 @@ class TestUnionAndCycles:
             )
         )
         assert validate(merged.graph).warnings == []
-        edge_keys = [e.key for e in merged.graph.edges]
+        edge_keys = merged.graph.edge_keys
         assert ("a", "b") in edge_keys
         assert ("b", "a") not in edge_keys
         drops = [(d.parent, d.child, d.reason) for d in merged.dropped_edges]
@@ -149,9 +152,8 @@ class TestUnionAndCycles:
                 output([("c", "d"), ("d", "e")], "4"),
             )
         )
-        assert merged.conclusion.key == "c"
-        node_keys = {n.id.key for n in merged.graph.nodes}
-        assert node_keys == {"a", "b", "c"}
+        assert merged.conclusion == "c"
+        assert set(merged.graph.texts) == {"a", "b", "c"}
         pruned = {(d.parent, d.child) for d in merged.dropped_edges if d.reason == DROP_PRUNED}
         assert pruned == {("c", "d"), ("d", "e")}
 
@@ -167,7 +169,7 @@ class TestUnionAndCycles:
         merged = merge_deterministic(
             cset(output([("root", "left"), ("root", "right")], "4"))
         )
-        assert merged.conclusion.key == "left"
+        assert merged.conclusion == "left"
 
 
 class TestDeterminism:
@@ -221,9 +223,7 @@ def test_merge_properties_random(seed):
 
     # Only the conclusion's ancestry is kept: one sink, one component.
     assert validate(merged.graph).warnings == []
-    node_keys = {n.id.key for n in merged.graph.nodes}
-    assert merged.conclusion.key in node_keys
-    assert children(merged.graph, merged.conclusion) == set()
+    assert sinks(merged.graph) == [merged.conclusion]
 
     counts = Counter(normalize_freeform(out.answer) for out, _ in candidates)
     assert counts[normalize_freeform(merged.answer)] == max(counts.values())
@@ -249,10 +249,10 @@ def whole_graph_merge(candidates):
 
     display, multiplicity = {}, {}
     for out, _ in members:
-        for node in out.graph.nodes:
-            display.setdefault(node.id.key, node.text)
-        for edge in out.graph.edges:
-            multiplicity[edge.key] = multiplicity.get(edge.key, 0) + 1
+        for key, text in out.graph.texts.items():
+            display.setdefault(key, text)
+        for edge in out.graph.edge_keys:
+            multiplicity[edge] = multiplicity.get(edge, 0) + 1
     node_order, working = list(display), list(multiplicity)
 
     dropped = []
@@ -273,7 +273,7 @@ def whole_graph_merge(candidates):
         working.remove(victim)
         dropped.append((*victim, DROP_CYCLE_BREAK, multiplicity[victim]))
 
-    conclusion = sinks(members[0][0].graph)[0].key
+    conclusion = sinks(members[0][0].graph)[0]
     incoming = {key: [] for key in node_order}
     for parent, child in working:
         incoming[child].append(parent)
@@ -322,7 +322,7 @@ def test_localized_cycle_break_matches_whole_graph_oracle(seed):
         return
     assert edges
     graph = ReasoningGraph.from_edges(edges)
-    assert merged.conclusion.key == conclusion
+    assert merged.conclusion == conclusion
     assert merged.graph == graph
     assert list(merged.graph.texts.items()) == list(texts.items())
     assert [
@@ -340,7 +340,7 @@ class TestLLMMerge:
         assert merged.merge_mode == MODE_LLM
         assert not merged.fell_back
         assert merged.answer == "7"
-        assert merged.conclusion.key == "merged conclusion"
+        assert merged.conclusion == "merged conclusion"
         assert validate(merged.graph).warnings == []
 
     def test_repair_retry_after_bad_reply(self):
@@ -364,6 +364,43 @@ class TestLLMMerge:
         client = ChatClient(backend, sleep=lambda _: None)
         merged = merge_llm(cset(output([("a", "b")], "4")), client, CONFIG)
         assert merged.answer == "7"
+        assert backend.calls == 2
+
+    def test_multi_sink_reply_falls_back_after_one_repair(self):
+        # Regression: this reply was accepted as an llm merge concluding
+        # at its first sink, with the x -> y chain left in the graph.
+        prompts = []
+
+        def responder(request):
+            prompts.append(request.user_prompt)
+            return MULTI_SINK_REPLY
+
+        backend = MockBackend(responder=responder)
+        client = ChatClient(backend, sleep=lambda _: None)
+        merged = merge_llm(cset(output([("p", "q")], "4")), client, CONFIG)
+        assert merged.merge_mode == MODE_LLM_FALLBACK
+        assert merged.fell_back
+        assert (merged.answer, merged.conclusion) == ("4", "q")
+        assert merged.graph.edge_keys == (("p", "q"),)
+        assert backend.calls == 2
+        assert "could not be parsed (multiple-sinks: the graph ends at 'b', 'y')" in prompts[1]
+        assert "multiple-sinks" not in prompts[0]
+
+    def test_multi_sink_reply_without_fallback_raises(self):
+        backend = MockBackend(default=MULTI_SINK_REPLY)
+        client = ChatClient(backend, sleep=lambda _: None)
+        with pytest.raises(LLMMergeFailedError, match="multiple-sinks"):
+            merge_llm(cset(output([("p", "q")], "4")), client, CONFIG, fallback=False)
+        assert backend.calls == 2
+
+    def test_multi_sink_reply_then_good_repair_is_accepted(self):
+        backend = MockBackend(
+            {"could not be parsed": GOOD_REPLY, "Question:": MULTI_SINK_REPLY}
+        )
+        client = ChatClient(backend, sleep=lambda _: None)
+        merged = merge_llm(cset(output([("p", "q")], "4")), client, CONFIG, fallback=False)
+        assert merged.merge_mode == MODE_LLM
+        assert (merged.answer, merged.conclusion) == ("7", "merged conclusion")
         assert backend.calls == 2
 
     def test_double_failure_falls_back_deterministic(self):
@@ -437,13 +474,43 @@ class TestLLMMerge:
         assert backend.calls == 0
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_llm_merge_never_returns_invalid_graph(seed):
+def random_integration_reply(rng: random.Random) -> str:
+    """An unparseable reply, or a template document with one sink or several."""
+    if rng.random() < 0.2:
+        return BAD_REPLY
+    # Two graphs drawn apart make a disconnected one.
+    graphs = [random_graph(rng, max_nodes=5, tag=f"merged {i}") for i in range(rng.randint(1, 2))]
+    edges = [(g.texts[parent], g.texts[child]) for g in graphs for parent, child in g.edge_keys]
+    return render(StructuredOutput.from_graph(ReasoningGraph.from_edges(edges), "7"))
+
+
+def concludes_once(reply: str) -> bool:
+    try:
+        return len(sinks(parse(reply, STRICT).graph)) == 1
+    except TemplateParseError:
+        return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), fallback=st.booleans())
+def test_llm_merge_never_returns_invalid_graph(seed, fallback):
     rng = random.Random(seed)
-    reply = GOOD_REPLY if rng.random() < 0.5 else BAD_REPLY
-    client = mock_client(default=reply)
+    replies = []
+
+    def responder(request):
+        replies.append(random_integration_reply(rng))
+        return replies[-1]
+
+    client = ChatClient(MockBackend(responder=responder), sleep=lambda _: None)
     candidates = cset(random_output(rng, max_nodes=6), random_output(rng, max_nodes=6))
-    merged = merge_llm(candidates, client, CONFIG)
+    try:
+        merged = merge_llm(candidates, client, CONFIG, fallback=fallback)
+    except LLMMergeFailedError:
+        assert not fallback
+        assert len(replies) == 2 and not any(map(concludes_once, replies))
+        return
+    # Accepted at the first reply that concludes once, else merged by majority.
+    assert len(replies) == (1 if concludes_once(replies[0]) else 2)
+    assert merged.fell_back == (not concludes_once(replies[-1]))
+    assert sinks(merged.graph) == [merged.conclusion]
     assert validate(merged.graph).warnings == []
-    assert children(merged.graph, merged.conclusion) == set()
