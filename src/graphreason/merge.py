@@ -231,8 +231,8 @@ def merge_deterministic(candidate_set: CandidateSet) -> MergedResult:
 
 def _integrate(
     question: str, rendered: list[str], client: ChatClient, config: SamplingConfig
-) -> tuple[StructuredOutput | None, Exception | str | None]:
-    """The model's strict-parsed integration of ``rendered``, or None and why it failed.
+) -> tuple[tuple[StructuredOutput, str] | None, Exception | str | None]:
+    """The model's strict-parsed integration of ``rendered`` with its sink key, or None and why.
 
     A reply that parses but whose graph has more than one sink has no
     single conclusion, so it fails like a parse error and is quoted back
@@ -256,7 +256,7 @@ def _integrate(
         else:
             ends = sinks(output.graph)
             if len(ends) == 1:
-                return output, None
+                return (output, ends[0]), None
             kind = WARNING_MULTIPLE_SINKS
             detail = "the graph ends at " + ", ".join(repr(output.graph.texts[key]) for key in ends)
             failure = f"{kind}: {detail}"
@@ -294,14 +294,15 @@ def merge_llm(
             last_failure = f"no candidate can be quoted: {err}"
             log.warning("candidate %d left out of the integration prompt: %s", index, err)
     if quoted:
-        output, last_failure = _integrate(
+        integrated, last_failure = _integrate(
             candidate_set.question, [text for text, _ in quoted], client, config
         )
-        if output is not None:
+        if integrated is not None:
+            output, conclusion = integrated
             return MergedResult(
                 graph=output.graph,
                 answer=output.answer,
-                conclusion=sinks(output.graph)[0],
+                conclusion=conclusion,
                 contributing_indices=tuple(index for _, index in quoted),
                 dropped_edges=[],
                 merge_mode=MODE_LLM,

@@ -99,7 +99,7 @@ class TestConstruction:
 
     def test_edges_keep_insertion_order(self):
         g = diamond()
-        assert diamond().edge_keys == (
+        assert g.edge_keys == (
             ("a", "b"),
             ("a", "c"),
             ("b", "d"),
@@ -228,6 +228,7 @@ def test_random_graphs_validate_and_sort(seed):
     g = random_graph(random.Random(seed), max_nodes=30)
     diag = validate(g)
     # random_graph's spanning tree keeps it connected; only sinks may warn.
+    assert {v.kind for v in diag.warnings} <= {WARNING_MULTIPLE_SINKS}
     # Each key ends in its index in random_graph's skeleton, whose edges all
     # point from a lower to a higher index: sorted that way, edges go forward.
     position = {key: int(key.rsplit(" ", 1)[1]) for key in g.texts}
