@@ -22,15 +22,26 @@ accepts three things more, and repairs nothing else:
 In both modes the answer ends at the first ``</answer>`` matched
 case-insensitively; strict parsing refuses the document with
 ``missing-answer-block`` when that tag is not written exactly
-``</answer>``. Lenient parsing is one forward scan over the original
-text, so its cost is linear in the document and every error offset
-indexes the text as given.
+``</answer>``.
+
+:func:`parse` is the one entry point. One precompiled pattern per mode
+accepts a well-formed document whole and captures its steps and answer;
+a second splits every step body on its one arrow, and each distinct
+side is normalized once per document before the checked
+``ReasoningGraph`` constructor builds the graph. A document the pattern
+declines, or whose steps break a rule it does not check (an empty
+endpoint or answer, a strict duplicate, a cycle), goes to a
+tag-by-tag walk over the original text that raises the first violation
+it meets. So every error carries the walk's kind, offset and detail,
+each offset indexes the text as given, and both paths cost time linear
+in the document.
 """
 from __future__ import annotations
 
 import logging
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .graph import InvalidGraphError, ReasoningGraph, normalize_text
@@ -157,6 +168,37 @@ def _split_step(content: str, offset: int) -> tuple[str, str, str, str]:
     return (*sides[0], *sides[1])
 
 
+def _template_patterns(ci: bool) -> tuple[re.Pattern[str], re.Pattern[str]]:
+    """The pattern that accepts a whole document in one mode, and its step pattern.
+
+    The document pattern captures the steps and the answer. A step body
+    holds no ``<``, which in either mode is a markup error. The step
+    pattern splits a body that holds one arrow and no other angle
+    bracket, the only body the walk splits cleanly, and skips any other.
+    Unicode ``\\s`` is exactly ``str.isspace``. Lenient tags fold ASCII
+    letters only, and the lenient match starts at the first
+    ``<reasoning>`` in any case.
+    """
+
+    def tag(name: str) -> str:
+        return f"(?ai:{name})" if ci else name
+
+    # The text up to the first </answer>, matched case-insensitively.
+    answer = r"[^<]*(?:<(?!(?ai:/answer>))[^<]*)*"
+    head = r"[^<]*(?:<(?!(?ai:reasoning>))[^<]*)*" if ci else r"\s*"
+    tail = "" if ci else r"\s*\Z"
+    step = tag("<step>") + "[^<]*" + tag("</step>")
+    document = (
+        rf"{head}{tag('<reasoning>')}((?:\s*{step})+)\s*{tag('</reasoning>')}"
+        rf"\s*{tag('<answer>')}({answer}){tag('</answer>')}{tail}"
+    )
+    split = tag("<step>") + "([^<>→]*)(?:→|->)([^<>→]*)" + tag("</step>")
+    return re.compile(document), re.compile(split)
+
+
+_TEMPLATE = {STRICT: _template_patterns(False), LENIENT: _template_patterns(True)}
+
+
 def parse(text: str, mode: str = STRICT) -> StructuredOutput:
     """Parse a template document into a StructuredOutput.
 
@@ -167,8 +209,67 @@ def parse(text: str, mode: str = STRICT) -> StructuredOutput:
     """
     if mode not in (STRICT, LENIENT):
         raise ValueError(f"unknown parse mode: {mode!r}")
-    ci = mode == LENIENT
+    document, split = _TEMPLATE[mode]
+    match = document.match(text)
+    if match is not None:
+        output = _from_match(match, split, mode == LENIENT)
+        if output is not None:
+            return output
+    return _walk(text, mode == LENIENT)
 
+
+def _from_match(match: re.Match[str], split: re.Pattern[str], ci: bool) -> StructuredOutput | None:
+    """The parse of a document the template pattern accepted.
+
+    None when the steps or the answer break a rule the document pattern
+    does not check (a step without exactly one arrow or with a stray
+    ``>``, an empty endpoint or answer, a strict duplicate, a cycle), so
+    that the walk names the error.
+    """
+    answer = match[2].strip()
+    if not answer:
+        return None
+    steps = match[1]
+    pairs = split.findall(steps)
+    # Each step holds two of the block's "<"; a step the split skipped is malformed.
+    if 2 * len(pairs) != steps.count("<"):
+        return None
+    # Chained steps repeat a side, so each distinct side is normalized once.
+    keys: dict[str, str] = {}
+    texts: dict[str, str] = {}
+    for side in chain.from_iterable(pairs):
+        if side not in keys:
+            key = keys[side] = normalize_text(side)
+            if key not in texts:
+                texts[key] = side.strip()
+    if "" in texts:
+        return None
+    edges = [(keys[lhs], keys[rhs]) for lhs, rhs in pairs]
+    unique = dict.fromkeys(edges)
+    if len(unique) < len(edges) and not ci:
+        return None
+    try:
+        graph = ReasoningGraph(texts, unique)
+    except InvalidGraphError:
+        return None
+    if len(unique) < len(edges):
+        seen: set[tuple[str, str]] = set()
+        for (lhs, rhs), edge in zip(pairs, edges):
+            if edge in seen:
+                log.warning(
+                    "lenient parse collapsed a duplicated step: %r -> %r", lhs.strip(), rhs.strip()
+                )
+            seen.add(edge)
+    return StructuredOutput(graph=graph, answer=answer, step_count=len(pairs))
+
+
+def _walk(text: str, ci: bool) -> StructuredOutput:
+    """Parse by walking the text tag by tag, raising the first violation met.
+
+    ``parse`` calls it for a document its pattern declines or whose steps
+    break a rule, so each error carries the kind, offset and detail of
+    the walk.
+    """
     if ci:
         start = _find(text, _REASONING_OPEN, 0, True)
         if start < 0:

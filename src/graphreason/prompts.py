@@ -102,7 +102,7 @@ SELF_GRAPH_PROMPT = PromptTemplate(
 )
 
 REPAIR_SUFFIX = (
-    "\n\nYour previous reply could not be parsed ({kind}: {detail}). "
+    "\n\nYour previous reply was rejected ({kind}: {detail}). "
     "Reply again with ONLY the <reasoning> block followed by the <answer> "
     "block, exactly in the required structure."
 )

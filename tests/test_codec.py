@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import logging
 import random
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphreason import codec
 from graphreason.codec import (
     CYCLE_IN_STEPS,
     DEFAULT_ANSWER_CUES,
@@ -135,6 +139,13 @@ class TestStrictParse:
         out = parse("  \n" + doc(["a → b"]) + "\n\n", STRICT)
         assert out.answer == "X"
 
+    def test_unicode_whitespace_pads_like_isspace(self):
+        # U+3000, U+1680 and U+001C are str.isspace but not ASCII whitespace.
+        text = doc(["a → b", "b → c"]).replace("\n", "\u3000\u1680\x1c")
+        out = parse("\u3000" + text + "\u2029", STRICT)
+        assert list(out.graph.edge_keys) == [("a", "b"), ("b", "c")]
+        assert parse(text, LENIENT) == out
+
 
 class TestLenientParse:
     def test_wrapping_prose_tolerated(self):
@@ -171,6 +182,13 @@ class TestLenientParse:
         assert parse(text, LENIENT) == parse(text, STRICT)
         wrapped = "İİİ said:\n" + text.replace("</step>", "</STEP>") + "\nİ"
         assert parse(wrapped, LENIENT) == parse(text, STRICT)
+
+    def test_block_starts_at_the_first_reasoning_tag(self):
+        # A later, well-formed block does not rescue a broken first one.
+        text = "<REASONING> oops " + doc(["a → b"])
+        with pytest.raises(TemplateParseError) as err:
+            parse(text, LENIENT)
+        assert (err.value.kind, err.value.location) == (MALFORMED_STEP, text.index("oops"))
 
     def test_non_ascii_lookalikes_are_not_tag_letters(self):
         # "ſ" folds to "s" and the Kelvin sign to "k" under unicode rules.
@@ -417,7 +435,9 @@ def _near_template(draw) -> str:
     # A step-free reasoning block is damage too, so it is as rare.
     for i in range(mostly(st.integers(1, 3), st.just(0))):
         arrow = draw(st.sampled_from(("->", "→")))
-        parts += [pad(), tag("<step>"), text(f"p{i}"), arrow, text(f"c{i}"), tag("</step>")]
+        step = [pad(), tag("<step>"), text(f"p{i}"), arrow, text(f"c{i}"), tag("</step>")]
+        # A repeated step is damage too: strict refuses it and lenient collapses it.
+        parts += step * mostly(st.just(1), st.just(2))
     # A mis-cased close inside the answer is where the two modes used to part.
     answer = text("") + draw(st.sampled_from(("", "", "</ANSWER>", " </Answer> x")))
     parts += [pad(), tag("</reasoning>"), pad(), tag("<answer>"), answer]
@@ -536,6 +556,96 @@ def _parent_strict_parse(text: str) -> StructuredOutput:
     return StructuredOutput(graph=graph, answer=answer, step_count=len(steps))
 
 
+_PARENT_TAG_CI = {tag: re.compile(re.escape(tag), re.IGNORECASE | re.ASCII) for tag in _TAGS}
+
+
+def _parent_lenient_parse(text: str, collapsed: list[tuple[str, str]]) -> StructuredOutput:
+    """The lenient parse as it stood before the template pattern: one forward walk.
+
+    Appends (parent text, child text) to ``collapsed`` for each duplicated
+    step it collapses, where the parse logs a warning.
+    """
+
+    def skip_ws(pos: int) -> int:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        return pos
+
+    def at(pos: int, tag: str) -> bool:
+        return _PARENT_TAG_CI[tag].match(text, pos) is not None
+
+    def find(tag: str, start: int) -> int:
+        hit = _PARENT_TAG_CI[tag].search(text, start)
+        return hit.start() if hit else -1
+
+    start = find("<reasoning>", 0)
+    if start < 0:
+        raise TemplateParseError(MISSING_REASONING_BLOCK, 0, "no <reasoning> block found")
+    pos = block_start = start + 11
+    steps = []
+    while True:
+        pos = skip_ws(pos)
+        if pos >= len(text):
+            raise TemplateParseError(MISSING_REASONING_BLOCK, pos, "unterminated <reasoning> block")
+        if at(pos, "</reasoning>"):
+            pos += 12
+            break
+        if at(pos, "<step>"):
+            end = find("</step>", pos + 6)
+            if end < 0:
+                raise TemplateParseError(MALFORMED_STEP, pos, "unterminated <step>")
+            steps.append((*_parent_split_step(text[pos + 6 : end], pos), pos))
+            pos = end + 7
+            continue
+        raise TemplateParseError(MALFORMED_STEP, pos, "unexpected content inside <reasoning> block")
+    if not steps:
+        raise TemplateParseError(MALFORMED_STEP, block_start, "reasoning block contains no steps")
+    pos = skip_ws(pos)
+    if not at(pos, "<answer>"):
+        raise TemplateParseError(MISSING_ANSWER_BLOCK, pos, "expected <answer> after reasoning block")
+    answer_start = pos + 8
+    answer_end = find("</answer>", answer_start)
+    if answer_end < 0:
+        raise TemplateParseError(MISSING_ANSWER_BLOCK, pos, "unterminated <answer> block")
+    answer = text[answer_start:answer_end].strip()
+    if not answer:
+        raise TemplateParseError(MISSING_ANSWER_BLOCK, answer_start, "empty answer")
+    texts: dict[str, str] = {}
+    edges: dict[tuple[str, str], None] = {}
+    for lhs, lkey, rhs, rkey, _ in steps:
+        texts.setdefault(lkey, lhs)
+        texts.setdefault(rkey, rhs)
+        if (lkey, rkey) in edges:
+            collapsed.append((lhs, rhs))
+        edges[(lkey, rkey)] = None
+    try:
+        graph = ReasoningGraph(texts, edges)
+    except InvalidGraphError as err:
+        raise TemplateParseError(CYCLE_IN_STEPS, block_start, str(err)) from None
+    return StructuredOutput(graph=graph, answer=answer, step_count=len(steps))
+
+
+@contextlib.contextmanager
+def _collapse_warnings():
+    """Yields the (parent, child) texts of each collapse warning the codec logs."""
+    collapsed: list[tuple[str, str]] = []
+
+    class Collect(logging.Handler):
+        def emit(self, record: logging.LogRecord) -> None:
+            if "collapsed a duplicated step" in record.msg:
+                collapsed.append(record.args)
+
+    logger = logging.getLogger("graphreason.codec")
+    handler, level = Collect(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        yield collapsed
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def _outcome(text: str, parser) -> tuple:
     try:
         out = parser(text)
@@ -576,6 +686,30 @@ class TestParseProperties:
             assert new[:3] == ("error", MISSING_ANSWER_BLOCK, rule.location)
             return
         assert new == old
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_documents)
+    def test_lenient_matches_the_parent_walk(self, text):
+        parent_collapsed: list[tuple[str, str]] = []
+        with _collapse_warnings() as collapsed:
+            new = _outcome(text, lambda t: parse(t, LENIENT))
+        old = _outcome(text, lambda t: _parent_lenient_parse(t, parent_collapsed))
+        assert new == old
+        assert collapsed == parent_collapsed
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_documents, mode=st.sampled_from((STRICT, LENIENT)))
+    def test_the_walk_only_names_errors(self, text, mode):
+        # The template pattern accepts every valid document itself, so the
+        # character walk runs only to name an error.
+        walk = codec._walk
+
+        def walk_that_must_raise(text: str, ci: bool) -> StructuredOutput:
+            output = walk(text, ci)
+            pytest.fail(f"the walk parsed a document the pattern declined: {output!r}")
+
+        with mock.patch.object(codec, "_walk", walk_that_must_raise):
+            _outcome(text, lambda t: parse(t, mode))
 
     def test_near_template_documents_reach_strict_acceptance(self):
         # Guards the strategy: the first property is vacuous unless many

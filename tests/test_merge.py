@@ -345,7 +345,7 @@ class TestLLMMerge:
 
     def test_repair_retry_after_bad_reply(self):
         backend = MockBackend(
-            {"could not be parsed": GOOD_REPLY, "Question:": BAD_REPLY}
+            {"was rejected": GOOD_REPLY, "Question:": BAD_REPLY}
         )
         client = ChatClient(backend, sleep=lambda _: None)
         merged = merge_llm(cset(output([("a", "b")], "4")), client, CONFIG)
@@ -359,7 +359,7 @@ class TestLLMMerge:
             "</reasoning>\n<answer> 9 </answer>"
         )
         backend = MockBackend(
-            {"could not be parsed": GOOD_REPLY, "Question:": cyclic_reply}
+            {"was rejected": GOOD_REPLY, "Question:": cyclic_reply}
         )
         client = ChatClient(backend, sleep=lambda _: None)
         merged = merge_llm(cset(output([("a", "b")], "4")), client, CONFIG)
@@ -383,7 +383,7 @@ class TestLLMMerge:
         assert (merged.answer, merged.conclusion) == ("4", "q")
         assert merged.graph.edge_keys == (("p", "q"),)
         assert backend.calls == 2
-        assert "could not be parsed (multiple-sinks: the graph ends at 'b', 'y')" in prompts[1]
+        assert "was rejected (multiple-sinks: the graph ends at 'b', 'y')" in prompts[1]
         assert "multiple-sinks" not in prompts[0]
 
     def test_multi_sink_reply_without_fallback_raises(self):
@@ -395,7 +395,7 @@ class TestLLMMerge:
 
     def test_multi_sink_reply_then_good_repair_is_accepted(self):
         backend = MockBackend(
-            {"could not be parsed": GOOD_REPLY, "Question:": MULTI_SINK_REPLY}
+            {"was rejected": GOOD_REPLY, "Question:": MULTI_SINK_REPLY}
         )
         client = ChatClient(backend, sleep=lambda _: None)
         merged = merge_llm(cset(output([("p", "q")], "4")), client, CONFIG, fallback=False)
