@@ -1,4 +1,4 @@
-"""Small file-writing helpers shared by the pipeline and the harness."""
+"""Small record-reading and file-writing helpers shared by the pipeline and the harness."""
 from __future__ import annotations
 
 import json
@@ -25,3 +25,9 @@ def atomic_write_text(path: Path, content: str) -> None:
 def jsonl_dumps(records: Iterable[dict]) -> str:
     lines = [json.dumps(record, ensure_ascii=False, sort_keys=True) for record in records]
     return "".join(line + "\n" for line in lines)
+
+
+def record_id(raw: dict, default: str) -> str:
+    """A record's "id" field as text, or ``default`` when it is absent or null."""
+    value = raw.get("id")
+    return default if value is None else str(value)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ._io import atomic_write_text, jsonl_dumps
+from ._io import atomic_write_text, jsonl_dumps, record_id
 from .answers import OPTION_LETTERS, answers_match
 from .client import ChatClient, ClientError, CompletionRequest, SamplingConfig
 from .codec import LENIENT, STRICT, TemplateParseError, extract_answer_lenient, parse
@@ -137,7 +137,7 @@ def load_logiqa(path: str | Path) -> list[BenchmarkItem]:
                 question=compose_question(context, question, format_options(options, where)),
                 label=_index_letter(answer, where),
                 benchmark="logiqa",
-                item_id=str(raw.get("id", f"logiqa-{lineno}")),
+                item_id=record_id(raw, f"logiqa-{lineno}"),
             )
         )
     return items
@@ -160,7 +160,7 @@ def _load_aiw_family(path: str | Path, benchmark: str) -> list[BenchmarkItem]:
                 question=str(prompt),
                 label=str(answer),
                 benchmark=benchmark,
-                item_id=str(raw.get("id", f"{benchmark}-{i}")),
+                item_id=record_id(raw, f"{benchmark}-{i}"),
             )
         )
     return items
@@ -209,7 +209,7 @@ def load_arlsat(path: str | Path) -> list[BenchmarkItem]:
                     ),
                     label=label,
                     benchmark="arlsat",
-                    item_id=str(question_raw.get("id", f"arlsat-{p}-{q}")),
+                    item_id=record_id(question_raw, f"arlsat-{p}-{q}"),
                 )
             )
     return items
@@ -238,7 +238,7 @@ def load_medqa(path: str | Path) -> list[BenchmarkItem]:
                 question=compose_question(question, option_lines),
                 label=label,
                 benchmark="medqa",
-                item_id=str(raw.get("id", f"medqa-{lineno}")),
+                item_id=record_id(raw, f"medqa-{lineno}"),
             )
         )
     return items
@@ -283,7 +283,7 @@ def load_mathqa(path: str | Path) -> list[BenchmarkItem]:
                 question=compose_question(problem, format_options(options, where)),
                 label=label,
                 benchmark="mathqa",
-                item_id=str(raw.get("id", f"mathqa-{i}")),
+                item_id=record_id(raw, f"mathqa-{i}"),
             )
         )
     return items
@@ -429,21 +429,11 @@ def extract_candidate(text: str, paradigm: str) -> tuple[str | None, int | None,
     return extract_answer_lenient(text), None, None
 
 
-def evaluate_item(
-    item: BenchmarkItem,
-    paradigm: str,
-    client: ChatClient,
-    config: SamplingConfig,
-    *,
-    reply: Future | None = None,
-) -> ItemRecord:
-    """Score one item; transport failures become records, not exceptions.
+def evaluate_item(item: BenchmarkItem, paradigm: str, reply: Future) -> ItemRecord:
+    """Score one item from its completion, already started with ``ChatClient.submit``.
 
-    ``reply`` is the item's completion already started with
-    ``client.submit``; without it the completion is submitted here.
+    Transport failures become records, not exceptions.
     """
-    if reply is None:
-        reply = client.submit(eval_request(item, paradigm, config))
     try:
         text = reply.result().text
     except ClientError as err:
@@ -497,13 +487,10 @@ def evaluate(
         raise ValueError("item ids must be unique")
 
     eval_config = replace(config, temperature=0.0, k=1)
-    def ask(item: BenchmarkItem) -> Future:
-        return client.submit(eval_request(item, paradigm, eval_config))
-
-    records = [
-        evaluate_item(item, paradigm, client, eval_config, reply=reply)
-        for item, reply in client.ahead(items, ask)
-    ]
+    replies = client.ahead(
+        items, lambda item: client.submit(eval_request(item, paradigm, eval_config))
+    )
+    records = [evaluate_item(item, paradigm, reply) for item, reply in replies]
 
     per_benchmark: dict[str, BenchmarkScore] = {}
     order: list[str] = []

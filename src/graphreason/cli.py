@@ -43,7 +43,6 @@ from .client import (
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_MAX_NEW_TOKENS,
     DEFAULT_TEMPERATURE,
-    AllSamplesFailedError,
     ChatClient,
     ClientError,
     HttpBackend,
@@ -299,12 +298,8 @@ def cmd_viz(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
     config = make_sampling_config(cfg)
-    try:
-        with make_client(cfg) as client:
-            samples = client.sample_trajectories(args.question, config, TRAJECTORY_PROMPT)
-    except AllSamplesFailedError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILURE
+    with make_client(cfg) as client:
+        samples = client.sample_trajectories(args.question, config, TRAJECTORY_PROMPT)
     payload = {
         "question": args.question,
         "samples": samples.texts,
@@ -331,6 +326,9 @@ def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
     texts = data.get("samples", data.get("candidates"))
     if not isinstance(texts, list):
         print(f"error: {args.input}: samples must be a list", file=sys.stderr)
+        return EXIT_FAILURE
+    if not all(text is None or isinstance(text, str) for text in texts):
+        print(f"error: {args.input}: samples must be strings or null", file=sys.stderr)
         return EXIT_FAILURE
 
     candidates = parse_candidates(texts)
@@ -425,6 +423,8 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
             except json.JSONDecodeError as err:
                 print(f"error: {path}:{lineno}: invalid JSON ({err})", file=sys.stderr)
                 return EXIT_FAILURE
+            if not isinstance(row, dict):
+                row = {}
             text = row.get("text", row.get("completion", row.get("graph_reasoning")))
             label = row.get("label")
             if not isinstance(text, str) or not isinstance(label, str):

@@ -142,6 +142,12 @@ class TrajectorySamples:
     def successful(self) -> list[tuple[int, str]]:
         return [(i, t) for i, t in enumerate(self.texts) if t is not None]
 
+    def all_failed_detail(self) -> str | None:
+        """Why every sample failed, or None when at least one came back."""
+        if len(self.errors) < len(self.texts):
+            return None
+        return f"all {len(self.texts)} samples failed: " + "; ".join(self.errors.values())
+
 
 def trajectory_requests(question: str, config: SamplingConfig, prompt) -> list[CompletionRequest]:
     """The k sampling requests for one question, by sample index.
@@ -163,8 +169,7 @@ def trajectory_requests(question: str, config: SamplingConfig, prompt) -> list[C
 def gather_trajectories(futures: Sequence[Future]) -> TrajectorySamples:
     """Wait for one question's sample futures and collect them by index.
 
-    Partial failures are reported per index; only a fully failed round
-    raises AllSamplesFailedError.
+    Failures are reported per index, even when every sample failed.
     """
     texts: list[str | None] = [None] * len(futures)
     errors: dict[int, str] = {}
@@ -174,10 +179,6 @@ def gather_trajectories(futures: Sequence[Future]) -> TrajectorySamples:
         except ClientError as err:
             errors[i] = str(err)
             log.warning("sample %d/%d failed: %s", i + 1, len(futures), err)
-    if len(errors) == len(futures):
-        raise AllSamplesFailedError(
-            f"all {len(futures)} samples failed: " + "; ".join(errors.values())
-        )
     return TrajectorySamples(texts=texts, errors=errors)
 
 
@@ -436,11 +437,11 @@ class ChatClient:
     ``with`` block) or when the client is garbage-collected. ``submit``
     answers a cache hit in the caller and sends a miss from the
     executor; ``sample_trajectories`` and the batch callers
-    (``build_dataset``, ``evaluate``) go through it, so ``concurrency``
-    is the one parallelism setting. Hard rule: no executor task ever
-    waits on a future of this client (``spawn`` tasks may call
-    ``complete``, which waits only for the semaphore), so every task
-    finishes and the executor cannot deadlock.
+    (``build_dataset``, ``evaluate``) start every sample and eval send
+    through it, so ``concurrency`` is the one parallelism setting. Hard
+    rule: no executor task ever waits on a future of this client
+    (``spawn`` tasks may call ``complete``, which waits only for the
+    semaphore), so every task finishes and the executor cannot deadlock.
     """
 
     def __init__(
@@ -598,8 +599,13 @@ class ChatClient:
     def sample_trajectories(self, question: str, config: SamplingConfig, prompt) -> TrajectorySamples:
         """k independent completions for one question, index-ordered.
 
-        See ``trajectory_requests`` and ``gather_trajectories``. Waits on
+        See ``trajectory_requests`` and ``gather_trajectories``; raises
+        AllSamplesFailedError when no sample came back. Waits on
         executor futures, so it must not be called from an executor task.
         """
         requests = trajectory_requests(question, config, prompt)
-        return gather_trajectories([self.submit(request) for request in requests])
+        samples = gather_trajectories([self.submit(request) for request in requests])
+        failure = samples.all_failed_detail()
+        if failure is not None:
+            raise AllSamplesFailedError(failure)
+        return samples

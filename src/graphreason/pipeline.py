@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from ._io import atomic_write_text, jsonl_dumps
+from ._io import atomic_write_text, jsonl_dumps, record_id
 from .answers import answers_match
 from .client import (
-    AllSamplesFailedError,
     ChatClient,
     SamplingConfig,
     TrajectorySamples,
@@ -194,7 +193,7 @@ def read_sources(path: str | Path) -> list[SourceQA]:
     """Load question/label pairs from a JSONL file.
 
     Each record needs "question" and "label" (or "answer"); "id" is
-    optional and defaults to the 1-based line number.
+    optional, and an absent or null id defaults to item-<1-based line>.
     """
     path = Path(path)
     items: list[SourceQA] = []
@@ -212,7 +211,7 @@ def read_sources(path: str | Path) -> list[SourceQA]:
             label = raw.get("label", raw.get("answer"))
             if label is None:
                 raise SourceFormatError(f"{path}:{lineno}: record has no label or answer field")
-            source_id = str(raw.get("id", f"item-{lineno}"))
+            source_id = record_id(raw, f"item-{lineno}")
             try:
                 items.append(SourceQA(str(raw["question"]), str(label), source_id))
             except ValueError as err:
@@ -256,36 +255,26 @@ def run_merge(
     return merge_llm(candidate_set, client, config, fallback=True)
 
 
-def _all_samples_failed(item: SourceQA, err: AllSamplesFailedError) -> DiscardRecord:
-    return DiscardRecord(item.source_id, DISCARD_ALL_CANDIDATES_FAILED, str(err))
-
-
 def build_instance(
     item: SourceQA,
-    client: ChatClient,
+    samples: TrajectorySamples,
+    client: ChatClient | None,
     config: SamplingConfig,
-    *,
-    merge_mode: str = MODE_DETERMINISTIC,
-    prompt=TRAJECTORY_PROMPT,
-    samples: TrajectorySamples | None = None,
+    merge_mode: str,
 ) -> TrainingInstance | DiscardRecord:
-    """Process one source item end to end.
+    """Finish one source item from its drawn samples.
 
-    Samples k trajectories (unless ``samples`` were already drawn),
-    merges the parseable ones, and keeps the result only when the merged
+    Merges the parseable samples under ``merge_mode`` (only the LLM
+    modes use ``client``) and keeps the result only when the merged
     answer matches the reference label; the merged graph is then
-    rendered as the strict template document. A merge whose conclusion
-    keeps no edge is discarded as edgeless-merge, one the step grammar
-    cannot express as unrenderable.
+    rendered as the strict template document. An item whose samples all
+    failed or none parsed is discarded as all-candidates-failed, a merge
+    whose conclusion keeps no edge as edgeless-merge, one the step
+    grammar cannot express as unrenderable.
     """
-    if merge_mode not in MERGE_MODES:
-        raise ValueError(f"merge_mode must be one of {MERGE_MODES}, got {merge_mode!r}")
-    if samples is None:
-        try:
-            samples = client.sample_trajectories(item.question, config, prompt)
-        except AllSamplesFailedError as err:
-            return _all_samples_failed(item, err)
-
+    failure = samples.all_failed_detail()
+    if failure is not None:
+        return DiscardRecord(item.source_id, DISCARD_ALL_CANDIDATES_FAILED, failure)
     candidates = parse_candidates(samples.texts)
     if not candidates:
         return DiscardRecord(
@@ -376,12 +365,15 @@ def build_dataset(
     """Build a dataset from question/label pairs, preserving input order.
 
     Samples are requested through the client's executor up to
-    ``client.lookahead`` items ahead, while this thread parses, merges,
-    matches and renders each item in input order, so
-    ``client.concurrency`` is the one parallelism setting. Under the LLM
-    merge modes each item's stages after sampling run as one executor
-    task instead, so the integration sends of different items overlap.
+    ``client.lookahead`` items ahead, and this thread gathers each
+    item's samples in input order and hands them to ``build_instance``,
+    so ``client.concurrency`` is the one parallelism setting. Under the
+    LLM merge modes ``build_instance`` runs as an executor task instead,
+    so the integration sends of different items overlap. An unknown
+    ``merge_mode`` raises ValueError before anything is sent.
     """
+    if merge_mode not in MERGE_MODES:
+        raise ValueError(f"merge_mode must be one of {MERGE_MODES}, got {merge_mode!r}")
     ids = [item.source_id for item in items]
     if len(set(ids)) != len(ids):
         raise PipelineError("source ids must be unique")
@@ -389,28 +381,18 @@ def build_dataset(
     def draw(item: SourceQA) -> list:
         return [client.submit(r) for r in trajectory_requests(item.question, config, prompt)]
 
-    def drawn():
-        for item, futures in client.ahead(items, draw):
-            try:
-                samples = gather_trajectories(futures)
-            except AllSamplesFailedError as err:
-                samples = _all_samples_failed(item, err)
-            yield item, samples
-
-    def finish(item: SourceQA, samples: TrajectorySamples | DiscardRecord):
-        if isinstance(samples, DiscardRecord):
-            return samples
-        return build_instance(item, client, config, merge_mode=merge_mode, samples=samples)
-
+    drawn = ((item, gather_trajectories(futures)) for item, futures in client.ahead(items, draw))
     if merge_mode == MODE_DETERMINISTIC:
         # CPU only, so it runs here: as executor tasks, these stages lose
         # about 12% of build items/s to GIL hand-offs between threads.
-        outcomes = [finish(item, samples) for item, samples in drawn()]
+        outcomes = [build_instance(*pair, client, config, merge_mode) for pair in drawn]
     else:
         # An LLM merge sends, so it runs as a task and the integration
         # sends of different items overlap. The task calls complete() and
         # waits on no future (ChatClient's rule).
-        tasks = client.ahead(drawn(), lambda pair: client.spawn(finish, *pair))
+        tasks = client.ahead(
+            drawn, lambda pair: client.spawn(build_instance, *pair, client, config, merge_mode)
+        )
         outcomes = [task.result() for _, task in tasks]
 
     instances = [o for o in outcomes if isinstance(o, TrainingInstance)]

@@ -164,6 +164,12 @@ class TestMerge:
         assert main(["merge", str(path)]) == 1
         assert "no sample parsed" in capsys.readouterr().err
 
+    def test_non_string_sample_fails_with_message(self, tmp_path, capsys):
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps({"question": "q", "samples": [5, None]}))
+        assert main(["merge", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: samples must be strings or null\n"
+
 
 def build_fixture(tmp_path: Path) -> tuple[Path, Path, list[str]]:
     sources = tmp_path / "sources.jsonl"
@@ -281,6 +287,14 @@ class TestScore:
         completions.write_text('{"text": "x"}\n')
         assert main(["score", "--completions", str(completions)]) == 1
         assert "needs text and label" in capsys.readouterr().err
+
+    def test_non_object_row_exits_one(self, tmp_path, capsys):
+        completions = tmp_path / "completions.jsonl"
+        completions.write_text(json.dumps({"text": GOOD_DOC, "label": "4"}) + "\n[1, 2]\n")
+        assert main(["score", "--completions", str(completions)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {completions}:2: row needs text and label fields\n"
+        )
 
 
 class TestConfigResolution:

@@ -16,10 +16,13 @@ from graphreason.client import (
     ProtocolError,
     ResponseCache,
     SamplingConfig,
+    TrajectorySamples,
     TransientError,
     TransportExhaustedError,
     cache_key,
+    gather_trajectories,
     parse_retry_after,
+    trajectory_requests,
 )
 from graphreason.prompts import TRAJECTORY_PROMPT
 
@@ -175,8 +178,19 @@ class TestSampling:
             raise ProtocolError("boom")
 
         client = no_sleep_client(MockBackend(responder=responder))
-        with pytest.raises(AllSamplesFailedError):
+        with pytest.raises(AllSamplesFailedError, match=r"^all 3 samples failed: boom; boom; boom$"):
             client.sample_trajectories("what?", CONFIG, TRAJECTORY_PROMPT)
+
+    def test_gather_returns_a_fully_failed_round(self):
+        def responder(req):
+            raise ProtocolError(f"boom {req.sample_index}")
+
+        client = no_sleep_client(MockBackend(responder=responder))
+        requests = trajectory_requests("what?", CONFIG, TRAJECTORY_PROMPT)
+        samples = gather_trajectories([client.submit(r) for r in requests])
+        assert samples.texts == [None, None, None]
+        assert samples.all_failed_detail() == "all 3 samples failed: boom 0; boom 1; boom 2"
+        assert TrajectorySamples(["text", None], {1: "boom"}).all_failed_detail() is None
 
     def test_seed_derivation_per_sample(self):
         seeds = {}

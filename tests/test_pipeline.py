@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from graphreason.client import ChatClient, MockBackend, ProtocolError, SamplingConfig
+from graphreason.bench import load_logiqa
+from graphreason.client import ChatClient, MockBackend, SamplingConfig, TrajectorySamples
 from graphreason.codec import STRICT, parse
 from graphreason.pipeline import (
     DISCARD_ALL_CANDIDATES_FAILED,
@@ -80,6 +81,25 @@ class TestReadSources:
             read_sources(path)
 
 
+@pytest.mark.parametrize(
+    "body,load,attr,ids",
+    [
+        ('{"question": "q", "label": "1", "id": null}\n' * 2, read_sources, "source_id", ["item-1", "item-2"]),
+        (
+            '{"text": "t", "question": "q", "options": ["a", "b"], "answer": 0, "id": null}\n' * 2,
+            load_logiqa,
+            "item_id",
+            ["logiqa-1", "logiqa-2"],
+        ),
+    ],
+    ids=["read_sources", "load_logiqa"],
+)
+def test_null_id_takes_the_default(tmp_path, body, load, attr, ids):
+    path = tmp_path / "records.jsonl"
+    path.write_text(body)
+    assert [getattr(item, attr) for item in load(path)] == ids
+
+
 class TestParseCandidates:
     def test_strict_documents_pass(self):
         texts = [chain_doc("a", "1"), chain_doc("b", "2")]
@@ -103,10 +123,21 @@ class TestParseCandidates:
 ITEM = SourceQA("q1: how many?", "4", "q1")
 
 
+def drawn(*texts: str) -> TrajectorySamples:
+    return TrajectorySamples(list(texts), {})
+
+
+def finish(samples: TrajectorySamples, merge_mode: str = "deterministic", replies=None):
+    """build_instance on ITEM; ``replies`` script the integration sends of the LLM modes."""
+    return build_instance(ITEM, samples, client_for(replies or {}), CONFIG, merge_mode)
+
+
+INTEGRATION = "Candidate reasoning graphs:"
+
+
 class TestBuildInstance:
     def test_retained_happy_path(self):
-        replies = {"q1:": [chain_doc("a", "4"), chain_doc("b", "4"), chain_doc("c", "5")]}
-        result = build_instance(ITEM, client_for(replies), CONFIG)
+        result = finish(drawn(chain_doc("a", "4"), chain_doc("b", "4"), chain_doc("c", "5")))
         assert isinstance(result, TrainingInstance)
         assert result.label == "4"
         parsed = parse(result.graph_text, STRICT)
@@ -120,77 +151,63 @@ class TestBuildInstance:
         assert prov.fell_back is False
 
     def test_answer_mismatch_discard(self):
-        replies = {"q1:": chain_doc("a", "7")}
-        result = build_instance(ITEM, client_for(replies), CONFIG)
+        result = finish(drawn(chain_doc("a", "7")))
         assert result == DiscardRecord(
             "q1", DISCARD_ANSWER_MISMATCH, "merged answer '7' does not match label '4'"
         )
 
     def test_unparseable_samples_discard(self):
-        replies = {"q1:": "I cannot answer in that format."}
-        result = build_instance(ITEM, client_for(replies), CONFIG)
-        assert isinstance(result, DiscardRecord)
-        assert result.reason == DISCARD_ALL_CANDIDATES_FAILED
+        result = finish(drawn("I cannot answer in that format.", None))
+        assert result == DiscardRecord(
+            "q1", DISCARD_ALL_CANDIDATES_FAILED, "no sample parsed as a reasoning template"
+        )
 
     def test_transport_failure_discard(self):
-        def responder(request):
-            raise ProtocolError("down")
-
-        client = ChatClient(MockBackend(responder=responder), sleep=lambda _: None)
-        result = build_instance(ITEM, client, CONFIG)
-        assert isinstance(result, DiscardRecord)
-        assert result.reason == DISCARD_ALL_CANDIDATES_FAILED
+        samples = TrajectorySamples([None, None], {0: "down", 1: "timed out"})
+        assert finish(samples) == DiscardRecord(
+            "q1", DISCARD_ALL_CANDIDATES_FAILED, "all 2 samples failed: down; timed out"
+        )
 
     def test_llm_mode_failure_is_parse_failure(self):
-        replies = {
-            "Candidate reasoning graphs:": "still not a template",
-            "q1:": chain_doc("a", "4"),
-        }
-        result = build_instance(ITEM, client_for(replies), CONFIG, merge_mode="llm")
+        replies = {INTEGRATION: "still not a template"}
+        result = finish(drawn(chain_doc("a", "4")), "llm", replies)
         assert isinstance(result, DiscardRecord)
         assert result.reason == DISCARD_PARSE_FAILURE
 
     def test_llm_mode_success(self):
-        replies = {
-            "Candidate reasoning graphs:": chain_doc("merged", "4"),
-            "q1:": chain_doc("a", "4"),
-        }
-        result = build_instance(ITEM, client_for(replies), CONFIG, merge_mode="llm")
+        replies = {INTEGRATION: chain_doc("merged", "4")}
+        result = finish(drawn(chain_doc("a", "4")), "llm", replies)
         assert isinstance(result, TrainingInstance)
         assert result.provenance.merge_mode == "llm"
         assert result.provenance.fell_back is False
         assert "merged" in result.graph_text
 
     def test_fallback_mode_flags_provenance(self):
-        replies = {
-            "Candidate reasoning graphs:": "still not a template",
-            "q1:": chain_doc("a", "4"),
-        }
-        result = build_instance(
-            ITEM, client_for(replies), CONFIG, merge_mode="llm-with-fallback"
-        )
+        replies = {INTEGRATION: "still not a template"}
+        result = finish(drawn(chain_doc("a", "4")), "llm-with-fallback", replies)
         assert isinstance(result, TrainingInstance)
         assert result.provenance.merge_mode == "llm-with-fallback"
         assert result.provenance.fell_back is True
 
     def test_unknown_merge_mode(self):
+        # Checked once per build, before the first send.
+        client = client_for({}, default=chain_doc("a", "4"))
+        items = [SourceQA(f"q{i}: how many?", "4", f"q{i}") for i in range(20)]
         with pytest.raises(ValueError, match="merge_mode"):
-            build_instance(ITEM, client_for({}), CONFIG, merge_mode="vote")
+            build_dataset(items, client, CONFIG, merge_mode="vote")
+        assert client.backend.calls == 0
 
     def test_edgeless_merge_is_discarded(self):
         # The majority {a -> b, b -> a, b -> a} loses a -> b to the cycle
         # break, and conclusion b (candidate 0's sink) keeps no edge.
-        replies = {"q1:": EDGELESS_REPLIES}
-        result = build_instance(ITEM, client_for(replies), CONFIG)
+        result = finish(drawn(*EDGELESS_REPLIES))
         assert isinstance(result, DiscardRecord)
         assert result.reason == DISCARD_EDGELESS_MERGE
         assert "'b'" in result.detail
 
     def test_edgeless_fallback_merge_is_discarded(self):
-        replies = {"Candidate reasoning graphs:": "not a template", "q1:": EDGELESS_REPLIES}
-        result = build_instance(
-            ITEM, client_for(replies), CONFIG, merge_mode="llm-with-fallback"
-        )
+        replies = {INTEGRATION: "not a template"}
+        result = finish(drawn(*EDGELESS_REPLIES), "llm-with-fallback", replies)
         assert isinstance(result, DiscardRecord)
         assert result.reason == DISCARD_EDGELESS_MERGE
 
