@@ -127,7 +127,7 @@ def drawn(*texts: str) -> TrajectorySamples:
     return TrajectorySamples(list(texts), {})
 
 
-def finish(samples: TrajectorySamples, merge_mode: str = "deterministic", replies=None):
+def build_one(samples: TrajectorySamples, merge_mode: str = "deterministic", replies=None):
     """build_instance on ITEM; ``replies`` script the integration sends of the LLM modes."""
     return build_instance(ITEM, samples, client_for(replies or {}), CONFIG, merge_mode)
 
@@ -137,7 +137,7 @@ INTEGRATION = "Candidate reasoning graphs:"
 
 class TestBuildInstance:
     def test_retained_happy_path(self):
-        result = finish(drawn(chain_doc("a", "4"), chain_doc("b", "4"), chain_doc("c", "5")))
+        result = build_one(drawn(chain_doc("a", "4"), chain_doc("b", "4"), chain_doc("c", "5")))
         assert isinstance(result, TrainingInstance)
         assert result.label == "4"
         parsed = parse(result.graph_text, STRICT)
@@ -151,32 +151,32 @@ class TestBuildInstance:
         assert prov.fell_back is False
 
     def test_answer_mismatch_discard(self):
-        result = finish(drawn(chain_doc("a", "7")))
+        result = build_one(drawn(chain_doc("a", "7")))
         assert result == DiscardRecord(
             "q1", DISCARD_ANSWER_MISMATCH, "merged answer '7' does not match label '4'"
         )
 
     def test_unparseable_samples_discard(self):
-        result = finish(drawn("I cannot answer in that format.", None))
+        result = build_one(drawn("I cannot answer in that format.", None))
         assert result == DiscardRecord(
             "q1", DISCARD_ALL_CANDIDATES_FAILED, "no sample parsed as a reasoning template"
         )
 
     def test_transport_failure_discard(self):
         samples = TrajectorySamples([None, None], {0: "down", 1: "timed out"})
-        assert finish(samples) == DiscardRecord(
+        assert build_one(samples) == DiscardRecord(
             "q1", DISCARD_ALL_CANDIDATES_FAILED, "all 2 samples failed: down; timed out"
         )
 
     def test_llm_mode_failure_is_parse_failure(self):
         replies = {INTEGRATION: "still not a template"}
-        result = finish(drawn(chain_doc("a", "4")), "llm", replies)
+        result = build_one(drawn(chain_doc("a", "4")), "llm", replies)
         assert isinstance(result, DiscardRecord)
         assert result.reason == DISCARD_PARSE_FAILURE
 
     def test_llm_mode_success(self):
         replies = {INTEGRATION: chain_doc("merged", "4")}
-        result = finish(drawn(chain_doc("a", "4")), "llm", replies)
+        result = build_one(drawn(chain_doc("a", "4")), "llm", replies)
         assert isinstance(result, TrainingInstance)
         assert result.provenance.merge_mode == "llm"
         assert result.provenance.fell_back is False
@@ -184,7 +184,7 @@ class TestBuildInstance:
 
     def test_fallback_mode_flags_provenance(self):
         replies = {INTEGRATION: "still not a template"}
-        result = finish(drawn(chain_doc("a", "4")), "llm-with-fallback", replies)
+        result = build_one(drawn(chain_doc("a", "4")), "llm-with-fallback", replies)
         assert isinstance(result, TrainingInstance)
         assert result.provenance.merge_mode == "llm-with-fallback"
         assert result.provenance.fell_back is True
@@ -200,14 +200,14 @@ class TestBuildInstance:
     def test_edgeless_merge_is_discarded(self):
         # The majority {a -> b, b -> a, b -> a} loses a -> b to the cycle
         # break, and conclusion b (candidate 0's sink) keeps no edge.
-        result = finish(drawn(*EDGELESS_REPLIES))
+        result = build_one(drawn(*EDGELESS_REPLIES))
         assert isinstance(result, DiscardRecord)
         assert result.reason == DISCARD_EDGELESS_MERGE
         assert "'b'" in result.detail
 
     def test_edgeless_fallback_merge_is_discarded(self):
         replies = {INTEGRATION: "not a template"}
-        result = finish(drawn(*EDGELESS_REPLIES), "llm-with-fallback", replies)
+        result = build_one(drawn(*EDGELESS_REPLIES), "llm-with-fallback", replies)
         assert isinstance(result, DiscardRecord)
         assert result.reason == DISCARD_EDGELESS_MERGE
 
