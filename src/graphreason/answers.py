@@ -1,22 +1,15 @@
 """Answer equivalence used for dataset filtering, scoring and rewards.
 
-Three comparison families, tried in a fixed cascade under ``auto``:
-option letters (both sides reduce to a single A-E letter once
-non-alphanumerics are dropped), numbers (relative tolerance 1e-6), and
-normalized free text. The first family that claims both sides decides.
+Three comparison families, tried in a fixed cascade: option letters
+(both sides reduce to a single A-E letter once non-alphanumerics are
+dropped), numbers (relative tolerance 1e-6), and normalized free text.
+The first family that claims both sides decides.
 """
 from __future__ import annotations
 
 import math
 import re
 import string
-
-MODE_MCQ = "mcq"
-MODE_NUMERIC = "numeric"
-MODE_FREEFORM = "freeform"
-MODE_AUTO = "auto"
-
-MODES = (MODE_MCQ, MODE_NUMERIC, MODE_FREEFORM, MODE_AUTO)
 
 OPTION_LETTERS = "ABCDE"
 RELATIVE_TOLERANCE = 1e-6
@@ -52,33 +45,17 @@ def normalize_freeform(text: str) -> str:
     return collapsed.rstrip(string.punctuation + " ")
 
 
-def numbers_close(a: float, b: float, rel_tol: float = RELATIVE_TOLERANCE) -> bool:
-    return math.isclose(a, b, rel_tol=rel_tol, abs_tol=0.0)
+def numbers_close(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=RELATIVE_TOLERANCE, abs_tol=0.0)
 
 
-def answers_match(candidate: str, label: str, mode: str = MODE_AUTO) -> bool:
+def answers_match(candidate: str, label: str) -> bool:
     """Decide whether a model answer agrees with the gold label."""
-    if mode not in MODES:
-        raise ValueError(f"unknown answer-matching mode: {mode!r}")
-
-    if mode == MODE_MCQ:
-        c, l = extract_option_letter(candidate), extract_option_letter(label)
-        return c is not None and l is not None and c == l
-    if mode == MODE_NUMERIC:
-        cn, ln = parse_number(candidate), parse_number(label)
-        return cn is not None and ln is not None and numbers_close(cn, ln)
-    if mode == MODE_FREEFORM:
-        return _freeform_equal(candidate, label)
-
     c, l = extract_option_letter(candidate), extract_option_letter(label)
     if c is not None and l is not None:
         return c == l
     cn, ln = parse_number(candidate), parse_number(label)
     if cn is not None and ln is not None:
         return numbers_close(cn, ln)
-    return _freeform_equal(candidate, label)
-
-
-def _freeform_equal(candidate: str, label: str) -> bool:
-    c = normalize_freeform(candidate)
-    return bool(c) and c == normalize_freeform(label)
+    free = normalize_freeform(candidate)
+    return bool(free) and free == normalize_freeform(label)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from ._io import atomic_write_text, jsonl_dumps, record_id
 from .answers import OPTION_LETTERS, answers_match
 from .client import ChatClient, ClientError, CompletionRequest, SamplingConfig
-from .codec import LENIENT, STRICT, TemplateParseError, extract_answer_lenient, parse
+from .codec import LENIENT, TemplateParseError, extract_answer_lenient, parse
 from .prompts import DIRECT_PROMPT, LINEAR_PROMPT, SELF_GRAPH_PROMPT, PromptTemplate
 
 log = logging.getLogger(__name__)
@@ -193,9 +193,13 @@ def load_arlsat(path: str | Path) -> list[BenchmarkItem]:
             raise SchemaError(f"{where}: questions must be a list")
         for q, question_raw in enumerate(questions, start=1):
             q_where = f"{where} question {q}"
+            if not isinstance(question_raw, dict):
+                raise SchemaError(f"{q_where}: expected an object")
             question = _require(question_raw, "question", q_where)
             options = _require(question_raw, "options", q_where)
             answer = _require(question_raw, "answer", q_where)
+            if not isinstance(options, list):
+                raise SchemaError(f"{q_where}: options must be a list")
             if isinstance(answer, int):
                 label = _index_letter(answer, q_where)
             else:
@@ -416,16 +420,19 @@ def percent(fraction: float) -> str:
 
 
 def extract_candidate(text: str, paradigm: str) -> tuple[str | None, int | None, int | None]:
-    """Pull the answer (and graph size, when structured) out of a reply."""
+    """The reply's answer, plus its graph's node and edge counts when structured.
+
+    A self-graph reply is parsed leniently, which agrees with strict
+    parsing wherever strict succeeds. Any other reply, or one that does
+    not parse, yields ``extract_answer_lenient`` and no counts.
+    """
     if paradigm == PARADIGM_SELF_GRAPH:
-        for mode in (STRICT, LENIENT):
-            try:
-                output = parse(text, mode)
-            except TemplateParseError:
-                continue
-            graph = output.graph
-            return output.answer, graph.node_count, graph.edge_count
-        return extract_answer_lenient(text), None, None
+        try:
+            output = parse(text, LENIENT)
+        except TemplateParseError:
+            pass
+        else:
+            return output.answer, output.graph.node_count, output.graph.edge_count
     return extract_answer_lenient(text), None, None
 
 

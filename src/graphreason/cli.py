@@ -49,6 +49,8 @@ from .client import (
     MockBackend,
     ResponseCache,
     SamplingConfig,
+    gather_trajectories,
+    trajectory_requests,
 )
 from .codec import LENIENT, STRICT, StructuredOutput, TemplateParseError, parse, render
 from .graph import InvalidGraphError, export_dot, validate
@@ -192,7 +194,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def make_client(cfg: RunConfig) -> ChatClient:
     if cfg.mock:
-        backend = MockBackend.from_file(cfg.mock)
+        try:
+            backend = MockBackend.from_file(cfg.mock)
+        except ValueError as err:
+            raise ConfigError("mock", str(err)) from None
     else:
         if not cfg.endpoint:
             raise ConfigError("endpoint", "required unless --mock is given")
@@ -285,9 +290,9 @@ def cmd_viz(args: argparse.Namespace, cfg: RunConfig) -> int:
             print(f"{where}: parse error: {err.kind} ({err.detail})", file=sys.stderr)
             failures += 1
             continue
-        if ":" in where:
-            suffix = where.rsplit(":", 1)[1]
-            name = f"{in_path.stem}-{suffix}.dot"
+        if in_path.suffix == ".jsonl":
+            # A record's where ends in its line number.
+            name = f"{in_path.stem}-{where.rsplit(':', 1)[1]}.dot"
         else:
             name = f"{in_path.stem}.dot"
         out_path = out_dir / name
@@ -299,7 +304,12 @@ def cmd_viz(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
     config = make_sampling_config(cfg)
     with make_client(cfg) as client:
-        samples = client.sample_trajectories(args.question, config, TRAJECTORY_PROMPT)
+        requests = trajectory_requests(args.question, config, TRAJECTORY_PROMPT)
+        samples = gather_trajectories([client.submit(request) for request in requests])
+    failure = samples.all_failed_detail()
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+        return EXIT_FAILURE
     payload = {
         "question": args.question,
         "samples": samples.texts,

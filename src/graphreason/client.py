@@ -5,8 +5,10 @@ The wire protocol is the common JSON chat shape: POST a ``model`` +
 compatible server works. Credentials travel only through an
 environment variable, never through flags or config files. A mock
 backend with the same interface supports tests and offline runs.
-Batch callers send through the client's one executor, sized by
-``concurrency``.
+Every caller sends through the client's one executor, sized by
+``concurrency``: ``submit`` starts one completion, and the k samples of
+a question are ``trajectory_requests`` submitted and collected by
+``gather_trajectories``.
 """
 from __future__ import annotations
 
@@ -85,10 +87,6 @@ class TransportExhaustedError(ClientError):
         super().__init__(message)
         self.attempts = attempts
         self.last = last
-
-
-class AllSamplesFailedError(ClientError):
-    """sample_trajectories got zero usable completions back."""
 
 
 @dataclass
@@ -324,11 +322,11 @@ class HttpBackend:
 class MockBackend:
     """Scripted in-process backend for tests and offline runs.
 
-    Reply resolution order: explicit ``responder`` callable, request-hash
-    entries, substring matches against the user prompt (list values are
-    picked by the request's sample_index so sibling samples differ),
-    then ``default``. ``fail_first_attempts`` makes the first n sends of
-    every distinct request raise, which exercises retry paths;
+    Reply resolution order: explicit ``responder`` callable, substring
+    matches against the user prompt (list values are picked by the
+    request's sample_index so sibling samples differ), then ``default``.
+    ``fail_first_attempts`` makes the first n sends of every distinct
+    request raise, which exercises retry paths;
     ``queue_failures`` injects globally ordered failures. Thread-safe;
     tracks call and concurrency watermarks for instrumentation.
     """
@@ -345,7 +343,6 @@ class MockBackend:
         self.default = default
         self.responder = responder
         self.delay = delay
-        self.hash_replies: dict[str, str] = {}
         self.calls = 0
         self.max_concurrent = 0
         self._concurrent = 0
@@ -357,10 +354,30 @@ class MockBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockBackend":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        backend = cls(data.get("replies"), default=data.get("default"))
-        backend.hash_replies = dict(data.get("hashes", {}))
-        return backend
+        """Load ``{"replies": {fragment: reply or [replies]}, "default": reply}``.
+
+        Both keys are optional. A file that is not such an object raises
+        ValueError naming the file.
+        """
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise ValueError(f"{path}: invalid JSON ({err})") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: expected a JSON object")
+        replies = data.get("replies", {})
+        if not isinstance(replies, dict):
+            raise ValueError(f"{path}: replies must be an object")
+        for fragment, value in replies.items():
+            texts = value if isinstance(value, list) else [value]
+            if not texts or not all(isinstance(text, str) for text in texts):
+                raise ValueError(
+                    f"{path}: reply for {fragment!r} must be a string or a non-empty list of strings"
+                )
+        default = data.get("default")
+        if default is not None and not isinstance(default, str):
+            raise ValueError(f"{path}: default must be a string or null")
+        return cls(replies, default=default)
 
     def fail_first_attempts(self, n: int, factory: Callable[[], ClientError] | None = None) -> None:
         self._fail_first_n = n
@@ -394,9 +411,6 @@ class MockBackend:
     def _resolve(self, request: CompletionRequest) -> str:
         if self.responder is not None:
             return self.responder(request)
-        key = cache_key(request)
-        if key in self.hash_replies:
-            return self.hash_replies[key]
         for fragment, value in self.replies.items():
             if fragment in request.user_prompt:
                 if isinstance(value, list):
@@ -436,12 +450,12 @@ class ChatClient:
     threads, started on demand and stopped by ``close`` (or leaving a
     ``with`` block) or when the client is garbage-collected. ``submit``
     answers a cache hit in the caller and sends a miss from the
-    executor; ``sample_trajectories`` and the batch callers
-    (``build_dataset``, ``evaluate``) start every sample and eval send
-    through it, so ``concurrency`` is the one parallelism setting. Hard
-    rule: no executor task ever waits on a future of this client
-    (``spawn`` tasks may call ``complete``, which waits only for the
-    semaphore), so every task finishes and the executor cannot deadlock.
+    executor. Every caller (``build_dataset``, ``evaluate``, the
+    ``sample`` command) starts its sends through it, so ``concurrency``
+    is the one parallelism setting. Hard rule: no executor task ever
+    waits on a future of this client (``spawn`` tasks may call
+    ``complete``, which waits only for the semaphore), so every task
+    finishes and the executor cannot deadlock.
     """
 
     def __init__(
@@ -595,17 +609,3 @@ class ChatClient:
                 yield window.popleft()
         while window:
             yield window.popleft()
-
-    def sample_trajectories(self, question: str, config: SamplingConfig, prompt) -> TrajectorySamples:
-        """k independent completions for one question, index-ordered.
-
-        See ``trajectory_requests`` and ``gather_trajectories``; raises
-        AllSamplesFailedError when no sample came back. Waits on
-        executor futures, so it must not be called from an executor task.
-        """
-        requests = trajectory_requests(question, config, prompt)
-        samples = gather_trajectories([self.submit(request) for request in requests])
-        failure = samples.all_failed_detail()
-        if failure is not None:
-            raise AllSamplesFailedError(failure)
-        return samples

@@ -42,7 +42,6 @@ import logging
 import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
 
 from .graph import InvalidGraphError, ReasoningGraph, normalize_text
 
@@ -402,12 +401,10 @@ def find_answer_tag(text: str) -> str | None:
     return hits[-1].strip()
 
 
-DEFAULT_ANSWER_CUES = ("answer is", "answer:")
+ANSWER_CUES = ("answer is", "answer:")
 
 
-def extract_answer_lenient(
-    text: str, cues: Sequence[str] = DEFAULT_ANSWER_CUES
-) -> str | None:
+def extract_answer_lenient(text: str) -> str | None:
     """Best-effort answer extraction from free-form model output.
 
     Prefers non-empty answer-tag content, then falls back to
@@ -417,24 +414,22 @@ def extract_answer_lenient(
     tagged = find_answer_tag(text)
     if tagged:
         return tagged
-    return extract_untagged_answer(text, cues)
+    return extract_untagged_answer(text)
 
 
-def extract_untagged_answer(
-    text: str, cues: Sequence[str] = DEFAULT_ANSWER_CUES
-) -> str | None:
+def extract_untagged_answer(text: str) -> str | None:
     """The answer in prose, ignoring answer tags.
 
-    The trailing segment after the last occurrence of any cue, else the
-    final non-empty line; None when the text is blank. Cues match with
-    ASCII case folding, as tags do.
+    The trailing segment after the last occurrence of any of
+    ``ANSWER_CUES``, else the final non-empty line; None when the text is
+    blank. Cues match with ASCII case folding, as tags do.
     """
     # bytes.lower() folds A-Z and nothing else, and a UTF-8 match always
     # starts on a character boundary, so the offset maps back to the text.
     data = text.encode("utf-8", "surrogatepass").lower()
     best_pos = -1
     best_cue = ""
-    for cue in cues:
+    for cue in ANSWER_CUES:
         idx = data.rfind(cue.encode("utf-8", "surrogatepass").lower())
         if idx > best_pos:
             best_pos = idx

@@ -108,17 +108,6 @@ class Provenance:
             "fell_back": self.fell_back,
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> Provenance:
-        return cls(
-            source_id=raw["source_id"],
-            teacher_model=raw["teacher_model"],
-            k_used=raw["k_used"],
-            contributing_indices=tuple(raw["contributing_indices"]),
-            merge_mode=raw["merge_mode"],
-            fell_back=raw.get("fell_back", False),
-        )
-
 
 @dataclass(frozen=True)
 class TrainingInstance:
@@ -136,15 +125,6 @@ class TrainingInstance:
             "label": self.label,
             "provenance": self.provenance.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> TrainingInstance:
-        return cls(
-            question=raw["question"],
-            graph_text=raw["graph_reasoning"],
-            label=raw["label"],
-            provenance=Provenance.from_dict(raw["provenance"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -360,7 +340,6 @@ def build_dataset(
     *,
     merge_mode: str = MODE_DETERMINISTIC,
     split_seed: int = DEFAULT_SPLIT_SEED,
-    prompt=TRAJECTORY_PROMPT,
 ) -> BuildResult:
     """Build a dataset from question/label pairs, preserving input order.
 
@@ -379,7 +358,7 @@ def build_dataset(
         raise PipelineError("source ids must be unique")
 
     def draw(item: SourceQA) -> list:
-        return [client.submit(r) for r in trajectory_requests(item.question, config, prompt)]
+        return [client.submit(r) for r in trajectory_requests(item.question, config, TRAJECTORY_PROMPT)]
 
     drawn = ((item, gather_trajectories(futures)) for item, futures in client.ahead(items, draw))
     if merge_mode == MODE_DETERMINISTIC:
@@ -401,8 +380,8 @@ def build_dataset(
     return BuildResult(instances, discards, train, valid)
 
 
-def write_dataset(result: BuildResult, out_dir: str | Path, *, include_discards: bool = True) -> dict[str, Path]:
-    """Write train.jsonl, valid.jsonl and report.json atomically."""
+def write_dataset(result: BuildResult, out_dir: str | Path) -> dict[str, Path]:
+    """Write train.jsonl, valid.jsonl and report.json (with every discard) atomically."""
     out = Path(out_dir)
     paths = {
         "train": out / TRAIN_FILE,
@@ -412,23 +391,6 @@ def write_dataset(result: BuildResult, out_dir: str | Path, *, include_discards:
     atomic_write_text(paths["train"], jsonl_dumps(i.to_dict() for i in result.train))
     atomic_write_text(paths["valid"], jsonl_dumps(i.to_dict() for i in result.valid))
     report = result.report.to_dict()
-    if include_discards:
-        report["discards"] = [d.to_dict() for d in result.discards]
+    report["discards"] = [d.to_dict() for d in result.discards]
     atomic_write_text(paths["report"], json.dumps(report, indent=2, sort_keys=True) + "\n")
     return paths
-
-
-def read_instances(path: str | Path) -> list[TrainingInstance]:
-    """Load instances back from a train/valid JSONL file."""
-    path = Path(path)
-    instances = []
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                instances.append(TrainingInstance.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError) as err:
-                raise SourceFormatError(f"{path}:{lineno}: bad instance record ({err})") from err
-    return instances

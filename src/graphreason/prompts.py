@@ -26,9 +26,8 @@ Rules:
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """A named (system, user-template) pair."""
+    """A (system, user-template) pair."""
 
-    name: str
     system: str
     user_template: str
 
@@ -37,7 +36,6 @@ class PromptTemplate:
 
 
 TRAJECTORY_PROMPT = PromptTemplate(
-    name="trajectory",
     system=(
         "You are a careful reasoner. You decompose a question into atomic "
         "reasoning steps, connect the steps by logical dependency, and only "
@@ -51,7 +49,6 @@ TRAJECTORY_PROMPT = PromptTemplate(
 )
 
 INTEGRATION_PROMPT = PromptTemplate(
-    name="integration",
     system=(
         "You consolidate several candidate reasoning graphs for the same "
         "question into one coherent graph that best supports the most "
@@ -68,7 +65,6 @@ INTEGRATION_PROMPT = PromptTemplate(
 )
 
 DIRECT_PROMPT = PromptTemplate(
-    name="direct",
     system="You answer questions accurately and concisely.",
     user_template=(
         "Question:\n{question}\n\n"
@@ -78,7 +74,6 @@ DIRECT_PROMPT = PromptTemplate(
 )
 
 LINEAR_PROMPT = PromptTemplate(
-    name="linear",
     system="You solve problems by reasoning step by step before answering.",
     user_template=(
         "Question:\n{question}\n\n"
@@ -88,7 +83,6 @@ LINEAR_PROMPT = PromptTemplate(
 )
 
 SELF_GRAPH_PROMPT = PromptTemplate(
-    name="self-graph",
     system=(
         "You are a careful reasoner. You decompose a question into atomic "
         "reasoning steps, connect the steps by logical dependency, and only "

@@ -29,7 +29,14 @@ from graphreason.bench import (
     render_table,
     write_report,
 )
-from graphreason.client import ChatClient, CompletionRequest, MockBackend, SamplingConfig
+from graphreason.client import (
+    ChatClient,
+    CompletionRequest,
+    MockBackend,
+    SamplingConfig,
+    gather_trajectories,
+    trajectory_requests,
+)
 from graphreason.codec import STRICT, StructuredOutput, parse, render
 from graphreason.graph import export_dot, sinks, validate
 from graphreason.merge import CandidateSet, EdgelessMergeError, merge_deterministic
@@ -316,17 +323,14 @@ def test_criterion_08_transport_behavior():
     result = quiet_client(backend).complete(request)
     assert result.attempt_count == 3
 
-    ordered = MockBackend({"Question:": [f"reply {i}" for i in range(8)]})
-    samples = quiet_client(ordered).sample_trajectories(
-        "what?", SamplingConfig(model_name="m", k=8), TRAJECTORY_PROMPT
-    )
+    eight = trajectory_requests("what?", SamplingConfig(model_name="m", k=8), TRAJECTORY_PROMPT)
+    ordered = quiet_client(MockBackend({"Question:": [f"reply {i}" for i in range(8)]}))
+    samples = gather_trajectories([ordered.submit(r) for r in eight])
     assert samples.texts == [f"reply {i}" for i in range(8)]
 
     bounded = MockBackend(default="ok", delay=0.005)
     client = quiet_client(bounded, concurrency=3)
-    client.sample_trajectories(
-        "what?", SamplingConfig(model_name="m", k=8), TRAJECTORY_PROMPT
-    )
+    gather_trajectories([client.submit(r) for r in eight])
     assert bounded.calls == 8
     assert bounded.max_concurrent <= 3
     assert client.stats.max_in_flight <= 3

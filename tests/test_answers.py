@@ -8,9 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphreason.answers import (
-    MODE_FREEFORM,
-    MODE_MCQ,
-    MODE_NUMERIC,
     answers_match,
     extract_option_letter,
     normalize_freeform,
@@ -33,22 +30,20 @@ def test_oracle_table_has_fifty_pairs():
 
 
 class TestModes:
+    """Each family of the cascade decides only when it claims both sides."""
+
     def test_mcq_requires_both_sides_to_extract(self):
-        assert answers_match("B", "b", MODE_MCQ)
-        assert not answers_match("the second option", "B", MODE_MCQ)
-        assert not answers_match("B", "the second option", MODE_MCQ)
+        assert answers_match("B", "b")
+        assert not answers_match("the second option", "B")
+        assert not answers_match("B", "the second option")
 
     def test_numeric_requires_both_sides_to_parse(self):
-        assert answers_match("4.0", "4", MODE_NUMERIC)
-        assert not answers_match("four", "4", MODE_NUMERIC)
+        assert answers_match("4.0", "4")
+        assert not answers_match("four", "4")
 
     def test_freeform_exact_after_normalization(self):
-        assert answers_match("Harry  Potter movie.", "harry potter movie", MODE_FREEFORM)
-        assert not answers_match("B", "4", MODE_FREEFORM)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            answers_match("a", "a", "fuzzy")
+        assert answers_match("Harry  Potter movie.", "harry potter movie")
+        assert not answers_match("B", "4")
 
 
 class TestHelpers:

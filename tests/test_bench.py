@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from graphreason.bench import (
     ADAPTERS,
@@ -27,6 +28,9 @@ from graphreason.bench import (
     write_report,
 )
 from graphreason.client import ChatClient, MockBackend, ProtocolError, SamplingConfig
+from graphreason.codec import LENIENT, STRICT, TemplateParseError, extract_answer_lenient, parse
+
+from test_codec import _documents
 
 CONFIG = SamplingConfig(model_name="mock-eval", temperature=0.9, k=5)
 
@@ -158,6 +162,24 @@ class TestArlsat:
         with pytest.raises(SchemaError, match="passage 1 question 1"):
             load_arlsat(path)
 
+    def test_question_must_be_an_object(self, tmp_path):
+        path = tmp_path / "arlsat.json"
+        path.write_text(json.dumps([{"passage": "p", "questions": ["question"]}]))
+        with pytest.raises(SchemaError) as err:
+            load_arlsat(path)
+        assert str(err.value) == f"{path}: passage 1 question 1: expected an object"
+
+    def test_options_must_be_a_list(self, tmp_path):
+        path = tmp_path / "arlsat.json"
+        path.write_text(
+            json.dumps(
+                [{"passage": "p", "questions": [{"question": "q", "options": "AB", "answer": "A"}]}]
+            )
+        )
+        with pytest.raises(SchemaError) as err:
+            load_arlsat(path)
+        assert str(err.value) == f"{path}: passage 1 question 1: options must be a list"
+
 
 class TestMedqa:
     def test_letter_keyed_options(self, tmp_path):
@@ -264,6 +286,23 @@ class TestExtractCandidate:
     def test_direct_uses_raw_line(self):
         candidate, _, _ = extract_candidate("B", "direct")
         assert candidate == "B"
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_documents)
+    def test_single_lenient_parse_matches_strict_then_lenient(self, text):
+        assert extract_candidate(text, "self-graph") == _strict_then_lenient_candidate(text)
+
+
+def _strict_then_lenient_candidate(text: str) -> tuple[str | None, int | None, int | None]:
+    """Frozen copy of the earlier self-graph extract_candidate: strict, then lenient, then cues."""
+    for mode in (STRICT, LENIENT):
+        try:
+            output = parse(text, mode)
+        except TemplateParseError:
+            continue
+        graph = output.graph
+        return output.answer, graph.node_count, graph.edge_count
+    return extract_answer_lenient(text), None, None
 
 
 class TestEvaluate:

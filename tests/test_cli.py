@@ -7,6 +7,7 @@ import pytest
 
 from graphreason.cli import main
 from graphreason.codec import STRICT, parse
+from graphreason.prompts import TRAJECTORY_PROMPT
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -84,6 +85,15 @@ class TestViz:
         assert main(["viz", str(records), "--out-dir", str(tmp_path)]) == 0
         assert (tmp_path / "recs-1.dot").is_file()
 
+    def test_colon_in_text_file_path(self, tmp_path, capsys):
+        doc = tmp_path / "a:b" / "doc.txt"
+        doc.parent.mkdir()
+        doc.write_text(GOOD_DOC)
+        dots = tmp_path / "dots"
+        assert main(["viz", str(doc), "--out-dir", str(dots)]) == 0
+        assert capsys.readouterr().out == f"{dots / 'doc.dot'}\n"
+        assert [p.name for p in dots.iterdir()] == ["doc.dot"]
+
 
 class TestSample:
     def test_writes_samples_json(self, tmp_path, capsys):
@@ -100,6 +110,17 @@ class TestSample:
         assert main(["sample", "why?", "--k", "1", *args]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["samples"] == ["only reply"]
+
+    def test_all_samples_failed_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "samples.json"
+        args = mock_args(tmp_path, {})
+        assert main(["sample", "why?", "--k", "2", "--out", str(out), *args]) == 1
+        prompt = TRAJECTORY_PROMPT.fill(question="why?")[1]
+        reason = f"mock backend has no reply for prompt starting {prompt[:60]!r}"
+        captured = capsys.readouterr()
+        assert f"error: all 2 samples failed: {reason}; {reason}" in captured.err.splitlines()
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestMerge:
@@ -295,6 +316,25 @@ class TestScore:
         assert capsys.readouterr().err == (
             f"error: {completions}:2: row needs text and label fields\n"
         )
+
+
+class TestMockFile:
+    @pytest.mark.parametrize(
+        "body,problem",
+        [
+            ("{not json", "invalid JSON"),
+            ("[]", "expected a JSON object"),
+            ('{"replies": "why?"}', "replies must be an object"),
+            ('{"default": ["x"]}', "default must be a string or null"),
+        ],
+    )
+    def test_malformed_mock_is_a_config_error(self, tmp_path, capsys, body, problem):
+        mock = tmp_path / "mock.json"
+        mock.write_text(body)
+        assert main(["sample", "why?", "--mock", str(mock)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: mock: {mock}: {problem}")
+        assert captured.out == ""
 
 
 class TestConfigResolution:

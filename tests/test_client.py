@@ -7,7 +7,6 @@ from email.utils import format_datetime
 import pytest
 
 from graphreason.client import (
-    AllSamplesFailedError,
     AuthError,
     ChatClient,
     CompletionRequest,
@@ -37,6 +36,12 @@ def request(user: str = "hello", **overrides) -> CompletionRequest:
 def no_sleep_client(backend, **kw) -> ChatClient:
     kw.setdefault("sleep", lambda _: None)
     return ChatClient(backend, **kw)
+
+
+def sample_round(client: ChatClient, question: str, config: SamplingConfig) -> TrajectorySamples:
+    """One question's k samples, submitted and gathered as build and ``sample`` do."""
+    requests = trajectory_requests(question, config, TRAJECTORY_PROMPT)
+    return gather_trajectories([client.submit(r) for r in requests])
 
 
 class TestConfigValidation:
@@ -157,7 +162,7 @@ class TestSampling:
     def test_index_ordered_texts(self):
         backend = MockBackend({"Question:": ["r0", "r1", "r2"]})
         client = no_sleep_client(backend)
-        samples = client.sample_trajectories("what?", CONFIG, TRAJECTORY_PROMPT)
+        samples = sample_round(client, "what?", CONFIG)
         assert samples.texts == ["r0", "r1", "r2"]
         assert samples.errors == {}
 
@@ -168,18 +173,20 @@ class TestSampling:
             return f"text-{req.sample_index}"
 
         client = no_sleep_client(MockBackend(responder=responder))
-        samples = client.sample_trajectories("what?", CONFIG, TRAJECTORY_PROMPT)
+        samples = sample_round(client, "what?", CONFIG)
         assert samples.texts == ["text-0", None, "text-2"]
         assert list(samples.errors) == [1]
         assert samples.successful() == [(0, "text-0"), (2, "text-2")]
 
     def test_all_failed_raises(self):
+        # The all-failed detail is what the sample command reports before exiting 1.
         def responder(req):
             raise ProtocolError("boom")
 
         client = no_sleep_client(MockBackend(responder=responder))
-        with pytest.raises(AllSamplesFailedError, match=r"^all 3 samples failed: boom; boom; boom$"):
-            client.sample_trajectories("what?", CONFIG, TRAJECTORY_PROMPT)
+        samples = sample_round(client, "what?", CONFIG)
+        assert samples.successful() == []
+        assert samples.all_failed_detail() == "all 3 samples failed: boom; boom; boom"
 
     def test_gather_returns_a_fully_failed_round(self):
         def responder(req):
@@ -201,7 +208,7 @@ class TestSampling:
 
         client = no_sleep_client(MockBackend(responder=responder))
         seeded = SamplingConfig(model_name="m", k=3, seed=42)
-        client.sample_trajectories("what?", seeded, TRAJECTORY_PROMPT)
+        sample_round(client, "what?", seeded)
         assert seeds == {0: 42, 1: 43, 2: 44}
 
     def test_no_seed_stays_unseeded(self):
@@ -212,14 +219,14 @@ class TestSampling:
             return "ok"
 
         client = no_sleep_client(MockBackend(responder=responder))
-        client.sample_trajectories("what?", CONFIG, TRAJECTORY_PROMPT)
+        sample_round(client, "what?", CONFIG)
         assert seeds == {None}
 
     def test_in_flight_bound_respected(self):
         backend = MockBackend(default="ok", delay=0.01)
         client = no_sleep_client(backend, concurrency=3)
         cfg = SamplingConfig(model_name="m", k=8)
-        client.sample_trajectories("what?", cfg, TRAJECTORY_PROMPT)
+        sample_round(client, "what?", cfg)
         assert backend.calls == 8
         assert 1 <= backend.max_concurrent <= 3
         assert client.stats.max_in_flight <= 3
@@ -392,9 +399,34 @@ class TestMockFixtureFile:
         backend = MockBackend.from_file(fixture)
         client = no_sleep_client(backend)
         cfg = SamplingConfig(model_name="m", k=2)
-        samples = client.sample_trajectories("so, what?", cfg, TRAJECTORY_PROMPT)
+        samples = sample_round(client, "so, what?", cfg)
         assert samples.texts == ["a", "b"]
         assert client.complete(request("unmatched")).text == "fallthrough"
+
+    @pytest.mark.parametrize(
+        "body,problem",
+        [
+            ("{not json", "invalid JSON"),
+            ("[]", "expected a JSON object"),
+            ('{"replies": ["a"]}', "replies must be an object"),
+            ('{"replies": null}', "replies must be an object"),
+            ('{"replies": {"q": 3}}', "reply for 'q' must be a string or a non-empty list"),
+            ('{"replies": {"q": []}}', "reply for 'q' must be a string or a non-empty list"),
+            ('{"default": 7}', "default must be a string or null"),
+        ],
+    )
+    def test_from_file_rejects_a_malformed_file(self, tmp_path, body, problem):
+        fixture = tmp_path / "mock.json"
+        fixture.write_text(body)
+        with pytest.raises(ValueError) as err:
+            MockBackend.from_file(fixture)
+        assert str(err.value).startswith(f"{fixture}: {problem}")
+
+    def test_from_file_keys_are_optional(self, tmp_path):
+        fixture = tmp_path / "mock.json"
+        fixture.write_text('{"default": null}')
+        backend = MockBackend.from_file(fixture)
+        assert (backend.replies, backend.default) == ({}, None)
 
     def test_unmatched_without_default_is_protocol_error(self):
         backend = MockBackend({"nope": "x"})

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from graphreason import codec
 from graphreason.codec import (
     CYCLE_IN_STEPS,
-    DEFAULT_ANSWER_CUES,
+    ANSWER_CUES,
     DUPLICATE_STEP,
     EMPTY_ENDPOINT,
     LENIENT,
@@ -327,7 +327,7 @@ class TestRoundTrip:
 
 def _holds_cue(text: str) -> bool:
     low = text.lower()
-    return any(cue in low for cue in DEFAULT_ANSWER_CUES)
+    return any(cue in low for cue in ANSWER_CUES)
 
 
 class TestAnswerExtraction:
@@ -351,9 +351,6 @@ class TestAnswerExtraction:
         assert extract_answer_lenient("") is None
         assert extract_answer_lenient("   \n ") is None
 
-    def test_custom_cues(self):
-        assert extract_answer_lenient("final verdict: yes", cues=("verdict:",)) == "yes"
-
     def test_find_answer_tag_distinguishes_empty_and_absent(self):
         assert find_answer_tag("no tags") is None
         assert find_answer_tag("<answer>   </answer>") == ""
@@ -365,9 +362,11 @@ class TestAnswerExtraction:
         assert extract_untagged_answer("İ ANSWER: İzmir") == "İzmir"
 
     def test_cue_letters_fold_ascii_only(self):
-        # Under unicode rules the Kelvin sign lowercases to "k".
-        assert extract_untagged_answer("the \u212aey: 5", cues=("key:",)) == "the \u212aey: 5"
-        assert extract_untagged_answer("the KEY: 5", cues=("key:",)) == "5"
+        # Under unicode rules "ſ" folds to "s", so "anſwer:" would be a cue.
+        assert extract_untagged_answer("the anſwer: 5") == "the anſwer: 5"
+        assert extract_untagged_answer("the ANSWER: 5") == "5"
+        # The Kelvin sign lowercases to the one-byte "k": the cut still lands after the cue.
+        assert extract_untagged_answer("\u212a\u212a the ANSWER IS 5") == "5"
 
     @pytest.mark.parametrize(
         "text", ["<anſwer> 7 </anſwer>", "<anſwer> 7 </answer>", "<answer> 7 </anſwer>"]

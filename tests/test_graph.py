@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import inspect
 import random
 
 import pytest
@@ -295,7 +298,46 @@ DELETED_EXPORTS = (
     "ReasoningEdge",
     "ReasoningNode",
     "topological_order",
+    "AllSamplesFailedError",
+    "MODE_AUTO",
+    "MODE_FREEFORM",
+    "MODE_MCQ",
+    "MODE_NUMERIC",
 )
+# (module, name) pairs of the one-value options and second paths removed
+# from the library; none may come back.
+DELETED_MODULE_NAMES = (
+    ("answers", "MODES"),
+    ("answers", "MODE_AUTO"),
+    ("answers", "MODE_FREEFORM"),
+    ("answers", "MODE_MCQ"),
+    ("answers", "MODE_NUMERIC"),
+    ("client", "AllSamplesFailedError"),
+    ("codec", "DEFAULT_ANSWER_CUES"),
+    ("pipeline", "read_instances"),
+)
+# (module, class, attribute): methods and dataclass fields.
+DELETED_ATTRIBUTES = (
+    ("client", "ChatClient", "sample_trajectories"),
+    ("pipeline", "TrainingInstance", "from_dict"),
+    ("pipeline", "Provenance", "from_dict"),
+    ("prompts", "PromptTemplate", "name"),
+)
+# (module, class, attribute) once set per instance; each class builds without arguments.
+DELETED_INSTANCE_ATTRIBUTES = (("client", "MockBackend", "hash_replies"),)
+# (module, function, parameter)
+DELETED_PARAMETERS = (
+    ("answers", "answers_match", "mode"),
+    ("answers", "numbers_close", "rel_tol"),
+    ("codec", "extract_answer_lenient", "cues"),
+    ("codec", "extract_untagged_answer", "cues"),
+    ("pipeline", "write_dataset", "include_discards"),
+    ("pipeline", "build_dataset", "prompt"),
+)
+
+
+def _module(name: str):
+    return importlib.import_module(f"graphreason.{name}")
 
 
 def test_public_names_resolve_and_deleted_names_are_gone():
@@ -311,3 +353,14 @@ def test_public_names_resolve_and_deleted_names_are_gone():
         assert not hasattr(ReasoningGraph, name), name
     for name in ("errors", "ok", "kinds"):
         assert not hasattr(graph_module.GraphDiagnostics(), name), name
+    for module, name in DELETED_MODULE_NAMES:
+        assert not hasattr(_module(module), name), (module, name)
+    for module, cls, attr in DELETED_ATTRIBUTES:
+        klass = getattr(_module(module), cls)
+        fields = {f.name for f in dataclasses.fields(klass)} if dataclasses.is_dataclass(klass) else ()
+        assert not hasattr(klass, attr) and attr not in fields, (cls, attr)
+    for module, cls, attr in DELETED_INSTANCE_ATTRIBUTES:
+        assert not hasattr(getattr(_module(module), cls)(), attr), (cls, attr)
+    for module, function, parameter in DELETED_PARAMETERS:
+        signature = inspect.signature(getattr(_module(module), function))
+        assert parameter not in signature.parameters, (function, parameter)

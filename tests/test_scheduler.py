@@ -15,6 +15,8 @@ from graphreason.client import (
     MockBackend,
     ResponseCache,
     SamplingConfig,
+    gather_trajectories,
+    trajectory_requests,
 )
 from graphreason.pipeline import SourceQA, build_dataset
 from graphreason.prompts import TRAJECTORY_PROMPT
@@ -115,7 +117,9 @@ def _client_threads(before: set[threading.Thread]) -> list[threading.Thread]:
 def test_threads_exit_when_the_client_is_collected():
     before = set(threading.enumerate())
     client = ChatClient(MockBackend(default="ok"), concurrency=2)
-    client.sample_trajectories("what?", CONFIG, TRAJECTORY_PROMPT)
+    gather_trajectories(
+        [client.submit(r) for r in trajectory_requests("what?", CONFIG, TRAJECTORY_PROMPT)]
+    )
     threads = _client_threads(before)
     assert 1 <= len(threads) <= THREADS_PER_SLOT * 2
     del client
@@ -129,7 +133,9 @@ def test_threads_exit_when_the_client_is_collected():
 def test_threads_exit_on_close():
     before = set(threading.enumerate())
     with ChatClient(MockBackend(default="ok"), concurrency=2) as client:
-        client.sample_trajectories("what?", CONFIG, TRAJECTORY_PROMPT)
+        gather_trajectories(
+            [client.submit(r) for r in trajectory_requests("what?", CONFIG, TRAJECTORY_PROMPT)]
+        )
         threads = _client_threads(before)
     for thread in threads:
         thread.join(timeout=5)
