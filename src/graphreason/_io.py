@@ -1,11 +1,52 @@
-"""Small record-reading and file-writing helpers shared by the pipeline and the harness."""
+"""The one reader per input format, and file-writing helpers.
+
+``read_text`` reads template text and config files, ``read_json`` a
+whole JSON document and ``read_jsonl`` one record per line. Each gives
+what it decoded with a problem, None when the input was well-formed,
+so bytes that are not UTF-8 are reported like any other bad input and
+each caller keeps only its policy for a problem.
+"""
 from __future__ import annotations
 
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
+
+
+def read_text(path: str | Path) -> tuple[str | None, str | None]:
+    """``(text, None)`` for a UTF-8 file, ``(None, "not UTF-8 text (...)")`` otherwise."""
+    try:
+        return Path(path).read_text(encoding="utf-8"), None
+    except UnicodeDecodeError as err:
+        return None, f"not UTF-8 text ({err})"
+
+
+def read_json(path: str | Path) -> tuple[object, str | None]:
+    """``(value, None)`` for a UTF-8 JSON file, ``(None, "invalid JSON (...)")`` otherwise."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8")), None
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        return None, f"invalid JSON ({err})"
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, object, str | None]]:
+    """Yield ``(line number, value, problem)`` for each non-blank line of a JSONL file.
+
+    Lines break as in a text-mode read. A line that is not UTF-8 or not
+    JSON has value None and problem ``invalid JSON (...)``.
+    """
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
+            value = json.loads(line)
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            yield lineno, None, f"invalid JSON ({err})"
+        else:
+            yield lineno, value, None
 
 
 def atomic_write_text(path: Path, content: str) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ._io import atomic_write_text, jsonl_dumps, record_id
+from ._io import atomic_write_text, jsonl_dumps, read_json, read_jsonl, record_id
 from .answers import OPTION_LETTERS, answers_match
 from .client import ChatClient, ClientError, CompletionRequest, SamplingConfig
 from .codec import LENIENT, TemplateParseError, extract_answer_lenient, parse
@@ -89,26 +89,20 @@ def compose_question(*blocks: str) -> str:
 
 
 def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"{path}: invalid JSON ({err})") from err
+    data, problem = read_json(path)
+    if problem is not None:
+        raise SchemaError(f"{path}: {problem}")
+    return data
 
 
 def _read_jsonl(path: Path) -> list[tuple[int, dict]]:
     records = []
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON ({err})") from err
-            if not isinstance(raw, dict):
-                raise SchemaError(f"{path}:{lineno}: expected an object")
-            records.append((lineno, raw))
+    for lineno, raw, problem in read_jsonl(path):
+        if problem is not None:
+            raise SchemaError(f"{path}:{lineno}: {problem}")
+        if not isinstance(raw, dict):
+            raise SchemaError(f"{path}:{lineno}: expected an object")
+        records.append((lineno, raw))
     return records
 
 

@@ -4,14 +4,18 @@ Subcommands cover the whole workflow: validate and visualize template
 documents, sample trajectories, merge candidates, build datasets,
 ingest benchmarks, evaluate paradigms, and score completions.
 
-Settings resolve with precedence: command line flag, then environment
-variable (GRAPHREASON_<NAME>), then config file (key = value lines),
-then built-in defaults. The API credential is never a flag or a config
-key; it is read from the environment variable named by
-``--credential-env`` (default GRAPHREASON_API_KEY).
+Each setting is declared once, as a ``RunConfig`` field, which gives
+its flag, environment variable (GRAPHREASON_<NAME>), config key, help,
+type and check. Settings resolve with precedence: command line flag,
+then environment variable, then config file (key = value lines), then
+built-in defaults. The API credential is never a flag or a config key;
+it is read from the environment variable named by ``--credential-env``
+(default GRAPHREASON_API_KEY). Input files are read through ``_io``,
+and each command applies its own policy to a problem it reports.
 
-Exit codes: 0 success, 1 item-level failure (bad records, failed
-merge, nothing retained), 2 configuration error.
+Exit codes: 0 success, 1 item-level failure (bad records, an input
+file that cannot be decoded, failed merge, nothing retained), 2
+configuration error.
 """
 from __future__ import annotations
 
@@ -20,10 +24,11 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Iterator, TextIO, get_args, get_type_hints
 
-from ._io import atomic_write_text, jsonl_dumps
+from ._io import atomic_write_text, jsonl_dumps, read_json, read_jsonl, read_text
 from .bench import (
     BENCHMARKS,
     PARADIGM_SELF_GRAPH,
@@ -50,7 +55,6 @@ from .client import (
     ResponseCache,
     SamplingConfig,
     gather_trajectories,
-    trajectory_requests,
 )
 from .codec import LENIENT, STRICT, StructuredOutput, TemplateParseError, parse, render
 from .graph import InvalidGraphError, export_dot, validate
@@ -62,9 +66,9 @@ from .pipeline import (
     parse_candidates,
     read_sources,
     run_merge,
+    trajectory_requests,
     write_dataset,
 )
-from .prompts import TRAJECTORY_PROMPT
 from .rewards import score_batch
 
 log = logging.getLogger(__name__)
@@ -85,45 +89,60 @@ class ConfigError(Exception):
         self.field = field
 
 
+def _setting(default, help: str):
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass
 class RunConfig:
-    """Resolved settings shared by every subcommand."""
+    """Resolved settings shared by every subcommand, valid by construction.
 
-    endpoint: str | None = None
-    credential_env: str = DEFAULT_CREDENTIAL_ENV
-    model: str = DEFAULT_MODEL
-    mock: str | None = None
-    cache_dir: str | None = None
-    concurrency: int = DEFAULT_CONCURRENCY
-    retry_cap: int = DEFAULT_MAX_ATTEMPTS
-    k: int = DEFAULT_K
-    temperature: float = DEFAULT_TEMPERATURE
-    seed: int | None = None
-    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
-    merge_mode: str = MODE_DETERMINISTIC
-    split_seed: int = DEFAULT_SPLIT_SEED
-    paradigm: str = PARADIGM_SELF_GRAPH
-    format_weight: float = 1.0
-    answer_weight: float = 1.0
+    Each field is one setting, coerced to its annotated type: the flag
+    ``--<name with dashes>`` (help in its metadata), the environment
+    variable ``GRAPHREASON_<NAME>`` and the config key ``<name>``.
+    """
+
+    endpoint: str | None = _setting(None, "chat completions URL")
+    credential_env: str = _setting(
+        DEFAULT_CREDENTIAL_ENV,
+        f"environment variable holding the API key (default {DEFAULT_CREDENTIAL_ENV})",
+    )
+    model: str = _setting(DEFAULT_MODEL, "model name sent to the endpoint")
+    mock: str | None = _setting(None, "scripted-replies JSON file instead of a network backend")
+    cache_dir: str | None = _setting(None, "completion cache directory")
+    concurrency: int = _setting(
+        DEFAULT_CONCURRENCY, "max in-flight requests; also sizes the client's thread pool"
+    )
+    retry_cap: int = _setting(DEFAULT_MAX_ATTEMPTS, "max attempts per request")
+    k: int = _setting(DEFAULT_K, "samples per question")
+    temperature: float = _setting(DEFAULT_TEMPERATURE, "sampling temperature")
+    seed: int | None = _setting(None, "base sampling seed")
+    max_new_tokens: int = _setting(DEFAULT_MAX_NEW_TOKENS, "completion token cap")
+    merge_mode: str = _setting(MODE_DETERMINISTIC, f"one of {', '.join(MERGE_MODES)}")
+    split_seed: int = _setting(DEFAULT_SPLIT_SEED, "train/valid shuffle seed")
+    paradigm: str = _setting(PARADIGM_SELF_GRAPH, f"one of {', '.join(PARADIGMS)}")
+    format_weight: float = _setting(1.0, "format reward weight")
+    answer_weight: float = _setting(1.0, "answer reward weight")
+
+    def __post_init__(self) -> None:
+        if self.merge_mode not in MERGE_MODES:
+            raise ConfigError("merge_mode", f"must be one of {', '.join(MERGE_MODES)}")
+        if self.paradigm not in PARADIGMS:
+            raise ConfigError("paradigm", f"must be one of {', '.join(PARADIGMS)}")
+        for name in ("concurrency", "retry_cap", "k", "max_new_tokens"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, "must be at least 1")
+        if not 0.0 <= self.temperature <= 2.0:
+            raise ConfigError("temperature", "must be between 0 and 2")
+        for name in ("format_weight", "answer_weight"):
+            if getattr(self, name) < 0:
+                raise ConfigError(name, "must be non-negative")
 
 
-_FIELD_TYPES: dict[str, type] = {
-    "endpoint": str,
-    "credential_env": str,
-    "model": str,
-    "mock": str,
-    "cache_dir": str,
-    "merge_mode": str,
-    "paradigm": str,
-    "concurrency": int,
-    "retry_cap": int,
-    "k": int,
-    "seed": int,
-    "max_new_tokens": int,
-    "split_seed": int,
-    "temperature": float,
-    "format_weight": float,
-    "answer_weight": float,
+# Each setting's type, in field order: its annotation without None.
+_SETTING_TYPES: dict[str, type] = {
+    name: next(kind for kind in get_args(hint) or (hint,) if kind is not type(None))
+    for name, hint in get_type_hints(RunConfig).items()
 }
 
 
@@ -140,8 +159,11 @@ def _coerce(name: str, raw, kind: type):
 def _read_config_file(path: Path) -> dict[str, str]:
     if not path.is_file():
         raise ConfigError("config", f"{path}: no such file")
+    text, problem = read_text(path)
+    if problem is not None:
+        raise ConfigError("config", f"{path}: {problem}")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -152,25 +174,10 @@ def _read_config_file(path: Path) -> dict[str, str]:
         value = value.strip()
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
             value = value[1:-1]
-        if key not in _FIELD_TYPES:
+        if key not in _SETTING_TYPES:
             raise ConfigError(key, f"unknown config key ({path}:{lineno})")
         values[key] = value
     return values
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    if cfg.merge_mode not in MERGE_MODES:
-        raise ConfigError("merge_mode", f"must be one of {', '.join(MERGE_MODES)}")
-    if cfg.paradigm not in PARADIGMS:
-        raise ConfigError("paradigm", f"must be one of {', '.join(PARADIGMS)}")
-    for name, floor in (("concurrency", 1), ("retry_cap", 1), ("k", 1), ("max_new_tokens", 1)):
-        if getattr(cfg, name) < floor:
-            raise ConfigError(name, f"must be at least {floor}")
-    if not 0.0 <= cfg.temperature <= 2.0:
-        raise ConfigError("temperature", "must be between 0 and 2")
-    for name in ("format_weight", "answer_weight"):
-        if getattr(cfg, name) < 0:
-            raise ConfigError(name, "must be non-negative")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -178,7 +185,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     config_path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     file_values = _read_config_file(Path(config_path)) if config_path else {}
     values = {}
-    for name, kind in _FIELD_TYPES.items():
+    for name, kind in _SETTING_TYPES.items():
         raw = getattr(args, name, None)
         if raw is None:
             raw = os.environ.get(ENV_PREFIX + name.upper())
@@ -187,9 +194,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if raw is None:
             continue
         values[name] = _coerce(name, raw, kind)
-    cfg = RunConfig(**values)
-    _validate_config(cfg)
-    return cfg
+    return RunConfig(**values)
 
 
 def make_client(cfg: RunConfig) -> ChatClient:
@@ -218,93 +223,81 @@ def make_sampling_config(cfg: RunConfig) -> SamplingConfig:
     )
 
 
-def read_template_records(path: Path) -> list[tuple[str, str | None, str | None]]:
-    """Load (where, template text, problem) rows from a text or JSONL file.
+def read_template_records(path: Path) -> Iterator[tuple[str, str | None, str | None]]:
+    """Yield (where, template text, problem) rows from a text or JSONL file.
 
     A .jsonl file contributes one record per line, taking the template
     from the graph_reasoning (or text) field; any other file is one
-    record holding the whole file body.
+    record holding the whole file body. A row with a problem has no text.
     """
     if path.suffix != ".jsonl":
-        return [(str(path), path.read_text(encoding="utf-8"), None)]
-    records: list[tuple[str, str | None, str | None]] = []
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as err:
-                records.append((where, None, f"invalid JSON ({err})"))
-                continue
-            text = row.get("graph_reasoning", row.get("text")) if isinstance(row, dict) else None
-            if not isinstance(text, str):
-                records.append((where, None, "no graph_reasoning or text field"))
-            else:
-                records.append((where, text, None))
-    return records
+        yield str(path), *read_text(path)
+        return
+    for lineno, row, problem in read_jsonl(path):
+        text = row.get("graph_reasoning", row.get("text")) if isinstance(row, dict) else None
+        if not isinstance(text, str):
+            text, problem = None, problem or "no graph_reasoning or text field"
+        yield f"{path}:{lineno}", text, problem
 
 
-def cmd_validate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    mode = LENIENT if args.lenient else STRICT
+def parse_template_records(paths: list[str], lenient: bool, failures_to: TextIO, on_parsed) -> int:
+    """Hand each parsed template record of ``paths`` to ``on_parsed(where, output)``, in order.
+
+    A record that cannot be read or parsed prints one line to
+    ``failures_to`` instead, and makes the exit code 1.
+    """
+    mode = LENIENT if lenient else STRICT
     failures = 0
-    for path in args.paths:
+    for path in paths:
         for where, text, problem in read_template_records(Path(path)):
-            if problem is not None:
-                print(f"{where}: {problem}")
-                failures += 1
-                continue
-            try:
-                output = parse(text, mode)
-            except TemplateParseError as err:
-                print(f"{where}: parse error: {err.kind} ({err.detail})")
-                failures += 1
-                continue
-            graph = output.graph
-            diagnostics = validate(graph)
-            # A parsed graph is a DAG by construction: it carries no error.
-            line = f"{where}: {graph.node_count} nodes, {graph.edge_count} edges, 0 errors"
-            if diagnostics.warnings:
-                line += f", {len(diagnostics.warnings)} warnings"
-            print(line)
-            for warning in diagnostics.warnings:
-                print(f"  warning: {warning.kind}: {warning.detail}")
+            if problem is None:
+                try:
+                    output = parse(text, mode)
+                except TemplateParseError as err:
+                    problem = f"parse error: {err.kind} ({err.detail})"
+                else:
+                    on_parsed(where, output)
+                    continue
+            print(f"{where}: {problem}", file=failures_to)
+            failures += 1
     return EXIT_FAILURE if failures else EXIT_OK
 
 
+def cmd_validate(args: argparse.Namespace, cfg: RunConfig) -> int:
+    def report(where: str, output: StructuredOutput) -> None:
+        graph = output.graph
+        diagnostics = validate(graph)
+        # A parsed graph is a DAG by construction: it carries no error.
+        line = f"{where}: {graph.node_count} nodes, {graph.edge_count} edges, 0 errors"
+        if diagnostics.warnings:
+            line += f", {len(diagnostics.warnings)} warnings"
+        print(line)
+        for warning in diagnostics.warnings:
+            print(f"  warning: {warning.kind}: {warning.detail}")
+
+    return parse_template_records(args.paths, args.lenient, sys.stdout, report)
+
+
 def cmd_viz(args: argparse.Namespace, cfg: RunConfig) -> int:
-    mode = LENIENT if args.lenient else STRICT
-    out_dir = Path(args.out_dir)
     in_path = Path(args.path)
-    failures = 0
-    for where, text, problem in read_template_records(in_path):
-        if problem is not None:
-            print(f"{where}: {problem}", file=sys.stderr)
-            failures += 1
-            continue
-        try:
-            output = parse(text, mode)
-        except TemplateParseError as err:
-            print(f"{where}: parse error: {err.kind} ({err.detail})", file=sys.stderr)
-            failures += 1
-            continue
+
+    def write_dot(where: str, output: StructuredOutput) -> None:
         if in_path.suffix == ".jsonl":
             # A record's where ends in its line number.
             name = f"{in_path.stem}-{where.rsplit(':', 1)[1]}.dot"
         else:
             name = f"{in_path.stem}.dot"
-        out_path = out_dir / name
+        out_path = Path(args.out_dir) / name
         atomic_write_text(out_path, export_dot(output.graph, answer=output.answer))
         print(out_path)
-    return EXIT_FAILURE if failures else EXIT_OK
+
+    return parse_template_records([args.path], args.lenient, sys.stderr, write_dot)
 
 
 def cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
     config = make_sampling_config(cfg)
     with make_client(cfg) as client:
-        requests = trajectory_requests(args.question, config, TRAJECTORY_PROMPT)
+        requests = trajectory_requests(args.question, config)
         samples = gather_trajectories([client.submit(request) for request in requests])
     failure = samples.all_failed_detail()
     if failure is not None:
@@ -325,10 +318,9 @@ def cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
-    try:
-        data = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        print(f"error: {args.input}: invalid JSON ({err})", file=sys.stderr)
+    data, problem = read_json(args.input)
+    if problem is not None:
+        print(f"error: {args.input}: {problem}", file=sys.stderr)
         return EXIT_FAILURE
     if not isinstance(data, dict) or "question" not in data:
         print(f"error: {args.input}: expected an object with question and samples", file=sys.stderr)
@@ -423,25 +415,19 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
     path = Path(args.completions)
     texts: list[str] = []
     labels: list[str] = []
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as err:
-                print(f"error: {path}:{lineno}: invalid JSON ({err})", file=sys.stderr)
-                return EXIT_FAILURE
-            if not isinstance(row, dict):
-                row = {}
-            text = row.get("text", row.get("completion", row.get("graph_reasoning")))
-            label = row.get("label")
-            if not isinstance(text, str) or not isinstance(label, str):
-                print(f"error: {path}:{lineno}: row needs text and label fields", file=sys.stderr)
-                return EXIT_FAILURE
-            texts.append(text)
-            labels.append(label)
+    for lineno, row, problem in read_jsonl(path):
+        if problem is not None:
+            print(f"error: {path}:{lineno}: {problem}", file=sys.stderr)
+            return EXIT_FAILURE
+        if not isinstance(row, dict):
+            row = {}
+        text = row.get("text", row.get("completion", row.get("graph_reasoning")))
+        label = row.get("label")
+        if not isinstance(text, str) or not isinstance(label, str):
+            print(f"error: {path}:{lineno}: row needs text and label fields", file=sys.stderr)
+            return EXIT_FAILURE
+        texts.append(text)
+        labels.append(label)
 
     weights = (cfg.format_weight, cfg.answer_weight)
     scores = score_batch(texts, labels, weights)
@@ -464,30 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     settings = common.add_argument_group("settings")
     settings.add_argument("--config", help="config file of key = value lines")
-    settings.add_argument("--endpoint", help="chat completions URL")
-    settings.add_argument(
-        "--credential-env",
-        dest="credential_env",
-        help=f"environment variable holding the API key (default {DEFAULT_CREDENTIAL_ENV})",
-    )
-    settings.add_argument("--model", help="model name sent to the endpoint")
-    settings.add_argument("--mock", help="scripted-replies JSON file instead of a network backend")
-    settings.add_argument("--cache-dir", dest="cache_dir", help="completion cache directory")
-    settings.add_argument(
-        "--concurrency", help="max in-flight requests; also sizes the client's thread pool"
-    )
-    settings.add_argument("--retry-cap", dest="retry_cap", help="max attempts per request")
-    settings.add_argument("--k", help="samples per question")
-    settings.add_argument("--temperature", help="sampling temperature")
-    settings.add_argument("--seed", help="base sampling seed")
-    settings.add_argument("--max-new-tokens", dest="max_new_tokens", help="completion token cap")
-    settings.add_argument(
-        "--merge-mode", dest="merge_mode", help=f"one of {', '.join(MERGE_MODES)}"
-    )
-    settings.add_argument("--split-seed", dest="split_seed", help="train/valid shuffle seed")
-    settings.add_argument("--paradigm", help=f"one of {', '.join(PARADIGMS)}")
-    settings.add_argument("--format-weight", dest="format_weight", help="format reward weight")
-    settings.add_argument("--answer-weight", dest="answer_weight", help="answer reward weight")
+    for setting in fields(RunConfig):
+        settings.add_argument(
+            "--" + setting.name.replace("_", "-"), dest=setting.name, help=setting.metadata["help"]
+        )
     settings.add_argument("--verbose", action="store_true", help="log at INFO level")
 
     parser = argparse.ArgumentParser(
@@ -559,10 +525,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err.field}: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ClientError, MergeError, BenchError, PipelineError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILURE
-    except OSError as err:
+    except (ClientError, MergeError, BenchError, PipelineError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE
 

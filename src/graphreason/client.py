@@ -6,9 +6,9 @@ compatible server works. Credentials travel only through an
 environment variable, never through flags or config files. A mock
 backend with the same interface supports tests and offline runs.
 Every caller sends through the client's one executor, sized by
-``concurrency``: ``submit`` starts one completion, and the k samples of
-a question are ``trajectory_requests`` submitted and collected by
-``gather_trajectories``.
+``concurrency``: ``submit`` starts one completion, and
+``gather_trajectories`` collects the k sample futures of a question
+(``pipeline.trajectory_requests`` builds their requests).
 """
 from __future__ import annotations
 
@@ -23,13 +23,15 @@ import weakref
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import timezone
 from email.utils import parsedate_to_datetime
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 
 import requests
+
+from ._io import read_json
 
 log = logging.getLogger(__name__)
 
@@ -145,23 +147,6 @@ class TrajectorySamples:
         if len(self.errors) < len(self.texts):
             return None
         return f"all {len(self.texts)} samples failed: " + "; ".join(self.errors.values())
-
-
-def trajectory_requests(question: str, config: SamplingConfig, prompt) -> list[CompletionRequest]:
-    """The k sampling requests for one question, by sample index.
-
-    ``prompt`` is any object with fill(question=...) -> (system, user).
-    When config.seed is set, sample i is sent with seed + i so siblings
-    stay distinct yet reproducible.
-    """
-    system, user = prompt.fill(question=question)
-    return [
-        CompletionRequest(
-            system, user, config if config.seed is None else replace(config, seed=config.seed + i),
-            sample_index=i,
-        )
-        for i in range(config.k)
-    ]
 
 
 def gather_trajectories(futures: Sequence[Future]) -> TrajectorySamples:
@@ -356,13 +341,14 @@ class MockBackend:
     def from_file(cls, path: str | Path) -> "MockBackend":
         """Load ``{"replies": {fragment: reply or [replies]}, "default": reply}``.
 
-        Both keys are optional. A file that is not such an object raises
-        ValueError naming the file.
+        Both keys are optional. A missing file, or one that is not such an
+        object, raises ValueError naming the file.
         """
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as err:
-            raise ValueError(f"{path}: invalid JSON ({err})") from None
+        if not Path(path).is_file():
+            raise ValueError(f"{path}: no such file")
+        data, problem = read_json(path)
+        if problem is not None:
+            raise ValueError(f"{path}: {problem}")
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected a JSON object")
         replies = data.get("replies", {})

@@ -10,25 +10,25 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from ._io import atomic_write_text, jsonl_dumps, record_id
+from ._io import atomic_write_text, jsonl_dumps, read_jsonl, record_id
 from .answers import answers_match
 from .client import (
     ChatClient,
+    CompletionRequest,
     SamplingConfig,
     TrajectorySamples,
     gather_trajectories,
-    trajectory_requests,
 )
 from .codec import LENIENT, STRICT, StructuredOutput, TemplateParseError, parse, render
 from .graph import InvalidGraphError
 from .merge import (
     MERGE_MODES,
     MODE_DETERMINISTIC,
-    MODE_LLM,
+    MODE_LLM_FALLBACK,
     CandidateSet,
     EdgelessMergeError,
     LLMMergeFailedError,
@@ -177,26 +177,37 @@ def read_sources(path: str | Path) -> list[SourceQA]:
     """
     path = Path(path)
     items: list[SourceQA] = []
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise SourceFormatError(f"{path}:{lineno}: invalid JSON ({err})") from err
-            if not isinstance(raw, dict) or "question" not in raw:
-                raise SourceFormatError(f"{path}:{lineno}: record must be an object with a question")
-            label = raw.get("label", raw.get("answer"))
-            if label is None:
-                raise SourceFormatError(f"{path}:{lineno}: record has no label or answer field")
-            source_id = record_id(raw, f"item-{lineno}")
-            try:
-                items.append(SourceQA(str(raw["question"]), str(label), source_id))
-            except ValueError as err:
-                raise SourceFormatError(f"{path}:{lineno}: {err}") from err
+    for lineno, raw, problem in read_jsonl(path):
+        where = f"{path}:{lineno}"
+        if problem is not None:
+            raise SourceFormatError(f"{where}: {problem}")
+        if not isinstance(raw, dict) or "question" not in raw:
+            raise SourceFormatError(f"{where}: record must be an object with a question")
+        label = raw.get("label", raw.get("answer"))
+        if label is None:
+            raise SourceFormatError(f"{where}: record has no label or answer field")
+        source_id = record_id(raw, f"item-{lineno}")
+        try:
+            items.append(SourceQA(str(raw["question"]), str(label), source_id))
+        except ValueError as err:
+            raise SourceFormatError(f"{where}: {err}") from err
     return items
+
+
+def trajectory_requests(question: str, config: SamplingConfig) -> list[CompletionRequest]:
+    """The k ``TRAJECTORY_PROMPT`` sampling requests for one question, by sample index.
+
+    When config.seed is set, sample i is sent with seed + i so siblings
+    stay distinct yet reproducible.
+    """
+    system, user = TRAJECTORY_PROMPT.fill(question=question)
+    return [
+        CompletionRequest(
+            system, user, config if config.seed is None else replace(config, seed=config.seed + i),
+            sample_index=i,
+        )
+        for i in range(config.k)
+    ]
 
 
 def parse_candidates(texts: Sequence[str | None]) -> list[tuple[StructuredOutput, int]]:
@@ -227,12 +238,19 @@ def run_merge(
     config: SamplingConfig,
     merge_mode: str,
 ) -> MergedResult:
-    """Merge under ``merge_mode``; only the LLM modes use ``client``."""
+    """Merge under ``merge_mode``; only the LLM modes use ``client``.
+
+    An unknown ``merge_mode`` raises ValueError before anything is sent.
+    """
+    _check_merge_mode(merge_mode)
     if merge_mode == MODE_DETERMINISTIC:
         return merge_deterministic(candidate_set)
-    if merge_mode == MODE_LLM:
-        return merge_llm(candidate_set, client, config, fallback=False)
-    return merge_llm(candidate_set, client, config, fallback=True)
+    return merge_llm(candidate_set, client, config, fallback=merge_mode == MODE_LLM_FALLBACK)
+
+
+def _check_merge_mode(merge_mode: str) -> None:
+    if merge_mode not in MERGE_MODES:
+        raise ValueError(f"merge_mode must be one of {MERGE_MODES}, got {merge_mode!r}")
 
 
 def build_instance(
@@ -351,14 +369,13 @@ def build_dataset(
     so the integration sends of different items overlap. An unknown
     ``merge_mode`` raises ValueError before anything is sent.
     """
-    if merge_mode not in MERGE_MODES:
-        raise ValueError(f"merge_mode must be one of {MERGE_MODES}, got {merge_mode!r}")
+    _check_merge_mode(merge_mode)
     ids = [item.source_id for item in items]
     if len(set(ids)) != len(ids):
         raise PipelineError("source ids must be unique")
 
     def draw(item: SourceQA) -> list:
-        return [client.submit(r) for r in trajectory_requests(item.question, config, TRAJECTORY_PROMPT)]
+        return [client.submit(r) for r in trajectory_requests(item.question, config)]
 
     drawn = ((item, gather_trajectories(futures)) for item, futures in client.ahead(items, draw))
     if merge_mode == MODE_DETERMINISTIC:

@@ -35,7 +35,6 @@ from graphreason.client import (
     MockBackend,
     SamplingConfig,
     gather_trajectories,
-    trajectory_requests,
 )
 from graphreason.codec import STRICT, StructuredOutput, parse, render
 from graphreason.graph import export_dot, sinks, validate
@@ -44,9 +43,9 @@ from graphreason.pipeline import (
     DISCARD_ALL_CANDIDATES_FAILED,
     SourceQA,
     build_dataset,
+    trajectory_requests,
     write_dataset,
 )
-from graphreason.prompts import TRAJECTORY_PROMPT
 from graphreason.rewards import reward_answer, reward_format
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -323,7 +322,7 @@ def test_criterion_08_transport_behavior():
     result = quiet_client(backend).complete(request)
     assert result.attempt_count == 3
 
-    eight = trajectory_requests("what?", SamplingConfig(model_name="m", k=8), TRAJECTORY_PROMPT)
+    eight = trajectory_requests("what?", SamplingConfig(model_name="m", k=8))
     ordered = quiet_client(MockBackend({"Question:": [f"reply {i}" for i in range(8)]}))
     samples = gather_trajectories([ordered.submit(r) for r in eight])
     assert samples.texts == [f"reply {i}" for i in range(8)]

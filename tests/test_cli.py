@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from graphreason.cli import main
+from graphreason.cli import RunConfig, build_parser, main, resolve_config
 from graphreason.codec import STRICT, parse
 from graphreason.prompts import TRAJECTORY_PROMPT
 
@@ -335,6 +338,118 @@ class TestMockFile:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config error: mock: {mock}: {problem}")
         assert captured.out == ""
+
+    def test_missing_mock_is_a_config_error(self, tmp_path, capsys):
+        mock = tmp_path / "nope.json"
+        assert main(["sample", "why?", "--mock", str(mock)]) == 2
+        assert capsys.readouterr().err == f"config error: mock: {mock}: no such file\n"
+
+
+CODEC_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+class TestUndecodableInput:
+    # Every file-reading command, on a file holding byte 0xff: the exit
+    # code, the stream the one message goes to, and the message.
+    @pytest.mark.parametrize(
+        "command,name,code,stream,message",
+        [
+            (["build", "--out", "o", "--sources"], "s.jsonl", 1, "err",
+             "error: {path}:1: invalid JSON ({codec})"),
+            (["ingest", "--benchmark", "logiqa", "--out", "o.jsonl", "--path"], "b.jsonl", 1,
+             "err", "error: {path}:1: invalid JSON ({codec})"),
+            (["ingest", "--benchmark", "aiw", "--out", "o.jsonl", "--path"], "b.json", 1, "err",
+             "error: {path}: invalid JSON ({codec})"),
+            (["eval", "--items"], "items.jsonl", 1, "err", "error: {path}:1: invalid JSON ({codec})"),
+            (["score", "--completions"], "c.jsonl", 1, "err",
+             "error: {path}:1: invalid JSON ({codec})"),
+            (["merge"], "samples.json", 1, "err", "error: {path}: invalid JSON ({codec})"),
+            (["validate"], "r.jsonl", 1, "out", "{path}:1: invalid JSON ({codec})"),
+            (["validate"], "doc.txt", 1, "out", "{path}: not UTF-8 text ({codec})"),
+            (["viz"], "r.jsonl", 1, "err", "{path}:1: invalid JSON ({codec})"),
+            (["viz"], "doc.txt", 1, "err", "{path}: not UTF-8 text ({codec})"),
+            (["sample", "why?", "--config"], "run.cfg", 2, "err",
+             "config error: config: {path}: not UTF-8 text ({codec})"),
+        ],
+        ids=["build", "ingest-jsonl", "ingest-json", "eval", "score", "merge", "validate-jsonl",
+             "validate-txt", "viz-jsonl", "viz-txt", "config"],
+    )
+    def test_reported_not_raised(
+        self, tmp_path, capsys, monkeypatch, command, name, code, stream, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(b"\xff\n")
+        assert main([*command, str(path)]) == code
+        captured = capsys.readouterr()
+        assert getattr(captured, stream) == message.format(path=path, codec=CODEC_ERROR) + "\n"
+        assert getattr(captured, "out" if stream == "err" else "err") == ""
+
+    def test_jsonl_lines_break_as_in_text_mode_and_fail_alone(self, tmp_path, capsys):
+        records = tmp_path / "r.jsonl"
+        good = json.dumps({"graph_reasoning": GOOD_DOC}).encode()
+        records.write_bytes(good + b"\r\n\xff\n" + good + b"\r" + good + b"\n")
+        assert main(["validate", str(records)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{records}:1: 3 nodes, 2 edges, 0 errors",
+            f"{records}:2: invalid JSON ({CODEC_ERROR})",
+            f"{records}:3: 3 nodes, 2 edges, 0 errors",
+            f"{records}:4: 3 nodes, 2 edges, 0 errors",
+        ]
+
+
+# Per setting: the type it resolves to, then three valid raw values, each
+# differing from the one before and the first from the default, for a
+# config file line, the environment and the flag.
+SETTING_VALUES = {
+    "endpoint": (str, "http://file.invalid", "http://env.invalid", "http://flag.invalid"),
+    "credential_env": (str, "FILE_KEY", "ENV_KEY", "FLAG_KEY"),
+    "model": (str, "file-model", "env-model", "flag-model"),
+    "mock": (str, "file.json", "env.json", "flag.json"),
+    "cache_dir": (str, "file-cache", "env-cache", "flag-cache"),
+    "concurrency": (int, "2", "3", "4"),
+    "retry_cap": (int, "2", "3", "5"),
+    "k": (int, "2", "3", "4"),
+    "temperature": (float, "0.5", "0.25", "1.5"),
+    "seed": (int, "1", "2", "3"),
+    "max_new_tokens": (int, "16", "32", "64"),
+    "merge_mode": (str, "llm", "llm-with-fallback", "deterministic"),
+    "split_seed": (int, "1", "2", "3"),
+    "paradigm": (str, "direct", "linear", "self-graph"),
+    "format_weight": (float, "0.5", "2", "3"),
+    "answer_weight": (float, "0.5", "2", "3"),
+}
+
+
+class TestSettingsSurface:
+    def test_every_setting_is_covered(self):
+        assert set(SETTING_VALUES) == {setting.name for setting in fields(RunConfig)}
+
+    @pytest.mark.parametrize("name", list(SETTING_VALUES))
+    def test_flag_beats_env_beats_file_beats_default(self, tmp_path, monkeypatch, name):
+        for var in list(os.environ):
+            if var.startswith("GRAPHREASON_"):
+                monkeypatch.delenv(var)
+        kind, from_file, from_env, from_flag = SETTING_VALUES[name]
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{name} = {from_file}\n")
+        flag = ["--" + name.replace("_", "-"), from_flag]
+
+        def resolved(*argv: str):
+            args = build_parser().parse_args(["validate", "doc.txt", *argv])
+            return getattr(resolve_config(args), name)
+
+        assert resolved() == getattr(RunConfig(), name)
+        assert resolved("--config", str(config)) == kind(from_file)
+        monkeypatch.setenv("GRAPHREASON_" + name.upper(), from_env)
+        assert resolved("--config", str(config)) == kind(from_env)
+        value = resolved("--config", str(config), *flag)
+        assert value == kind(from_flag) and type(value) is kind
+
+    def test_readme_keys_are_the_fields(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        keys = re.search(r"^Keys:.*?(?:\n\n|\Z)", readme, re.S | re.M).group(0)
+        assert set(re.findall(r"`([a-z_]+)`", keys)) == {s.name for s in fields(RunConfig)}
 
 
 class TestConfigResolution:

@@ -21,9 +21,8 @@ from graphreason.client import (
     cache_key,
     gather_trajectories,
     parse_retry_after,
-    trajectory_requests,
 )
-from graphreason.prompts import TRAJECTORY_PROMPT
+from graphreason.pipeline import trajectory_requests
 
 CONFIG = SamplingConfig(model_name="mock-teacher", temperature=0.9, k=3, seed=None)
 
@@ -40,7 +39,7 @@ def no_sleep_client(backend, **kw) -> ChatClient:
 
 def sample_round(client: ChatClient, question: str, config: SamplingConfig) -> TrajectorySamples:
     """One question's k samples, submitted and gathered as build and ``sample`` do."""
-    requests = trajectory_requests(question, config, TRAJECTORY_PROMPT)
+    requests = trajectory_requests(question, config)
     return gather_trajectories([client.submit(r) for r in requests])
 
 
@@ -193,7 +192,7 @@ class TestSampling:
             raise ProtocolError(f"boom {req.sample_index}")
 
         client = no_sleep_client(MockBackend(responder=responder))
-        requests = trajectory_requests("what?", CONFIG, TRAJECTORY_PROMPT)
+        requests = trajectory_requests("what?", CONFIG)
         samples = gather_trajectories([client.submit(r) for r in requests])
         assert samples.texts == [None, None, None]
         assert samples.all_failed_detail() == "all 3 samples failed: boom 0; boom 1; boom 2"

@@ -196,6 +196,16 @@ class TestBuildInstance:
             build_dataset(items, client, CONFIG, merge_mode="vote")
         assert client.backend.calls == 0
 
+    @pytest.mark.parametrize("with_client", [True, False])
+    def test_unknown_merge_mode_of_one_item_sends_nothing(self, with_client):
+        # build_instance is public, so its merge must not route an unknown
+        # mode to the LLM merge.
+        client = client_for({}, default=chain_doc("merged", "4"))
+        samples = drawn(chain_doc("a", "4"))
+        with pytest.raises(ValueError, match="merge_mode must be one of .*got 'vote'"):
+            build_instance(ITEM, samples, client if with_client else None, CONFIG, "vote")
+        assert client.backend.calls == 0
+
     def test_edgeless_merge_is_discarded(self):
         # The majority {a -> b, b -> a, b -> a} loses a -> b to the cycle
         # break, and conclusion b (candidate 0's sink) keeps no edge.

@@ -16,10 +16,8 @@ from graphreason.client import (
     ResponseCache,
     SamplingConfig,
     gather_trajectories,
-    trajectory_requests,
 )
-from graphreason.pipeline import SourceQA, build_dataset
-from graphreason.prompts import TRAJECTORY_PROMPT
+from graphreason.pipeline import SourceQA, build_dataset, trajectory_requests
 
 CONFIG = SamplingConfig(model_name="mock-teacher", k=3)
 MERGED = "<reasoning>\n<step> merged start → merged end </step>\n</reasoning>\n<answer> 4 </answer>"
@@ -118,7 +116,7 @@ def test_threads_exit_when_the_client_is_collected():
     before = set(threading.enumerate())
     client = ChatClient(MockBackend(default="ok"), concurrency=2)
     gather_trajectories(
-        [client.submit(r) for r in trajectory_requests("what?", CONFIG, TRAJECTORY_PROMPT)]
+        [client.submit(r) for r in trajectory_requests("what?", CONFIG)]
     )
     threads = _client_threads(before)
     assert 1 <= len(threads) <= THREADS_PER_SLOT * 2
@@ -134,7 +132,7 @@ def test_threads_exit_on_close():
     before = set(threading.enumerate())
     with ChatClient(MockBackend(default="ok"), concurrency=2) as client:
         gather_trajectories(
-            [client.submit(r) for r in trajectory_requests("what?", CONFIG, TRAJECTORY_PROMPT)]
+            [client.submit(r) for r in trajectory_requests("what?", CONFIG)]
         )
         threads = _client_threads(before)
     for thread in threads:
