@@ -23,7 +23,9 @@ import argparse
 import json
 import logging
 import os
+import sqlite3
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, TextIO, get_args, get_type_hints
@@ -69,7 +71,7 @@ from .pipeline import (
     trajectory_requests,
     write_dataset,
 )
-from .rewards import score_batch
+from .rewards import check_weight, score_batch
 
 log = logging.getLogger(__name__)
 
@@ -135,8 +137,10 @@ class RunConfig:
         if not 0.0 <= self.temperature <= 2.0:
             raise ConfigError("temperature", "must be between 0 and 2")
         for name in ("format_weight", "answer_weight"):
-            if getattr(self, name) < 0:
-                raise ConfigError(name, "must be non-negative")
+            try:
+                check_weight(name, getattr(self, name))
+            except ValueError as err:
+                raise ConfigError(name, str(err)) from None
 
 
 # Each setting's type, in field order: its annotation without None.
@@ -207,7 +211,10 @@ def make_client(cfg: RunConfig) -> ChatClient:
         if not cfg.endpoint:
             raise ConfigError("endpoint", "required unless --mock is given")
         backend = HttpBackend(cfg.endpoint, credential_env=cfg.credential_env)
-    cache = ResponseCache(cfg.cache_dir) if cfg.cache_dir else None
+    try:
+        cache = ResponseCache(cfg.cache_dir) if cfg.cache_dir else None
+    except sqlite3.Error as err:
+        raise ConfigError("cache_dir", f"{cfg.cache_dir}: {err}") from None
     return ChatClient(
         backend, cache=cache, concurrency=cfg.concurrency, max_attempts=cfg.retry_cap
     )
@@ -339,9 +346,10 @@ def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
         return EXIT_FAILURE
     candidate_set = CandidateSet(candidates, question=str(data["question"]))
 
-    client = None if cfg.merge_mode == MODE_DETERMINISTIC else make_client(cfg)
+    llm = cfg.merge_mode != MODE_DETERMINISTIC
     try:
-        merged = run_merge(candidate_set, client, make_sampling_config(cfg), cfg.merge_mode)
+        with make_client(cfg) if llm else nullcontext() as client:
+            merged = run_merge(candidate_set, client, make_sampling_config(cfg), cfg.merge_mode)
         document = render(StructuredOutput.from_graph(merged.graph, merged.answer)) + "\n"
     except InvalidGraphError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import random
+import sqlite3
 import threading
 import time
 import weakref
@@ -181,29 +182,48 @@ def cache_key(request: CompletionRequest) -> str:
 
 
 class ResponseCache:
-    """Content-addressed on-disk store of completion texts."""
+    """Content-addressed store of completion texts in one SQLite file.
+
+    The file is ``<root>/completions.sqlite3``; a directory in the older
+    one-file-per-completion layout is not read, so its completions are
+    requested again. Each put commits on its own, so a crashed writer
+    never leaves a torn entry and another store on the same directory
+    sees every finished put at once. Concurrent runs may share the file
+    on a local disk but not on a network file system: the write-ahead
+    log needs shared memory. Texts are stored as UTF-8 with surrogates
+    passed through, so any ``str`` round-trips unchanged. The store's
+    one connection is shared by the caller's thread (``get``) and the
+    executor's (``put``), and closes when the store is collected.
+    """
+
+    FILENAME = "completions.sqlite3"
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.txt"
+        self._db = sqlite3.connect(
+            self.root / self.FILENAME, check_same_thread=False, isolation_level=None
+        )
+        # Connections sit in reference cycles; close this one as soon as the store goes.
+        weakref.finalize(self, self._db.close)
+        self._lock = threading.Lock()
+        self._db.execute("PRAGMA journal_mode=WAL")
+        # Syncs only at checkpoints: a power loss may drop the last puts but never tears one.
+        self._db.execute("PRAGMA synchronous=NORMAL")
+        self._db.execute(
+            "CREATE TABLE IF NOT EXISTS completions "
+            "(key TEXT PRIMARY KEY, text BLOB NOT NULL) WITHOUT ROWID"
+        )
 
     def get(self, key: str) -> str | None:
-        path = self._path(key)
-        try:
-            return path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
+        with self._lock:
+            row = self._db.execute("SELECT text FROM completions WHERE key = ?", (key,)).fetchone()
+        return None if row is None else row[0].decode("utf-8", "surrogatepass")
 
     def put(self, key: str, text: str) -> None:
-        # Temp file + rename so a crashed writer never leaves a torn entry.
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        blob = text.encode("utf-8", "surrogatepass")
+        with self._lock:
+            self._db.execute("INSERT OR REPLACE INTO completions VALUES (?, ?)", (key, blob))
 
 
 class Backend(Protocol):
@@ -551,7 +571,11 @@ class ChatClient:
                 self._sleep(delay)
 
         if key is not None:
-            self.cache.put(key, text)
+            try:
+                self.cache.put(key, text)
+            except (sqlite3.Error, OSError) as err:
+                # The cache only saves work: a failed write keeps the completion.
+                log.warning("cache write failed, completion kept uncached: %s", err)
         with self._lock:
             self.stats.completions += 1
         return CompletionResult(text, cached=False, attempt_count=attempt,

@@ -2,11 +2,12 @@
 
 Two independent signals: a format reward for emitting a document that
 parses under the strict grammar, and an answer reward for getting the
-final answer right. The combined score is a non-negative weighted sum,
-default weights (1, 1).
+final answer right. The combined score is a weighted sum with finite,
+non-negative weights, default weights (1, 1).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,11 +58,17 @@ def reward_answer(text: str, label: str) -> float:
     return 1.0 if answers_match(candidate, label) else 0.0
 
 
+def check_weight(name: str, weight: float) -> float:
+    """``weight`` when it is finite and non-negative, else ValueError naming ``name``."""
+    if not (math.isfinite(weight) and weight >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {weight}")
+    return weight
+
+
 def _check_weights(weights: tuple[float, float]) -> tuple[float, float]:
     format_weight, answer_weight = weights
-    if format_weight < 0 or answer_weight < 0:
-        raise ValueError(f"weights must be non-negative, got {weights}")
-    return format_weight, answer_weight
+    return (check_weight("format_weight", format_weight),
+            check_weight("answer_weight", answer_weight))
 
 
 def score_completion(

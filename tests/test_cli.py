@@ -306,6 +306,19 @@ class TestScore:
         assert code == 0
         assert "mean combined reward: 2.5000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("weights, culprit", [
+        (["--format-weight", "nan", "--answer-weight", "inf"], "format_weight"),
+        (["--answer-weight", "inf"], "answer_weight"),
+        (["--format-weight", "-1"], "format_weight"),
+    ])
+    def test_non_finite_or_negative_weight_exits_two(self, tmp_path, capsys, weights, culprit):
+        completions = tmp_path / "completions.jsonl"
+        completions.write_text(json.dumps({"text": GOOD_DOC, "label": "4"}) + "\n")
+        assert main(["score", "--completions", str(completions), *weights]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {culprit}:" in captured.err
+        assert "mean combined reward" not in captured.out
+
     def test_bad_row_exits_one(self, tmp_path, capsys):
         completions = tmp_path / "completions.jsonl"
         completions.write_text('{"text": "x"}\n')
@@ -512,6 +525,14 @@ class TestConfigResolution:
         with pytest.raises(SystemExit) as err:
             main(["sample", "why?", "--credential", "sk-123"])
         assert err.value.code == 2
+
+    def test_cache_that_is_not_a_database_is_a_config_error(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "completions.sqlite3").write_text("not a database " * 20)
+        mock = write_mock(tmp_path, {}, default="reply")
+        assert main(["sample", "why?", "--mock", str(mock), "--cache-dir", str(cache)]) == 2
+        assert "config error: cache_dir:" in capsys.readouterr().err
 
     def test_cache_dir_reused_across_runs(self, tmp_path, capsys):
         mock = write_mock(tmp_path, {}, default="first run")

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
+import sqlite3
+import subprocess
+import sys
+import threading
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
+from pathlib import Path
 
 import pytest
 
+import graphreason
 from graphreason.client import (
     AuthError,
     ChatClient,
@@ -81,6 +89,87 @@ class TestCacheKey:
         assert cache_key(r) != base
 
 
+class TestResponseCache:
+    @pytest.mark.parametrize("text", [
+        "", "plain", "naïve ✓", "lone \ud800 surrogate", "\udfff\ud800", "nul \x00 byte",
+    ])
+    def test_any_str_round_trips(self, tmp_path, text):
+        ResponseCache(tmp_path).put("k", text)
+        assert ResponseCache(tmp_path).get("k") == text
+
+    def test_one_file_per_store(self, tmp_path):
+        ResponseCache(tmp_path / "cache").put("k", "v")
+        assert (tmp_path / "cache" / ResponseCache.FILENAME).is_file()
+
+    def test_concurrent_puts_and_gets(self, tmp_path):
+        store = ResponseCache(tmp_path)
+        problems = []
+
+        def work(thread: int) -> None:
+            try:
+                for i in range(40):
+                    key = f"{thread}-{i}"
+                    store.put(key, f"text {key}")
+                    store.put("shared", f"text {key}")
+                    if store.get(key) != f"text {key}" or store.get("shared") is None:
+                        problems.append(key)
+            except Exception as err:  # a thread's exception would otherwise vanish
+                problems.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert problems == []
+        fresh = ResponseCache(tmp_path)
+        assert all(fresh.get(f"{t}-{i}") == f"text {t}-{i}" for t in range(8) for i in range(40))
+
+    def test_two_stores_on_one_directory_see_each_others_writes(self, tmp_path):
+        first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
+        first.put("a", "from first")
+        second.put("b", "from second")
+        assert (first.get("b"), second.get("a")) == ("from second", "from first")
+
+    def test_put_survives_a_writer_that_exits_without_closing(self, tmp_path):
+        script = (
+            "import os, sys\n"
+            "from graphreason.client import ResponseCache\n"
+            "store = ResponseCache(sys.argv[1])\n"
+            "store.put('k', 'written before exit')\n"
+            "os._exit(0)\n"
+        )
+        path = [str(Path(graphreason.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                       env=env, check=True, timeout=60)
+        assert ResponseCache(tmp_path).get("k") == "written before exit"
+
+    def test_dropped_store_closes_its_connection(self, tmp_path):
+        store = ResponseCache(tmp_path)
+        db = store._db
+        del store
+        with pytest.raises(sqlite3.ProgrammingError):
+            db.execute("SELECT 1")
+
+
+class _FailingCache(ResponseCache):
+    """A store whose every write fails as a full disk or a long-held lock would."""
+
+    def __init__(self, root, error: Exception) -> None:
+        super().__init__(root)
+        self.error = error
+
+    def put(self, key: str, text: str) -> None:
+        raise self.error
+
+
 class TestComplete:
     def test_scripted_reply(self):
         client = no_sleep_client(MockBackend(default="pong"))
@@ -110,6 +199,17 @@ class TestComplete:
         assert result.text == "pong"
         assert result.cached is True
         assert fresh_backend.calls == 0
+
+    @pytest.mark.parametrize("error", [
+        sqlite3.OperationalError("database is locked"), OSError(28, "No space left on device"),
+    ])
+    def test_failed_cache_write_keeps_the_completion(self, tmp_path, caplog, error):
+        client = no_sleep_client(MockBackend(default="pong"), cache=_FailingCache(tmp_path, error))
+        with caplog.at_level(logging.WARNING, logger="graphreason.client"):
+            result = client.submit(request()).result(timeout=30)
+        assert (result.text, result.cached) == ("pong", False)
+        assert client.stats.completions == 1
+        assert "cache write failed" in caplog.text
 
     def test_retry_then_success(self):
         backend = MockBackend(default="ok")

@@ -5,7 +5,13 @@ import json
 import pytest
 
 from graphreason.bench import load_logiqa
-from graphreason.client import ChatClient, MockBackend, SamplingConfig, TrajectorySamples
+from graphreason.client import (
+    ChatClient,
+    MockBackend,
+    ResponseCache,
+    SamplingConfig,
+    TrajectorySamples,
+)
 from graphreason.codec import STRICT, parse
 from graphreason.pipeline import (
     DISCARD_ALL_CANDIDATES_FAILED,
@@ -283,6 +289,25 @@ def corpus_items() -> list[SourceQA]:
 
 
 class TestBuildDataset:
+    @pytest.mark.parametrize(
+        "reply", [chain_doc("tail", "4") + " \ud800", "no template \ud800"],
+        ids=["after-the-answer", "unparseable"],
+    )
+    def test_lone_surrogate_reply_builds_the_same_with_a_cache(self, tmp_path, reply):
+        items = [SourceQA("What is 2 + 2?", "4", "q1")]
+        runs = [
+            ("plain", MockBackend(default=reply), None),
+            ("cold", MockBackend(default=reply), ResponseCache(tmp_path / "cache")),
+            # Refuses every send: a warm rebuild must read each reply back unchanged.
+            ("warm", MockBackend(), ResponseCache(tmp_path / "cache")),
+        ]
+        outputs = []
+        for name, backend, cache in runs:
+            client = ChatClient(backend, cache=cache, sleep=lambda _: None)
+            paths = write_dataset(build_dataset(items, client, CONFIG), tmp_path / name)
+            outputs.append({key: path.read_bytes() for key, path in paths.items()})
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_accounting_and_order(self):
         result = build_dataset(corpus_items(), client_for(corpus_replies()), CONFIG)
         assert [i.provenance.source_id for i in result.instances] == ["q1", "q4"]

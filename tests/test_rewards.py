@@ -127,6 +127,13 @@ class TestCombined:
         with pytest.raises(ValueError, match="non-negative"):
             score_completion(GOOD_DOC, "B", weights=(-1.0, 1.0))
 
+    @pytest.mark.parametrize("weights, name", [
+        ((float("nan"), 1.0), "format_weight"), ((1.0, float("inf")), "answer_weight"),
+    ])
+    def test_non_finite_weights_rejected(self, weights, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            score_batch([GOOD_DOC], ["B"], weights)
+
 
 class TestBatch:
     def test_aligned_scoring(self):
