@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -63,9 +64,16 @@ def atomic_write_text(path: Path, content: str) -> None:
         raise
 
 
+# Surrogates have no UTF-8 form, but JSON's \uXXXX escape reads back as the same
+# lone surrogate (a high one right before a low one reads back as their pair).
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def jsonl_dumps(records: Iterable[dict]) -> str:
+    """One JSON object per line: non-ASCII text as is, each surrogate escaped."""
     lines = [json.dumps(record, ensure_ascii=False, sort_keys=True) for record in records]
-    return "".join(line + "\n" for line in lines)
+    text = "".join(line + "\n" for line in lines)
+    return text if text.isascii() else _SURROGATE.sub(lambda m: f"\\u{ord(m.group()):04x}", text)
 
 
 def record_id(raw: dict, default: str) -> str:

@@ -8,7 +8,8 @@ backend with the same interface supports tests and offline runs.
 Every caller sends through the client's one executor, sized by
 ``concurrency``: ``submit`` starts one completion, and
 ``gather_trajectories`` collects the k sample futures of a question
-(``pipeline.trajectory_requests`` builds their requests).
+(``pipeline.trajectory_requests`` builds their requests). Executor
+tasks only send; only the callers wait on futures.
 """
 from __future__ import annotations
 
@@ -329,11 +330,9 @@ class MockBackend:
 
     Reply resolution order: explicit ``responder`` callable, substring
     matches against the user prompt (list values are picked by the
-    request's sample_index so sibling samples differ), then ``default``.
-    ``fail_first_attempts`` makes the first n sends of every distinct
-    request raise, which exercises retry paths;
-    ``queue_failures`` injects globally ordered failures. Thread-safe;
-    tracks call and concurrency watermarks for instrumentation.
+    request's sample_index so sibling samples differ), then ``default``;
+    a raising ``responder`` scripts failures. Thread-safe; tracks call
+    and concurrency watermarks for instrumentation.
     """
 
     def __init__(
@@ -352,10 +351,6 @@ class MockBackend:
         self.max_concurrent = 0
         self._concurrent = 0
         self._lock = threading.Lock()
-        self._send_counts: dict[str, int] = {}
-        self._fail_queue: list[ClientError] = []
-        self._fail_first_n = 0
-        self._fail_factory: Callable[[], ClientError] | None = None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockBackend":
@@ -385,13 +380,6 @@ class MockBackend:
             raise ValueError(f"{path}: default must be a string or null")
         return cls(replies, default=default)
 
-    def fail_first_attempts(self, n: int, factory: Callable[[], ClientError] | None = None) -> None:
-        self._fail_first_n = n
-        self._fail_factory = factory or (lambda: TransientError("scripted 429", status=429))
-
-    def queue_failures(self, *errors: ClientError) -> None:
-        self._fail_queue.extend(errors)
-
     def send(self, request: CompletionRequest) -> str:
         with self._lock:
             self.calls += 1
@@ -400,15 +388,6 @@ class MockBackend:
         try:
             if self.delay:
                 time.sleep(self.delay)
-            with self._lock:
-                if self._fail_queue:
-                    raise self._fail_queue.pop(0)
-                if self._fail_factory is not None:
-                    key = cache_key(request)
-                    count = self._send_counts.get(key, 0) + 1
-                    self._send_counts[key] = count
-                    if count <= self._fail_first_n:
-                        raise self._fail_factory()
             return self._resolve(request)
         finally:
             with self._lock:
@@ -457,11 +436,9 @@ class ChatClient:
     ``with`` block) or when the client is garbage-collected. ``submit``
     answers a cache hit in the caller and sends a miss from the
     executor. Every caller (``build_dataset``, ``evaluate``, the
-    ``sample`` command) starts its sends through it, so ``concurrency``
-    is the one parallelism setting. Hard rule: no executor task ever
-    waits on a future of this client (``spawn`` tasks may call
-    ``complete``, which waits only for the semaphore), so every task
-    finishes and the executor cannot deadlock.
+    ``sample`` and ``merge`` commands) starts its sends through it, so
+    ``concurrency`` is the one parallelism setting. Executor tasks only
+    send; callers wait on the futures.
     """
 
     def __init__(
@@ -524,22 +501,6 @@ class ChatClient:
         jitter = 1.0 + self._rng.uniform(-self.backoff_jitter, self.backoff_jitter)
         return self.backoff_base * (2 ** (attempt - 1)) * jitter
 
-    def _lookup(
-        self, request: CompletionRequest, start: float
-    ) -> tuple[str | None, CompletionResult | None]:
-        """The request's cache key (None without a cache) and its cached result, if any."""
-        if self.cache is None:
-            return None, None
-        key = cache_key(request)
-        hit = self.cache.get(key)
-        if hit is None:
-            return key, None
-        with self._lock:
-            self.stats.cache_hits += 1
-            self.stats.completions += 1
-        return key, CompletionResult(hit, cached=True, attempt_count=1,
-                                     latency=time.monotonic() - start)
-
     def _send(self, request: CompletionRequest, key: str | None, start: float) -> CompletionResult:
         attempt = 0
         while True:
@@ -581,12 +542,6 @@ class ChatClient:
         return CompletionResult(text, cached=False, attempt_count=attempt,
                                 latency=time.monotonic() - start)
 
-    def complete(self, request: CompletionRequest) -> CompletionResult:
-        """One completion in this thread; served from cache when an identical request was seen."""
-        start = time.monotonic()
-        key, hit = self._lookup(request, start)
-        return hit if hit is not None else self._send(request, key, start)
-
     def submit(self, request: CompletionRequest) -> Future:
         """Start one completion; the future holds its CompletionResult or ClientError.
 
@@ -594,16 +549,19 @@ class ChatClient:
         from the executor.
         """
         start = time.monotonic()
-        key, hit = self._lookup(request, start)
+        key = hit = None
+        if self.cache is not None:
+            key = cache_key(request)
+            hit = self.cache.get(key)
         if hit is None:
             return self._executor.submit(self._send, request, key, start)
+        with self._lock:
+            self.stats.cache_hits += 1
+            self.stats.completions += 1
+        latency = time.monotonic() - start
         future: Future = Future()
-        future.set_result(hit)
+        future.set_result(CompletionResult(hit, cached=True, attempt_count=1, latency=latency))
         return future
-
-    def spawn(self, fn: Callable[..., T], /, *args, **kwargs) -> Future:
-        """Run ``fn`` on the executor; it may call ``complete`` but must wait on no future."""
-        return self._executor.submit(fn, *args, **kwargs)
 
     def ahead(self, jobs: Iterable[T], start: Callable[[T], S]) -> Iterator[tuple[T, S]]:
         """Yield (job, start(job)) in job order, starting up to ``lookahead`` jobs early.

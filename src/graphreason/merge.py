@@ -2,17 +2,20 @@
 
 Two roads: a fully specified deterministic majority merge (group by
 normalized answer, union the winning group, break cycles by evidence
-strength, prune to the conclusion's ancestry) and an LLM-backed
-integration call that strict-parses the model's consolidation and falls
-back to the deterministic road when the model cannot produce a valid
-document with a single conclusion. Every :class:`MergedResult` has
-exactly one sink, its conclusion.
+strength, prune to the conclusion's ancestry) and an LLM integration
+that strict-parses the model's consolidation and falls back to the
+deterministic road when the model cannot produce a valid document with
+a single conclusion. The integration yields its requests and sends
+none, so one thread can drive the merges of many items.
+Every :class:`MergedResult` has exactly one sink, its conclusion.
 """
 from __future__ import annotations
 
 import itertools
 import logging
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
+from typing import Any, Generator
 
 from .answers import normalize_freeform
 from .client import ChatClient, ClientError, CompletionRequest, SamplingConfig
@@ -229,50 +232,91 @@ def merge_deterministic(candidate_set: CandidateSet) -> MergedResult:
     )
 
 
-def _integrate(
-    question: str, rendered: list[str], client: ChatClient, config: SamplingConfig
-) -> tuple[tuple[StructuredOutput, str] | None, Exception | str | None]:
-    """The model's strict-parsed integration of ``rendered`` with its sink key, or None and why.
+# Requests an LLM merge makes at most: the integration and one repair.
+MAX_INTEGRATION_REQUESTS = 2
 
-    A reply that parses but whose graph has more than one sink has no
-    single conclusion, so it fails like a parse error and is quoted back
-    in the repair retry with kind ``multiple-sinks`` and the sink texts.
+
+@dataclass(frozen=True)
+class Pending:
+    """A step generator waiting on the reply to ``request``.
+
+    A step generator yields each request it needs, is sent the reply
+    text or the ClientError the request raised, and returns its result.
     """
-    system, user = INTEGRATION_PROMPT.fill(
-        question=question, candidates=format_candidates(rendered)
-    )
-    merge_config = replace(config, temperature=0.0, k=1)
-    request = CompletionRequest(system, user, merge_config)
-    failure: Exception | str | None = None
-    for _ in range(2):
+
+    request: CompletionRequest
+    steps: Generator
+
+    def resume(self, sent: Future) -> Any:
+        """Go on with ``sent``, the request's future: its text, or the ClientError it raised."""
         try:
-            reply = client.complete(request)
+            reply: str | ClientError = sent.result().text
         except ClientError as err:
-            return None, err
+            reply = err
+        return advance(self.steps, reply)
+
+
+def advance(steps: Generator, reply: str | ClientError | None = None) -> Any:
+    """Run ``steps`` on to its next request, returned as a Pending, or to its result."""
+    try:
+        return Pending(steps.send(reply), steps)
+    except StopIteration as done:
+        return done.value
+
+
+def merge_llm_steps(
+    candidate_set: CandidateSet, config: SamplingConfig, *, fallback: bool = True
+) -> Generator[CompletionRequest, str | ClientError, MergedResult]:
+    """``merge_llm`` as a step generator (see ``Pending``); it sends nothing."""
+    quoted: list[tuple[str, int]] = []
+    failure: Exception | str | None = None
+    for output, index in candidate_set.candidates:
         try:
-            output = parse(reply.text, STRICT)
-        except TemplateParseError as err:
-            failure, kind, detail = err, err.kind, err.detail
-        else:
-            ends = sinks(output.graph)
-            if len(ends) == 1:
-                return (output, ends[0]), None
-            kind = WARNING_MULTIPLE_SINKS
-            detail = "the graph ends at " + ", ".join(repr(output.graph.texts[key]) for key in ends)
-            failure = f"{kind}: {detail}"
-        request = CompletionRequest(
-            system, user + REPAIR_SUFFIX.format(kind=kind, detail=detail), merge_config
+            quoted.append((render(output), index))
+        except InvalidGraphError as err:
+            failure = f"no candidate can be quoted: {err}"
+            log.warning("candidate %d left out of the integration prompt: %s", index, err)
+    if quoted:
+        system, user = INTEGRATION_PROMPT.fill(
+            question=candidate_set.question,
+            candidates=format_candidates([text for text, _ in quoted]),
         )
-    return None, failure
+        merge_config = replace(config, temperature=0.0, k=1)
+        request = CompletionRequest(system, user, merge_config)
+        for _ in range(MAX_INTEGRATION_REQUESTS):
+            reply = yield request
+            if isinstance(reply, ClientError):
+                failure = reply
+                break
+            try:
+                output = parse(reply, STRICT)
+            except TemplateParseError as err:
+                failure, kind, detail = err, err.kind, err.detail
+            else:
+                ends = sinks(output.graph)
+                if len(ends) == 1:
+                    indices = tuple(index for _, index in quoted)
+                    return MergedResult(output.graph, output.answer, ends[0], indices,
+                                        merge_mode=MODE_LLM)
+                # Several sinks mean no single conclusion: a failure quoted back like a parse error.
+                kind = WARNING_MULTIPLE_SINKS
+                detail = "the graph ends at " + ", ".join(repr(output.graph.texts[e]) for e in ends)
+                failure = f"{kind}: {detail}"
+            request = CompletionRequest(
+                system, user + REPAIR_SUFFIX.format(kind=kind, detail=detail), merge_config
+            )
+
+    if not fallback:
+        raise LLMMergeFailedError(f"integration failed: {failure}")
+    log.warning("LLM merge failed (%s); falling back to deterministic merge", failure)
+    result = merge_deterministic(candidate_set)
+    result.merge_mode = MODE_LLM_FALLBACK
+    result.fell_back = True
+    return result
 
 
-def merge_llm(
-    candidate_set: CandidateSet,
-    client: ChatClient,
-    config: SamplingConfig,
-    *,
-    fallback: bool = True,
-) -> MergedResult:
+def merge_llm(candidate_set: CandidateSet, client: ChatClient, config: SamplingConfig, *,
+              fallback: bool = True) -> MergedResult:
     """Ask a model to consolidate the candidates into one graph.
 
     Issues a single completion at temperature 0 and strict-parses the
@@ -283,37 +327,10 @@ def merge_llm(
     both tries fail or transport dies, the deterministic merge takes
     over if ``fallback`` is set, flagged on the result; otherwise
     LLMMergeFailedError is raised. Either way the result's conclusion
-    is the only sink of its graph.
+    is the only sink of its graph. This thread sends each request
+    through ``client`` and waits for its reply.
     """
-    quoted: list[tuple[str, int]] = []
-    last_failure: Exception | str | None = None
-    for output, index in candidate_set.candidates:
-        try:
-            quoted.append((render(output), index))
-        except InvalidGraphError as err:
-            last_failure = f"no candidate can be quoted: {err}"
-            log.warning("candidate %d left out of the integration prompt: %s", index, err)
-    if quoted:
-        integrated, last_failure = _integrate(
-            candidate_set.question, [text for text, _ in quoted], client, config
-        )
-        if integrated is not None:
-            output, conclusion = integrated
-            return MergedResult(
-                graph=output.graph,
-                answer=output.answer,
-                conclusion=conclusion,
-                contributing_indices=tuple(index for _, index in quoted),
-                dropped_edges=[],
-                merge_mode=MODE_LLM,
-            )
-
-    if not fallback:
-        raise LLMMergeFailedError(f"integration failed: {last_failure}")
-    log.warning(
-        "LLM merge failed (%s); falling back to deterministic merge", last_failure
-    )
-    result = merge_deterministic(candidate_set)
-    result.merge_mode = MODE_LLM_FALLBACK
-    result.fell_back = True
-    return result
+    step = advance(merge_llm_steps(candidate_set, config, fallback=fallback))
+    while isinstance(step, Pending):
+        step = step.resume(client.submit(step.request))
+    return step

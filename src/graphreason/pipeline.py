@@ -10,14 +10,16 @@ from __future__ import annotations
 import json
 import logging
 import random
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Generator, Sequence
 
 from ._io import atomic_write_text, jsonl_dumps, read_jsonl, record_id
 from .answers import answers_match
 from .client import (
     ChatClient,
+    ClientError,
     CompletionRequest,
     SamplingConfig,
     TrajectorySamples,
@@ -26,6 +28,7 @@ from .client import (
 from .codec import LENIENT, STRICT, StructuredOutput, TemplateParseError, parse, render
 from .graph import InvalidGraphError
 from .merge import (
+    MAX_INTEGRATION_REQUESTS,
     MERGE_MODES,
     MODE_DETERMINISTIC,
     MODE_LLM_FALLBACK,
@@ -33,8 +36,11 @@ from .merge import (
     EdgelessMergeError,
     LLMMergeFailedError,
     MergedResult,
+    Pending,
+    advance,
     merge_deterministic,
     merge_llm,
+    merge_llm_steps,
 )
 from .prompts import TRAJECTORY_PROMPT
 
@@ -254,22 +260,27 @@ def _check_merge_mode(merge_mode: str) -> None:
 
 
 def build_instance(
-    item: SourceQA,
-    samples: TrajectorySamples,
-    client: ChatClient | None,
-    config: SamplingConfig,
-    merge_mode: str,
-) -> TrainingInstance | DiscardRecord:
+    item: SourceQA, samples: TrajectorySamples, config: SamplingConfig, merge_mode: str
+) -> TrainingInstance | DiscardRecord | Pending:
     """Finish one source item from its drawn samples.
 
-    Merges the parseable samples under ``merge_mode`` (only the LLM
-    modes use ``client``) and keeps the result only when the merged
-    answer matches the reference label; the merged graph is then
-    rendered as the strict template document. An item whose samples all
-    failed or none parsed is discarded as all-candidates-failed, a merge
-    whose conclusion keeps no edge as edgeless-merge, one the step
-    grammar cannot express as unrenderable.
+    Merges the parseable samples under ``merge_mode`` and keeps the
+    result only when the merged answer matches the reference label; the
+    merged graph is then rendered as the strict template document. An
+    item whose samples all failed or none parsed is discarded as
+    all-candidates-failed, a merge whose conclusion keeps no edge as
+    edgeless-merge, one the step grammar cannot express as
+    unrenderable. An LLM merge sends nothing: the item comes back as a
+    Pending on its next request, and resuming it with the reply gives
+    the outcome or the next Pending.
     """
+    _check_merge_mode(merge_mode)
+    return advance(_instance_steps(item, samples, config, merge_mode))
+
+
+def _instance_steps(
+    item: SourceQA, samples: TrajectorySamples, config: SamplingConfig, merge_mode: str
+) -> Generator[CompletionRequest, str | ClientError, TrainingInstance | DiscardRecord]:
     failure = samples.all_failed_detail()
     if failure is not None:
         return DiscardRecord(item.source_id, DISCARD_ALL_CANDIDATES_FAILED, failure)
@@ -283,7 +294,12 @@ def build_instance(
     candidate_set = CandidateSet(candidates, question=item.question)
 
     try:
-        merged = run_merge(candidate_set, client, config, merge_mode)
+        if merge_mode == MODE_DETERMINISTIC:
+            merged = merge_deterministic(candidate_set)
+        else:
+            merged = yield from merge_llm_steps(
+                candidate_set, config, fallback=merge_mode == MODE_LLM_FALLBACK
+            )
     except LLMMergeFailedError as err:
         return DiscardRecord(item.source_id, DISCARD_PARSE_FAILURE, str(err))
     except EdgelessMergeError as err:
@@ -361,13 +377,13 @@ def build_dataset(
 ) -> BuildResult:
     """Build a dataset from question/label pairs, preserving input order.
 
-    Samples are requested through the client's executor up to
-    ``client.lookahead`` items ahead, and this thread gathers each
-    item's samples in input order and hands them to ``build_instance``,
-    so ``client.concurrency`` is the one parallelism setting. Under the
-    LLM merge modes ``build_instance`` runs as an executor task instead,
-    so the integration sends of different items overlap. An unknown
-    ``merge_mode`` raises ValueError before anything is sent.
+    This thread drives every item. Samples are requested through the
+    client's executor up to ``client.lookahead`` items ahead and handed
+    to ``build_instance`` in input order; an LLM merge's integration
+    request, then its repair, go through windows of their own, so that
+    the requests of different items overlap. ``client.concurrency`` is
+    the one parallelism setting. An unknown ``merge_mode`` raises
+    ValueError before anything is sent.
     """
     _check_merge_mode(merge_mode)
     ids = [item.source_id for item in items]
@@ -377,19 +393,19 @@ def build_dataset(
     def draw(item: SourceQA) -> list:
         return [client.submit(r) for r in trajectory_requests(item.question, config)]
 
-    drawn = ((item, gather_trajectories(futures)) for item, futures in client.ahead(items, draw))
-    if merge_mode == MODE_DETERMINISTIC:
-        # CPU only, so it runs here: as executor tasks, these stages lose
-        # about 12% of build items/s to GIL hand-offs between threads.
-        outcomes = [build_instance(*pair, client, config, merge_mode) for pair in drawn]
-    else:
-        # An LLM merge sends, so it runs as a task and the integration
-        # sends of different items overlap. The task calls complete() and
-        # waits on no future (ChatClient's rule).
-        tasks = client.ahead(
-            drawn, lambda pair: client.spawn(build_instance, *pair, client, config, merge_mode)
-        )
-        outcomes = [task.result() for _, task in tasks]
+    def send(outcome) -> Future | None:
+        return client.submit(outcome.request) if isinstance(outcome, Pending) else None
+
+    outcomes = (
+        build_instance(item, gather_trajectories(futures), config, merge_mode)
+        for item, futures in client.ahead(items, draw)
+    )
+    # One window per request, chained: a single window waiting at its head
+    # would send each item's repair only after the one before it came back.
+    for _ in range(MAX_INTEGRATION_REQUESTS):
+        window = client.ahead(outcomes, send)
+        outcomes = (o if sent is None else o.resume(sent) for o, sent in window)
+    outcomes = list(outcomes)
 
     instances = [o for o in outcomes if isinstance(o, TrainingInstance)]
     discards = [o for o in outcomes if isinstance(o, DiscardRecord)]

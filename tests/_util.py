@@ -5,12 +5,24 @@ lower to a higher index, which guarantees acyclicity by construction;
 edge insertion order is then shuffled so tests never depend on a
 convenient ordering. Node texts embed their index so normalized keys
 are collision-free, and use only letters, digits and spaces so they are
-expressible in the step grammar.
+expressible in the step grammar. ``fail_first_attempts`` and
+``queue_failures`` script a mock backend's failures through a raising
+responder.
 """
 from __future__ import annotations
 
 import random
+import threading
+from collections import Counter
+from typing import Callable
 
+from graphreason.client import (
+    ClientError,
+    CompletionRequest,
+    MockBackend,
+    TransientError,
+    cache_key,
+)
 from graphreason.codec import StructuredOutput
 from graphreason.graph import ReasoningGraph
 
@@ -74,3 +86,50 @@ def random_candidate_output(
         (chosen[parent], chosen[child]) for parent, child in random_edge_indices(rng, n)
     )
     return StructuredOutput.from_graph(graph, answer)
+
+
+def _script_failures(
+    backend: MockBackend, error_for: Callable[[CompletionRequest], ClientError | None]
+) -> None:
+    """Make ``backend`` raise ``error_for(request)`` when it is not None, else reply as before.
+
+    ``backend.calls`` still counts every send, failed or not.
+    """
+    replier = MockBackend(backend.replies, default=backend.default, responder=backend.responder)
+
+    def respond(request):
+        error = error_for(request)
+        if error is not None:
+            raise error
+        return replier.send(request)
+
+    backend.responder = respond
+
+
+def fail_first_attempts(
+    backend: MockBackend, n: int, factory: Callable[[], ClientError] | None = None
+) -> None:
+    """The first ``n`` sends of every distinct request raise ``factory()``, a 429 by default."""
+    factory = factory or (lambda: TransientError("scripted 429", status=429))
+    sends: Counter = Counter()
+    lock = threading.Lock()
+
+    def error_for(request):
+        key = cache_key(request)
+        with lock:
+            sends[key] += 1
+            return factory() if sends[key] <= n else None
+
+    _script_failures(backend, error_for)
+
+
+def queue_failures(backend: MockBackend, *errors: ClientError) -> None:
+    """The next sends, whatever their request, raise ``errors`` in order."""
+    queue = list(errors)
+    lock = threading.Lock()
+
+    def error_for(request):
+        with lock:
+            return queue.pop(0) if queue else None
+
+    _script_failures(backend, error_for)

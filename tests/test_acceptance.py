@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from _util import random_candidate_output, random_output
+from _util import fail_first_attempts, random_candidate_output, random_output
 from conftest import record_acceptance
 from graphreason.answers import answers_match, normalize_freeform
 from graphreason.bench import (
@@ -317,9 +317,9 @@ def test_criterion_07_reward_polarity():
 
 def test_criterion_08_transport_behavior():
     backend = MockBackend(default="ok")
-    backend.fail_first_attempts(2)
+    fail_first_attempts(backend, 2)
     request = CompletionRequest("sys", "probe", SamplingConfig(model_name="m"))
-    result = quiet_client(backend).complete(request)
+    result = quiet_client(backend).submit(request).result()
     assert result.attempt_count == 3
 
     eight = trajectory_requests("what?", SamplingConfig(model_name="m", k=8))

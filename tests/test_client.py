@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import graphreason
+from _util import fail_first_attempts, queue_failures
 from graphreason.client import (
     AuthError,
     ChatClient,
@@ -173,7 +174,7 @@ class _FailingCache(ResponseCache):
 class TestComplete:
     def test_scripted_reply(self):
         client = no_sleep_client(MockBackend(default="pong"))
-        result = client.complete(request())
+        result = client.submit(request()).result()
         assert result.text == "pong"
         assert result.cached is False
         assert result.attempt_count == 1
@@ -182,8 +183,8 @@ class TestComplete:
     def test_cache_roundtrip(self, tmp_path):
         backend = MockBackend(default="pong")
         client = no_sleep_client(backend, cache=ResponseCache(tmp_path))
-        first = client.complete(request())
-        second = client.complete(request())
+        first = client.submit(request()).result()
+        second = client.submit(request()).result()
         assert (first.cached, second.cached) == (False, True)
         assert second.text == "pong"
         assert second.attempt_count == 1
@@ -192,10 +193,10 @@ class TestComplete:
 
     def test_cache_survives_new_client(self, tmp_path):
         client_a = no_sleep_client(MockBackend(default="pong"), cache=ResponseCache(tmp_path))
-        client_a.complete(request())
+        client_a.submit(request()).result()
         fresh_backend = MockBackend(default="changed")
         client_b = no_sleep_client(fresh_backend, cache=ResponseCache(tmp_path))
-        result = client_b.complete(request())
+        result = client_b.submit(request()).result()
         assert result.text == "pong"
         assert result.cached is True
         assert fresh_backend.calls == 0
@@ -213,44 +214,44 @@ class TestComplete:
 
     def test_retry_then_success(self):
         backend = MockBackend(default="ok")
-        backend.fail_first_attempts(2)
+        fail_first_attempts(backend, 2)
         client = no_sleep_client(backend)
-        result = client.complete(request())
+        result = client.submit(request()).result()
         assert result.text == "ok"
         assert result.attempt_count == 3
         assert client.stats.retries == 2
 
     def test_transport_exhaustion(self):
         backend = MockBackend(default="ok")
-        backend.fail_first_attempts(99)
+        fail_first_attempts(backend, 99)
         client = no_sleep_client(backend, max_attempts=4)
         with pytest.raises(TransportExhaustedError) as err:
-            client.complete(request())
+            client.submit(request()).result()
         assert err.value.attempts == 4
         assert backend.calls == 4
 
     def test_auth_error_never_retried(self):
         backend = MockBackend(default="ok")
-        backend.queue_failures(AuthError("nope"))
+        queue_failures(backend, AuthError("nope"))
         client = no_sleep_client(backend)
         with pytest.raises(AuthError):
-            client.complete(request())
+            client.submit(request()).result()
         assert backend.calls == 1
 
     def test_protocol_error_never_retried(self):
         backend = MockBackend(default="ok")
-        backend.queue_failures(ProtocolError("garbled"))
+        queue_failures(backend, ProtocolError("garbled"))
         client = no_sleep_client(backend)
         with pytest.raises(ProtocolError):
-            client.complete(request())
+            client.submit(request()).result()
         assert backend.calls == 1
 
     def test_backoff_schedule_with_jitter(self):
         delays = []
         backend = MockBackend(default="ok")
-        backend.fail_first_attempts(3)
+        fail_first_attempts(backend, 3)
         client = ChatClient(backend, sleep=delays.append, max_attempts=4)
-        client.complete(request())
+        client.submit(request()).result()
         assert len(delays) == 3
         for n, delay in enumerate(delays):
             nominal = 2**n
@@ -454,7 +455,7 @@ class TestRetryAfter:
             backoff_base=backoff,
             backoff_jitter=0.0,
         )
-        result = client.complete(request())
+        result = client.submit(request()).result()
         assert result.text == "hi there"
         assert result.attempt_count == 2
         assert delays == [slept]
@@ -470,7 +471,7 @@ class TestRetryAfter:
             HttpBackend("http://example.invalid/v1/chat", session=session), sleep=delays.append
         )
         with pytest.raises(TransportExhaustedError, match="over the 120s limit") as err:
-            client.complete(request())
+            client.submit(request()).result()
         assert err.value.attempts == 1
         assert err.value.last.status == 429
         assert delays == []
@@ -500,7 +501,7 @@ class TestMockFixtureFile:
         cfg = SamplingConfig(model_name="m", k=2)
         samples = sample_round(client, "so, what?", cfg)
         assert samples.texts == ["a", "b"]
-        assert client.complete(request("unmatched")).text == "fallthrough"
+        assert client.submit(request("unmatched")).result().text == "fallthrough"
 
     @pytest.mark.parametrize(
         "body,problem",
@@ -531,4 +532,4 @@ class TestMockFixtureFile:
         backend = MockBackend({"nope": "x"})
         client = no_sleep_client(backend)
         with pytest.raises(ProtocolError):
-            client.complete(request("other"))
+            client.submit(request("other")).result()

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphreason.answers import answers_match
 from graphreason.bench import load_logiqa
 from graphreason.client import (
     ChatClient,
@@ -11,8 +16,11 @@ from graphreason.client import (
     ResponseCache,
     SamplingConfig,
     TrajectorySamples,
+    TransientError,
 )
-from graphreason.codec import STRICT, parse
+from graphreason.codec import LENIENT, STRICT, TemplateParseError, parse, render
+from graphreason.graph import sinks
+from graphreason.merge import Pending
 from graphreason.pipeline import (
     DISCARD_ALL_CANDIDATES_FAILED,
     DISCARD_ANSWER_MISMATCH,
@@ -33,6 +41,8 @@ from graphreason.pipeline import (
     split_instances,
     write_dataset,
 )
+from graphreason.prompts import INTEGRATION_PROMPT, REPAIR_SUFFIX
+from test_codec import _documents, _near_template
 
 
 def doc(steps: list[tuple[str, str]], answer: str) -> str:
@@ -132,9 +142,16 @@ def drawn(*texts: str) -> TrajectorySamples:
     return TrajectorySamples(list(texts), {})
 
 
+def finish(outcome, client: ChatClient):
+    """Send a pending item's requests through ``client`` until its outcome comes back."""
+    while isinstance(outcome, Pending):
+        outcome = outcome.resume(client.submit(outcome.request))
+    return outcome
+
+
 def build_one(samples: TrajectorySamples, merge_mode: str = "deterministic", replies=None):
     """build_instance on ITEM; ``replies`` script the integration sends of the LLM modes."""
-    return build_instance(ITEM, samples, client_for(replies or {}), CONFIG, merge_mode)
+    return finish(build_instance(ITEM, samples, CONFIG, merge_mode), client_for(replies or {}))
 
 
 INTEGRATION = "Candidate reasoning graphs:"
@@ -205,11 +222,13 @@ class TestBuildInstance:
     @pytest.mark.parametrize("with_client", [True, False])
     def test_unknown_merge_mode_of_one_item_sends_nothing(self, with_client):
         # build_instance is public, so its merge must not route an unknown
-        # mode to the LLM merge.
+        # mode to the LLM merge, whether or not a client drives the item.
         client = client_for({}, default=chain_doc("merged", "4"))
         samples = drawn(chain_doc("a", "4"))
         with pytest.raises(ValueError, match="merge_mode must be one of .*got 'vote'"):
-            build_instance(ITEM, samples, client if with_client else None, CONFIG, "vote")
+            outcome = build_instance(ITEM, samples, CONFIG, "vote")
+            if with_client:
+                finish(outcome, client)
         assert client.backend.calls == 0
 
     def test_edgeless_merge_is_discarded(self):
@@ -307,6 +326,17 @@ class TestBuildDataset:
             paths = write_dataset(build_dataset(items, client, CONFIG), tmp_path / name)
             outputs.append({key: path.read_bytes() for key, path in paths.items()})
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_lone_surrogate_in_a_kept_step_is_written_escaped(self, tmp_path):
+        items = [SourceQA("What is 2 + 2?", "4", "q1")]
+        reply = doc([("x\ud800 start", "x end")], "4")
+        result = build_dataset(items, client_for({}, default=reply), CONFIG)
+        paths = write_dataset(result, tmp_path)
+        raw = paths["train"].read_bytes()
+        assert b"\\ud800" in raw
+        row = json.loads(raw.decode("utf-8"))
+        assert row["graph_reasoning"] == result.train[0].graph_text
+        assert "x\ud800 start" in row["graph_reasoning"]
 
     def test_accounting_and_order(self):
         result = build_dataset(corpus_items(), client_for(corpus_replies()), CONFIG)
@@ -443,3 +473,76 @@ class TestBuildReport:
     def test_discard_reason_vocabulary(self):
         with pytest.raises(ValueError, match="discard reason"):
             DiscardRecord("s", "because")
+
+
+# A reply, or None for a request whose transport fails. Template-shaped
+# replies are drawn twice as often as _documents alone draws them, so that
+# more items reach the merge.
+_replies = st.one_of(st.none(), _documents, _near_template())
+# The end of the repair prompt, which no first integration prompt has.
+_REPAIR_END = REPAIR_SUFFIX.rsplit("}", 1)[1]
+
+
+def _label(texts: list[str | None]) -> str:
+    """The answer of the first text that parses, so that some items can be kept."""
+    for text in filter(None, texts):
+        try:
+            answer = parse(text, LENIENT).answer
+        except TemplateParseError:
+            continue
+        if answer.strip():
+            return answer
+    return "none"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    merge_mode=st.sampled_from(["deterministic", "llm", "llm-with-fallback"]),
+    scripts=st.lists(
+        st.tuples(st.lists(_replies, min_size=4, max_size=4), _replies, _replies),
+        min_size=1, max_size=5,
+    ),
+)
+def test_whole_build_is_reproducible_and_keeps_only_sound_rows(k, merge_mode, scripts):
+    """Any teacher replies: equal bytes at any concurrency and cache state; every row sound.
+
+    Each item scripts its k sample replies, its integration reply and its
+    repair reply; the question names the item.
+    """
+    config = SamplingConfig(model_name="mock-teacher", k=k)
+    llm = merge_mode != "deterministic"
+    items = [
+        SourceQA(f"item {i}", _label([integration, repair] * llm + samples[:k]), f"s{i}")
+        for i, (samples, integration, repair) in enumerate(scripts)
+    ]
+
+    def respond(request):
+        question = request.user_prompt.split("\n")[1]
+        samples, integration, repair = scripts[int(question.removeprefix("item "))]
+        if request.system_prompt != INTEGRATION_PROMPT.system:
+            reply = samples[request.sample_index]
+        else:
+            reply = repair if request.user_prompt.endswith(_REPAIR_END) else integration
+        if reply is None:
+            raise TransientError("scripted transport failure")
+        return reply
+
+    written = []
+    with tempfile.TemporaryDirectory() as tmp:
+        # Uncached at concurrency 1, then a cold and a warm cache at concurrency 3.
+        for run, (concurrency, cached) in enumerate([(1, False), (3, True), (3, True)]):
+            cache = ResponseCache(Path(tmp, "cache")) if cached else None
+            backend = MockBackend(responder=respond)
+            with ChatClient(backend, cache=cache, concurrency=concurrency, max_attempts=1) as client:
+                result = build_dataset(items, client, config, merge_mode=merge_mode)
+            paths = write_dataset(result, Path(tmp, str(run)))
+            written.append({name: path.read_bytes() for name, path in paths.items()})
+    assert written[0] == written[1] == written[2]
+
+    for line in (written[0]["train"] + written[0]["valid"]).splitlines():
+        row = json.loads(line)
+        output = parse(row["graph_reasoning"], STRICT)
+        assert render(output) == row["graph_reasoning"]
+        assert len(sinks(output.graph)) == 1
+        assert answers_match(output.answer, row["label"])

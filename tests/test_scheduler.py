@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from _util import fail_first_attempts
 from graphreason.client import (
     THREADS_PER_SLOT,
     ChatClient,
@@ -18,6 +19,7 @@ from graphreason.client import (
     gather_trajectories,
 )
 from graphreason.pipeline import SourceQA, build_dataset, trajectory_requests
+from graphreason.prompts import REPAIR_SUFFIX
 
 CONFIG = SamplingConfig(model_name="mock-teacher", k=3)
 MERGED = "<reasoning>\n<step> merged start → merged end </step>\n</reasoning>\n<answer> 4 </answer>"
@@ -66,7 +68,7 @@ def test_build_thread_starts_do_not_grow_with_items(thread_starts):
 def test_cache_hits_resolve_in_the_caller(tmp_path, thread_starts):
     request = CompletionRequest("sys", "probe", SamplingConfig(model_name="m"))
     cache = ResponseCache(tmp_path)
-    ChatClient(MockBackend(default="cached"), cache=cache).complete(request)
+    ChatClient(MockBackend(default="cached"), cache=cache).submit(request).result()
     thread_starts.clear()
     backend = MockBackend(default="fresh")
     future = ChatClient(backend, cache=cache).submit(request)
@@ -90,6 +92,25 @@ def test_llm_merge_sends_of_different_items_overlap(mode):
     assert backend.calls == 48
     # One merge send after another would take at least 24 x delay.
     assert elapsed < 0.5 * len(items) * delay
+
+
+@pytest.mark.parametrize("mode", ["llm", "llm-with-fallback"])
+def test_llm_merge_repairs_of_different_items_overlap(mode):
+    items, replies = corpus(24)
+    # Fragments match in insertion order: the repair prompt also holds the integration's.
+    replies = {REPAIR_SUFFIX[: REPAIR_SUFFIX.index("{")]: MERGED, **replies}
+    replies["Candidate reasoning graphs:"] = "not a template"
+    delay = 0.05
+    backend = MockBackend(replies, delay=delay)
+    client = ChatClient(backend, concurrency=8)
+    start = time.monotonic()
+    result = build_dataset(items, client, SamplingConfig(model_name="m", k=1), merge_mode=mode)
+    elapsed = time.monotonic() - start
+    assert result.report.retained == 24
+    assert all(i.provenance.merge_mode == "llm" for i in result.instances)
+    assert backend.calls == 3 * 24
+    # One repair send after another would take at least 24 x delay.
+    assert elapsed < 0.75 * len(items) * delay
 
 
 def test_llm_build_at_concurrency_one_does_not_deadlock():
@@ -143,7 +164,7 @@ def test_threads_exit_on_close():
 def test_stats_add_up_under_contention():
     items, replies = corpus(40)
     backend = MockBackend(replies)
-    backend.fail_first_attempts(1)
+    fail_first_attempts(backend, 1)
     client = ChatClient(backend, concurrency=8, sleep=lambda _: None)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
