@@ -69,11 +69,18 @@ def atomic_write_text(path: Path, content: str) -> None:
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
+def escape_surrogates(text: str) -> str:
+    """``text`` with each surrogate written as its ``\\uXXXX`` escape, so it encodes as UTF-8.
+
+    Every other character is left as it is.
+    """
+    return text if text.isascii() else _SURROGATE.sub(lambda m: f"\\u{ord(m.group()):04x}", text)
+
+
 def jsonl_dumps(records: Iterable[dict]) -> str:
     """One JSON object per line: non-ASCII text as is, each surrogate escaped."""
     lines = [json.dumps(record, ensure_ascii=False, sort_keys=True) for record in records]
-    text = "".join(line + "\n" for line in lines)
-    return text if text.isascii() else _SURROGATE.sub(lambda m: f"\\u{ord(m.group()):04x}", text)
+    return escape_surrogates("".join(line + "\n" for line in lines))
 
 
 def record_id(raw: dict, default: str) -> str:

@@ -30,7 +30,14 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, TextIO, get_args, get_type_hints
 
-from ._io import atomic_write_text, jsonl_dumps, read_json, read_jsonl, read_text
+from ._io import (
+    atomic_write_text,
+    escape_surrogates,
+    jsonl_dumps,
+    read_json,
+    read_jsonl,
+    read_text,
+)
 from .bench import (
     BENCHMARKS,
     PARADIGM_SELF_GRAPH,
@@ -295,7 +302,8 @@ def cmd_viz(args: argparse.Namespace, cfg: RunConfig) -> int:
         else:
             name = f"{in_path.stem}.dot"
         out_path = Path(args.out_dir) / name
-        atomic_write_text(out_path, export_dot(output.graph, answer=output.answer))
+        dot = export_dot(output.graph, answer=output.answer)
+        atomic_write_text(out_path, escape_surrogates(dot))
         print(out_path)
 
     return parse_template_records([args.path], args.lenient, sys.stderr, write_dot)
@@ -316,6 +324,7 @@ def cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
         "errors": {str(i): message for i, message in sorted(samples.errors.items())},
     }
     body = json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+    body = escape_surrogates(body)
     if args.out:
         atomic_write_text(Path(args.out), body)
         print(f"wrote {args.out} ({len(samples.successful())}/{config.k} samples)")
@@ -340,7 +349,11 @@ def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
         print(f"error: {args.input}: samples must be strings or null", file=sys.stderr)
         return EXIT_FAILURE
 
-    candidates = parse_candidates(texts)
+    candidates, lenient_only = parse_candidates(texts)
+    if lenient_only:
+        log.warning(
+            "samples %s accepted only under lenient parsing", ", ".join(map(str, lenient_only))
+        )
     if not candidates:
         print("error: no sample parsed as a reasoning template", file=sys.stderr)
         return EXIT_FAILURE
@@ -382,6 +395,7 @@ def cmd_build(args: argparse.Namespace, cfg: RunConfig) -> int:
     )
     for reason in sorted(report.discarded_by_reason):
         print(f"discarded[{reason}]: {report.discarded_by_reason[reason]}")
+    print(f"lenient-only samples: {result.lenient_only}")
     print(f"wrote {paths['train']}, {paths['valid']}, {paths['report']}")
     if report.total_in and not report.retained:
         return EXIT_FAILURE

@@ -117,12 +117,17 @@ class Provenance:
 
 @dataclass(frozen=True)
 class TrainingInstance:
-    """One emitted dataset row: question, graph template text, label."""
+    """One emitted dataset row: question, graph template text, label.
+
+    ``lenient_only`` counts the item's samples that parsed only
+    leniently; it is a run stat, so ``to_dict`` does not write it.
+    """
 
     question: str
     graph_text: str
     label: str
     provenance: Provenance
+    lenient_only: int = field(default=0, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -135,9 +140,12 @@ class TrainingInstance:
 
 @dataclass(frozen=True)
 class DiscardRecord:
+    """One dropped source item; ``lenient_only`` is as on TrainingInstance."""
+
     source_id: str
     reason: str
     detail: str = ""
+    lenient_only: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         if self.reason not in DISCARD_REASONS:
@@ -216,12 +224,18 @@ def trajectory_requests(question: str, config: SamplingConfig) -> list[Completio
     ]
 
 
-def parse_candidates(texts: Sequence[str | None]) -> list[tuple[StructuredOutput, int]]:
+def parse_candidates(
+    texts: Sequence[str | None],
+) -> tuple[list[tuple[StructuredOutput, int]], tuple[int, ...]]:
     """Strict-parse each sampled text, falling back to lenient per sample.
 
-    Unparseable samples are dropped; indices of survivors are preserved.
+    Returns ``(kept, lenient_only)``: the parsed samples with their
+    indices, unparseable ones dropped, and the indices of the samples
+    that parsed only leniently. Nothing is logged for those; callers
+    report the count once.
     """
     kept: list[tuple[StructuredOutput, int]] = []
+    lenient_only: list[int] = []
     for index, text in enumerate(texts):
         if text is None:
             continue
@@ -232,10 +246,10 @@ def parse_candidates(texts: Sequence[str | None]) -> list[tuple[StructuredOutput
             pass
         try:
             kept.append((parse(text, LENIENT), index))
-            log.warning("sample %d accepted only under lenient parsing", index)
+            lenient_only.append(index)
         except TemplateParseError as err:
             log.debug("sample %d unparseable: %s: %s", index, err.kind, err.detail)
-    return kept
+    return kept, tuple(lenient_only)
 
 
 def run_merge(
@@ -284,7 +298,17 @@ def _instance_steps(
     failure = samples.all_failed_detail()
     if failure is not None:
         return DiscardRecord(item.source_id, DISCARD_ALL_CANDIDATES_FAILED, failure)
-    candidates = parse_candidates(samples.texts)
+    candidates, lenient_only = parse_candidates(samples.texts)
+    outcome = yield from _merged_outcome(item, candidates, config, merge_mode)
+    return replace(outcome, lenient_only=len(lenient_only)) if lenient_only else outcome
+
+
+def _merged_outcome(
+    item: SourceQA,
+    candidates: list[tuple[StructuredOutput, int]],
+    config: SamplingConfig,
+    merge_mode: str,
+) -> Generator[CompletionRequest, str | ClientError, TrainingInstance | DiscardRecord]:
     if not candidates:
         return DiscardRecord(
             item.source_id,
@@ -347,13 +371,19 @@ def split_instances(
 
 @dataclass
 class BuildResult:
-    """Everything a build produced, before and after splitting."""
+    """Everything a build produced, before and after splitting.
+
+    ``lenient_only`` is the number of samples, over every item, that
+    parsed only leniently. It is a run stat and not part of ``report``,
+    which stays byte-deterministic.
+    """
 
     instances: list[TrainingInstance]
     discards: list[DiscardRecord]
     train: list[TrainingInstance]
     valid: list[TrainingInstance]
     report: BuildReport = field(init=False)
+    lenient_only: int = field(init=False)
 
     def __post_init__(self) -> None:
         counts = {reason: 0 for reason in DISCARD_REASONS}
@@ -365,6 +395,7 @@ class BuildResult:
             discarded_by_reason={k: v for k, v in counts.items() if v},
             split_sizes={"train": len(self.train), "valid": len(self.valid)},
         )
+        self.lenient_only = sum(o.lenient_only for o in [*self.instances, *self.discards])
 
 
 def build_dataset(

@@ -21,6 +21,8 @@ GOOD_DOC = (
     "</reasoning>\n"
     "<answer> 4 </answer>"
 )
+# A valid template whose first step holds a lone surrogate, which has no UTF-8 form.
+SURROGATE_DOC = GOOD_DOC.replace("collect facts", "x\ud800 start")
 
 
 def write_mock(tmp_path: Path, replies: dict, default: str | None = None) -> Path:
@@ -88,6 +90,13 @@ class TestViz:
         assert main(["viz", str(records), "--out-dir", str(tmp_path)]) == 0
         assert (tmp_path / "recs-1.dot").is_file()
 
+    def test_lone_surrogate_row_is_written_escaped(self, tmp_path):
+        rows = tmp_path / "row.jsonl"
+        rows.write_text(json.dumps({"graph_reasoning": SURROGATE_DOC}) + "\n")
+        assert main(["viz", str(rows), "--out-dir", str(tmp_path / "dots")]) == 0
+        dot = (tmp_path / "dots" / "row-1.dot").read_bytes().decode("utf-8")
+        assert "x\\ud800 start" in dot
+
     def test_colon_in_text_file_path(self, tmp_path, capsys):
         doc = tmp_path / "a:b" / "doc.txt"
         doc.parent.mkdir()
@@ -113,6 +122,18 @@ class TestSample:
         assert main(["sample", "why?", "--k", "1", *args]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["samples"] == ["only reply"]
+
+    def test_lone_surrogate_reply_is_written_escaped(self, tmp_path):
+        out = tmp_path / "s.json"
+        args = mock_args(tmp_path, {}, default=SURROGATE_DOC)
+        assert main(["sample", "What is 2 + 2?", "--k", "1", "--out", str(out), *args]) == 0
+        assert json.loads(out.read_bytes().decode("utf-8"))["samples"] == [SURROGATE_DOC]
+
+    def test_lone_surrogate_reply_is_printed_escaped(self, tmp_path, capsys):
+        args = mock_args(tmp_path, {}, default=SURROGATE_DOC)
+        assert main(["sample", "What is 2 + 2?", "--k", "1", *args]) == 0
+        printed = capsys.readouterr().out.encode("utf-8")
+        assert json.loads(printed)["samples"] == [SURROGATE_DOC]
 
     def test_all_samples_failed_exits_one(self, tmp_path, capsys):
         out = tmp_path / "samples.json"
@@ -154,6 +175,24 @@ class TestMerge:
         assert code == 0
         assert parse(out.read_text(), STRICT).answer == "4"
         assert "mode: llm" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "samples,warnings",
+        [
+            (
+                [GOOD_DOC, "Sure:\n" + GOOD_DOC, None, "Here:\n" + GOOD_DOC],
+                ["samples 1, 3 accepted only under lenient parsing"],
+            ),
+            ([GOOD_DOC, GOOD_DOC], []),
+        ],
+        ids=["lenient-only", "strict"],
+    )
+    def test_lenient_only_samples_logged_once(self, tmp_path, caplog, samples, warnings):
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps({"question": "how many?", "samples": samples}))
+        with caplog.at_level("WARNING"):
+            assert main(["merge", str(path)]) == 0
+        assert [r.getMessage() for r in caplog.records] == warnings
 
     def test_edgeless_merge_fails_with_message(self, tmp_path, capsys):
         path = tmp_path / "samples.json"
@@ -220,12 +259,31 @@ class TestBuild:
         assert "retained: 1 (train 1, valid 0)" in out
         assert "discarded[answer-mismatch]: 1" in out
         assert "discarded[all-candidates-failed]: 1" in out
+        assert "lenient-only samples: 0\n" in out
         rows = [json.loads(line) for line in (out_dir / "train.jsonl").read_text().splitlines()]
         assert rows[0]["label"] == "4"
         parse(rows[0]["graph_reasoning"], STRICT)
         report = json.loads((out_dir / "report.json").read_text())
         assert report["total_in"] == 3
         assert report["retained"] == 1
+
+    def test_lenient_only_samples_printed_once(self, tmp_path, capsys, caplog):
+        sources = tmp_path / "s.jsonl"
+        sources.write_text(
+            json.dumps({"question": "q1: first?", "label": "4"}) + "\n"
+            + json.dumps({"question": "q2: second?", "label": "4"}) + "\n"
+        )
+        # q1 cycles lenient, strict, lenient; every sample of q2 is lenient-only.
+        replies = {"q1:": ["Sure:\n" + GOOD_DOC, GOOD_DOC]}
+        args = mock_args(tmp_path, replies, default="Here:\n" + GOOD_DOC)
+        with caplog.at_level("WARNING"):
+            code = main(
+                ["build", "--sources", str(sources), "--out", str(tmp_path / "o"), "--k", "3", *args]
+            )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:-1] == ["lenient-only samples: 5"]
+        assert not [r for r in caplog.records if "lenient" in r.getMessage()]
 
     def test_nothing_retained_exits_one(self, tmp_path):
         sources = tmp_path / "s.jsonl"

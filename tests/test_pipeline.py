@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -17,10 +18,11 @@ from graphreason.client import (
     SamplingConfig,
     TrajectorySamples,
     TransientError,
+    cache_key,
 )
-from graphreason.codec import LENIENT, STRICT, TemplateParseError, parse, render
+from graphreason.codec import LENIENT, STRICT, StructuredOutput, TemplateParseError, parse, render
 from graphreason.graph import sinks
-from graphreason.merge import Pending
+from graphreason.merge import MERGE_MODES, Pending
 from graphreason.pipeline import (
     DISCARD_ALL_CANDIDATES_FAILED,
     DISCARD_ANSWER_MISMATCH,
@@ -42,6 +44,7 @@ from graphreason.pipeline import (
     write_dataset,
 )
 from graphreason.prompts import INTEGRATION_PROMPT, REPAIR_SUFFIX
+import test_golden
 from test_codec import _documents, _near_template
 
 
@@ -118,21 +121,59 @@ def test_null_id_takes_the_default(tmp_path, body, load, attr, ids):
 class TestParseCandidates:
     def test_strict_documents_pass(self):
         texts = [chain_doc("a", "1"), chain_doc("b", "2")]
-        kept = parse_candidates(texts)
+        kept, _ = parse_candidates(texts)
         assert [idx for _, idx in kept] == [0, 1]
         assert [out.answer for out, _ in kept] == ["1", "2"]
 
-    def test_lenient_fallback_logged(self, caplog):
+    def test_lenient_fallback_counted_not_logged(self, caplog):
         texts = ["Sure, here you go:\n" + chain_doc("a", "1")]
         with caplog.at_level("WARNING"):
-            kept = parse_candidates(texts)
+            kept, lenient_only = parse_candidates(texts)
         assert len(kept) == 1
-        assert "lenient" in caplog.text
+        assert lenient_only == (0,)
+        assert not [r for r in caplog.records if r.name == "graphreason.pipeline"]
 
     def test_unparseable_and_missing_skipped(self):
         texts = [None, "no structure at all", chain_doc("a", "1")]
-        kept = parse_candidates(texts)
+        kept, _ = parse_candidates(texts)
         assert [idx for _, idx in kept] == [2]
+
+
+def _strict_then_lenient_kept(texts: list[str | None]) -> list[tuple[StructuredOutput, int]]:
+    """Frozen copy of the parse_candidates loop as it stood when it returned only the kept list."""
+    kept = []
+    for index, text in enumerate(texts):
+        if text is None:
+            continue
+        try:
+            kept.append((parse(text, STRICT), index))
+            continue
+        except TemplateParseError:
+            pass
+        try:
+            kept.append((parse(text, LENIENT), index))
+        except TemplateParseError:
+            pass
+    return kept
+
+
+def _parses(text: str, mode: str) -> bool:
+    try:
+        parse(text, mode)
+    except TemplateParseError:
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts=st.lists(st.one_of(st.none(), _documents), min_size=1, max_size=6))
+def test_parse_candidates_keeps_the_same_samples_and_names_the_lenient_only_ones(texts):
+    kept, lenient_only = parse_candidates(texts)
+    assert kept == _strict_then_lenient_kept(texts)
+    assert lenient_only == tuple(
+        i for i, text in enumerate(texts)
+        if text is not None and not _parses(text, STRICT) and _parses(text, LENIENT)
+    )
 
 
 ITEM = SourceQA("q1: how many?", "4", "q1")
@@ -419,6 +460,13 @@ class TestBuildDataset:
             written[concurrency] = {name: path.read_bytes() for name, path in paths.items()}
         assert written[1] == written[8]
 
+    @pytest.mark.parametrize("merge_mode", MERGE_MODES)
+    def test_golden_fixture_counts_its_lenient_only_samples(self, merge_mode):
+        sources = read_sources(test_golden.GOLDEN / "sources.jsonl")
+        with test_golden.client() as client:
+            result = build_dataset(sources, client, test_golden.CONFIG, merge_mode=merge_mode)
+        assert result.lenient_only == 3
+
     def test_duplicate_source_ids_rejected(self):
         items = [SourceQA("q one", "1", "dup"), SourceQA("q two", "2", "dup")]
         with pytest.raises(PipelineError, match="unique"):
@@ -500,45 +548,69 @@ def _label(texts: list[str | None]) -> str:
     k=st.integers(1, 4),
     merge_mode=st.sampled_from(["deterministic", "llm", "llm-with-fallback"]),
     scripts=st.lists(
-        st.tuples(st.lists(_replies, min_size=4, max_size=4), _replies, _replies),
+        st.tuples(
+            st.lists(_replies, min_size=4, max_size=4), _replies, _replies, st.sets(st.integers(0, 5))
+        ),
         min_size=1, max_size=5,
     ),
 )
 def test_whole_build_is_reproducible_and_keeps_only_sound_rows(k, merge_mode, scripts):
     """Any teacher replies: equal bytes at any concurrency and cache state; every row sound.
 
-    Each item scripts its k sample replies, its integration reply and its
-    repair reply; the question names the item.
+    Each item scripts its k sample replies, its integration reply, its
+    repair reply and the requests whose first send fails with a 429 and
+    whose retry succeeds (sample indices 0-3, then 4 for the integration
+    and 5 for the repair); the question names the item.
     """
     config = SamplingConfig(model_name="mock-teacher", k=k)
     llm = merge_mode != "deterministic"
     items = [
         SourceQA(f"item {i}", _label([integration, repair] * llm + samples[:k]), f"s{i}")
-        for i, (samples, integration, repair) in enumerate(scripts)
+        for i, (samples, integration, repair, _) in enumerate(scripts)
     ]
 
-    def respond(request):
-        question = request.user_prompt.split("\n")[1]
-        samples, integration, repair = scripts[int(question.removeprefix("item "))]
-        if request.system_prompt != INTEGRATION_PROMPT.system:
-            reply = samples[request.sample_index]
-        else:
-            reply = repair if request.user_prompt.endswith(_REPAIR_END) else integration
-        if reply is None:
-            raise TransientError("scripted transport failure")
-        return reply
+    def responder(scripted_429s: bool):
+        sent: set[str] = set()
+        lock = threading.Lock()
 
-    written = []
+        def respond(request):
+            question = request.user_prompt.split("\n")[1]
+            samples, integration, repair, flaky = scripts[int(question.removeprefix("item "))]
+            if request.system_prompt != INTEGRATION_PROMPT.system:
+                slot, reply = request.sample_index, samples[request.sample_index]
+            elif request.user_prompt.endswith(_REPAIR_END):
+                slot, reply = 5, repair
+            else:
+                slot, reply = 4, integration
+            key = cache_key(request)
+            with lock:
+                first = key not in sent
+                sent.add(key)
+            if reply is None:
+                raise TransientError("scripted transport failure")
+            if scripted_429s and slot in flaky and first:
+                raise TransientError("scripted 429", status=429)
+            return reply
+
+        return respond
+
+    written, lenient_only = [], []
     with tempfile.TemporaryDirectory() as tmp:
-        # Uncached at concurrency 1, then a cold and a warm cache at concurrency 3.
-        for run, (concurrency, cached) in enumerate([(1, False), (3, True), (3, True)]):
+        # Uncached at concurrency 1 with no 429s, then a cold and a warm cache
+        # at concurrency 3 with them: each retry must give the same bytes.
+        runs = [(1, False, False), (3, True, True), (3, True, True)]
+        for run, (concurrency, cached, scripted_429s) in enumerate(runs):
             cache = ResponseCache(Path(tmp, "cache")) if cached else None
-            backend = MockBackend(responder=respond)
-            with ChatClient(backend, cache=cache, concurrency=concurrency, max_attempts=1) as client:
+            backend = MockBackend(responder=responder(scripted_429s))
+            with ChatClient(
+                backend, cache=cache, concurrency=concurrency, max_attempts=2, sleep=lambda _: None
+            ) as client:
                 result = build_dataset(items, client, config, merge_mode=merge_mode)
             paths = write_dataset(result, Path(tmp, str(run)))
             written.append({name: path.read_bytes() for name, path in paths.items()})
+            lenient_only.append(result.lenient_only)
     assert written[0] == written[1] == written[2]
+    assert lenient_only[0] == lenient_only[1] == lenient_only[2]
 
     for line in (written[0]["train"] + written[0]["valid"]).splitlines():
         row = json.loads(line)
