@@ -29,11 +29,12 @@ from dataclasses import dataclass
 from datetime import timezone
 from email.utils import parsedate_to_datetime
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
-
-import requests
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 
 from ._io import read_json
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -253,7 +254,12 @@ def parse_retry_after(value: str | None) -> float | None:
 
 
 class HttpBackend:
-    """POSTs chat payloads to one endpoint with a Bearer credential."""
+    """POSTs chat payloads to one endpoint with a Bearer credential.
+
+    ``requests`` is imported when the first backend is built, so a run
+    that never sends over HTTP (offline commands, ``--mock`` runs, the
+    reward functions) never loads the HTTP stack.
+    """
 
     def __init__(
         self,
@@ -264,6 +270,11 @@ class HttpBackend:
     ) -> None:
         if not endpoint:
             raise ValueError("endpoint must be non-empty")
+        # Imported on the caller's thread, so no executor thread runs an
+        # import; send's except clauses read the module from the instance.
+        import requests
+
+        self._requests = requests
         self.endpoint = endpoint
         self.credential_env = credential_env
         self.timeout = timeout
@@ -296,11 +307,11 @@ class HttpBackend:
                 headers={"Authorization": f"Bearer {credential}"},
                 timeout=self.timeout,
             )
-        except requests.Timeout as err:
+        except self._requests.Timeout as err:
             raise TransientError(f"request timed out: {err}") from err
-        except requests.ConnectionError as err:
+        except self._requests.ConnectionError as err:
             raise TransientError(f"connection failed: {err}") from err
-        except requests.RequestException as err:
+        except self._requests.RequestException as err:
             raise ProtocolError(f"request failed: {err}") from err
 
         status = response.status_code
@@ -545,14 +556,18 @@ class ChatClient:
     def submit(self, request: CompletionRequest) -> Future:
         """Start one completion; the future holds its CompletionResult or ClientError.
 
-        A cache hit resolves here without a thread hop; a miss is sent
-        from the executor.
+        A cache hit resolves here without a thread hop; a miss, or a read
+        the store failed, is sent from the executor.
         """
         start = time.monotonic()
         key = hit = None
         if self.cache is not None:
             key = cache_key(request)
-            hit = self.cache.get(key)
+            try:
+                hit = self.cache.get(key)
+            except (sqlite3.Error, OSError) as err:
+                # As with a failed write: the cache only saves work, so a failed read is a miss.
+                log.warning("cache read failed, requesting the completion: %s", err)
         if hit is None:
             return self._executor.submit(self._send, request, key, start)
         with self._lock:

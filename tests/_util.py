@@ -7,19 +7,26 @@ convenient ordering. Node texts embed their index so normalized keys
 are collision-free, and use only letters, digits and spaces so they are
 expressible in the step grammar. ``fail_first_attempts`` and
 ``queue_failures`` script a mock backend's failures through a raising
-responder.
+responder; ``FailingCache`` is a response store whose reads or writes
+fail; ``run_python`` runs a script in a fresh interpreter.
 """
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import threading
 from collections import Counter
+from pathlib import Path
 from typing import Callable
 
+import graphreason
 from graphreason.client import (
     ClientError,
     CompletionRequest,
     MockBackend,
+    ResponseCache,
     TransientError,
     cache_key,
 )
@@ -133,3 +140,33 @@ def queue_failures(backend: MockBackend, *errors: ClientError) -> None:
             return queue.pop(0) if queue else None
 
     _script_failures(backend, error_for)
+
+
+class FailingCache(ResponseCache):
+    """A store whose ``failing`` method, "get" or "put", always raises ``error``.
+
+    As a corrupt file (on reads), a full disk or a long-held lock would.
+    """
+
+    def __init__(self, root, error: Exception, failing: str) -> None:
+        super().__init__(root)
+        self.error = error
+        self.failing = failing
+
+    def get(self, key: str) -> str | None:
+        if self.failing == "get":
+            raise self.error
+        return super().get(key)
+
+    def put(self, key: str, text: str) -> None:
+        if self.failing == "put":
+            raise self.error
+        super().put(key, text)
+
+
+def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout's graphreason."""
+    path = [str(Path(graphreason.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)

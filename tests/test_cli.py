@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from _util import run_python
 from graphreason.cli import RunConfig, build_parser, main, resolve_config
 from graphreason.codec import STRICT, parse
 from graphreason.prompts import TRAJECTORY_PROMPT
@@ -602,3 +603,47 @@ class TestConfigResolution:
         assert main([*base, "--mock", str(mock)]) == 0
         second = json.loads(capsys.readouterr().out)["samples"]
         assert first == second == ["first run"]
+
+
+# Reports, as its last stdout line, which steps left ``requests`` loaded.
+HTTP_STACK_SCRIPT = """
+import json, sys
+
+steps = []
+def step(name, code=None):
+    steps.append([name, code, "requests" in sys.modules])
+
+import graphreason
+step("import graphreason")
+import graphreason.cli
+step("import graphreason.cli")
+for argv in json.loads(sys.argv[1]):
+    step(argv[0], graphreason.cli.main(argv))
+from graphreason.client import HttpBackend
+HttpBackend("http://example.invalid/v1/chat")
+step("HttpBackend")
+print(json.dumps(steps))
+"""
+
+
+def test_only_an_http_backend_loads_the_http_stack(tmp_path):
+    golden = FIXTURES / "golden"
+    mock = ["--mock", str(golden / "mock.json"), "--k", "3"]
+    runs = [
+        ["score", "--completions", str(golden / "completions.jsonl"), "--out", str(tmp_path / "s.jsonl")],
+        ["validate", str(FIXTURES / "case_study.txt")],
+        ["build", "--sources", str(golden / "sources.jsonl"), "--out", str(tmp_path / "ds"), *mock],
+        ["eval", "--items", str(golden / "items.jsonl"), "--paradigm", "self-graph",
+         "--out", str(tmp_path / "eval"), *mock],
+    ]
+    done = run_python(HTTP_STACK_SCRIPT, json.dumps(runs))
+    steps = json.loads(done.stdout.splitlines()[-1])
+    assert steps == [
+        ["import graphreason", None, False],
+        ["import graphreason.cli", None, False],
+        ["score", 0, False],
+        ["validate", 0, False],
+        ["build", 0, False],
+        ["eval", 0, False],
+        ["HttpBackend", None, True],
+    ]

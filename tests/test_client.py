@@ -2,19 +2,16 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import sqlite3
-import subprocess
 import sys
 import threading
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
-from pathlib import Path
 
 import pytest
+import requests
 
-import graphreason
-from _util import fail_first_attempts, queue_failures
+from _util import FailingCache, fail_first_attempts, queue_failures, run_python
 from graphreason.client import (
     AuthError,
     ChatClient,
@@ -78,6 +75,14 @@ class TestConfigValidation:
 class TestCacheKey:
     def test_stable(self):
         assert cache_key(request()) == cache_key(request())
+
+    def test_pinned_bytes(self):
+        # Every existing completions.sqlite3 is keyed by these bytes; a new
+        # key function makes each of its entries miss.
+        r = CompletionRequest("sys ✓", "What is 2 + 2?", SamplingConfig(
+            model_name="mock-teacher", temperature=0.7, max_new_tokens=256, seed=3,
+        ), sample_index=1)
+        assert cache_key(r) == "91d445368ffe0f7381d3a4b00aaa0c521c411734347c9cc4d436eef21eafef8e"
 
     def test_sensitive_to_all_fields(self):
         base = cache_key(request())
@@ -146,10 +151,7 @@ class TestResponseCache:
             "store.put('k', 'written before exit')\n"
             "os._exit(0)\n"
         )
-        path = [str(Path(graphreason.__file__).parent.parent), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                       env=env, check=True, timeout=60)
+        run_python(script, str(tmp_path))
         assert ResponseCache(tmp_path).get("k") == "written before exit"
 
     def test_dropped_store_closes_its_connection(self, tmp_path):
@@ -158,17 +160,6 @@ class TestResponseCache:
         del store
         with pytest.raises(sqlite3.ProgrammingError):
             db.execute("SELECT 1")
-
-
-class _FailingCache(ResponseCache):
-    """A store whose every write fails as a full disk or a long-held lock would."""
-
-    def __init__(self, root, error: Exception) -> None:
-        super().__init__(root)
-        self.error = error
-
-    def put(self, key: str, text: str) -> None:
-        raise self.error
 
 
 class TestComplete:
@@ -205,12 +196,27 @@ class TestComplete:
         sqlite3.OperationalError("database is locked"), OSError(28, "No space left on device"),
     ])
     def test_failed_cache_write_keeps_the_completion(self, tmp_path, caplog, error):
-        client = no_sleep_client(MockBackend(default="pong"), cache=_FailingCache(tmp_path, error))
+        cache = FailingCache(tmp_path, error, "put")
+        client = no_sleep_client(MockBackend(default="pong"), cache=cache)
         with caplog.at_level(logging.WARNING, logger="graphreason.client"):
             result = client.submit(request()).result(timeout=30)
         assert (result.text, result.cached) == ("pong", False)
         assert client.stats.completions == 1
         assert "cache write failed" in caplog.text
+
+    @pytest.mark.parametrize("error", [
+        sqlite3.DatabaseError("database disk image is malformed"), OSError(5, "Input/output error"),
+    ])
+    def test_failed_cache_read_sends_the_request(self, tmp_path, caplog, error):
+        backend = MockBackend(default="pong")
+        client = no_sleep_client(backend, cache=FailingCache(tmp_path, error, "get"))
+        with caplog.at_level(logging.WARNING, logger="graphreason.client"):
+            result = client.submit(request()).result(timeout=30)
+        assert (result.text, result.cached) == ("pong", False)
+        assert (backend.calls, client.stats.cache_hits) == (1, 0)
+        assert caplog.text.count("cache read failed") == 1
+        # The read failed, not the store: the completion is still written.
+        assert ResponseCache(tmp_path).get(cache_key(request())) == "pong"
 
     def test_retry_then_success(self):
         backend = MockBackend(default="ok")
@@ -405,6 +411,30 @@ class TestHttpBackend:
         )
         with pytest.raises(ProtocolError):
             backend.send(request())
+
+
+class _RaisingSession:
+    def __init__(self, error: Exception):
+        self.error = error
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        raise self.error
+
+
+class TestHttpBackendTransportErrors:
+    """``requests``' own exceptions map onto the client's retry policy."""
+
+    @pytest.mark.parametrize("name,exc", [
+        ("Timeout", TransientError), ("ConnectTimeout", TransientError),
+        ("ConnectionError", TransientError), ("InvalidURL", ProtocolError),
+    ])
+    def test_requests_exception_mapping(self, monkeypatch, name, exc):
+        monkeypatch.setenv("GRAPHREASON_API_KEY", "sk-test")
+        error = getattr(requests.exceptions, name)("scripted")
+        backend = HttpBackend("http://example.invalid/v1/chat", session=_RaisingSession(error))
+        with pytest.raises(exc) as caught:
+            backend.send(request())
+        assert caught.value.__cause__ is error
 
 
 class _ScriptedSession:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sqlite3
 import tempfile
 import threading
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _util import FailingCache
 from graphreason.answers import answers_match
 from graphreason.bench import load_logiqa
 from graphreason.client import (
@@ -367,6 +369,16 @@ class TestBuildDataset:
             paths = write_dataset(build_dataset(items, client, CONFIG), tmp_path / name)
             outputs.append({key: path.read_bytes() for key, path in paths.items()})
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_a_store_whose_reads_fail_builds_the_same_as_no_store(self, tmp_path):
+        error = sqlite3.DatabaseError("database disk image is malformed")
+        outputs = []
+        for name, cache in [("plain", None), ("broken", FailingCache(tmp_path / "cache", error, "get"))]:
+            client = ChatClient(MockBackend(corpus_replies()), cache=cache, sleep=lambda _: None)
+            paths = write_dataset(build_dataset(corpus_items(), client, CONFIG), tmp_path / name)
+            outputs.append({key: path.read_bytes() for key, path in paths.items()})
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["train"]
 
     def test_lone_surrogate_in_a_kept_step_is_written_escaped(self, tmp_path):
         items = [SourceQA("What is 2 + 2?", "4", "q1")]
