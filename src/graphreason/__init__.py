@@ -4,161 +4,59 @@ The package turns question/answer pairs into training instances whose
 reasoning is a directed acyclic graph of short steps, serialized in a
 tagged text template, and evaluates QA benchmarks under direct, linear
 chain, and self-generated graph prompting paradigms.
+
+Importing the package loads no submodule: each exported name loads the
+submodule that defines it on first use (PEP 562), so a consumer of the
+reward functions never loads the client, its thread pool or its store.
 """
 from __future__ import annotations
 
-from .answers import (
-    answers_match,
-    extract_option_letter,
-    normalize_freeform,
-    parse_number,
-)
-from .bench import (
-    ADAPTERS,
-    BENCHMARKS,
-    PARADIGMS,
-    BenchError,
-    BenchmarkItem,
-    BenchmarkScore,
-    EvalReport,
-    ItemRecord,
-    SchemaError,
-    evaluate,
-    load_benchmark,
-    render_table,
-    write_report,
-)
-from .client import (
-    AuthError,
-    ChatClient,
-    ClientError,
-    CompletionRequest,
-    CompletionResult,
-    HttpBackend,
-    MockBackend,
-    ProtocolError,
-    ResponseCache,
-    SamplingConfig,
-    TrajectorySamples,
-    TransientError,
-    TransportExhaustedError,
-)
-from .codec import (
-    LENIENT,
-    STRICT,
-    StructuredOutput,
-    TemplateParseError,
-    extract_answer_lenient,
-    find_answer_tag,
-    parse,
-    render,
-)
-from .graph import (
-    GraphDiagnostics,
-    GraphError,
-    GraphViolation,
-    InvalidGraphError,
-    ReasoningGraph,
-    export_dot,
-    normalize_text,
-    validate,
-)
-from .merge import (
-    MERGE_MODES,
-    CandidateSet,
-    DroppedEdge,
-    LLMMergeFailedError,
-    MergedResult,
-    MergeError,
-    merge_deterministic,
-    merge_llm,
-)
-from .pipeline import (
-    BuildReport,
-    BuildResult,
-    DiscardRecord,
-    PipelineError,
-    Provenance,
-    SourceQA,
-    TrainingInstance,
-    build_dataset,
-    build_instance,
-    read_sources,
-    split_instances,
-    write_dataset,
-)
-from .rewards import RewardScore, reward_answer, reward_format, score_batch, score_completion
+from importlib import import_module
 
-__all__ = [
-    "ADAPTERS",
-    "AuthError",
-    "BENCHMARKS",
-    "BenchError",
-    "BenchmarkItem",
-    "BenchmarkScore",
-    "BuildReport",
-    "BuildResult",
-    "CandidateSet",
-    "ChatClient",
-    "ClientError",
-    "CompletionRequest",
-    "CompletionResult",
-    "DiscardRecord",
-    "DroppedEdge",
-    "EvalReport",
-    "GraphDiagnostics",
-    "GraphError",
-    "GraphViolation",
-    "HttpBackend",
-    "InvalidGraphError",
-    "ItemRecord",
-    "LENIENT",
-    "LLMMergeFailedError",
-    "MERGE_MODES",
-    "MergeError",
-    "MergedResult",
-    "MockBackend",
-    "PARADIGMS",
-    "PipelineError",
-    "ProtocolError",
-    "Provenance",
-    "ReasoningGraph",
-    "ResponseCache",
-    "RewardScore",
-    "STRICT",
-    "SamplingConfig",
-    "SchemaError",
-    "SourceQA",
-    "StructuredOutput",
-    "TemplateParseError",
-    "TrainingInstance",
-    "TrajectorySamples",
-    "TransientError",
-    "TransportExhaustedError",
-    "answers_match",
-    "build_dataset",
-    "build_instance",
-    "evaluate",
-    "export_dot",
-    "extract_answer_lenient",
-    "extract_option_letter",
-    "find_answer_tag",
-    "load_benchmark",
-    "merge_deterministic",
-    "merge_llm",
-    "normalize_freeform",
-    "normalize_text",
-    "parse",
-    "parse_number",
-    "read_sources",
-    "render",
-    "render_table",
-    "reward_answer",
-    "reward_format",
-    "score_batch",
-    "score_completion",
-    "split_instances",
-    "validate",
-    "write_dataset",
-    "write_report",
-]
+# Each exported name, under the submodule that defines it.
+_EXPORTS = {
+    "answers": ("answers_match", "extract_option_letter", "normalize_freeform", "parse_number"),
+    "bench": (
+        "ADAPTERS", "BENCHMARKS", "PARADIGMS", "BenchError", "BenchmarkItem", "BenchmarkScore",
+        "EvalReport", "ItemRecord", "SchemaError", "evaluate", "load_benchmark", "render_table",
+        "write_report",
+    ),
+    "client": (
+        "AuthError", "ChatClient", "ClientError", "CompletionRequest", "CompletionResult",
+        "HttpBackend", "MockBackend", "ProtocolError", "ResponseCache", "SamplingConfig",
+        "TrajectorySamples", "TransientError", "TransportExhaustedError",
+    ),
+    "codec": (
+        "LENIENT", "STRICT", "StructuredOutput", "TemplateParseError", "extract_answer_lenient",
+        "find_answer_tag", "parse", "render",
+    ),
+    "graph": (
+        "GraphDiagnostics", "GraphError", "GraphViolation", "InvalidGraphError", "ReasoningGraph",
+        "export_dot", "normalize_text", "validate",
+    ),
+    "merge": (
+        "MERGE_MODES", "CandidateSet", "DroppedEdge", "LLMMergeFailedError", "MergedResult",
+        "MergeError", "merge_deterministic", "merge_llm",
+    ),
+    "pipeline": (
+        "BuildReport", "BuildResult", "DiscardRecord", "PipelineError", "Provenance", "SourceQA",
+        "TrainingInstance", "build_dataset", "build_instance", "read_sources", "split_instances",
+        "write_dataset",
+    ),
+    "rewards": ("RewardScore", "reward_answer", "reward_format", "score_batch", "score_completion"),
+}
+_OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNERS)
+
+
+def __getattr__(name: str):
+    if name not in _OWNERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_OWNERS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -14,8 +14,8 @@ it is read from the environment variable named by ``--credential-env``
 and each command applies its own policy to a problem it reports.
 
 Exit codes: 0 success, 1 item-level failure (bad records, an input
-file that cannot be decoded, failed merge, nothing retained), 2
-configuration error.
+file that cannot be decoded, failed merge, nothing retained, no eval
+reply), 2 configuration error.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ import argparse
 import json
 import logging
 import os
-import sqlite3
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
@@ -63,6 +62,8 @@ from .client import (
     MockBackend,
     ResponseCache,
     SamplingConfig,
+    check_at_least_one,
+    check_temperature,
     gather_trajectories,
 )
 from .codec import LENIENT, STRICT, StructuredOutput, TemplateParseError, parse, render
@@ -138,14 +139,14 @@ class RunConfig:
             raise ConfigError("merge_mode", f"must be one of {', '.join(MERGE_MODES)}")
         if self.paradigm not in PARADIGMS:
             raise ConfigError("paradigm", f"must be one of {', '.join(PARADIGMS)}")
-        for name in ("concurrency", "retry_cap", "k", "max_new_tokens"):
-            if getattr(self, name) < 1:
-                raise ConfigError(name, "must be at least 1")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ConfigError("temperature", "must be between 0 and 2")
-        for name in ("format_weight", "answer_weight"):
+        # Each range rule lives with the code that relies on it; this names the setting.
+        checks = [(name, check_at_least_one)
+                  for name in ("concurrency", "retry_cap", "k", "max_new_tokens")]
+        checks += [("temperature", check_temperature),
+                   ("format_weight", check_weight), ("answer_weight", check_weight)]
+        for name, check in checks:
             try:
-                check_weight(name, getattr(self, name))
+                check(name, getattr(self, name))
             except ValueError as err:
                 raise ConfigError(name, str(err)) from None
 
@@ -220,8 +221,8 @@ def make_client(cfg: RunConfig) -> ChatClient:
         backend = HttpBackend(cfg.endpoint, credential_env=cfg.credential_env)
     try:
         cache = ResponseCache(cfg.cache_dir) if cfg.cache_dir else None
-    except sqlite3.Error as err:
-        raise ConfigError("cache_dir", f"{cfg.cache_dir}: {err}") from None
+    except ValueError as err:
+        raise ConfigError("cache_dir", str(err)) from None
     return ChatClient(
         backend, cache=cache, concurrency=cfg.concurrency, max_attempts=cfg.retry_cap
     )
@@ -426,11 +427,14 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     with make_client(cfg) as client:
         report = evaluate(items, cfg.paradigm, client, make_sampling_config(cfg))
+    failed = sum(record.error is not None for record in report.records)
     print(render_table(report), end="")
+    print(f"transport failures: {failed}")
     if args.out:
         paths = write_report(report, args.out)
         print(f"wrote {paths['text']}, {paths['json']}, {paths['records']}")
-    return EXIT_OK
+    # As a build that retains nothing: no reply came back to score.
+    return EXIT_FAILURE if failed == len(items) else EXIT_OK
 
 
 def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:

@@ -13,12 +13,10 @@ tasks only send; only the callers wait on futures.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
 import random
-import sqlite3
 import threading
 import time
 import weakref
@@ -26,8 +24,6 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import timezone
-from email.utils import parsedate_to_datetime
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 
@@ -94,6 +90,18 @@ class TransportExhaustedError(ClientError):
         self.last = last
 
 
+def check_at_least_one(name: str, value: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is at least 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def check_temperature(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` lies in [0, 2]."""
+    if not 0.0 <= value <= 2.0:
+        raise ValueError(f"{name} out of range [0, 2]: {value}")
+
+
 @dataclass
 class SamplingConfig:
     model_name: str
@@ -105,12 +113,9 @@ class SamplingConfig:
     def __post_init__(self) -> None:
         if not self.model_name:
             raise ValueError("model_name must be non-empty")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError(f"temperature out of range [0, 2]: {self.temperature}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.max_new_tokens < 1:
-            raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
+        check_temperature("temperature", self.temperature)
+        check_at_least_one("k", self.k)
+        check_at_least_one("max_new_tokens", self.max_new_tokens)
 
 
 @dataclass
@@ -180,7 +185,11 @@ def cache_key(request: CompletionRequest) -> str:
         "sample_index": request.sample_index,
     }
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    import hashlib  # loaded by the first cached run; later calls find it in sys.modules
+
+    # Surrogates pass through, as in ResponseCache, so a lone one in a
+    # prompt is a key like any other; every other text keeps its bytes.
+    return hashlib.sha256(blob.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 class ResponseCache:
@@ -196,26 +205,36 @@ class ResponseCache:
     passed through, so any ``str`` round-trips unchanged. The store's
     one connection is shared by the caller's thread (``get``) and the
     executor's (``put``), and closes when the store is collected.
+
+    The store is the one user of ``sqlite3``, which loads when the first
+    store is built. A file that cannot be opened as a store raises
+    ValueError naming it; ``errors`` holds the exception types that
+    ``get`` and ``put`` raise when the store fails.
     """
 
     FILENAME = "completions.sqlite3"
 
     def __init__(self, root: str | Path) -> None:
+        import sqlite3
+
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._db = sqlite3.connect(
-            self.root / self.FILENAME, check_same_thread=False, isolation_level=None
-        )
-        # Connections sit in reference cycles; close this one as soon as the store goes.
-        weakref.finalize(self, self._db.close)
+        self.errors: tuple[type[Exception], ...] = (sqlite3.Error, OSError)
         self._lock = threading.Lock()
-        self._db.execute("PRAGMA journal_mode=WAL")
-        # Syncs only at checkpoints: a power loss may drop the last puts but never tears one.
-        self._db.execute("PRAGMA synchronous=NORMAL")
-        self._db.execute(
-            "CREATE TABLE IF NOT EXISTS completions "
-            "(key TEXT PRIMARY KEY, text BLOB NOT NULL) WITHOUT ROWID"
-        )
+        path = self.root / self.FILENAME
+        try:
+            self._db = sqlite3.connect(path, check_same_thread=False, isolation_level=None)
+            # Connections sit in reference cycles; close this one as soon as the store goes.
+            weakref.finalize(self, self._db.close)
+            self._db.execute("PRAGMA journal_mode=WAL")
+            # Syncs only at checkpoints: a power loss may drop the last puts but never tears one.
+            self._db.execute("PRAGMA synchronous=NORMAL")
+            self._db.execute(
+                "CREATE TABLE IF NOT EXISTS completions "
+                "(key TEXT PRIMARY KEY, text BLOB NOT NULL) WITHOUT ROWID"
+            )
+        except sqlite3.Error as err:
+            raise ValueError(f"{path}: {err}") from None
 
     def get(self, key: str) -> str | None:
         with self._lock:
@@ -244,6 +263,9 @@ def parse_retry_after(value: str | None) -> float | None:
     # isdigit alone admits non-ASCII digits, such as a superscript two, that float() rejects.
     if value.isascii() and value.isdigit():
         return float(value)
+    from datetime import timezone
+    from email.utils import parsedate_to_datetime
+
     try:
         when = parsedate_to_datetime(value)
     except (TypeError, ValueError):
@@ -464,10 +486,8 @@ class ChatClient:
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
+        check_at_least_one("max_attempts", max_attempts)
+        check_at_least_one("concurrency", concurrency)
         self.backend = backend
         self.cache = cache
         self.max_attempts = max_attempts
@@ -545,7 +565,7 @@ class ChatClient:
         if key is not None:
             try:
                 self.cache.put(key, text)
-            except (sqlite3.Error, OSError) as err:
+            except self.cache.errors as err:
                 # The cache only saves work: a failed write keeps the completion.
                 log.warning("cache write failed, completion kept uncached: %s", err)
         with self._lock:
@@ -565,7 +585,7 @@ class ChatClient:
             key = cache_key(request)
             try:
                 hit = self.cache.get(key)
-            except (sqlite3.Error, OSError) as err:
+            except self.cache.errors as err:
                 # As with a failed write: the cache only saves work, so a failed read is a miss.
                 log.warning("cache read failed, requesting the completion: %s", err)
         if hit is None:

@@ -24,6 +24,8 @@ GOOD_DOC = (
 )
 # A valid template whose first step holds a lone surrogate, which has no UTF-8 form.
 SURROGATE_DOC = GOOD_DOC.replace("collect facts", "x\ud800 start")
+# A "\ud800" escape is valid JSON, so a sources or items file may hold a lone surrogate.
+SURROGATE_QUESTION = "q1: x\ud800 how many?"
 
 
 def write_mock(tmp_path: Path, replies: dict, default: str | None = None) -> Path:
@@ -37,6 +39,19 @@ def write_mock(tmp_path: Path, replies: dict, default: str | None = None) -> Pat
 
 def mock_args(tmp_path: Path, replies: dict, default: str | None = None) -> list[str]:
     return ["--mock", str(write_mock(tmp_path, replies, default))]
+
+
+def uncached_and_cached_outputs(
+    tmp_path: Path, argv: list[str], names: tuple[str, ...]
+) -> dict[str, dict[str, bytes]]:
+    """Run ``argv + --out <run>`` uncached, then cold and warm on one cache; read ``names``."""
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    outputs = {}
+    for run, extra in [("uncached", []), ("cold", cache), ("warm", cache)]:
+        out_dir = tmp_path / run
+        assert main([*argv, "--out", str(out_dir), *extra]) == 0, run
+        outputs[run] = {name: (out_dir / name).read_bytes() for name in names}
+    return outputs
 
 
 class TestValidate:
@@ -292,6 +307,20 @@ class TestBuild:
         args = mock_args(tmp_path, {}, default="never a template")
         assert main(["build", "--sources", str(sources), "--out", str(tmp_path / "o"), *args]) == 1
 
+    def test_lone_surrogate_question_builds_the_same_with_a_cache(self, tmp_path):
+        sources = tmp_path / "s.jsonl"
+        sources.write_text(
+            json.dumps({"question": SURROGATE_QUESTION, "label": "4"}) + "\n"
+            + json.dumps({"question": "q2: plain?", "label": "4"}) + "\n"
+        )
+        argv = ["build", "--sources", str(sources), "--k", "3",
+                *mock_args(tmp_path, {}, default=GOOD_DOC)]
+        outputs = uncached_and_cached_outputs(
+            tmp_path, argv, ("train.jsonl", "valid.jsonl", "report.json")
+        )
+        assert outputs["cold"] == outputs["warm"] == outputs["uncached"]
+        assert json.loads(outputs["uncached"]["report.json"])["retained"] == 2
+
 
 class TestIngestEval:
     def make_benchmark(self, tmp_path: Path) -> Path:
@@ -324,6 +353,7 @@ class TestIngestEval:
         out = capsys.readouterr().out
         assert "paradigm: direct" in out
         assert "50.00" in out
+        assert "transport failures: 0\n" in out
         assert (out_dir / "report.txt").is_file()
         records = [json.loads(line) for line in (out_dir / "records.jsonl").read_text().splitlines()]
         assert [r["correct"] for r in records] == [True, False]
@@ -338,6 +368,40 @@ class TestIngestEval:
     def test_eval_needs_a_source(self, tmp_path, capsys):
         assert main(["eval", *mock_args(tmp_path, {})]) == 2
         assert "config error: items:" in capsys.readouterr().err
+
+    def write_items(self, tmp_path: Path, *questions: str) -> Path:
+        items = tmp_path / "items.jsonl"
+        items.write_text("".join(
+            json.dumps({"question": q, "label": "4", "benchmark": "demo", "item_id": f"d{i}"}) + "\n"
+            for i, q in enumerate(questions, start=1)
+        ))
+        return items
+
+    @pytest.mark.parametrize("replies, failed, code", [
+        ({"b1:": "4", "b2:": "4"}, 0, 0),
+        ({"b1:": "4"}, 1, 0),
+        ({}, 2, 1),
+    ], ids=["none", "some", "all"])
+    def test_transport_failures_printed_and_all_failed_exits_one(
+        self, tmp_path, capsys, replies, failed, code
+    ):
+        items = self.write_items(tmp_path, "b1: first?", "b2: second?")
+        argv = ["eval", "--items", str(items), "--paradigm", "direct", "--out", str(tmp_path / "r")]
+        assert main([*argv, *mock_args(tmp_path, replies)]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2] == f"transport failures: {failed}"
+        records = [json.loads(line) for line in (tmp_path / "r" / "records.jsonl").open()]
+        assert sum(r["error"] is not None for r in records) == failed
+
+    def test_lone_surrogate_question_evaluates_the_same_with_a_cache(self, tmp_path):
+        items = self.write_items(tmp_path, SURROGATE_QUESTION, "q2: plain?")
+        argv = ["eval", "--items", str(items), "--paradigm", "direct",
+                *mock_args(tmp_path, {}, default="4")]
+        outputs = uncached_and_cached_outputs(
+            tmp_path, argv, ("report.txt", "report.json", "records.jsonl")
+        )
+        assert outputs["cold"] == outputs["warm"] == outputs["uncached"]
+        assert json.loads(outputs["uncached"]["report.json"])["per_benchmark"]["demo"]["correct"] == 2
 
 
 class TestScore:
@@ -580,6 +644,18 @@ class TestConfigResolution:
         assert main(["sample", "why?", "--temperature", "3"]) == 2
         assert "config error: temperature:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("retry_cap", "0", "retry_cap must be >= 1, got 0"),
+        ("concurrency", "-1", "concurrency must be >= 1, got -1"),
+        ("k", "0", "k must be >= 1, got 0"),
+        ("max_new_tokens", "0", "max_new_tokens must be >= 1, got 0"),
+        ("temperature", "-0.5", "temperature out of range [0, 2]: -0.5"),
+    ])
+    def test_range_error_names_the_setting(self, capsys, name, value, message):
+        flag = "--" + name.replace("_", "-")
+        assert main(["sample", "why?", flag, value]) == 2
+        assert f"config error: {name}: {message}\n" in capsys.readouterr().err
+
     def test_credential_is_not_a_flag(self):
         with pytest.raises(SystemExit) as err:
             main(["sample", "why?", "--credential", "sk-123"])
@@ -647,3 +723,52 @@ def test_only_an_http_backend_loads_the_http_stack(tmp_path):
         ["eval", 0, False],
         ["HttpBackend", None, True],
     ]
+
+
+# Reports, as its last stdout line, which of WATCHED each step left loaded,
+# then the exported names that dir() and a star import missed.
+IMPORT_BOUNDARY_SCRIPT = """
+import json, sys
+
+WATCHED = ("graphreason.client", "sqlite3", "hashlib", "concurrent.futures", "email.utils")
+steps = []
+def step(name, code=None):
+    steps.append([name, code, [m for m in WATCHED if m in sys.modules]])
+
+import graphreason
+undir = sorted(set(graphreason.__all__) - set(dir(graphreason)))
+import graphreason.rewards, graphreason.codec
+step("import rewards, codec")
+from graphreason import ChatClient
+step("from graphreason import ChatClient")
+import graphreason.cli
+for argv in json.loads(sys.argv[1]):
+    step(argv[0], graphreason.cli.main(argv))
+graphreason.ResponseCache(sys.argv[2])
+step("ResponseCache")
+names = {}
+exec("from graphreason import *", names)
+print(json.dumps([steps, undir, sorted(set(graphreason.__all__) - set(names))]))
+"""
+
+
+def test_each_module_loads_on_first_use(tmp_path):
+    golden = FIXTURES / "golden"
+    runs = [
+        ["score", "--completions", str(golden / "completions.jsonl"), "--out", str(tmp_path / "s.jsonl")],
+        ["validate", str(FIXTURES / "case_study.txt")],
+        ["build", "--sources", str(golden / "sources.jsonl"), "--out", str(tmp_path / "ds"),
+         "--mock", str(golden / "mock.json"), "--k", "3"],
+    ]
+    done = run_python(IMPORT_BOUNDARY_SCRIPT, json.dumps(runs), str(tmp_path / "cache"))
+    steps, undir, unstarred = json.loads(done.stdout.splitlines()[-1])
+    client = ["graphreason.client", "concurrent.futures"]
+    assert steps == [
+        ["import rewards, codec", None, []],
+        ["from graphreason import ChatClient", None, client],
+        ["score", 0, client],
+        ["validate", 0, client],
+        ["build", 0, client],
+        ["ResponseCache", None, ["graphreason.client", "sqlite3", "concurrent.futures"]],
+    ]
+    assert undir == unstarred == []

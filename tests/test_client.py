@@ -71,6 +71,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             CompletionRequest("sys", "", SamplingConfig(model_name="m"))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_attempts": 0}, "max_attempts must be >= 1, got 0"),
+        ({"concurrency": 0}, "concurrency must be >= 1, got 0"),
+    ])
+    def test_client_floors_name_their_argument(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ChatClient(MockBackend(default="x"), **kwargs)
+
 
 class TestCacheKey:
     def test_stable(self):
@@ -83,6 +91,10 @@ class TestCacheKey:
             model_name="mock-teacher", temperature=0.7, max_new_tokens=256, seed=3,
         ), sample_index=1)
         assert cache_key(r) == "91d445368ffe0f7381d3a4b00aaa0c521c411734347c9cc4d436eef21eafef8e"
+
+    def test_lone_surrogate_prompt_has_its_own_key(self):
+        assert cache_key(request(user="x\ud800?")) not in {cache_key(request(user="x?")),
+                                                            cache_key(request(user="x\udfff?"))}
 
     def test_sensitive_to_all_fields(self):
         base = cache_key(request())
@@ -102,6 +114,12 @@ class TestResponseCache:
     def test_any_str_round_trips(self, tmp_path, text):
         ResponseCache(tmp_path).put("k", text)
         assert ResponseCache(tmp_path).get("k") == text
+
+    def test_a_file_that_is_not_a_store_is_a_value_error_naming_it(self, tmp_path):
+        (tmp_path / ResponseCache.FILENAME).write_text("not a database " * 20)
+        with pytest.raises(ValueError, match="not a database") as err:
+            ResponseCache(tmp_path)
+        assert str(err.value).startswith(f"{tmp_path / ResponseCache.FILENAME}: ")
 
     def test_one_file_per_store(self, tmp_path):
         ResponseCache(tmp_path / "cache").put("k", "v")
