@@ -1,10 +1,14 @@
-"""The one reader per input format, and file-writing helpers.
+"""The one reader per input format, and the one file writer.
 
 ``read_text`` reads template text and config files, ``read_json`` a
 whole JSON document and ``read_jsonl`` one record per line. Each gives
 what it decoded with a problem, None when the input was well-formed,
 so bytes that are not UTF-8 are reported like any other bad input and
 each caller keeps only its policy for a problem.
+
+``atomic_write`` writes every output file, one chunk at a time, and
+``jsonl_lines`` gives a record file's chunks, one line per record, so
+writing holds one record at a time rather than the whole file.
 """
 from __future__ import annotations
 
@@ -50,13 +54,21 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object, str | None]]:
             yield lineno, value, None
 
 
-def atomic_write_text(path: Path, content: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
+def atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` in order, each as it arrives, each surrogate escaped.
+
+    The chunks go to a sibling temp file that is renamed over ``path``
+    once the last is written, so readers never see a torn file and an
+    error, in the chunks' source too, leaves ``path`` as it was. Only one
+    chunk is held at a time: pass a whole document as one chunk, and a
+    record file as ``jsonl_lines(records)``.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(content)
+            for chunk in chunks:
+                handle.write(escape_surrogates(chunk))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -77,10 +89,13 @@ def escape_surrogates(text: str) -> str:
     return text if text.isascii() else _SURROGATE.sub(lambda m: f"\\u{ord(m.group()):04x}", text)
 
 
-def jsonl_dumps(records: Iterable[dict]) -> str:
-    """One JSON object per line: non-ASCII text as is, each surrogate escaped."""
-    lines = [json.dumps(record, ensure_ascii=False, sort_keys=True) for record in records]
-    return escape_surrogates("".join(line + "\n" for line in lines))
+_JSONL = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
+def jsonl_lines(records: Iterable[dict]) -> Iterator[str]:
+    """Yield one JSON object per line, non-ASCII text as is, keys sorted."""
+    for record in records:
+        yield _JSONL.encode(record) + "\n"
 
 
 def record_id(raw: dict, default: str) -> str:

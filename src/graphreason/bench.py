@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ._io import atomic_write_text, jsonl_dumps, read_json, read_jsonl, record_id
+from ._io import atomic_write, jsonl_lines, read_json, read_jsonl, record_id
 from .answers import OPTION_LETTERS, answers_match
 from .client import ChatClient, ClientError, CompletionRequest, SamplingConfig
 from .codec import LENIENT, TemplateParseError, extract_answer_lenient, parse
@@ -307,9 +307,9 @@ def load_benchmark(name: str, path: str | Path) -> list[BenchmarkItem]:
 
 def write_items(items: Sequence[BenchmarkItem], path: str | Path) -> None:
     """Write normalized items as JSONL, one object per line."""
-    atomic_write_text(
+    atomic_write(
         Path(path),
-        jsonl_dumps(
+        jsonl_lines(
             {
                 "question": item.question,
                 "label": item.label,
@@ -548,7 +548,7 @@ def write_report(report: EvalReport, out_dir: str | Path) -> dict[str, Path]:
         "json": out / REPORT_JSON_FILE,
         "records": out / RECORDS_FILE,
     }
-    atomic_write_text(paths["text"], render_table(report))
-    atomic_write_text(paths["json"], json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    atomic_write_text(paths["records"], jsonl_dumps(r.to_dict() for r in report.records))
+    atomic_write(paths["text"], [render_table(report)])
+    atomic_write(paths["json"], [json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"])
+    atomic_write(paths["records"], jsonl_lines(r.to_dict() for r in report.records))
     return paths

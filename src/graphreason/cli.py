@@ -30,9 +30,9 @@ from pathlib import Path
 from typing import Iterator, TextIO, get_args, get_type_hints
 
 from ._io import (
-    atomic_write_text,
+    atomic_write,
     escape_surrogates,
-    jsonl_dumps,
+    jsonl_lines,
     read_json,
     read_jsonl,
     read_text,
@@ -273,7 +273,7 @@ def parse_template_records(paths: list[str], lenient: bool, failures_to: TextIO,
                 else:
                     on_parsed(where, output)
                     continue
-            print(f"{where}: {problem}", file=failures_to)
+            print(escape_surrogates(f"{where}: {problem}"), file=failures_to)
             failures += 1
     return EXIT_FAILURE if failures else EXIT_OK
 
@@ -304,7 +304,7 @@ def cmd_viz(args: argparse.Namespace, cfg: RunConfig) -> int:
             name = f"{in_path.stem}.dot"
         out_path = Path(args.out_dir) / name
         dot = export_dot(output.graph, answer=output.answer)
-        atomic_write_text(out_path, escape_surrogates(dot))
+        atomic_write(out_path, [dot])
         print(out_path)
 
     return parse_template_records([args.path], args.lenient, sys.stderr, write_dot)
@@ -325,12 +325,11 @@ def cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
         "errors": {str(i): message for i, message in sorted(samples.errors.items())},
     }
     body = json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
-    body = escape_surrogates(body)
     if args.out:
-        atomic_write_text(Path(args.out), body)
+        atomic_write(Path(args.out), [body])
         print(f"wrote {args.out} ({len(samples.successful())}/{config.k} samples)")
     else:
-        print(body, end="")
+        print(escape_surrogates(body), end="")
     return EXIT_OK
 
 
@@ -369,11 +368,12 @@ def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE
     if args.out:
-        atomic_write_text(Path(args.out), document)
+        atomic_write(Path(args.out), [document])
         suffix = ", fell back" if merged.fell_back else ""
-        print(f"wrote {args.out} (answer: {merged.answer}, mode: {merged.merge_mode}{suffix})")
+        answer = escape_surrogates(merged.answer)
+        print(f"wrote {args.out} (answer: {answer}, mode: {merged.merge_mode}{suffix})")
     else:
-        print(document, end="")
+        print(escape_surrogates(document), end="")
     return EXIT_OK
 
 
@@ -428,7 +428,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     with make_client(cfg) as client:
         report = evaluate(items, cfg.paradigm, client, make_sampling_config(cfg))
     failed = sum(record.error is not None for record in report.records)
-    print(render_table(report), end="")
+    print(escape_surrogates(render_table(report)), end="")
     print(f"transport failures: {failed}")
     if args.out:
         paths = write_report(report, args.out)
@@ -464,10 +464,8 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
         print(f"mean answer reward: {sum(s.answer_reward for s in scores) / n:.4f}")
         print(f"mean combined reward: {sum(s.combined for s in scores) / n:.4f}")
     if args.out:
-        rows = [
-            {"index": i, **score.to_dict()} for i, score in enumerate(scores)
-        ]
-        atomic_write_text(Path(args.out), jsonl_dumps(rows))
+        rows = ({"index": i, **score.to_dict()} for i, score in enumerate(scores))
+        atomic_write(Path(args.out), jsonl_lines(rows))
         print(f"wrote {args.out}")
     return EXIT_OK
 

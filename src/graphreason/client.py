@@ -207,9 +207,10 @@ class ResponseCache:
     executor's (``put``), and closes when the store is collected.
 
     The store is the one user of ``sqlite3``, which loads when the first
-    store is built. A file that cannot be opened as a store raises
-    ValueError naming it; ``errors`` holds the exception types that
-    ``get`` and ``put`` raise when the store fails.
+    store is built. A root that cannot be made a directory, or a file
+    that cannot be opened as a store, raises ValueError naming it;
+    ``errors`` holds the exception types that ``get`` and ``put`` raise
+    when the store fails.
     """
 
     FILENAME = "completions.sqlite3"
@@ -218,7 +219,10 @@ class ResponseCache:
         import sqlite3
 
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ValueError(f"{self.root}: cannot be made a directory ({err.strerror})") from None
         self.errors: tuple[type[Exception], ...] = (sqlite3.Error, OSError)
         self._lock = threading.Lock()
         path = self.root / self.FILENAME

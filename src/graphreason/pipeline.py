@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Generator, Sequence
 
-from ._io import atomic_write_text, jsonl_dumps, read_jsonl, record_id
+from ._io import atomic_write, jsonl_lines, read_jsonl, record_id
 from .answers import answers_match
 from .client import (
     ChatClient,
@@ -452,9 +452,9 @@ def write_dataset(result: BuildResult, out_dir: str | Path) -> dict[str, Path]:
         "valid": out / VALID_FILE,
         "report": out / REPORT_FILE,
     }
-    atomic_write_text(paths["train"], jsonl_dumps(i.to_dict() for i in result.train))
-    atomic_write_text(paths["valid"], jsonl_dumps(i.to_dict() for i in result.valid))
+    atomic_write(paths["train"], jsonl_lines(i.to_dict() for i in result.train))
+    atomic_write(paths["valid"], jsonl_lines(i.to_dict() for i in result.valid))
     report = result.report.to_dict()
     report["discards"] = [d.to_dict() for d in result.discards]
-    atomic_write_text(paths["report"], json.dumps(report, indent=2, sort_keys=True) + "\n")
+    atomic_write(paths["report"], [json.dumps(report, indent=2, sort_keys=True) + "\n"])
     return paths

@@ -8,7 +8,8 @@ are collision-free, and use only letters, digits and spaces so they are
 expressible in the step grammar. ``fail_first_attempts`` and
 ``queue_failures`` script a mock backend's failures through a raising
 responder; ``FailingCache`` is a response store whose reads or writes
-fail; ``run_python`` runs a script in a fresh interpreter.
+fail; ``run_python`` runs a script in a fresh interpreter;
+``traced_peak`` measures the Python memory a call allocates.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from typing import Callable
@@ -170,3 +172,15 @@ def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
+
+
+def traced_peak(call: Callable[[], object]) -> tuple[object, int]:
+    """``call()``'s result, and the most Python memory in bytes it held at once."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

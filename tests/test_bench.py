@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings
 
+from _util import traced_peak
 from graphreason.bench import (
     ADAPTERS,
     BENCHMARKS,
@@ -434,6 +435,13 @@ class TestReports:
             text = path.read_text().lower()
             assert "timestamp" not in text
             assert "latency" not in text
+
+    def test_writing_holds_one_record_at_a_time(self, tmp_path):
+        report = self.make_report()
+        report.records = report.records * 1000
+        paths, peak = traced_peak(lambda: write_report(report, tmp_path))
+        assert len(paths["records"].read_text().splitlines()) == 2000
+        assert peak < paths["records"].stat().st_size
 
     def test_byte_determinism(self, tmp_path):
         items = [item(n) for n in range(1, 8)]

@@ -87,6 +87,14 @@ class TestValidate:
         assert main(["validate", "no-such-file.txt"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_lone_surrogate_in_a_parse_error_is_printed_escaped(self, tmp_path, capsys):
+        steps = "<step> x\ud800 → b </step>\n<step> b → x\ud800 </step>"
+        cycle = f"<reasoning>\n{steps}\n</reasoning>\n<answer> 4 </answer>"
+        rows = tmp_path / "row.jsonl"
+        rows.write_text(json.dumps({"graph_reasoning": cycle}) + "\n")
+        assert main(["validate", str(rows)]) == 1
+        assert "x\\ud800" in capsys.readouterr().out
+
 
 class TestViz:
     def test_writes_dot(self, tmp_path, capsys):
@@ -209,6 +217,17 @@ class TestMerge:
         with caplog.at_level("WARNING"):
             assert main(["merge", str(path)]) == 0
         assert [r.getMessage() for r in caplog.records] == warnings
+
+    def test_lone_surrogate_step_is_printed_and_written_escaped(self, tmp_path, capsys):
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps({"question": "how many?", "samples": [SURROGATE_DOC] * 2}))
+        assert main(["merge", str(path)]) == 0
+        printed = capsys.readouterr().out
+        assert "x\\ud800 start" in printed
+        out = tmp_path / "merged.txt"
+        assert main(["merge", str(path), "--out", str(out)]) == 0
+        assert out.read_bytes().decode("utf-8") == printed
+        assert "answer: 4" in capsys.readouterr().out
 
     def test_edgeless_merge_fails_with_message(self, tmp_path, capsys):
         path = tmp_path / "samples.json"
@@ -392,6 +411,21 @@ class TestIngestEval:
         assert lines[-2] == f"transport failures: {failed}"
         records = [json.loads(line) for line in (tmp_path / "r" / "records.jsonl").open()]
         assert sum(r["error"] is not None for r in records) == failed
+
+    def test_lone_surrogate_benchmark_is_printed_and_written_escaped(self, tmp_path, capsys):
+        items = tmp_path / "items.jsonl"
+        items.write_text(json.dumps(
+            {"question": "b1: first?", "label": "4", "benchmark": "de\ud800mo", "item_id": "d1"}
+        ) + "\n")
+        out = tmp_path / "r"
+        argv = ["eval", "--items", str(items), "--paradigm", "direct", "--out", str(out)]
+        assert main([*argv, *mock_args(tmp_path, {}, default="4")]) == 0
+        assert "de\\ud800mo" in capsys.readouterr().out
+        assert "de\\ud800mo" in (out / "report.txt").read_bytes().decode("utf-8")
+        per_benchmark = json.loads((out / "report.json").read_bytes())["per_benchmark"]
+        assert per_benchmark["de\ud800mo"]["correct"] == 1
+        record = json.loads((out / "records.jsonl").read_bytes().decode("utf-8"))
+        assert record["benchmark"] == "de\ud800mo"
 
     def test_lone_surrogate_question_evaluates_the_same_with_a_cache(self, tmp_path):
         items = self.write_items(tmp_path, SURROGATE_QUESTION, "q2: plain?")
@@ -668,6 +702,13 @@ class TestConfigResolution:
         mock = write_mock(tmp_path, {}, default="reply")
         assert main(["sample", "why?", "--mock", str(mock), "--cache-dir", str(cache)]) == 2
         assert "config error: cache_dir:" in capsys.readouterr().err
+
+    def test_cache_dir_that_is_a_file_is_a_config_error(self, tmp_path, capsys):
+        cache = tmp_path / "afile"
+        cache.write_text("")
+        mock = write_mock(tmp_path, {}, default="reply")
+        assert main(["sample", "why?", "--mock", str(mock), "--cache-dir", str(cache)]) == 2
+        assert f"config error: cache_dir: {cache}: " in capsys.readouterr().err
 
     def test_cache_dir_reused_across_runs(self, tmp_path, capsys):
         mock = write_mock(tmp_path, {}, default="first run")

@@ -1,0 +1,26 @@
+from __future__ import annotations
+
+import pytest
+
+from graphreason._io import atomic_write
+
+
+def test_each_chunk_is_written_with_its_surrogates_escaped(tmp_path):
+    path = tmp_path / "sub" / "out.txt"
+    atomic_write(path, ["é ", "x\ud800", "\udc00y\n"])
+    assert path.read_bytes() == "é x\\ud800\\udc00y\n".encode("utf-8")
+
+
+def test_a_failing_source_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    path.write_text("old\n")
+
+    def chunks():
+        yield "new\n"
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        atomic_write(path, chunks())
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _util import FailingCache
+from _util import FailingCache, traced_peak
 from graphreason.answers import answers_match
 from graphreason.bench import load_logiqa
 from graphreason.client import (
@@ -32,6 +32,7 @@ from graphreason.pipeline import (
     DISCARD_PARSE_FAILURE,
     DISCARD_UNRENDERABLE,
     BuildReport,
+    BuildResult,
     DiscardRecord,
     PipelineError,
     Provenance,
@@ -508,6 +509,15 @@ class TestWriteDataset:
         row = json.loads(paths["train"].read_text().splitlines()[0])
         assert set(row) == {"question", "graph_reasoning", "label", "provenance"}
         parse(row["graph_reasoning"], STRICT)
+
+    def test_writing_holds_one_row_at_a_time(self, tmp_path):
+        built = build_dataset(corpus_items(), client_for(corpus_replies()), CONFIG)
+        rows = built.instances * 1000
+        paths, peak = traced_peak(
+            lambda: write_dataset(BuildResult(rows, built.discards, rows, []), tmp_path)
+        )
+        assert len(paths["train"].read_text().splitlines()) == 2000
+        assert peak < paths["train"].stat().st_size
 
     def test_no_timestamps_and_no_leftover_tmp(self, tmp_path):
         result = build_dataset(corpus_items(), client_for(corpus_replies()), CONFIG)
