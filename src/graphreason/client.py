@@ -49,6 +49,11 @@ MAX_RETRY_AFTER = 120.0
 THREADS_PER_SLOT = 2
 # Items that batch callers (build, eval) submit ahead, per concurrency slot.
 LOOKAHEAD_PER_SLOT = 4
+# SQLite page cache of an open ResponseCache, in KiB. A run writes each
+# completion once and reads it about once, so cached leaf pages are almost
+# never read again; this holds the B-tree's upper levels, where SQLite's
+# default is 2 MiB.
+STORE_PAGE_CACHE_KIB = 256
 
 T = TypeVar("T")
 S = TypeVar("S")
@@ -206,11 +211,18 @@ class ResponseCache:
     one connection is shared by the caller's thread (``get``) and the
     executor's (``put``), and closes when the store is collected.
 
+    An open store holds at most ``STORE_PAGE_CACHE_KIB`` (256 KiB) of
+    SQLite pages, so a lookup in a larger store may read its pages from
+    the operating system's file cache.
+
     The store is the one user of ``sqlite3``, which loads when the first
     store is built. A root that cannot be made a directory, or a file
     that cannot be opened as a store, raises ValueError naming it;
     ``errors`` holds the exception types that ``get`` and ``put`` raise
-    when the store fails.
+    when the store fails. A row that is not UTF-8 text, which ``put``
+    never writes, makes ``get`` raise ``sqlite3.DataError``, one of
+    ``errors``, so the client treats it as a failed read: a miss, whose
+    fresh completion then replaces the row.
     """
 
     FILENAME = "completions.sqlite3"
@@ -233,6 +245,7 @@ class ResponseCache:
             self._db.execute("PRAGMA journal_mode=WAL")
             # Syncs only at checkpoints: a power loss may drop the last puts but never tears one.
             self._db.execute("PRAGMA synchronous=NORMAL")
+            self._db.execute(f"PRAGMA cache_size=-{STORE_PAGE_CACHE_KIB}")
             self._db.execute(
                 "CREATE TABLE IF NOT EXISTS completions "
                 "(key TEXT PRIMARY KEY, text BLOB NOT NULL) WITHOUT ROWID"
@@ -243,7 +256,18 @@ class ResponseCache:
     def get(self, key: str) -> str | None:
         with self._lock:
             row = self._db.execute("SELECT text FROM completions WHERE key = ?", (key,)).fetchone()
-        return None if row is None else row[0].decode("utf-8", "surrogatepass")
+        if row is None:
+            return None
+        try:
+            return row[0].decode("utf-8", "surrogatepass")
+        except (AttributeError, UnicodeDecodeError):
+            # put writes only UTF-8 bytes, so a TEXT or number value, or bytes
+            # that are not UTF-8, were damaged or written by another program.
+            import sqlite3  # loaded by __init__
+
+            raise sqlite3.DataError(
+                f"{self.root / self.FILENAME}: the entry for {key} is not UTF-8 text"
+            ) from None
 
     def put(self, key: str, text: str) -> None:
         blob = text.encode("utf-8", "surrogatepass")

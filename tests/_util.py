@@ -8,13 +8,15 @@ are collision-free, and use only letters, digits and spaces so they are
 expressible in the step grammar. ``fail_first_attempts`` and
 ``queue_failures`` script a mock backend's failures through a raising
 responder; ``FailingCache`` is a response store whose reads or writes
-fail; ``run_python`` runs a script in a fresh interpreter;
-``traced_peak`` measures the Python memory a call allocates.
+fail; ``corrupt_store`` overwrites every row of a store with a value
+that is not UTF-8 text; ``run_python`` runs a script in a fresh
+interpreter; ``traced_peak`` measures the Python memory a call allocates.
 """
 from __future__ import annotations
 
 import os
 import random
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -22,6 +24,8 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 from typing import Callable
+
+import pytest
 
 import graphreason
 from graphreason.client import (
@@ -164,6 +168,23 @@ class FailingCache(ResponseCache):
         if self.failing == "put":
             raise self.error
         super().put(key, text)
+
+
+# Row values that ResponseCache.put never writes, as parameters for corrupt_store.
+NOT_UTF8_TEXT = (
+    pytest.param(b"\xff bad", id="bytes"),
+    pytest.param("a str value", id="text"),
+    pytest.param(7, id="integer"),
+)
+
+
+def corrupt_store(root: str | Path, value: bytes | str | int) -> int:
+    """Set every row of the store in ``root`` to ``value``; the number of rows set."""
+    db = sqlite3.connect(Path(root) / ResponseCache.FILENAME, isolation_level=None)
+    try:
+        return db.execute("UPDATE completions SET text = ?", (value,)).rowcount
+    finally:
+        db.close()
 
 
 def run_python(script: str, *args: str) -> subprocess.CompletedProcess:

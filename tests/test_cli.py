@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from _util import run_python
+from _util import NOT_UTF8_TEXT, corrupt_store, run_python
 from graphreason.cli import RunConfig, build_parser, main, resolve_config
 from graphreason.codec import STRICT, parse
 from graphreason.prompts import TRAJECTORY_PROMPT
@@ -720,6 +720,20 @@ class TestConfigResolution:
         assert main([*base, "--mock", str(mock)]) == 0
         second = json.loads(capsys.readouterr().out)["samples"]
         assert first == second == ["first run"]
+
+    @pytest.mark.parametrize("value", NOT_UTF8_TEXT)
+    def test_cache_rows_that_are_not_utf8_text_are_requested_again(
+        self, tmp_path, capsys, caplog, value
+    ):
+        mock = write_mock(tmp_path, {}, default="reply")
+        cache = tmp_path / "cache"
+        argv = ["sample", "why?", "--k", "2", "--mock", str(mock), "--cache-dir", str(cache)]
+        assert main(argv) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert corrupt_store(cache, value) == 2
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == first
+        assert caplog.text.count("cache read failed") == 2
 
 
 # Reports, as its last stdout line, which steps left ``requests`` loaded.

@@ -11,8 +11,16 @@ from email.utils import format_datetime
 import pytest
 import requests
 
-from _util import FailingCache, fail_first_attempts, queue_failures, run_python
+from _util import (
+    NOT_UTF8_TEXT,
+    FailingCache,
+    corrupt_store,
+    fail_first_attempts,
+    queue_failures,
+    run_python,
+)
 from graphreason.client import (
+    STORE_PAGE_CACHE_KIB,
     AuthError,
     ChatClient,
     CompletionRequest,
@@ -172,6 +180,26 @@ class TestResponseCache:
         run_python(script, str(tmp_path))
         assert ResponseCache(tmp_path).get("k") == "written before exit"
 
+    def test_new_and_reopened_stores_bound_their_page_cache(self, tmp_path):
+        new = ResponseCache(tmp_path)
+        new.put("k", "v")
+        reopened = ResponseCache(tmp_path)
+        for store in (new, reopened):
+            # A negative cache_size is a bound in KiB.
+            assert store._db.execute("PRAGMA cache_size").fetchone() == (-STORE_PAGE_CACHE_KIB,)
+
+    def test_a_store_larger_than_its_page_cache_round_trips(self, tmp_path):
+        texts = {f"k{i}": f"{i} " + "naïve ✓ \ud800 " * 150 for i in range(300)}
+        store = ResponseCache(tmp_path)
+        for key, text in texts.items():
+            store.put(key, text)
+        (size,) = store._db.execute(
+            "SELECT page_count * page_size FROM pragma_page_count, pragma_page_size"
+        ).fetchone()
+        assert size > 2 * STORE_PAGE_CACHE_KIB * 1024
+        for reader in (store, ResponseCache(tmp_path)):
+            assert {key: reader.get(key) for key in texts} == texts
+
     def test_dropped_store_closes_its_connection(self, tmp_path):
         store = ResponseCache(tmp_path)
         db = store._db
@@ -234,6 +262,22 @@ class TestComplete:
         assert (backend.calls, client.stats.cache_hits) == (1, 0)
         assert caplog.text.count("cache read failed") == 1
         # The read failed, not the store: the completion is still written.
+        assert ResponseCache(tmp_path).get(cache_key(request())) == "pong"
+
+    @pytest.mark.parametrize("value", NOT_UTF8_TEXT)
+    def test_a_row_that_is_not_utf8_text_is_a_miss_that_the_reply_replaces(
+        self, tmp_path, caplog, value
+    ):
+        ResponseCache(tmp_path).put(cache_key(request()), "stored")
+        assert corrupt_store(tmp_path, value) == 1
+        backend = MockBackend(default="pong")
+        client = no_sleep_client(backend, cache=ResponseCache(tmp_path))
+        with caplog.at_level(logging.WARNING, logger="graphreason.client"):
+            result = client.submit(request()).result(timeout=30)
+        assert (result.text, result.cached) == ("pong", False)
+        assert (backend.calls, client.stats.cache_hits) == (1, 0)
+        assert caplog.text.count("cache read failed") == 1
+        assert f"the entry for {cache_key(request())} is not UTF-8 text" in caplog.text
         assert ResponseCache(tmp_path).get(cache_key(request())) == "pong"
 
     def test_retry_then_success(self):

@@ -10,9 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _util import FailingCache, traced_peak
+from _util import NOT_UTF8_TEXT, FailingCache, corrupt_store, traced_peak
 from graphreason.answers import answers_match
-from graphreason.bench import load_logiqa
+from graphreason.bench import (
+    PARADIGMS,
+    BenchmarkItem,
+    evaluate,
+    extract_candidate,
+    load_logiqa,
+    write_report,
+)
 from graphreason.client import (
     ChatClient,
     MockBackend,
@@ -381,6 +388,23 @@ class TestBuildDataset:
         assert outputs[0] == outputs[1]
         assert outputs[0]["train"]
 
+    @pytest.mark.parametrize("value", NOT_UTF8_TEXT)
+    def test_a_store_of_rows_that_are_not_utf8_text_builds_the_same_as_no_store(
+        self, tmp_path, value
+    ):
+        def build(name: str, backend: MockBackend, cache: ResponseCache | None) -> dict:
+            client = ChatClient(backend, cache=cache, sleep=lambda _: None)
+            paths = write_dataset(build_dataset(corpus_items(), client, CONFIG), tmp_path / name)
+            return {key: path.read_bytes() for key, path in paths.items()}
+
+        store = tmp_path / "cache"
+        plain = build("plain", MockBackend(corpus_replies()), None)
+        build("cold", MockBackend(corpus_replies()), ResponseCache(store))
+        assert corrupt_store(store, value) > 0
+        assert build("corrupt", MockBackend(corpus_replies()), ResponseCache(store)) == plain
+        # The fresh completions replaced the rows: a rebuild that refuses every send reads them.
+        assert build("warm", MockBackend(), ResponseCache(store)) == plain
+
     def test_lone_surrogate_in_a_kept_step_is_written_escaped(self, tmp_path):
         items = [SourceQA("What is 2 + 2?", "4", "q1")]
         reply = doc([("x\ud800 start", "x end")], "4")
@@ -640,3 +664,74 @@ def test_whole_build_is_reproducible_and_keeps_only_sound_rows(k, merge_mode, sc
         assert render(output) == row["graph_reasoning"]
         assert len(sinks(output.graph)) == 1
         assert answers_match(output.answer, row["label"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    paradigm=st.sampled_from(PARADIGMS),
+    scripts=st.lists(st.tuples(_replies, st.booleans(), st.booleans()), min_size=1, max_size=6),
+)
+def test_evaluate_is_reproducible_and_scores_each_reply_by_its_candidate(paradigm, scripts):
+    """Any replies: equal report bytes at any concurrency and cache state; each record sound.
+
+    Each item scripts its reply (None for a request whose transport
+    fails), whether its label is the reply's own candidate, so that some
+    items are scored correct, and whether its first send fails with a
+    429 whose retry succeeds; the question names the item.
+    """
+
+    def label(reply: str | None, matching: bool) -> str:
+        candidate = extract_candidate(reply, paradigm)[0] if reply is not None else None
+        return candidate if matching and candidate and candidate.strip() else "none"
+
+    items = [
+        BenchmarkItem(f"item {i}", label(reply, matching), ("aiw", "logiqa")[i % 2], f"i{i}")
+        for i, (reply, matching, _) in enumerate(scripts)
+    ]
+
+    def responder(scripted_429s: bool):
+        sent: set[int] = set()
+        lock = threading.Lock()
+
+        def respond(request):
+            index = int(request.user_prompt.split("item ", 1)[1].split()[0])
+            reply, _, flaky = scripts[index]
+            with lock:
+                first = index not in sent
+                sent.add(index)
+            if reply is None:
+                raise TransientError("scripted transport failure")
+            if scripted_429s and flaky and first:
+                raise TransientError("scripted 429", status=429)
+            return reply
+
+        return respond
+
+    config = SamplingConfig(model_name="mock-eval")
+    written, reports = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        # Uncached at concurrency 1 with no 429s, then a cold and a warm cache
+        # at concurrency 3 with them.
+        for run, (concurrency, cached) in enumerate([(1, False), (3, True), (3, True)]):
+            cache = ResponseCache(Path(tmp, "cache")) if cached else None
+            backend = MockBackend(responder=responder(scripted_429s=cached))
+            with ChatClient(
+                backend, cache=cache, concurrency=concurrency, max_attempts=2, sleep=lambda _: None
+            ) as client:
+                reports.append(evaluate(items, paradigm, client, config))
+            paths = write_report(reports[-1], Path(tmp, str(run)))
+            written.append({name: path.read_bytes() for name, path in paths.items()})
+        # The warm store answers every reply that came back; only failures are sent again.
+        assert backend.calls == 2 * sum(reply is None for reply, _, _ in scripts)
+    assert written[0] == written[1] == written[2]
+
+    for item, (reply, _, _), record in zip(items, scripts, reports[0].records, strict=True):
+        assert record.item_id == item.item_id
+        if reply is None:
+            assert (record.candidate, record.correct, record.error) == (
+                None, False, "gave up after 2 attempts: scripted transport failure"
+            )
+            continue
+        candidate = extract_candidate(reply, paradigm)[0]
+        assert record.candidate == candidate
+        assert record.correct == (candidate is not None and answers_match(candidate, item.label))
