@@ -30,10 +30,7 @@ _EXPORTS = {
         "LENIENT", "STRICT", "StructuredOutput", "TemplateParseError", "extract_answer_lenient",
         "find_answer_tag", "parse", "render",
     ),
-    "graph": (
-        "GraphDiagnostics", "GraphError", "GraphViolation", "InvalidGraphError", "ReasoningGraph",
-        "export_dot", "normalize_text", "validate",
-    ),
+    "graph": ("GraphError", "InvalidGraphError", "ReasoningGraph", "export_dot", "normalize_text"),
     "merge": (
         "MERGE_MODES", "CandidateSet", "DroppedEdge", "LLMMergeFailedError", "MergedResult",
         "MergeError", "merge_deterministic", "merge_llm",

@@ -28,11 +28,17 @@ def read_text(path: str | Path) -> tuple[str | None, str | None]:
         return None, f"not UTF-8 text ({err})"
 
 
+# Bytes that are not UTF-8 and text that is not JSON raise ValueErrors, and so
+# does a number too long to convert to an int; nesting too deep to decode
+# raises RecursionError.
+_UNDECODABLE = (ValueError, RecursionError)
+
+
 def read_json(path: str | Path) -> tuple[object, str | None]:
     """``(value, None)`` for a UTF-8 JSON file, ``(None, "invalid JSON (...)")`` otherwise."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8")), None
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except _UNDECODABLE as err:
         return None, f"invalid JSON ({err})"
 
 
@@ -48,7 +54,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object, str | None]]:
             if not line:
                 continue
             value = json.loads(line)
-        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        except _UNDECODABLE as err:
             yield lineno, None, f"invalid JSON ({err})"
         else:
             yield lineno, value, None

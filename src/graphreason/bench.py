@@ -112,14 +112,29 @@ def _require(raw: dict, key: str, where: str):
     return raw[key]
 
 
+def _require_text(raw: dict, key: str, where: str) -> str:
+    value = _require(raw, key, where)
+    if not isinstance(value, str):
+        raise SchemaError(f"{where}: field {key!r} must be a string")
+    return value
+
+
+def _item(where: str, **fields: str) -> BenchmarkItem:
+    """The item one record makes; a blank question or label is the record's fault."""
+    try:
+        return BenchmarkItem(**fields)
+    except ValueError as err:
+        raise SchemaError(f"{where}: {err}") from None
+
+
 def load_logiqa(path: str | Path) -> list[BenchmarkItem]:
     """LogiQA split file: JSONL with text/question/options/answer-index."""
     path = Path(path)
     items = []
     for lineno, raw in _read_jsonl(path):
         where = f"{path}:{lineno}"
-        context = _require(raw, "text", where)
-        question = _require(raw, "question", where)
+        context = _require_text(raw, "text", where)
+        question = _require_text(raw, "question", where)
         options = _require(raw, "options", where)
         answer = _require(raw, "answer", where)
         if not isinstance(options, list):
@@ -127,7 +142,8 @@ def load_logiqa(path: str | Path) -> list[BenchmarkItem]:
         if not isinstance(answer, int):
             raise SchemaError(f"{where}: answer must be an option index")
         items.append(
-            BenchmarkItem(
+            _item(
+                where,
                 question=compose_question(context, question, format_options(options, where)),
                 label=_index_letter(answer, where),
                 benchmark="logiqa",
@@ -150,7 +166,8 @@ def _load_aiw_family(path: str | Path, benchmark: str) -> list[BenchmarkItem]:
         prompt = _require(raw, "prompt", where)
         answer = _require(raw, "right_answer", where)
         items.append(
-            BenchmarkItem(
+            _item(
+                where,
                 question=str(prompt),
                 label=str(answer),
                 benchmark=benchmark,
@@ -181,7 +198,7 @@ def load_arlsat(path: str | Path) -> list[BenchmarkItem]:
         where = f"{path}: passage {p}"
         if not isinstance(passage_raw, dict):
             raise SchemaError(f"{where}: expected an object")
-        passage = _require(passage_raw, "passage", where)
+        passage = _require_text(passage_raw, "passage", where)
         questions = _require(passage_raw, "questions", where)
         if not isinstance(questions, list):
             raise SchemaError(f"{where}: questions must be a list")
@@ -189,7 +206,7 @@ def load_arlsat(path: str | Path) -> list[BenchmarkItem]:
             q_where = f"{where} question {q}"
             if not isinstance(question_raw, dict):
                 raise SchemaError(f"{q_where}: expected an object")
-            question = _require(question_raw, "question", q_where)
+            question = _require_text(question_raw, "question", q_where)
             options = _require(question_raw, "options", q_where)
             answer = _require(question_raw, "answer", q_where)
             if not isinstance(options, list):
@@ -201,7 +218,8 @@ def load_arlsat(path: str | Path) -> list[BenchmarkItem]:
                 if label not in OPTION_LETTERS:
                     raise SchemaError(f"{q_where}: answer {answer!r} is not an option letter")
             items.append(
-                BenchmarkItem(
+                _item(
+                    q_where,
                     question=compose_question(
                         passage, question, format_options(options, q_where)
                     ),
@@ -219,7 +237,7 @@ def load_medqa(path: str | Path) -> list[BenchmarkItem]:
     items = []
     for lineno, raw in _read_jsonl(path):
         where = f"{path}:{lineno}"
-        question = _require(raw, "question", where)
+        question = _require_text(raw, "question", where)
         options = _require(raw, "options", where)
         answer_idx = _require(raw, "answer_idx", where)
         if not isinstance(options, dict):
@@ -232,7 +250,8 @@ def load_medqa(path: str | Path) -> list[BenchmarkItem]:
             raise SchemaError(f"{where}: answer_idx {answer_idx!r} not among options")
         option_lines = format_options([options[letter] for letter in letters], where)
         items.append(
-            BenchmarkItem(
+            _item(
+                where,
                 question=compose_question(question, option_lines),
                 label=label,
                 benchmark="medqa",
@@ -269,7 +288,7 @@ def load_mathqa(path: str | Path) -> list[BenchmarkItem]:
         where = f"{path}: item {i}"
         if not isinstance(raw, dict):
             raise SchemaError(f"{where}: expected an object")
-        problem = _require(raw, "Problem", where)
+        problem = _require_text(raw, "Problem", where)
         packed = _require(raw, "options", where)
         correct = _require(raw, "correct", where)
         options = parse_packed_options(str(packed), where)
@@ -277,7 +296,8 @@ def load_mathqa(path: str | Path) -> list[BenchmarkItem]:
         if label not in OPTION_LETTERS[: len(options)]:
             raise SchemaError(f"{where}: correct letter {correct!r} not among options")
         items.append(
-            BenchmarkItem(
+            _item(
+                where,
                 question=compose_question(problem, format_options(options, where)),
                 label=label,
                 benchmark="mathqa",
@@ -299,10 +319,19 @@ BENCHMARKS = tuple(ADAPTERS)
 
 
 def load_benchmark(name: str, path: str | Path) -> list[BenchmarkItem]:
-    """Dispatch to the adapter registered under ``name``."""
+    """Dispatch to the adapter registered under ``name``; item ids must not repeat."""
     if name not in ADAPTERS:
         raise SchemaError(f"unknown benchmark {name!r}; known: {', '.join(BENCHMARKS)}")
-    return ADAPTERS[name](path)
+    return _unique_ids(ADAPTERS[name](path), path)
+
+
+def _unique_ids(items: list[BenchmarkItem], path: str | Path) -> list[BenchmarkItem]:
+    seen: set[str] = set()
+    for item in items:
+        if item.item_id in seen:
+            raise SchemaError(f"{path}: item_id {item.item_id!r} appears twice")
+        seen.add(item.item_id)
+    return items
 
 
 def write_items(items: Sequence[BenchmarkItem], path: str | Path) -> None:
@@ -322,20 +351,21 @@ def write_items(items: Sequence[BenchmarkItem], path: str | Path) -> None:
 
 
 def read_items(path: str | Path) -> list[BenchmarkItem]:
-    """Read items previously written by ``write_items``."""
+    """Read items previously written by ``write_items``; item ids must not repeat."""
     path = Path(path)
     items = []
     for lineno, raw in _read_jsonl(path):
         where = f"{path}:{lineno}"
         items.append(
-            BenchmarkItem(
+            _item(
+                where,
                 question=str(_require(raw, "question", where)),
                 label=str(_require(raw, "label", where)),
                 benchmark=str(_require(raw, "benchmark", where)),
                 item_id=str(_require(raw, "item_id", where)),
             )
         )
-    return items
+    return _unique_ids(items, path)
 
 
 @dataclass

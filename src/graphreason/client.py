@@ -359,7 +359,10 @@ class HttpBackend:
             )
         except self._requests.Timeout as err:
             raise TransientError(f"request timed out: {err}") from err
-        except self._requests.ConnectionError as err:
+        except (
+            self._requests.ConnectionError, self._requests.exceptions.ChunkedEncodingError
+        ) as err:
+            # A body cut off mid-read is as retryable as a connection never made.
             raise TransientError(f"connection failed: {err}") from err
         except self._requests.RequestException as err:
             raise ProtocolError(f"request failed: {err}") from err

@@ -10,9 +10,10 @@ no edge and no cycle, and raises :class:`InvalidGraphError` otherwise.
 have already normalized; :meth:`ReasoningGraph.from_edges` normalizes
 display-text pairs first. Every consumer (``codec.render``,
 :func:`sinks`, :func:`export_dot`, the merge) relies on the type and
-checks nothing again. :func:`validate` reports the two shapes a DAG may
-still have that a single conclusion rules out: several sinks and
-disconnected components.
+checks nothing again. A reasoning graph should converge on one
+conclusion, and that is the one thing a DAG leaves open: ask for it with
+:func:`sinks`, which has one key when it does. One sink also means one
+weakly connected component, since each component of a DAG has a sink.
 
 The API is string keys only: a graph exposes a key-to-display-text
 mapping (:attr:`ReasoningGraph.texts`) and ``(parent key, child key)``
@@ -22,12 +23,10 @@ pairs (:attr:`ReasoningGraph.edge_keys`), both in insertion order, and
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 WARNING_MULTIPLE_SINKS = "multiple-sinks"
-WARNING_DISCONNECTED = "disconnected-components"
 
 _STRIP_CHARS = string.punctuation + string.whitespace
 
@@ -60,22 +59,6 @@ def _node_key(text: str) -> str:
     if not key:
         raise ValueError(f"node text normalizes to nothing: {text!r}")
     return key
-
-
-@dataclass
-class GraphViolation:
-    """One warning reported by :func:`validate`."""
-
-    kind: str
-    detail: str
-    nodes: tuple[str, ...] = ()
-
-
-@dataclass
-class GraphDiagnostics:
-    """Outcome of :func:`validate`: the warnings, in a fixed order."""
-
-    warnings: list[GraphViolation] = field(default_factory=list)
 
 
 class ReasoningGraph:
@@ -222,60 +205,6 @@ def strongly_connected_components(
                     assigned.add(nxt)
                     member_stack.append(nxt)
         members.sort(key=order_index.__getitem__)
-        components.append(members)
-    return components
-
-
-def validate(graph: ReasoningGraph) -> GraphDiagnostics:
-    """Report multiple sinks and weakly disconnected components, as warnings.
-
-    The constructor rules out every structural error, so these are all
-    a graph can still show; this function never raises on graph content.
-    """
-    diag = GraphDiagnostics()
-    sink_keys = sinks(graph)
-    if len(sink_keys) > 1:
-        diag.warnings.append(
-            GraphViolation(
-                WARNING_MULTIPLE_SINKS,
-                f"{len(sink_keys)} sinks present",
-                tuple(sink_keys),
-            )
-        )
-
-    components = _weak_components(list(graph._text), graph._edges)
-    if len(components) > 1:
-        diag.warnings.append(
-            GraphViolation(
-                WARNING_DISCONNECTED,
-                f"{len(components)} weakly connected components",
-            )
-        )
-    return diag
-
-
-def _weak_components(
-    node_keys: list[str], edge_keys: Iterable[tuple[str, str]]
-) -> list[list[str]]:
-    neighbours: dict[str, list[str]] = {k: [] for k in node_keys}
-    for parent, child in edge_keys:
-        neighbours[parent].append(child)
-        neighbours[child].append(parent)
-    seen: set[str] = set()
-    components = []
-    for start in node_keys:
-        if start in seen:
-            continue
-        seen.add(start)
-        stack = [start]
-        members = []
-        while stack:
-            node = stack.pop()
-            members.append(node)
-            for nxt in neighbours[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
         components.append(members)
     return components
 

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _util import NOT_UTF8_TEXT, corrupt_store, run_python
 from graphreason.cli import RunConfig, build_parser, main, resolve_config
@@ -82,6 +87,20 @@ class TestValidate:
         doc.write_text("Sure!\n" + GOOD_DOC)
         assert main(["validate", str(doc)]) == 1
         assert main(["validate", "--lenient", str(doc)]) == 0
+
+    @pytest.mark.parametrize("steps, counts", [
+        (["a → b", "c → d"], "4 nodes, 2 edges"),
+        (["a → b", "a → c"], "3 nodes, 2 edges"),
+    ], ids=["two-chains", "fork"])
+    def test_several_sinks_are_the_one_warning(self, tmp_path, capsys, steps, counts):
+        doc = tmp_path / "doc.txt"
+        body = "".join(f"<step> {step} </step>\n" for step in steps)
+        doc.write_text(f"<reasoning>\n{body}</reasoning>\n<answer> 4 </answer>\n")
+        assert main(["validate", str(doc)]) == 0
+        assert capsys.readouterr().out == (
+            f"{doc}: {counts}, 0 errors, 1 warnings\n"
+            "  warning: multiple-sinks: 2 sinks present\n"
+        )
 
     def test_missing_file(self, capsys):
         assert main(["validate", "no-such-file.txt"]) == 1
@@ -388,6 +407,49 @@ class TestIngestEval:
         assert main(["eval", *mock_args(tmp_path, {})]) == 2
         assert "config error: items:" in capsys.readouterr().err
 
+    # Per command: the input file's name, its lines, each a JSON value, and
+    # what the one error line says after the file's path.
+    @pytest.mark.parametrize("command, name, lines, problem", [
+        (["ingest", "--benchmark", "logiqa"], "b.jsonl",
+         [{"text": 5, "question": "q?", "options": ["x", "y"], "answer": 0}],
+         ":1: field 'text' must be a string"),
+        (["ingest", "--benchmark", "aiw"], "b.json", [[{"prompt": "p?", "right_answer": "   "}]],
+         ": item 1: label must be non-empty"),
+        (["ingest", "--benchmark", "aiw_plus"], "b.json", [[{"prompt": " ", "right_answer": "4"}]],
+         ": item 1: question must be non-empty"),
+        (["ingest", "--benchmark", "arlsat"], "b.json",
+         [[{"passage": "p.", "questions": [{"question": ["q?"], "options": ["x"], "answer": 0}]}]],
+         ": passage 1 question 1: field 'question' must be a string"),
+        (["ingest", "--benchmark", "medqa"], "b.jsonl",
+         [{"question": None, "options": {"A": "x"}, "answer_idx": "A"}],
+         ":1: field 'question' must be a string"),
+        (["ingest", "--benchmark", "mathqa"], "b.json",
+         [[{"Problem": 3, "options": "a ) 1 , b ) 2", "correct": "a"}]],
+         ": item 1: field 'Problem' must be a string"),
+        (["eval", "--mock", "{mock}"], "items.jsonl",
+         [{"question": "  ", "label": "4", "benchmark": "demo", "item_id": "d1"}],
+         ":1: question must be non-empty"),
+        (["ingest", "--benchmark", "aiw"], "b.json",
+         [[{"id": "x", "prompt": "p?", "right_answer": "4"}] * 2],
+         ": item_id 'x' appears twice"),
+        (["eval", "--mock", "{mock}"], "items.jsonl",
+         [{"question": "q?", "label": "4", "benchmark": "demo", "item_id": "x"}] * 2,
+         ": item_id 'x' appears twice"),
+    ], ids=["logiqa", "aiw", "aiw_plus", "arlsat", "medqa", "mathqa", "eval-items",
+            "ingest-repeated-id", "eval-items-repeated-id"])
+    def test_malformed_record_is_one_error_line(
+        self, tmp_path, capsys, command, name, lines, problem
+    ):
+        path = tmp_path / name
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        mock = str(write_mock(tmp_path, {}, default="4"))
+        source = ["--path" if command[0] == "ingest" else "--items", str(path)]
+        argv = [arg.format(mock=mock) for arg in command] + source
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}{problem}\n"
+        assert captured.out == ""
+
     def write_items(self, tmp_path: Path, *questions: str) -> Path:
         items = tmp_path / "items.jsonl"
         items.write_text("".join(
@@ -566,6 +628,137 @@ class TestUndecodableInput:
             f"{records}:3: 3 nodes, 2 edges, 0 errors",
             f"{records}:4: 3 nodes, 2 edges, 0 errors",
         ]
+
+
+# The CLI property: any input file, JSON or not UTF-8, makes every command
+# that reads one exit 0, 1 or 2 with at most one error line and no exception.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(("", " ", "A", "4", GOOD_DOC, SURROGATE_DOC)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _positions(value, path=()):
+    """The path of ``value`` and of each member of it, at any depth."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, member in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _positions(member, (*path, key))
+
+
+_DROP = object()
+
+
+def _put(value, path, new):
+    """A copy of ``value`` with the member at ``path`` replaced by ``new``, or removed for _DROP."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    if len(path) == 1 and new is _DROP:
+        del copy[path[0]]
+    else:
+        copy[path[0]] = _put(value[path[0]], path[1:], new)
+    return copy
+
+
+@st.composite
+def mutants(draw, value):
+    """``value`` with one or two members, at any depth, removed or replaced by any JSON value."""
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_positions(value))))
+        drop = path and draw(st.integers(0, 3)) == 0
+        value = _put(value, path, _DROP if drop else draw(json_values))
+    return value
+
+
+def file_bodies(document) -> st.SearchStrategy:
+    """Bytes of a file near ``document``, or bytes that are not UTF-8.
+
+    A str is a text file: any text, or lines of it. A list of dicts is a
+    JSONL file: mutants of its record, one per line. Anything else is a
+    JSON file holding a mutant of it.
+    """
+    if isinstance(document, str):
+        lines = document.splitlines(keepends=True)
+        near = st.text() | st.lists(st.sampled_from(lines)).map("".join)
+    elif isinstance(document, list) and isinstance(document[0], dict):
+        near = st.lists(mutants(document[0]), min_size=1, max_size=3).map(
+            lambda rows: "".join(json.dumps(row) + "\n" for row in rows)
+        )
+    else:
+        near = mutants(document).map(json.dumps)
+    near = near.map(str.encode)
+    not_utf8 = st.tuples(st.binary(max_size=8), st.binary(max_size=8)).map(b"\xff".join)
+    return st.one_of(near, near, near, not_utf8)
+
+
+def _ingest(benchmark: str) -> list[str]:
+    return ["ingest", "--benchmark", benchmark, "--path", "{f}", "--out", "{d}/items.jsonl"]
+
+
+# Every command that reads a file, the file's name and a valid body for it.
+# In a command, {f} is the drawn file, {d} a fresh directory, {mock} a mock
+# whose every reply is GOOD_DOC and {doc} a file holding GOOD_DOC.
+FILE_READERS = {
+    "validate-txt": (["validate", "{f}"], "doc.txt", GOOD_DOC),
+    "validate-jsonl": (["validate", "{f}"], "rows.jsonl", [{"graph_reasoning": GOOD_DOC}]),
+    "viz": (["viz", "{f}", "--out-dir", "{d}"], "rows.jsonl", [{"text": GOOD_DOC}]),
+    "merge": (["merge", "{f}"], "samples.json", {"question": "q?", "samples": [GOOD_DOC, None]}),
+    "build": (["build", "--sources", "{f}", "--out", "{d}", "--mock", "{mock}", "--k", "2"],
+              "sources.jsonl", [{"question": "q?", "label": "4", "id": "s1"}]),
+    "ingest-logiqa": (_ingest("logiqa"), "b.jsonl",
+                      [{"text": "t.", "question": "q?", "options": ["x", "y"], "answer": 0}]),
+    "ingest-aiw": (_ingest("aiw"), "b.json", [{"prompt": "p?", "right_answer": 4}]),
+    "ingest-aiw_plus": (_ingest("aiw_plus"), "b.json",
+                        [{"prompt": "p?", "right_answer": "4", "id": 7}]),
+    "ingest-arlsat": (_ingest("arlsat"), "b.json", [
+        {"passage": "p.", "questions": [{"question": "q?", "options": ["x", "y"], "answer": "B"}]}
+    ]),
+    "ingest-medqa": (_ingest("medqa"), "b.jsonl",
+                     [{"question": "q?", "options": {"A": "x", "B": "y"}, "answer_idx": "A"}]),
+    "ingest-mathqa": (_ingest("mathqa"), "b.json",
+                      [{"Problem": "p?", "options": "a ) 1 , b ) 2", "correct": "b"}]),
+    "eval": (["eval", "--items", "{f}", "--mock", "{mock}", "--out", "{d}"], "items.jsonl",
+             [{"question": "q?", "label": "4", "benchmark": "demo", "item_id": "d1"}]),
+    "score": (["score", "--completions", "{f}"], "completions.jsonl",
+              [{"text": GOOD_DOC, "label": "4"}]),
+    "config": (["validate", "{doc}", "--config", "{f}"], "run.cfg", "k = 3\nseed = 1\nmodel = m\n"),
+}
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr, each stream encoding as a UTF-8 terminal's does.
+
+    stdout refuses a character with no UTF-8 form, as it does in a UTF-8
+    locale; stderr writes it as a backslash escape.
+    """
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err.flush()
+    return code, err.buffer.getvalue().decode()
+
+
+@pytest.mark.parametrize("command", FILE_READERS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_any_input_file_exits_with_a_code_and_at_most_one_error_line(command, data):
+    argv, name, document = FILE_READERS[command]
+    body = data.draw(file_bodies(document), label="body")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        (tmp_path / name).write_bytes(body)
+        (tmp_path / "doc.txt").write_text(GOOD_DOC)
+        places = {"f": tmp_path / name, "d": tmp_path / "out", "doc": tmp_path / "doc.txt",
+                  "mock": write_mock(tmp_path, {}, default=GOOD_DOC)}
+        code, err = run_main([arg.format(**places) for arg in argv])
+    assert code in (0, 1, 2)
+    errors = [line for line in err.splitlines() if line.startswith(("error:", "config error:"))]
+    assert len(errors) <= 1
 
 
 # Per setting: the type it resolves to, then three valid raw values, each

@@ -488,7 +488,8 @@ class TestHttpBackendTransportErrors:
 
     @pytest.mark.parametrize("name,exc", [
         ("Timeout", TransientError), ("ConnectTimeout", TransientError),
-        ("ConnectionError", TransientError), ("InvalidURL", ProtocolError),
+        ("ConnectionError", TransientError), ("ChunkedEncodingError", TransientError),
+        ("InvalidURL", ProtocolError),
     ])
     def test_requests_exception_mapping(self, monkeypatch, name, exc):
         monkeypatch.setenv("GRAPHREASON_API_KEY", "sk-test")

@@ -12,15 +12,12 @@ from hypothesis import strategies as st
 import graphreason
 from graphreason import graph as graph_module
 from graphreason.graph import (
-    WARNING_DISCONNECTED,
-    WARNING_MULTIPLE_SINKS,
     DuplicateEdgeError,
     InvalidGraphError,
     ReasoningGraph,
     export_dot,
     normalize_text,
     sinks,
-    validate,
 )
 
 from _util import random_graph
@@ -115,10 +112,10 @@ class TestConstruction:
 
 
 class TestValidate:
-    """``validate`` reports warnings; the structural errors cannot be built."""
+    """The structural errors cannot be built; only the number of sinks is left open."""
 
     def test_diamond_is_clean(self):
-        assert validate(diamond()).warnings == []
+        assert sinks(diamond()) == ["d"]
 
     def test_empty_graph(self):
         with pytest.raises(InvalidGraphError, match="no nodes"):
@@ -151,16 +148,11 @@ class TestValidate:
             g = ReasoningGraph.from_edges(pairs)
         except (InvalidGraphError, ValueError):  # a cycle, a repeat or an empty key
             return
-        kinds = [v.kind for v in validate(g).warnings]
-        assert kinds in ([], [WARNING_MULTIPLE_SINKS], [WARNING_DISCONNECTED],
-                         [WARNING_MULTIPLE_SINKS, WARNING_DISCONNECTED])
+        # A DAG has a sink; a cycle, the one shape without, cannot be built.
+        assert sinks(g) and set(sinks(g)) <= set(g.texts)
 
-    def test_disjoint_chains_warn_sinks_and_components(self):
-        diag = validate(ReasoningGraph.from_edges([("a", "b"), ("c", "d")]))
-        assert [(v.kind, v.detail, v.nodes) for v in diag.warnings] == [
-            (WARNING_MULTIPLE_SINKS, "2 sinks present", ("b", "d")),
-            (WARNING_DISCONNECTED, "2 weakly connected components", ()),
-        ]
+    def test_disjoint_chains_have_a_sink_each(self):
+        assert sinks(ReasoningGraph.from_edges([("a", "b"), ("c", "d")])) == ["b", "d"]
 
 
 class TestOps:
@@ -229,9 +221,6 @@ class TestDot:
 @given(seed=st.integers(0, 2**32 - 1))
 def test_random_graphs_validate_and_sort(seed):
     g = random_graph(random.Random(seed), max_nodes=30)
-    diag = validate(g)
-    # random_graph's spanning tree keeps it connected; only sinks may warn.
-    assert {v.kind for v in diag.warnings} <= {WARNING_MULTIPLE_SINKS}
     # Each key ends in its index in random_graph's skeleton, whose edges all
     # point from a lower to a higher index: sorted that way, edges go forward.
     position = {key: int(key.rsplit(" ", 1)[1]) for key in g.texts}
@@ -275,6 +264,11 @@ DELETED_GRAPH_NAMES = (
     "parents",
     "children",
     "topological_order",
+    "WARNING_DISCONNECTED",
+    "GraphViolation",
+    "GraphDiagnostics",
+    "validate",
+    "_weak_components",
 )
 DELETED_GRAPH_METHODS = (
     "add_node",
@@ -303,6 +297,9 @@ DELETED_EXPORTS = (
     "MODE_FREEFORM",
     "MODE_MCQ",
     "MODE_NUMERIC",
+    "GraphDiagnostics",
+    "GraphViolation",
+    "validate",
 )
 # (module, name) pairs of the one-value options and second paths removed
 # from the library; none may come back.
@@ -351,8 +348,6 @@ def test_public_names_resolve_and_deleted_names_are_gone():
         assert not hasattr(graph_module, name), name
     for name in DELETED_GRAPH_METHODS:
         assert not hasattr(ReasoningGraph, name), name
-    for name in ("errors", "ok", "kinds"):
-        assert not hasattr(graph_module.GraphDiagnostics(), name), name
     for module, name in DELETED_MODULE_NAMES:
         assert not hasattr(_module(module), name), (module, name)
     for module, cls, attr in DELETED_ATTRIBUTES:

@@ -13,6 +13,7 @@ from graphreason.graph import (
     InvalidGraphError,
     ReasoningGraph,
     normalize_text,
+    sinks,
     strongly_connected_components,
 )
 
@@ -67,3 +68,28 @@ def test_from_edges_accepts_exactly_the_nonempty_networkx_dags(pairs):
         for text in pair:
             first_spelling.setdefault(normalize_text(text), text.strip())
     assert list(graph.texts.items()) == list(first_spelling.items())
+
+
+# Edges between ten labelled nodes, each pair at most once and pointing from
+# the earlier to the later node in a drawn order, so every draw is a DAG
+# whose nodes all lie on an edge.
+dag_edges = st.tuples(
+    st.permutations(range(10)),
+    st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(lambda p: p[0] != p[1]).map(sorted),
+        min_size=1, max_size=12, unique_by=tuple,
+    ),
+).map(lambda drawn: [(f"n{drawn[0][a]}", f"n{drawn[0][b]}") for a, b in drawn[1]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=dag_edges)
+def test_a_disconnected_dag_has_a_sink_per_component(edges):
+    graph = ReasoningGraph.from_edges(edges)
+    oracle = nx.DiGraph(edges)
+    assert sinks(graph) == [key for key in graph.texts if not oracle.out_degree(key)]
+    components = nx.number_weakly_connected_components(oracle)
+    # Each weak component of a DAG has a sink of its own.
+    assert len(sinks(graph)) >= components
+    if components > 1:
+        assert len(sinks(graph)) >= 2

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from graphreason._io import atomic_write
+from graphreason._io import atomic_write, read_json, read_jsonl
 
 
 def test_each_chunk_is_written_with_its_surrogates_escaped(tmp_path):
@@ -24,3 +24,16 @@ def test_a_failing_source_leaves_the_old_file_and_no_temp_file(tmp_path):
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
+
+
+@pytest.mark.parametrize("body", [
+    "[" + "9" * 5000 + "]",  # past the default limit on converting digits to an int
+    "[" * 100_000 + "]" * 100_000,  # past the interpreter's recursion limit
+], ids=["long-integer", "deep-nesting"])
+def test_json_that_cannot_be_decoded_is_a_problem_not_a_crash(tmp_path, body):
+    path = tmp_path / "doc.json"
+    path.write_text(body + "\n")
+    value, problem = read_json(path)
+    assert value is None and problem.startswith("invalid JSON (")
+    [(lineno, value, problem)] = read_jsonl(path)
+    assert (lineno, value) == (1, None) and problem.startswith("invalid JSON (")
