@@ -287,7 +287,7 @@ def cmd_validate(args: argparse.Namespace, cfg: RunConfig) -> int:
         count = len(sinks(graph))
         if count > 1:
             line += f", 1 warnings\n  warning: {WARNING_MULTIPLE_SINKS}: {count} sinks present"
-        print(line)
+        print(escape_surrogates(line))
 
     return parse_template_records(args.paths, args.lenient, sys.stdout, report)
 
@@ -304,7 +304,7 @@ def cmd_viz(args: argparse.Namespace, cfg: RunConfig) -> int:
         out_path = Path(args.out_dir) / name
         dot = export_dot(output.graph, answer=output.answer)
         atomic_write(out_path, [dot])
-        print(out_path)
+        print(escape_surrogates(str(out_path)))
 
     return parse_template_records([args.path], args.lenient, sys.stderr, write_dot)
 
@@ -326,7 +326,8 @@ def cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
     body = json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
     if args.out:
         atomic_write(Path(args.out), [body])
-        print(f"wrote {args.out} ({len(samples.successful())}/{config.k} samples)")
+        line = f"wrote {args.out} ({len(samples.successful())}/{config.k} samples)"
+        print(escape_surrogates(line))
     else:
         print(escape_surrogates(body), end="")
     return EXIT_OK
@@ -369,8 +370,8 @@ def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.out:
         atomic_write(Path(args.out), [document])
         suffix = ", fell back" if merged.fell_back else ""
-        answer = escape_surrogates(merged.answer)
-        print(f"wrote {args.out} (answer: {answer}, mode: {merged.merge_mode}{suffix})")
+        line = f"wrote {args.out} (answer: {merged.answer}, mode: {merged.merge_mode}{suffix})"
+        print(escape_surrogates(line))
     else:
         print(escape_surrogates(document), end="")
     return EXIT_OK
@@ -396,7 +397,7 @@ def cmd_build(args: argparse.Namespace, cfg: RunConfig) -> int:
     for reason in sorted(report.discarded_by_reason):
         print(f"discarded[{reason}]: {report.discarded_by_reason[reason]}")
     print(f"lenient-only samples: {result.lenient_only}")
-    print(f"wrote {paths['train']}, {paths['valid']}, {paths['report']}")
+    print(escape_surrogates(f"wrote {paths['train']}, {paths['valid']}, {paths['report']}"))
     if report.total_in and not report.retained:
         return EXIT_FAILURE
     return EXIT_OK
@@ -405,7 +406,7 @@ def cmd_build(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
     items = load_benchmark(args.benchmark, args.path)
     write_items(items, args.out)
-    print(f"ingested {len(items)} items from {args.benchmark} -> {args.out}")
+    print(escape_surrogates(f"ingested {len(items)} items from {args.benchmark} -> {args.out}"))
     return EXIT_OK
 
 
@@ -431,7 +432,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     print(f"transport failures: {failed}")
     if args.out:
         paths = write_report(report, args.out)
-        print(f"wrote {paths['text']}, {paths['json']}, {paths['records']}")
+        print(escape_surrogates(f"wrote {paths['text']}, {paths['json']}, {paths['records']}"))
     # As a build that retains nothing: no reply came back to score.
     return EXIT_FAILURE if failed == len(items) else EXIT_OK
 
@@ -465,7 +466,7 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.out:
         rows = ({"index": i, **score.to_dict()} for i, score in enumerate(scores))
         atomic_write(Path(args.out), jsonl_lines(rows))
-        print(f"wrote {args.out}")
+        print(escape_surrogates(f"wrote {args.out}"))
     return EXIT_OK
 
 

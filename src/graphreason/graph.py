@@ -23,6 +23,7 @@ pairs (:attr:`ReasoningGraph.edge_keys`), both in insertion order, and
 from __future__ import annotations
 
 import string
+from collections import Counter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -69,10 +70,12 @@ class ReasoningGraph:
     child key)`` pairs. It raises :class:`InvalidGraphError` unless the
     graph has at least one node, every edge joins two of its nodes and
     appears once (a repeat raises :class:`DuplicateEdgeError`), every
-    node lies on an edge, and no cycle, self-loops included, exists. A
-    cycle's error names it: the first self-loop in edge order, else the
-    first strongly connected component of two or more nodes.
-    :meth:`from_edges` builds one from display-text pairs.
+    node lies on an edge, and no cycle, self-loops included, exists. The
+    error names the first rule broken: the first edge in edge order that
+    names a missing node or repeats, else the nodes on no edge, else the
+    cycle, as its first self-loop in edge order or else its first
+    strongly connected component of two or more nodes. :meth:`from_edges`
+    builds one from display-text pairs.
     """
 
     def __init__(self, texts: Mapping[str, str], edges: Iterable[tuple[str, str]]) -> None:
@@ -109,7 +112,6 @@ class ReasoningGraph:
             raise InvalidGraphError(_name_cycle(text, pairs))
         self._text = text  # node key -> display text
         self._edges = pairs  # (parent key, child key)
-        self._children = children  # parent key -> child keys
 
     @classmethod
     def from_edges(cls, pairs: Iterable[tuple[str, str]]) -> "ReasoningGraph":
@@ -220,7 +222,8 @@ def _name_cycle(node_keys: Iterable[str], edge_keys: tuple[tuple[str, str], ...]
 
 def sinks(graph: ReasoningGraph) -> list[str]:
     """Keys of the nodes with no outgoing edges, in first-insertion order."""
-    return [key for key in graph._text if not graph._children[key]]
+    parents = {parent for parent, _ in graph._edges}
+    return [key for key in graph._text if key not in parents]
 
 
 def _dot_escape(text: str) -> str:
@@ -236,6 +239,7 @@ def export_dot(graph: ReasoningGraph, answer: str | None = None) -> str:
     byte-deterministic: statements follow insertion order.
     """
     sink_keys = sinks(graph)
+    out_degree = Counter(parent for parent, _ in graph._edges)
     decision_key = sink_keys[0] if len(sink_keys) == 1 else None
 
     lines = [
@@ -249,7 +253,7 @@ def export_dot(graph: ReasoningGraph, answer: str | None = None) -> str:
             if answer is not None:
                 label = f"{label}\nanswer: {answer}"
             attrs.append('fillcolor="palegreen"')
-        elif len(graph._children[key]) >= 2:
+        elif out_degree[key] >= 2:
             attrs.append('fillcolor="lightblue"')
         attrs.insert(0, f'label="{_dot_escape(label)}"')
         lines.append(f'  "{_dot_escape(key)}" [{" ".join(attrs)}];')

@@ -729,8 +729,8 @@ FILE_READERS = {
 }
 
 
-def run_main(argv: list[str]) -> tuple[int, str]:
-    """``main(argv)``'s exit code and stderr, each stream encoding as a UTF-8 terminal's does.
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)``'s exit code, stdout and stderr, each encoding as a UTF-8 terminal's does.
 
     stdout refuses a character with no UTF-8 form, as it does in a UTF-8
     locale; stderr writes it as a backslash escape.
@@ -739,8 +739,9 @@ def run_main(argv: list[str]) -> tuple[int, str]:
     err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    out.flush()
     err.flush()
-    return code, err.buffer.getvalue().decode()
+    return code, out.buffer.getvalue().decode(), err.buffer.getvalue().decode()
 
 
 @pytest.mark.parametrize("command", FILE_READERS)
@@ -755,10 +756,43 @@ def test_any_input_file_exits_with_a_code_and_at_most_one_error_line(command, da
         (tmp_path / "doc.txt").write_text(GOOD_DOC)
         places = {"f": tmp_path / name, "d": tmp_path / "out", "doc": tmp_path / "doc.txt",
                   "mock": write_mock(tmp_path, {}, default=GOOD_DOC)}
-        code, err = run_main([arg.format(**places) for arg in argv])
+        code, _, err = run_main([arg.format(**places) for arg in argv])
     assert code in (0, 1, 2)
     errors = [line for line in err.splitlines() if line.startswith(("error:", "config error:"))]
     assert len(errors) <= 1
+
+
+# Every command that prints a path it was given, with {d} a directory whose
+# name holds the byte 0xff, and the inputs it reads there.
+PATH_ECHOES = {
+    "validate": ["validate", "{d}/doc.txt"],
+    "viz": ["viz", "{d}/doc.txt", "--out-dir", "{d}/dots"],
+    "sample": ["sample", "q?", "--mock", "{d}/mock.json", "--k", "2", "--out", "{d}/s.json"],
+    "merge": ["merge", "{d}/samples.json", "--out", "{d}/merged.txt"],
+    "build": ["build", "--sources", "{d}/sources.jsonl", "--out", "{d}/dataset",
+              "--mock", "{d}/mock.json", "--k", "2"],
+    "ingest": ["ingest", "--benchmark", "aiw", "--path", "{d}/aiw.json", "--out", "{d}/i.jsonl"],
+    "eval": ["eval", "--items", "{d}/items.jsonl", "--mock", "{d}/mock.json", "--out", "{d}/r"],
+    "score": ["score", "--completions", "{d}/completions.jsonl", "--out", "{d}/scores.jsonl"],
+}
+
+
+@pytest.mark.parametrize("command", PATH_ECHOES)
+def test_a_path_that_is_not_utf8_is_printed_escaped(tmp_path, command):
+    d = tmp_path / os.fsdecode(b"\xff")
+    d.mkdir()
+    (d / "doc.txt").write_text(GOOD_DOC)
+    write_mock(d, {}, default=GOOD_DOC)
+    (d / "samples.json").write_text(json.dumps({"question": "q?", "samples": [GOOD_DOC]}))
+    (d / "sources.jsonl").write_text(json.dumps({"question": "q?", "label": "4", "id": "s1"}))
+    (d / "aiw.json").write_text(json.dumps([{"prompt": "p?", "right_answer": 4}]))
+    (d / "items.jsonl").write_text(json.dumps(
+        {"question": "q?", "label": "4", "benchmark": "demo", "item_id": "d1"}
+    ))
+    (d / "completions.jsonl").write_text(json.dumps({"text": GOOD_DOC, "label": "4"}))
+    code, out, _ = run_main([arg.format(d=d) for arg in PATH_ECHOES[command]])
+    assert code == 0
+    assert f"{tmp_path}/\\udcff/" in out
 
 
 # Per setting: the type it resolves to, then three valid raw values, each

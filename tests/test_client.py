@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import sqlite3
@@ -10,6 +11,8 @@ from email.utils import format_datetime
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _util import (
     NOT_UTF8_TEXT,
@@ -88,6 +91,24 @@ class TestConfigValidation:
             ChatClient(MockBackend(default="x"), **kwargs)
 
 
+# Any text, with lone surrogates, control characters, U+2028 and the
+# characters JSON escapes drawn often.
+key_texts = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from(["\ud800", "\udfff", "\x00", "\x1f", "\x7f", "\u2028", '"', "\\"])
+)
+# Every kind of value json.dumps writes as a scalar, in any field.
+key_values = st.one_of(
+    key_texts,
+    st.integers(),
+    st.integers(-(10**80), 10**80),
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324]),
+)
+
+
 class TestCacheKey:
     def test_stable(self):
         assert cache_key(request()) == cache_key(request())
@@ -99,6 +120,21 @@ class TestCacheKey:
             model_name="mock-teacher", temperature=0.7, max_new_tokens=256, seed=3,
         ), sample_index=1)
         assert cache_key(r) == "91d445368ffe0f7381d3a4b00aaa0c521c411734347c9cc4d436eef21eafef8e"
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.fixed_dictionaries({
+        "model": key_values, "system": key_values, "user": key_values, "temperature": key_values,
+        "seed": key_values, "max_new_tokens": key_values, "sample_index": key_values,
+    }))
+    def test_bytes_are_those_of_json_dumps(self, values):
+        r = request()
+        r.system_prompt, r.user_prompt, r.sample_index = (
+            values["system"], values["user"], values["sample_index"]
+        )
+        r.config.model_name, r.config.temperature = values["model"], values["temperature"]
+        r.config.seed, r.config.max_new_tokens = values["seed"], values["max_new_tokens"]
+        blob = json.dumps(values, sort_keys=True, ensure_ascii=False)
+        assert cache_key(r) == hashlib.sha256(blob.encode("utf-8", "surrogatepass")).hexdigest()
 
     def test_lone_surrogate_prompt_has_its_own_key(self):
         assert cache_key(request(user="x\ud800?")) not in {cache_key(request(user="x?")),

@@ -93,3 +93,89 @@ def test_a_disconnected_dag_has_a_sink_per_component(edges):
     assert len(sinks(graph)) >= components
     if components > 1:
         assert len(sinks(graph)) >= 2
+
+
+KEYS = ("a", "b", "c", "d", "e", "f")
+
+
+@st.composite
+def key_graphs(draw):
+    """Node keys and edges among them: most point forward in key order, some back and a
+    few to themselves; now and then one repeats or names a key that is not a node, and
+    nodes may lie on no edge."""
+    nodes = draw(st.lists(st.sampled_from(KEYS), min_size=1, unique=True))
+    forward = [(p, c) for i, p in enumerate(nodes) for c in nodes[i + 1:]]
+    back = [(c, p) for p, c in forward]
+    loops = [(key, key) for key in nodes]
+    edge = st.sampled_from(forward * 12 + back * 2 + loops)
+    edges = draw(st.lists(edge, min_size=len(nodes) // 2, max_size=10, unique=True))
+    if edges and draw(st.sampled_from(range(8))) == 7:
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from(edges)))
+    if draw(st.sampled_from(range(8))) == 7:
+        anywhere = st.tuples(st.sampled_from(KEYS), st.sampled_from(KEYS))
+        edges.insert(draw(st.integers(0, len(edges))), draw(anywhere))
+    return {key: key.upper() for key in nodes}, edges
+
+
+def _first_violation(texts: dict[str, str], edges: list[tuple[str, str]]):
+    """The error class and message the documented precedence names, or None for a DAG."""
+    seen = set()
+    for parent, child in edges:
+        if parent not in texts or child not in texts:
+            return InvalidGraphError, f"edge {parent!r} -> {child!r} names a missing node"
+        if (parent, child) in seen:
+            return DuplicateEdgeError, f"duplicate edge {parent!r} -> {child!r}"
+        seen.add((parent, child))
+    isolated = [key for key in texts if not any(key in edge for edge in edges)]
+    if isolated:
+        return InvalidGraphError, f"nodes on no edge: {', '.join(map(repr, isolated))}"
+    oracle = nx.DiGraph(edges)
+    if nx.is_directed_acyclic_graph(oracle):
+        return None
+    loops = [parent for parent, child in edges if parent == child]
+    if loops:
+        return InvalidGraphError, f"self-loop on {loops[0]!r}"
+    return InvalidGraphError, "cycle through "
+
+
+@settings(max_examples=500, deadline=None)
+@given(drawn=key_graphs())
+def test_the_constructor_accepts_exactly_the_dags_and_names_the_first_violation(drawn):
+    texts, edges = drawn
+    violation = _first_violation(texts, edges)
+    if violation is None:
+        graph = ReasoningGraph(texts, edges)
+        assert dict(graph.texts) == texts and graph.edge_keys == tuple(edges)
+        oracle = nx.DiGraph(edges)
+        assert sinks(graph) == [key for key in texts if not oracle.out_degree(key)]
+        return
+    error, message = violation
+    with pytest.raises(InvalidGraphError) as raised:
+        ReasoningGraph(texts, edges)
+    assert type(raised.value) is error
+    if message != "cycle through ":
+        assert str(raised.value) == message
+        return
+    # A cycle of two or more nodes is named by one such strongly connected
+    # component of networkx's, its members in key order.
+    assert str(raised.value).startswith(message)
+    named = str(raised.value)[len(message):].split(" -> ")
+    position = list(texts).index
+    assert named == sorted(named, key=position) and len(named) >= 2
+    assert set(named) in [set(c) for c in nx.strongly_connected_components(nx.DiGraph(edges))]
+
+
+def _outcome(texts, edges):
+    try:
+        graph = ReasoningGraph(texts, edges)
+    except InvalidGraphError as error:
+        return type(error), str(error)
+    return sinks(graph), graph.edge_count
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=key_graphs())
+def test_edges_given_as_lists_build_as_tuples_do(drawn):
+    # json.load yields each edge as a list; the constructor takes it as it takes a pair.
+    texts, edges = drawn
+    assert _outcome(texts, [list(edge) for edge in edges]) == _outcome(texts, edges)
