@@ -27,7 +27,7 @@ _EXPORTS = {
         "TrajectorySamples", "TransientError", "TransportExhaustedError",
     ),
     "codec": (
-        "LENIENT", "STRICT", "StructuredOutput", "TemplateParseError", "extract_answer_lenient",
+        "LENIENT", "STRICT", "StructuredOutput", "TemplateParseError", "final_answer",
         "find_answer_tag", "parse", "render",
     ),
     "graph": ("GraphError", "InvalidGraphError", "ReasoningGraph", "export_dot", "normalize_text"),

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from ._io import atomic_write, jsonl_lines, read_json, read_jsonl, record_id
 from .answers import OPTION_LETTERS, answers_match
 from .client import ChatClient, ClientError, CompletionRequest, SamplingConfig
-from .codec import LENIENT, TemplateParseError, extract_answer_lenient, parse
+from .codec import LENIENT, TemplateParseError, final_answer, parse
 from .prompts import DIRECT_PROMPT, LINEAR_PROMPT, SELF_GRAPH_PROMPT, PromptTemplate
 
 log = logging.getLogger(__name__)
@@ -446,18 +446,21 @@ def percent(fraction: float) -> str:
 def extract_candidate(text: str, paradigm: str) -> tuple[str | None, int | None, int | None]:
     """The reply's answer, plus its graph's node and edge counts when structured.
 
-    A self-graph reply is parsed leniently, which agrees with strict
-    parsing wherever strict succeeds. Any other reply, or one that does
-    not parse, yields ``extract_answer_lenient`` and no counts.
+    The answer of every paradigm is ``codec.final_answer``, the rule the
+    answer reward applies too, so a reply that earns the reward is
+    correct here. A self-graph reply is also parsed leniently, which
+    agrees with strict parsing wherever strict succeeds, only for its
+    counts; any other reply, or one that does not parse, has none.
     """
+    candidate = final_answer(text)
     if paradigm == PARADIGM_SELF_GRAPH:
         try:
-            output = parse(text, LENIENT)
+            graph = parse(text, LENIENT).graph
         except TemplateParseError:
             pass
         else:
-            return output.answer, output.graph.node_count, output.graph.edge_count
-    return extract_answer_lenient(text), None, None
+            return candidate, graph.node_count, graph.edge_count
+    return candidate, None, None
 
 
 def evaluate_item(item: BenchmarkItem, paradigm: str, reply: Future) -> ItemRecord:

@@ -24,7 +24,6 @@ import json
 import logging
 import os
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, TextIO, get_args, get_type_hints
@@ -68,14 +67,21 @@ from .client import (
 )
 from .codec import LENIENT, STRICT, StructuredOutput, TemplateParseError, parse, render
 from .graph import WARNING_MULTIPLE_SINKS, InvalidGraphError, export_dot, sinks
-from .merge import MERGE_MODES, MODE_DETERMINISTIC, CandidateSet, MergeError
+from .merge import (
+    MERGE_MODES,
+    MODE_DETERMINISTIC,
+    MODE_LLM_FALLBACK,
+    CandidateSet,
+    MergeError,
+    merge_deterministic,
+    merge_llm,
+)
 from .pipeline import (
     DEFAULT_SPLIT_SEED,
     PipelineError,
     build_dataset,
     parse_candidates,
     read_sources,
-    run_merge,
     trajectory_requests,
     write_dataset,
 )
@@ -359,10 +365,15 @@ def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
         return EXIT_FAILURE
     candidate_set = CandidateSet(candidates, question=str(data["question"]))
 
-    llm = cfg.merge_mode != MODE_DETERMINISTIC
     try:
-        with make_client(cfg) if llm else nullcontext() as client:
-            merged = run_merge(candidate_set, client, make_sampling_config(cfg), cfg.merge_mode)
+        if cfg.merge_mode == MODE_DETERMINISTIC:
+            merged = merge_deterministic(candidate_set)
+        else:
+            with make_client(cfg) as client:
+                merged = merge_llm(
+                    candidate_set, client, make_sampling_config(cfg),
+                    fallback=cfg.merge_mode == MODE_LLM_FALLBACK,
+                )
         document = render(StructuredOutput.from_graph(merged.graph, merged.answer)) + "\n"
     except InvalidGraphError as err:
         print(f"error: {err}", file=sys.stderr)

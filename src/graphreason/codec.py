@@ -404,15 +404,15 @@ def find_answer_tag(text: str) -> str | None:
 ANSWER_CUES = ("answer is", "answer:")
 
 
-def extract_answer_lenient(text: str) -> str | None:
-    """Best-effort answer extraction from free-form model output.
+def final_answer(text: str) -> str | None:
+    """The answer a reply gives: the one rule that eval and the answer reward share.
 
-    Prefers non-empty answer-tag content, then falls back to
-    ``extract_untagged_answer``. Returns None only when the text holds
-    nothing extractable.
+    The content of the last answer tag wins, even when it is empty. A
+    reply with no answer tag falls back to ``extract_untagged_answer``.
+    Returns None only when the text holds nothing extractable.
     """
     tagged = find_answer_tag(text)
-    if tagged:
+    if tagged is not None:
         return tagged
     return extract_untagged_answer(text)
 

@@ -35,11 +35,9 @@ from .merge import (
     CandidateSet,
     EdgelessMergeError,
     LLMMergeFailedError,
-    MergedResult,
     Pending,
     advance,
     merge_deterministic,
-    merge_llm,
     merge_llm_steps,
 )
 from .prompts import TRAJECTORY_PROMPT
@@ -252,22 +250,6 @@ def parse_candidates(
     return kept, tuple(lenient_only)
 
 
-def run_merge(
-    candidate_set: CandidateSet,
-    client: ChatClient | None,
-    config: SamplingConfig,
-    merge_mode: str,
-) -> MergedResult:
-    """Merge under ``merge_mode``; only the LLM modes use ``client``.
-
-    An unknown ``merge_mode`` raises ValueError before anything is sent.
-    """
-    _check_merge_mode(merge_mode)
-    if merge_mode == MODE_DETERMINISTIC:
-        return merge_deterministic(candidate_set)
-    return merge_llm(candidate_set, client, config, fallback=merge_mode == MODE_LLM_FALLBACK)
-
-
 def _check_merge_mode(merge_mode: str) -> None:
     if merge_mode not in MERGE_MODES:
         raise ValueError(f"merge_mode must be one of {MERGE_MODES}, got {merge_mode!r}")
@@ -280,7 +262,10 @@ def build_instance(
 
     Merges the parseable samples under ``merge_mode`` and keeps the
     result only when the merged answer matches the reference label; the
-    merged graph is then rendered as the strict template document. An
+    merged graph is then rendered as the strict template document. The
+    merged answer comes from the parsed documents' answer blocks, not
+    from ``codec.final_answer`` of the replies, because a training row's
+    graph must support the answer it carries. An
     item whose samples all failed or none parsed is discarded as
     all-candidates-failed, a merge whose conclusion keeps no edge as
     edgeless-merge, one the step grammar cannot express as

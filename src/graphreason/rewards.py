@@ -3,7 +3,9 @@
 Two independent signals: a format reward for emitting a document that
 parses under the strict grammar, and an answer reward for getting the
 final answer right. The combined score is a weighted sum with finite,
-non-negative weights, default weights (1, 1).
+non-negative weights, default weights (1, 1). What a completion answered
+is decided in one place, ``codec.final_answer``, which ``eval`` reads
+too, so the reward and the eval metric score a reply alike.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .answers import answers_match
-from .codec import STRICT, TemplateParseError, extract_untagged_answer, find_answer_tag, parse
+from .codec import STRICT, TemplateParseError, final_answer, parse
 
 DEFAULT_WEIGHTS = (1.0, 1.0)
 
@@ -43,19 +45,16 @@ def reward_format(text: str) -> float:
 
 
 def reward_answer(text: str, label: str) -> float:
-    """1.0 when the extracted final answer matches the label, else 0.0.
+    """1.0 when ``codec.final_answer`` of the completion matches the label, else 0.0.
 
     Extraction is independent of format: the last answer tag wins, and
     a tagless completion falls back to cue-based extraction so a correct
     but unstructured answer still earns the answer component. A present
-    but empty tag is the answer, and matches no label.
+    but empty tag is the answer, and matches no label. ``eval`` counts a
+    reply correct by the same rule.
     """
-    candidate = find_answer_tag(text)
-    if candidate is None:
-        candidate = extract_untagged_answer(text)
-    if candidate is None:
-        return 0.0
-    return 1.0 if answers_match(candidate, label) else 0.0
+    candidate = final_answer(text)
+    return 1.0 if candidate is not None and answers_match(candidate, label) else 0.0
 
 
 def check_weight(name: str, weight: float) -> float:

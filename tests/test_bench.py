@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _util import traced_peak
 from graphreason.bench import (
@@ -13,8 +16,10 @@ from graphreason.bench import (
     BenchmarkScore,
     EvalReport,
     ItemRecord,
+    PARADIGMS,
     SchemaError,
     evaluate,
+    evaluate_item,
     extract_candidate,
     load_aiw,
     load_aiw_plus,
@@ -28,8 +33,15 @@ from graphreason.bench import (
     render_table,
     write_report,
 )
-from graphreason.client import ChatClient, MockBackend, ProtocolError, SamplingConfig
-from graphreason.codec import LENIENT, STRICT, TemplateParseError, extract_answer_lenient, parse
+from graphreason.client import (
+    ChatClient,
+    CompletionResult,
+    MockBackend,
+    ProtocolError,
+    SamplingConfig,
+)
+from graphreason.codec import LENIENT, STRICT, TemplateParseError, final_answer, parse
+from graphreason.rewards import reward_answer
 
 from test_codec import _documents
 
@@ -288,22 +300,72 @@ class TestExtractCandidate:
         candidate, _, _ = extract_candidate("B", "direct")
         assert candidate == "B"
 
+    def test_self_graph_later_tag_is_the_answer(self):
+        text = graph_doc("t", "3") + "\nWait, actually <answer> 4 </answer>"
+        assert extract_candidate(text, "self-graph") == ("4", 3, 2)
+
+    def test_self_graph_empty_tag_is_the_answer(self):
+        text = "<answer></answer> so the answer is 4"
+        assert extract_candidate(text, "self-graph") == ("", None, None)
+
     @settings(max_examples=300, deadline=None)
     @given(text=_documents)
     def test_single_lenient_parse_matches_strict_then_lenient(self, text):
-        assert extract_candidate(text, "self-graph") == _strict_then_lenient_candidate(text)
+        candidate, nodes, edges = extract_candidate(text, "self-graph")
+        assert candidate == final_answer(text)
+        assert (nodes, edges) == _strict_then_lenient_counts(text)
 
 
-def _strict_then_lenient_candidate(text: str) -> tuple[str | None, int | None, int | None]:
-    """Frozen copy of the earlier self-graph extract_candidate: strict, then lenient, then cues."""
+def _strict_then_lenient_counts(text: str) -> tuple[int | None, int | None]:
+    """Frozen copy of the earlier self-graph extract_candidate's counts: strict, then lenient."""
     for mode in (STRICT, LENIENT):
         try:
-            output = parse(text, mode)
+            graph = parse(text, mode).graph
         except TemplateParseError:
             continue
-        graph = output.graph
-        return output.answer, graph.node_count, graph.edge_count
-    return extract_answer_lenient(text), None, None
+        return graph.node_count, graph.edge_count
+    return None, None
+
+
+# Answers that the spliced tags and cues carry; labels are drawn from the non-blank ones.
+_ANSWERS = ("3", "4", "B", "b.", "  ", "")
+_splice = st.lists(
+    st.one_of(
+        st.text(max_size=4),
+        st.sampled_from((" ", "\n", "Wait, actually ")),
+        st.sampled_from(_ANSWERS).map(lambda a: f"<answer>{a}</answer>"),
+        st.sampled_from(_ANSWERS).map(lambda a: f"<ANSWER> {a} </Answer>"),
+        st.sampled_from(_ANSWERS).map(lambda a: f"the answer is {a}"),
+        st.sampled_from(_ANSWERS).map(lambda a: f"\nAnswer: {a}\n"),
+    ),
+    max_size=4,
+).map("".join)
+
+
+@st.composite
+def _replies(draw) -> str:
+    """A document with prose, cues and answer tags spliced in before and after its answer block."""
+    text = draw(_documents)
+    opening = re.search("(?ai)<answer>", text)
+    before = draw(st.integers(0, opening.start() if opening else len(text)))
+    text = text[:before] + draw(_splice) + text[before:]
+    closings = [hit.end() for hit in re.finditer("(?ai)</answer>", text)]
+    after = draw(st.integers(closings[-1] if closings else 0, len(text)))
+    return text[:after] + draw(_splice) + text[after:]
+
+
+class TestOneAnswerRule:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=_replies(),
+        label=st.one_of(st.sampled_from(_ANSWERS[:4]), st.text(max_size=4).filter(str.strip)),
+        paradigm=st.sampled_from(PARADIGMS),
+    )
+    def test_eval_is_correct_exactly_when_the_answer_reward_is_earned(self, text, label, paradigm):
+        reply = Future()
+        reply.set_result(CompletionResult(text, cached=False, attempt_count=1, latency=0.0))
+        record = evaluate_item(item(1, label=label), paradigm, reply)
+        assert record.correct == (reward_answer(text, label) == 1.0)
 
 
 class TestEvaluate:

@@ -25,8 +25,8 @@ from graphreason.codec import (
     TRAILING_GARBAGE,
     StructuredOutput,
     TemplateParseError,
-    extract_answer_lenient,
     extract_untagged_answer,
+    final_answer,
     find_answer_tag,
     parse,
     render,
@@ -332,24 +332,28 @@ def _holds_cue(text: str) -> bool:
 
 class TestAnswerExtraction:
     def test_tag_wins(self):
-        assert extract_answer_lenient("junk <answer> 42 </answer> junk") == "42"
+        assert final_answer("junk <answer> 42 </answer> junk") == "42"
 
     def test_last_tag_wins(self):
         text = "<answer> first </answer> then <answer> second </answer>"
-        assert extract_answer_lenient(text) == "second"
+        assert final_answer(text) == "second"
 
     def test_cue_segment(self):
-        assert extract_answer_lenient("…therefore the answer is B.") == "B."
+        assert final_answer("…therefore the answer is B.") == "B."
 
     def test_cue_with_colon(self):
-        assert extract_answer_lenient("Answer: C") == "C"
+        assert final_answer("Answer: C") == "C"
 
     def test_final_line_fallback(self):
-        assert extract_answer_lenient("thinking...\n\n42\n") == "42"
+        assert final_answer("thinking...\n\n42\n") == "42"
 
     def test_empty_input(self):
-        assert extract_answer_lenient("") is None
-        assert extract_answer_lenient("   \n ") is None
+        assert final_answer("") is None
+        assert final_answer("   \n ") is None
+
+    def test_empty_last_tag_is_the_answer(self):
+        # An empty tag wins over an earlier tag and over a cue in the prose after it.
+        assert final_answer("<answer> 3 </answer> then <answer></answer> so the answer is 4") == ""
 
     def test_find_answer_tag_distinguishes_empty_and_absent(self):
         assert find_answer_tag("no tags") is None
@@ -358,7 +362,7 @@ class TestAnswerExtraction:
 
     def test_cue_after_text_that_lowercases_longer(self):
         # "İ".lower() is two code points; the cue is found on the text itself.
-        assert extract_answer_lenient("İİ in İstanbul the answer is 42") == "42"
+        assert final_answer("İİ in İstanbul the answer is 42") == "42"
         assert extract_untagged_answer("İ ANSWER: İzmir") == "İzmir"
 
     def test_cue_letters_fold_ascii_only(self):
@@ -374,7 +378,7 @@ class TestAnswerExtraction:
     def test_answer_tag_letters_fold_ascii_only(self, text):
         # "ſ" folds to "s" under unicode rules; lenient parse refuses such tags.
         assert find_answer_tag(text) is None
-        assert extract_answer_lenient(text) == text
+        assert final_answer(text) == text
         assert kind_of(f"<reasoning><step> a → b </step></reasoning>{text}", LENIENT) == (
             MISSING_ANSWER_BLOCK
         )

@@ -300,6 +300,7 @@ DELETED_EXPORTS = (
     "GraphDiagnostics",
     "GraphViolation",
     "validate",
+    "extract_answer_lenient",
 )
 # (module, name) pairs of the one-value options and second paths removed
 # from the library; none may come back.
@@ -311,7 +312,9 @@ DELETED_MODULE_NAMES = (
     ("answers", "MODE_NUMERIC"),
     ("client", "AllSamplesFailedError"),
     ("codec", "DEFAULT_ANSWER_CUES"),
+    ("codec", "extract_answer_lenient"),
     ("pipeline", "read_instances"),
+    ("pipeline", "run_merge"),
 )
 # (module, class, attribute): methods and dataclass fields.
 DELETED_ATTRIBUTES = (
@@ -326,7 +329,6 @@ DELETED_INSTANCE_ATTRIBUTES = (("client", "MockBackend", "hash_replies"),)
 DELETED_PARAMETERS = (
     ("answers", "answers_match", "mode"),
     ("answers", "numbers_close", "rel_tol"),
-    ("codec", "extract_answer_lenient", "cues"),
     ("codec", "extract_untagged_answer", "cues"),
     ("pipeline", "write_dataset", "include_discards"),
     ("pipeline", "build_dataset", "prompt"),
