@@ -33,7 +33,7 @@ _EXPORTS = {
     "graph": ("GraphError", "InvalidGraphError", "ReasoningGraph", "export_dot", "normalize_text"),
     "merge": (
         "MERGE_MODES", "CandidateSet", "DroppedEdge", "LLMMergeFailedError", "MergedResult",
-        "MergeError", "merge_deterministic", "merge_llm",
+        "MergeError", "merge_deterministic", "merge_steps",
     ),
     "pipeline": (
         "BuildReport", "BuildResult", "DiscardRecord", "PipelineError", "Provenance", "SourceQA",

@@ -12,7 +12,7 @@ import json
 import logging
 import re
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -351,20 +351,13 @@ def write_items(items: Sequence[BenchmarkItem], path: str | Path) -> None:
 
 
 def read_items(path: str | Path) -> list[BenchmarkItem]:
-    """Read items previously written by ``write_items``; item ids must not repeat."""
+    """Read items previously written by ``write_items``: four string fields, ids unique."""
     path = Path(path)
     items = []
     for lineno, raw in _read_jsonl(path):
         where = f"{path}:{lineno}"
-        items.append(
-            _item(
-                where,
-                question=str(_require(raw, "question", where)),
-                label=str(_require(raw, "label", where)),
-                benchmark=str(_require(raw, "benchmark", where)),
-                item_id=str(_require(raw, "item_id", where)),
-            )
-        )
+        texts = {f.name: _require_text(raw, f.name, where) for f in fields(BenchmarkItem)}
+        items.append(_item(where, **texts))
     return _unique_ids(items, path)
 
 

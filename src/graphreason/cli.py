@@ -62,6 +62,7 @@ from .client import (
     ResponseCache,
     SamplingConfig,
     check_at_least_one,
+    check_non_empty,
     check_temperature,
     gather_trajectories,
 )
@@ -70,11 +71,12 @@ from .graph import WARNING_MULTIPLE_SINKS, InvalidGraphError, export_dot, sinks
 from .merge import (
     MERGE_MODES,
     MODE_DETERMINISTIC,
-    MODE_LLM_FALLBACK,
     CandidateSet,
     MergeError,
-    merge_deterministic,
-    merge_llm,
+    Pending,
+    advance,
+    check_merge_mode,
+    merge_steps,
 )
 from .pipeline import (
     DEFAULT_SPLIT_SEED,
@@ -141,15 +143,14 @@ class RunConfig:
     answer_weight: float = _setting(1.0, "answer reward weight")
 
     def __post_init__(self) -> None:
-        if self.merge_mode not in MERGE_MODES:
-            raise ConfigError("merge_mode", f"must be one of {', '.join(MERGE_MODES)}")
         if self.paradigm not in PARADIGMS:
             raise ConfigError("paradigm", f"must be one of {', '.join(PARADIGMS)}")
         # Each range rule lives with the code that relies on it; this names the setting.
         checks = [(name, check_at_least_one)
                   for name in ("concurrency", "retry_cap", "k", "max_new_tokens")]
-        checks += [("temperature", check_temperature),
-                   ("format_weight", check_weight), ("answer_weight", check_weight)]
+        checks += [("model", check_non_empty), ("merge_mode", check_merge_mode),
+                   ("temperature", check_temperature), ("format_weight", check_weight),
+                   ("answer_weight", check_weight)]
         for name, check in checks:
             try:
                 check(name, getattr(self, name))
@@ -366,14 +367,12 @@ def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
     candidate_set = CandidateSet(candidates, question=str(data["question"]))
 
     try:
-        if cfg.merge_mode == MODE_DETERMINISTIC:
-            merged = merge_deterministic(candidate_set)
-        else:
+        # A deterministic merge yields no request, so it builds no client.
+        merged = advance(merge_steps(candidate_set, make_sampling_config(cfg), cfg.merge_mode))
+        if isinstance(merged, Pending):
             with make_client(cfg) as client:
-                merged = merge_llm(
-                    candidate_set, client, make_sampling_config(cfg),
-                    fallback=cfg.merge_mode == MODE_LLM_FALLBACK,
-                )
+                while isinstance(merged, Pending):
+                    merged = merged.resume(client.submit(merged.request))
         document = render(StructuredOutput.from_graph(merged.graph, merged.answer)) + "\n"
     except InvalidGraphError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -6,9 +6,10 @@ compatible server works. Credentials travel only through an
 environment variable, never through flags or config files. A mock
 backend with the same interface supports tests and offline runs.
 Every caller sends through the client's one executor, sized by
-``concurrency``: ``submit`` starts one completion, and
-``gather_trajectories`` collects the k sample futures of a question
-(``pipeline.trajectory_requests`` builds their requests). Executor
+``concurrency``: ``submit`` starts one completion, ``gather_trajectories``
+collects a question's k sample futures (``pipeline.trajectory_requests``
+builds their requests), and ``merge.merge_steps``, the one merge entry
+point, yields a merge's requests for the caller to submit. Executor
 tasks only send; only the callers wait on futures.
 """
 from __future__ import annotations
@@ -97,6 +98,12 @@ class TransportExhaustedError(ClientError):
         self.last = last
 
 
+def check_non_empty(name: str, value: str) -> None:
+    """Raise ValueError naming ``name`` when ``value`` is the empty string."""
+    if not value:
+        raise ValueError(f"{name} must be non-empty")
+
+
 def check_at_least_one(name: str, value: int) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is at least 1."""
     if value < 1:
@@ -118,8 +125,7 @@ class SamplingConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.model_name:
-            raise ValueError("model_name must be non-empty")
+        check_non_empty("model_name", self.model_name)
         check_temperature("temperature", self.temperature)
         check_at_least_one("k", self.k)
         check_at_least_one("max_new_tokens", self.max_new_tokens)

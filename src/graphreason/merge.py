@@ -3,11 +3,11 @@
 Two roads: a fully specified deterministic majority merge (group by
 normalized answer, union the winning group, break cycles by evidence
 strength, prune to the conclusion's ancestry) and an LLM integration
-that strict-parses the model's consolidation and falls back to the
-deterministic road when the model cannot produce a valid document with
-a single conclusion. The integration yields its requests and sends
-none, so one thread can drive the merges of many items.
-Every :class:`MergedResult` has exactly one sink, its conclusion.
+that strict-parses the model's consolidation. ``merge_steps`` is the
+one entry point that turns a merge mode into a merge; it yields the
+integration's requests and sends none, so one thread can drive the
+merges of many items. Every :class:`MergedResult` has exactly one sink,
+its conclusion.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Generator
 
 from .answers import normalize_freeform
-from .client import ChatClient, ClientError, CompletionRequest, SamplingConfig
+from .client import ClientError, CompletionRequest, SamplingConfig
 from .codec import STRICT, StructuredOutput, TemplateParseError, parse, render
 from .graph import (
     WARNING_MULTIPLE_SINKS,
@@ -38,6 +38,12 @@ MERGE_MODES = (MODE_DETERMINISTIC, MODE_LLM, MODE_LLM_FALLBACK)
 
 DROP_CYCLE_BREAK = "cycle-break"
 DROP_PRUNED = "pruned-unreachable"
+
+
+def check_merge_mode(name: str, value: str) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is one of MERGE_MODES."""
+    if value not in MERGE_MODES:
+        raise ValueError(f"{name} must be one of {MERGE_MODES}, got {value!r}")
 
 
 class MergeError(Exception):
@@ -85,7 +91,11 @@ class MergedResult:
     contributing_indices: tuple[int, ...]
     dropped_edges: list[DroppedEdge] = field(default_factory=list)
     merge_mode: str = MODE_DETERMINISTIC
-    fell_back: bool = False
+
+    @property
+    def fell_back(self) -> bool:
+        """Whether the integration failed and the deterministic merge stood in."""
+        return self.merge_mode == MODE_LLM_FALLBACK
 
 
 def _majority_group(
@@ -264,10 +274,24 @@ def advance(steps: Generator, reply: str | ClientError | None = None) -> Any:
         return done.value
 
 
-def merge_llm_steps(
-    candidate_set: CandidateSet, config: SamplingConfig, *, fallback: bool = True
+def merge_steps(
+    candidate_set: CandidateSet, config: SamplingConfig, mode: str
 ) -> Generator[CompletionRequest, str | ClientError, MergedResult]:
-    """``merge_llm`` as a step generator (see ``Pending``); it sends nothing."""
+    """Merge ``candidate_set`` under ``mode``, a step generator (see ``Pending``).
+
+    ``deterministic`` returns ``merge_deterministic``'s result without
+    yielding; a mode not in MERGE_MODES raises ValueError. The LLM modes
+    have a model consolidate the candidates at temperature 0 and strict-parse
+    its reply; a reply whose graph has several sinks fails like a parse
+    failure, and one repair retry quotes the failure back. A candidate
+    the template cannot quote (an answer holding "<") is left out of the
+    prompt. When none can be quoted, both tries fail or transport dies,
+    ``llm-with-fallback`` merges deterministically and ``llm`` raises
+    LLMMergeFailedError. The result's conclusion is its graph's only sink.
+    """
+    check_merge_mode("merge_mode", mode)
+    if mode == MODE_DETERMINISTIC:
+        return merge_deterministic(candidate_set)
     quoted: list[tuple[str, int]] = []
     failure: Exception | str | None = None
     for output, index in candidate_set.candidates:
@@ -306,31 +330,8 @@ def merge_llm_steps(
                 system, user + REPAIR_SUFFIX.format(kind=kind, detail=detail), merge_config
             )
 
-    if not fallback:
+    if mode == MODE_LLM:
         raise LLMMergeFailedError(f"integration failed: {failure}")
     log.warning("LLM merge failed (%s); falling back to deterministic merge", failure)
-    result = merge_deterministic(candidate_set)
-    result.merge_mode = MODE_LLM_FALLBACK
-    result.fell_back = True
-    return result
+    return replace(merge_deterministic(candidate_set), merge_mode=MODE_LLM_FALLBACK)
 
-
-def merge_llm(candidate_set: CandidateSet, client: ChatClient, config: SamplingConfig, *,
-              fallback: bool = True) -> MergedResult:
-    """Ask a model to consolidate the candidates into one graph.
-
-    Issues a single completion at temperature 0 and strict-parses the
-    reply. A reply whose graph has more than one sink counts as failed,
-    like a parse failure; one repair retry quotes the failure back to
-    the model. A candidate the template cannot quote (an answer holding
-    "<") is left out of the prompt. When no candidate can be quoted,
-    both tries fail or transport dies, the deterministic merge takes
-    over if ``fallback`` is set, flagged on the result; otherwise
-    LLMMergeFailedError is raised. Either way the result's conclusion
-    is the only sink of its graph. This thread sends each request
-    through ``client`` and waits for its reply.
-    """
-    step = advance(merge_llm_steps(candidate_set, config, fallback=fallback))
-    while isinstance(step, Pending):
-        step = step.resume(client.submit(step.request))
-    return step

@@ -29,16 +29,15 @@ from .codec import LENIENT, STRICT, StructuredOutput, TemplateParseError, parse,
 from .graph import InvalidGraphError
 from .merge import (
     MAX_INTEGRATION_REQUESTS,
-    MERGE_MODES,
     MODE_DETERMINISTIC,
-    MODE_LLM_FALLBACK,
     CandidateSet,
     EdgelessMergeError,
     LLMMergeFailedError,
+    MergedResult,
     Pending,
     advance,
-    merge_deterministic,
-    merge_llm_steps,
+    check_merge_mode,
+    merge_steps,
 )
 from .prompts import TRAJECTORY_PROMPT
 
@@ -100,7 +99,8 @@ class Provenance:
     k_used: int
     contributing_indices: tuple[int, ...]
     merge_mode: str
-    fell_back: bool = False
+    # Read from merge_mode by the merge's own rule, so it is never stored.
+    fell_back = MergedResult.fell_back
 
     def to_dict(self) -> dict:
         return {
@@ -184,8 +184,8 @@ class BuildReport:
 def read_sources(path: str | Path) -> list[SourceQA]:
     """Load question/label pairs from a JSONL file.
 
-    Each record needs "question" and "label" (or "answer"); "id" is
-    optional, and an absent or null id defaults to item-<1-based line>.
+    Each record needs a string "question" and a string or number "label"
+    (or "answer"); an absent or null "id" defaults to item-<1-based line>.
     """
     path = Path(path)
     items: list[SourceQA] = []
@@ -195,12 +195,17 @@ def read_sources(path: str | Path) -> list[SourceQA]:
             raise SourceFormatError(f"{where}: {problem}")
         if not isinstance(raw, dict) or "question" not in raw:
             raise SourceFormatError(f"{where}: record must be an object with a question")
-        label = raw.get("label", raw.get("answer"))
+        label_key = "label" if "label" in raw else "answer"
+        label = raw.get(label_key)
         if label is None:
             raise SourceFormatError(f"{where}: record has no label or answer field")
+        if not isinstance(raw["question"], str):
+            raise SourceFormatError(f"{where}: field 'question' must be a string")
+        if isinstance(label, bool) or not isinstance(label, (str, int, float)):
+            raise SourceFormatError(f"{where}: field {label_key!r} must be a string or a number")
         source_id = record_id(raw, f"item-{lineno}")
         try:
-            items.append(SourceQA(str(raw["question"]), str(label), source_id))
+            items.append(SourceQA(raw["question"], str(label), source_id))
         except ValueError as err:
             raise SourceFormatError(f"{where}: {err}") from err
     return items
@@ -250,11 +255,6 @@ def parse_candidates(
     return kept, tuple(lenient_only)
 
 
-def _check_merge_mode(merge_mode: str) -> None:
-    if merge_mode not in MERGE_MODES:
-        raise ValueError(f"merge_mode must be one of {MERGE_MODES}, got {merge_mode!r}")
-
-
 def build_instance(
     item: SourceQA, samples: TrajectorySamples, config: SamplingConfig, merge_mode: str
 ) -> TrainingInstance | DiscardRecord | Pending:
@@ -273,7 +273,7 @@ def build_instance(
     Pending on its next request, and resuming it with the reply gives
     the outcome or the next Pending.
     """
-    _check_merge_mode(merge_mode)
+    check_merge_mode("merge_mode", merge_mode)
     return advance(_instance_steps(item, samples, config, merge_mode))
 
 
@@ -303,12 +303,7 @@ def _merged_outcome(
     candidate_set = CandidateSet(candidates, question=item.question)
 
     try:
-        if merge_mode == MODE_DETERMINISTIC:
-            merged = merge_deterministic(candidate_set)
-        else:
-            merged = yield from merge_llm_steps(
-                candidate_set, config, fallback=merge_mode == MODE_LLM_FALLBACK
-            )
+        merged = yield from merge_steps(candidate_set, config, merge_mode)
     except LLMMergeFailedError as err:
         return DiscardRecord(item.source_id, DISCARD_PARSE_FAILURE, str(err))
     except EdgelessMergeError as err:
@@ -332,7 +327,6 @@ def _merged_outcome(
         k_used=config.k,
         contributing_indices=merged.contributing_indices,
         merge_mode=merged.merge_mode,
-        fell_back=merged.fell_back,
     )
     return TrainingInstance(item.question, graph_text, item.label, provenance)
 
@@ -401,7 +395,7 @@ def build_dataset(
     the one parallelism setting. An unknown ``merge_mode`` raises
     ValueError before anything is sent.
     """
-    _check_merge_mode(merge_mode)
+    check_merge_mode("merge_mode", merge_mode)
     ids = [item.source_id for item in items]
     if len(set(ids)) != len(ids):
         raise PipelineError("source ids must be unique")

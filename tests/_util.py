@@ -9,7 +9,8 @@ expressible in the step grammar. ``fail_first_attempts`` and
 ``queue_failures`` script a mock backend's failures through a raising
 responder; ``FailingCache`` is a response store whose reads or writes
 fail; ``corrupt_store`` overwrites every row of a store with a value
-that is not UTF-8 text; ``run_python`` runs a script in a fresh
+that is not UTF-8 text; ``finish`` drives a step generator's pending
+requests through a client; ``run_python`` runs a script in a fresh
 interpreter; ``traced_peak`` measures the Python memory a call allocates.
 """
 from __future__ import annotations
@@ -29,6 +30,7 @@ import pytest
 
 import graphreason
 from graphreason.client import (
+    ChatClient,
     ClientError,
     CompletionRequest,
     MockBackend,
@@ -38,6 +40,7 @@ from graphreason.client import (
 )
 from graphreason.codec import StructuredOutput
 from graphreason.graph import ReasoningGraph
+from graphreason.merge import Pending
 
 WORDS = (
     "alpha bravo charlie delta echo foxtrot golf hotel india juliet kilo lima "
@@ -146,6 +149,13 @@ def queue_failures(backend: MockBackend, *errors: ClientError) -> None:
             return queue.pop(0) if queue else None
 
     _script_failures(backend, error_for)
+
+
+def finish(outcome, client: ChatClient):
+    """Send a pending item's requests through ``client`` until its outcome comes back."""
+    while isinstance(outcome, Pending):
+        outcome = outcome.resume(client.submit(outcome.request))
+    return outcome
 
 
 class FailingCache(ResponseCache):

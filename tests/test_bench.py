@@ -30,7 +30,9 @@ from graphreason.bench import (
     load_medqa,
     parse_packed_options,
     percent,
+    read_items,
     render_table,
+    write_items,
     write_report,
 )
 from graphreason.client import (
@@ -270,6 +272,24 @@ class TestRegistry:
     def test_unknown_benchmark(self):
         with pytest.raises(SchemaError, match="unknown benchmark"):
             load_benchmark("gsm8k", "nowhere.json")
+
+
+class TestReadItems:
+    ROW = {"question": "q?", "label": "4", "benchmark": "aiw", "item_id": "aiw-1"}
+
+    def test_round_trip(self, tmp_path):
+        items = [item(1), item(2, "logiqa", "B")]
+        write_items(items, tmp_path / "items.jsonl")
+        assert read_items(tmp_path / "items.jsonl") == items
+
+    @pytest.mark.parametrize("field", list(ROW))
+    @pytest.mark.parametrize("value", [None, 4, True, ["q"]], ids=["null", "int", "bool", "list"])
+    def test_field_that_is_not_a_string_names_line_and_field(self, tmp_path, field, value):
+        path = tmp_path / "items.jsonl"
+        rows = [self.ROW, {**self.ROW, "item_id": "aiw-2", field: value}]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(SchemaError, match=rf"items\.jsonl:2: field '{field}' must be a string"):
+            read_items(path)
 
 
 def item(n: int, benchmark: str = "aiw", label: str = "4") -> BenchmarkItem:

@@ -15,7 +15,17 @@ from hypothesis import strategies as st
 
 from _util import NOT_UTF8_TEXT, corrupt_store, run_python
 from graphreason.cli import RunConfig, build_parser, main, resolve_config
+from graphreason.client import ChatClient, MockBackend, SamplingConfig, gather_trajectories
 from graphreason.codec import STRICT, parse
+from graphreason.merge import MERGE_MODES
+from graphreason.pipeline import (
+    DISCARD_EDGELESS_MERGE,
+    DISCARD_PARSE_FAILURE,
+    DISCARD_UNRENDERABLE,
+    build_dataset,
+    read_sources,
+    trajectory_requests,
+)
 from graphreason.prompts import TRAJECTORY_PROMPT
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -286,6 +296,53 @@ class TestMerge:
         path.write_text(json.dumps({"question": "q", "samples": [5, None]}))
         assert main(["merge", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: samples must be strings or null\n"
+
+
+GOLDEN = FIXTURES / "golden"
+
+
+@pytest.mark.parametrize("mode", MERGE_MODES)
+def test_merge_command_finishes_each_item_as_the_build_does(tmp_path, capsys, mode):
+    # One merge dispatch: each item's samples, merged on the command line,
+    # give the document and provenance of the item's build row, or fail
+    # with the detail of the item's merge discard.
+    config = SamplingConfig(model_name="mock-teacher", k=3)
+    items = read_sources(GOLDEN / "sources.jsonl")
+    with ChatClient(MockBackend.from_file(GOLDEN / "mock.json"), sleep=lambda _: None) as client:
+        result = build_dataset(items, client, config, merge_mode=mode)
+        samples = {
+            item.source_id: gather_trajectories(
+                [client.submit(r) for r in trajectory_requests(item.question, config)]
+            ).texts
+            for item in items
+        }
+    failures = {
+        d.source_id: d.detail for d in result.discards
+        if d.reason in (DISCARD_PARSE_FAILURE, DISCARD_EDGELESS_MERGE, DISCARD_UNRENDERABLE)
+    }
+    rows = {row.provenance.source_id: row for row in result.instances}
+    assert rows and failures
+    assert any(row.provenance.fell_back for row in rows.values()) == (mode == "llm-with-fallback")
+    settings = ["--merge-mode", mode, "--mock", str(GOLDEN / "mock.json"), "--model", "mock-teacher"]
+    for item in items:
+        if item.source_id not in rows and item.source_id not in failures:
+            continue
+        path = tmp_path / f"{item.source_id}.json"
+        path.write_text(json.dumps({"question": item.question, "samples": samples[item.source_id]}))
+        out = tmp_path / f"{item.source_id}.txt"
+        if item.source_id in failures:
+            assert main(["merge", str(path), "--out", str(out), *settings]) == 1
+            captured = capsys.readouterr()
+            assert f"error: {failures[item.source_id]}\n" in captured.err
+            assert captured.out == "" and not out.exists()
+            continue
+        row = rows[item.source_id]
+        assert main(["merge", str(path), *settings]) == 0
+        assert capsys.readouterr().out == row.graph_text + "\n", item.source_id
+        assert main(["merge", str(path), "--out", str(out), *settings]) == 0
+        assert out.read_text(encoding="utf-8") == row.graph_text + "\n"
+        suffix = ", fell back" if row.provenance.fell_back else ""
+        assert capsys.readouterr().out.endswith(f"mode: {row.provenance.merge_mode}{suffix})\n")
 
 
 def build_fixture(tmp_path: Path) -> tuple[Path, Path, list[str]]:
@@ -891,6 +948,30 @@ class TestConfigResolution:
     def test_bad_merge_mode(self, tmp_path, capsys):
         assert main(["sample", "why?", "--merge-mode", "vote"]) == 2
         assert "config error: merge_mode:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["build", "merge"])
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_empty_model_is_a_config_error(self, tmp_path, capsys, monkeypatch, command, source):
+        sources = tmp_path / "s.jsonl"
+        sources.write_text(json.dumps({"question": "q1: first?", "label": "4"}) + "\n")
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps({"question": "how many?", "samples": [GOOD_DOC]}))
+        argv = {
+            "build": ["build", "--sources", str(sources), "--out", str(tmp_path / "out")],
+            "merge": ["merge", str(samples), "--merge-mode", "llm"],
+        }[command] + mock_args(tmp_path, {}, default=GOOD_DOC)
+        if source == "flag":
+            argv += ["--model", ""]
+        elif source == "env":
+            monkeypatch.setenv("GRAPHREASON_MODEL", "")
+        else:
+            (tmp_path / "run.cfg").write_text("model =\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: model: model must be non-empty\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_bad_paradigm(self, capsys):
         assert main(["sample", "why?", "--paradigm", "tree"]) == 2

@@ -301,6 +301,7 @@ DELETED_EXPORTS = (
     "GraphViolation",
     "validate",
     "extract_answer_lenient",
+    "merge_llm",
 )
 # (module, name) pairs of the one-value options and second paths removed
 # from the library; none may come back.
@@ -315,6 +316,9 @@ DELETED_MODULE_NAMES = (
     ("codec", "extract_answer_lenient"),
     ("pipeline", "read_instances"),
     ("pipeline", "run_merge"),
+    ("merge", "merge_llm"),
+    ("merge", "merge_llm_steps"),
+    ("pipeline", "_check_merge_mode"),
 )
 # (module, class, attribute): methods and dataclass fields.
 DELETED_ATTRIBUTES = (
@@ -332,6 +336,7 @@ DELETED_PARAMETERS = (
     ("codec", "extract_untagged_answer", "cues"),
     ("pipeline", "write_dataset", "include_discards"),
     ("pipeline", "build_dataset", "prompt"),
+    ("merge", "merge_steps", "fallback"),
 )
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -18,17 +19,21 @@ from graphreason.graph import (
 from graphreason.merge import (
     DROP_CYCLE_BREAK,
     DROP_PRUNED,
+    MERGE_MODES,
+    MODE_DETERMINISTIC,
     MODE_LLM,
     MODE_LLM_FALLBACK,
     CandidateSet,
     EdgelessMergeError,
     LLMMergeFailedError,
     MergedResult,
+    advance,
     merge_deterministic,
-    merge_llm,
+    merge_steps,
 )
+from graphreason.pipeline import Provenance
 
-from _util import random_candidate_output, random_graph, random_output
+from _util import finish, random_candidate_output, random_graph, random_output
 
 
 def output(edges: list[tuple[str, str]], answer: str) -> StructuredOutput:
@@ -52,6 +57,12 @@ def mock_client(replies=None, default=None) -> ChatClient:
 
 
 CONFIG = SamplingConfig(model_name="mock-teacher")
+
+
+def integrate(candidate_set: CandidateSet, client: ChatClient,
+              mode: str = MODE_LLM_FALLBACK) -> MergedResult:
+    """``merge_steps`` under an LLM mode, its requests sent through ``client``."""
+    return finish(advance(merge_steps(candidate_set, CONFIG, mode)), client)
 
 
 class TestCandidateSet:
@@ -331,10 +342,32 @@ def test_localized_cycle_break_matches_whole_graph_oracle(seed):
     )
 
 
+class TestMergeSteps:
+    def test_deterministic_mode_returns_without_a_request(self):
+        candidates = cset(output([("a", "b")], "4"), output([("a", "c"), ("c", "b")], "4"))
+        merged = advance(merge_steps(candidates, CONFIG, MODE_DETERMINISTIC))
+        assert merged == merge_deterministic(candidates)
+        assert (merged.merge_mode, merged.fell_back) == (MODE_DETERMINISTIC, False)
+
+    def test_unknown_mode_raises_before_a_request(self):
+        with pytest.raises(ValueError, match="merge_mode must be one of .*got 'vote'"):
+            advance(merge_steps(cset(output([("a", "b")], "4")), CONFIG, "vote"))
+
+
+@pytest.mark.parametrize("record", [
+    merge_deterministic(cset(output([("a", "b")], "4"))),
+    Provenance("s", "m", 3, (0,), MODE_DETERMINISTIC),
+], ids=["MergedResult", "Provenance"])
+def test_fell_back_is_read_from_the_merge_mode(record):
+    assert "fell_back" not in {f.name for f in dataclasses.fields(record)}
+    for mode in MERGE_MODES:
+        assert dataclasses.replace(record, merge_mode=mode).fell_back == (mode == "llm-with-fallback")
+
+
 class TestLLMMerge:
     def test_successful_integration(self):
         client = mock_client(default=GOOD_REPLY)
-        merged = merge_llm(cset(output([("a", "b")], "4")), client, CONFIG)
+        merged = integrate(cset(output([("a", "b")], "4")), client)
         assert merged.merge_mode == MODE_LLM
         assert not merged.fell_back
         assert merged.answer == "7"
@@ -346,7 +379,7 @@ class TestLLMMerge:
             {"was rejected": GOOD_REPLY, "Question:": BAD_REPLY}
         )
         client = ChatClient(backend, sleep=lambda _: None)
-        merged = merge_llm(cset(output([("a", "b")], "4")), client, CONFIG)
+        merged = integrate(cset(output([("a", "b")], "4")), client)
         assert merged.merge_mode == MODE_LLM
         assert merged.answer == "7"
         assert backend.calls == 2
@@ -360,7 +393,7 @@ class TestLLMMerge:
             {"was rejected": GOOD_REPLY, "Question:": cyclic_reply}
         )
         client = ChatClient(backend, sleep=lambda _: None)
-        merged = merge_llm(cset(output([("a", "b")], "4")), client, CONFIG)
+        merged = integrate(cset(output([("a", "b")], "4")), client)
         assert merged.answer == "7"
         assert backend.calls == 2
 
@@ -375,7 +408,7 @@ class TestLLMMerge:
 
         backend = MockBackend(responder=responder)
         client = ChatClient(backend, sleep=lambda _: None)
-        merged = merge_llm(cset(output([("p", "q")], "4")), client, CONFIG)
+        merged = integrate(cset(output([("p", "q")], "4")), client)
         assert merged.merge_mode == MODE_LLM_FALLBACK
         assert merged.fell_back
         assert (merged.answer, merged.conclusion) == ("4", "q")
@@ -388,7 +421,7 @@ class TestLLMMerge:
         backend = MockBackend(default=MULTI_SINK_REPLY)
         client = ChatClient(backend, sleep=lambda _: None)
         with pytest.raises(LLMMergeFailedError, match="multiple-sinks"):
-            merge_llm(cset(output([("p", "q")], "4")), client, CONFIG, fallback=False)
+            integrate(cset(output([("p", "q")], "4")), client, MODE_LLM)
         assert backend.calls == 2
 
     def test_multi_sink_reply_then_good_repair_is_accepted(self):
@@ -396,17 +429,15 @@ class TestLLMMerge:
             {"was rejected": GOOD_REPLY, "Question:": MULTI_SINK_REPLY}
         )
         client = ChatClient(backend, sleep=lambda _: None)
-        merged = merge_llm(cset(output([("p", "q")], "4")), client, CONFIG, fallback=False)
+        merged = integrate(cset(output([("p", "q")], "4")), client, MODE_LLM)
         assert merged.merge_mode == MODE_LLM
         assert (merged.answer, merged.conclusion) == ("7", "merged conclusion")
         assert backend.calls == 2
 
     def test_double_failure_falls_back_deterministic(self):
         client = mock_client(default=BAD_REPLY)
-        merged = merge_llm(
-            cset(output([("a", "b")], "4"), output([("a", "b")], "4")),
-            client,
-            CONFIG,
+        merged = integrate(
+            cset(output([("a", "b")], "4"), output([("a", "b")], "4")), client
         )
         assert merged.merge_mode == MODE_LLM_FALLBACK
         assert merged.fell_back
@@ -416,7 +447,7 @@ class TestLLMMerge:
     def test_double_failure_without_fallback_raises(self):
         client = mock_client(default=BAD_REPLY)
         with pytest.raises(LLMMergeFailedError):
-            merge_llm(cset(output([("a", "b")], "4")), client, CONFIG, fallback=False)
+            integrate(cset(output([("a", "b")], "4")), client, MODE_LLM)
 
     def test_integration_runs_at_temperature_zero(self):
         seen = {}
@@ -426,7 +457,7 @@ class TestLLMMerge:
             return GOOD_REPLY
 
         client = ChatClient(MockBackend(responder=responder), sleep=lambda _: None)
-        merge_llm(cset(output([("a", "b")], "4")), client, CONFIG)
+        integrate(cset(output([("a", "b")], "4")), client)
         assert seen["temperature"] == 0.0
 
     def test_prompt_carries_rendered_candidates(self):
@@ -438,7 +469,7 @@ class TestLLMMerge:
 
         client = ChatClient(MockBackend(responder=responder), sleep=lambda _: None)
         candidate = output([("premise one", "conclusion two")], "4")
-        merge_llm(cset(candidate, question="Which came first?"), client, CONFIG)
+        integrate(cset(candidate, question="Which came first?"), client)
         assert "Which came first?" in seen["user"]
         assert "Candidate 1:" in seen["user"]
         assert render(candidate) in seen["user"]
@@ -452,7 +483,7 @@ class TestLLMMerge:
 
         client = ChatClient(MockBackend(responder=responder), sleep=lambda _: None)
         quotable = output([("premise one", "conclusion two")], "4")
-        merged = merge_llm(cset(quotable, output([("c", "d")], "x < y")), client, CONFIG)
+        merged = integrate(cset(quotable, output([("c", "d")], "x < y")), client)
         assert merged.merge_mode == MODE_LLM
         assert merged.contributing_indices == (0,)
         assert render(quotable) in seen["user"]
@@ -463,12 +494,12 @@ class TestLLMMerge:
         backend = MockBackend(default=GOOD_REPLY)
         client = ChatClient(backend, sleep=lambda _: None)
         candidates = cset(output([("a", "b")], "x < y"), output([("a", "b")], "x < y"))
-        merged = merge_llm(candidates, client, CONFIG)
+        merged = integrate(candidates, client)
         assert merged.merge_mode == MODE_LLM_FALLBACK
         assert merged.fell_back
         assert merged.answer == "x < y"
         with pytest.raises(LLMMergeFailedError, match="no candidate can be quoted"):
-            merge_llm(candidates, client, CONFIG, fallback=False)
+            integrate(candidates, client, MODE_LLM)
         assert backend.calls == 0
 
 
@@ -490,8 +521,8 @@ def concludes_once(reply: str) -> bool:
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), fallback=st.booleans())
-def test_llm_merge_never_returns_invalid_graph(seed, fallback):
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from([MODE_LLM, MODE_LLM_FALLBACK]))
+def test_llm_merge_never_returns_invalid_graph(seed, mode):
     rng = random.Random(seed)
     replies = []
 
@@ -502,9 +533,9 @@ def test_llm_merge_never_returns_invalid_graph(seed, fallback):
     client = ChatClient(MockBackend(responder=responder), sleep=lambda _: None)
     candidates = cset(random_output(rng, max_nodes=6), random_output(rng, max_nodes=6))
     try:
-        merged = merge_llm(candidates, client, CONFIG, fallback=fallback)
+        merged = integrate(candidates, client, mode)
     except LLMMergeFailedError:
-        assert not fallback
+        assert mode == MODE_LLM
         assert len(replies) == 2 and not any(map(concludes_once, replies))
         return
     # Accepted at the first reply that concludes once, else merged by majority.

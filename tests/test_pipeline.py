@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _util import NOT_UTF8_TEXT, FailingCache, corrupt_store, traced_peak
+from _util import NOT_UTF8_TEXT, FailingCache, corrupt_store, finish, traced_peak
 from graphreason.answers import answers_match
 from graphreason.bench import (
     PARADIGMS,
@@ -31,7 +31,7 @@ from graphreason.client import (
 )
 from graphreason.codec import LENIENT, STRICT, StructuredOutput, TemplateParseError, parse, render
 from graphreason.graph import sinks
-from graphreason.merge import MERGE_MODES, Pending
+from graphreason.merge import MERGE_MODES
 from graphreason.pipeline import (
     DISCARD_ALL_CANDIDATES_FAILED,
     DISCARD_ANSWER_MISMATCH,
@@ -107,6 +107,25 @@ class TestReadSources:
         path.write_text('{"question": "  ", "label": "1"}\n')
         with pytest.raises(SourceFormatError, match=r"src\.jsonl:1"):
             read_sources(path)
+
+    @pytest.mark.parametrize("record,field", [
+        ('{"question": null, "label": "4"}', "question"),
+        ('{"question": 7, "label": "4"}', "question"),
+        ('{"question": ["q"], "label": "4"}', "question"),
+        ('{"question": "q", "label": true}', "label"),
+        ('{"question": "q", "label": {"value": 4}}', "label"),
+        ('{"question": "q", "answer": [4]}', "answer"),
+    ])
+    def test_mistyped_field_names_line_and_field(self, tmp_path, record, field):
+        path = tmp_path / "src.jsonl"
+        path.write_text('{"question": "ok", "label": "1"}\n' + record + "\n")
+        with pytest.raises(SourceFormatError, match=rf"src\.jsonl:2: field '{field}' must be"):
+            read_sources(path)
+
+    def test_number_label_is_read_as_text(self, tmp_path):
+        path = tmp_path / "src.jsonl"
+        path.write_text('{"question": "q", "label": 4}\n{"question": "r", "answer": 2.5}\n')
+        assert [item.label for item in read_sources(path)] == ["4", "2.5"]
 
 
 @pytest.mark.parametrize(
@@ -191,13 +210,6 @@ ITEM = SourceQA("q1: how many?", "4", "q1")
 
 def drawn(*texts: str) -> TrajectorySamples:
     return TrajectorySamples(list(texts), {})
-
-
-def finish(outcome, client: ChatClient):
-    """Send a pending item's requests through ``client`` until its outcome comes back."""
-    while isinstance(outcome, Pending):
-        outcome = outcome.resume(client.submit(outcome.request))
-    return outcome
 
 
 def build_one(samples: TrajectorySamples, merge_mode: str = "deterministic", replies=None):
