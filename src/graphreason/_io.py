@@ -8,13 +8,14 @@ each caller keeps only its policy for a problem.
 
 ``atomic_write`` writes every output file, one chunk at a time, and
 ``jsonl_lines`` gives a record file's chunks, one line per record, so
-writing holds one record at a time rather than the whole file.
+writing holds one record at a time rather than the whole file. A
+character with no UTF-8 form, a lone surrogate, is written as its
+``\\uXXXX`` escape, which JSON reads back as the same character.
 """
 from __future__ import annotations
 
 import json
 import os
-import re
 import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -61,7 +62,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object, str | None]]:
 
 
 def atomic_write(path: Path, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` to ``path`` in order, each as it arrives, each surrogate escaped.
+    """Write ``chunks`` to ``path`` in order, each as it arrives, surrogates escaped.
 
     The chunks go to a sibling temp file that is renamed over ``path``
     once the last is written, so readers never see a torn file and an
@@ -72,27 +73,15 @@ def atomic_write(path: Path, chunks: Iterable[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        # A surrogate has no UTF-8 form; the handler writes it as \uXXXX.
+        with os.fdopen(fd, "w", encoding="utf-8", errors="backslashreplace") as handle:
             for chunk in chunks:
-                handle.write(escape_surrogates(chunk))
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-# Surrogates have no UTF-8 form, but JSON's \uXXXX escape reads back as the same
-# lone surrogate (a high one right before a low one reads back as their pair).
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def escape_surrogates(text: str) -> str:
-    """``text`` with each surrogate written as its ``\\uXXXX`` escape, so it encodes as UTF-8.
-
-    Every other character is left as it is.
-    """
-    return text if text.isascii() else _SURROGATE.sub(lambda m: f"\\u{ord(m.group()):04x}", text)
 
 
 _JSONL = json.JSONEncoder(ensure_ascii=False, sort_keys=True)

@@ -35,6 +35,13 @@ PARADIGM_PROMPTS: dict[str, PromptTemplate] = {
 }
 PARADIGMS = tuple(PARADIGM_PROMPTS)
 
+
+def check_paradigm(name: str, value: str) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is one of PARADIGMS."""
+    if value not in PARADIGMS:
+        raise ValueError(f"{name} must be one of {PARADIGMS}, got {value!r}")
+
+
 REPORT_TEXT_FILE = "report.txt"
 REPORT_JSON_FILE = "report.json"
 RECORDS_FILE = "records.jsonl"
@@ -507,8 +514,7 @@ def evaluate(
     while this thread extracts and matches each reply in input order;
     ``client.concurrency`` is the one parallelism setting.
     """
-    if paradigm not in PARADIGM_PROMPTS:
-        raise ValueError(f"paradigm must be one of {PARADIGMS}, got {paradigm!r}")
+    check_paradigm("paradigm", paradigm)
     ids = [item.item_id for item in items]
     if len(set(ids)) != len(ids):
         raise ValueError("item ids must be unique")

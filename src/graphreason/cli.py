@@ -13,6 +13,11 @@ it is read from the environment variable named by ``--credential-env``
 (default GRAPHREASON_API_KEY). Input files are read through ``_io``,
 and each command applies its own policy to a problem it reports.
 
+``main`` is the one output boundary. It sets stdout and stderr to write
+a character they cannot encode as its backslash escape (a lone
+surrogate, or any non-ASCII text on an ASCII stream), and it prints the
+one ``error:`` or ``config error:`` line of a command that fails.
+
 Exit codes: 0 success, 1 item-level failure (bad records, an input
 file that cannot be decoded, failed merge, nothing retained, no eval
 reply), 2 configuration error.
@@ -28,19 +33,13 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, TextIO, get_args, get_type_hints
 
-from ._io import (
-    atomic_write,
-    escape_surrogates,
-    jsonl_lines,
-    read_json,
-    read_jsonl,
-    read_text,
-)
+from ._io import atomic_write, jsonl_lines, read_json, read_jsonl, read_text
 from .bench import (
     BENCHMARKS,
     PARADIGM_SELF_GRAPH,
     PARADIGMS,
     BenchError,
+    check_paradigm,
     evaluate,
     load_benchmark,
     read_items,
@@ -107,6 +106,10 @@ class ConfigError(Exception):
         self.field = field
 
 
+class CommandError(Exception):
+    """A command failed as a whole; ``main`` prints its message as the ``error:`` line."""
+
+
 def _setting(default, help: str):
     return field(default=default, metadata={"help": help})
 
@@ -143,14 +146,12 @@ class RunConfig:
     answer_weight: float = _setting(1.0, "answer reward weight")
 
     def __post_init__(self) -> None:
-        if self.paradigm not in PARADIGMS:
-            raise ConfigError("paradigm", f"must be one of {', '.join(PARADIGMS)}")
         # Each range rule lives with the code that relies on it; this names the setting.
         checks = [(name, check_at_least_one)
                   for name in ("concurrency", "retry_cap", "k", "max_new_tokens")]
         checks += [("model", check_non_empty), ("merge_mode", check_merge_mode),
-                   ("temperature", check_temperature), ("format_weight", check_weight),
-                   ("answer_weight", check_weight)]
+                   ("paradigm", check_paradigm), ("temperature", check_temperature),
+                   ("format_weight", check_weight), ("answer_weight", check_weight)]
         for name, check in checks:
             try:
                 check(name, getattr(self, name))
@@ -225,7 +226,14 @@ def make_client(cfg: RunConfig) -> ChatClient:
     else:
         if not cfg.endpoint:
             raise ConfigError("endpoint", "required unless --mock is given")
-        backend = HttpBackend(cfg.endpoint, credential_env=cfg.credential_env)
+        # requests keeps 10 connections per host; keep one per request in flight.
+        import requests
+
+        session = requests.Session()
+        adapter = requests.adapters.HTTPAdapter(pool_maxsize=cfg.concurrency)
+        session.mount("http://", adapter)
+        session.mount("https://", adapter)
+        backend = HttpBackend(cfg.endpoint, credential_env=cfg.credential_env, session=session)
     try:
         cache = ResponseCache(cfg.cache_dir) if cfg.cache_dir else None
     except ValueError as err:
@@ -280,7 +288,7 @@ def parse_template_records(paths: list[str], lenient: bool, failures_to: TextIO,
                 else:
                     on_parsed(where, output)
                     continue
-            print(escape_surrogates(f"{where}: {problem}"), file=failures_to)
+            print(f"{where}: {problem}", file=failures_to)
             failures += 1
     return EXIT_FAILURE if failures else EXIT_OK
 
@@ -294,7 +302,7 @@ def cmd_validate(args: argparse.Namespace, cfg: RunConfig) -> int:
         count = len(sinks(graph))
         if count > 1:
             line += f", 1 warnings\n  warning: {WARNING_MULTIPLE_SINKS}: {count} sinks present"
-        print(escape_surrogates(line))
+        print(line)
 
     return parse_template_records(args.paths, args.lenient, sys.stdout, report)
 
@@ -311,7 +319,7 @@ def cmd_viz(args: argparse.Namespace, cfg: RunConfig) -> int:
         out_path = Path(args.out_dir) / name
         dot = export_dot(output.graph, answer=output.answer)
         atomic_write(out_path, [dot])
-        print(escape_surrogates(str(out_path)))
+        print(out_path)
 
     return parse_template_records([args.path], args.lenient, sys.stderr, write_dot)
 
@@ -323,8 +331,7 @@ def cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
         samples = gather_trajectories([client.submit(request) for request in requests])
     failure = samples.all_failed_detail()
     if failure is not None:
-        print(f"error: {failure}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise CommandError(failure)
     payload = {
         "question": args.question,
         "samples": samples.texts,
@@ -333,28 +340,23 @@ def cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
     body = json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
     if args.out:
         atomic_write(Path(args.out), [body])
-        line = f"wrote {args.out} ({len(samples.successful())}/{config.k} samples)"
-        print(escape_surrogates(line))
+        print(f"wrote {args.out} ({len(samples.successful())}/{config.k} samples)")
     else:
-        print(escape_surrogates(body), end="")
+        print(body, end="")
     return EXIT_OK
 
 
 def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
     data, problem = read_json(args.input)
     if problem is not None:
-        print(f"error: {args.input}: {problem}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise CommandError(f"{args.input}: {problem}")
     if not isinstance(data, dict) or "question" not in data:
-        print(f"error: {args.input}: expected an object with question and samples", file=sys.stderr)
-        return EXIT_FAILURE
+        raise CommandError(f"{args.input}: expected an object with question and samples")
     texts = data.get("samples", data.get("candidates"))
     if not isinstance(texts, list):
-        print(f"error: {args.input}: samples must be a list", file=sys.stderr)
-        return EXIT_FAILURE
+        raise CommandError(f"{args.input}: samples must be a list")
     if not all(text is None or isinstance(text, str) for text in texts):
-        print(f"error: {args.input}: samples must be strings or null", file=sys.stderr)
-        return EXIT_FAILURE
+        raise CommandError(f"{args.input}: samples must be strings or null")
 
     candidates, lenient_only = parse_candidates(texts)
     if lenient_only:
@@ -362,28 +364,22 @@ def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
             "samples %s accepted only under lenient parsing", ", ".join(map(str, lenient_only))
         )
     if not candidates:
-        print("error: no sample parsed as a reasoning template", file=sys.stderr)
-        return EXIT_FAILURE
+        raise CommandError("no sample parsed as a reasoning template")
     candidate_set = CandidateSet(candidates, question=str(data["question"]))
 
-    try:
-        # A deterministic merge yields no request, so it builds no client.
-        merged = advance(merge_steps(candidate_set, make_sampling_config(cfg), cfg.merge_mode))
-        if isinstance(merged, Pending):
-            with make_client(cfg) as client:
-                while isinstance(merged, Pending):
-                    merged = merged.resume(client.submit(merged.request))
-        document = render(StructuredOutput.from_graph(merged.graph, merged.answer)) + "\n"
-    except InvalidGraphError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILURE
+    # A deterministic merge yields no request, so it builds no client.
+    merged = advance(merge_steps(candidate_set, make_sampling_config(cfg), cfg.merge_mode))
+    if isinstance(merged, Pending):
+        with make_client(cfg) as client:
+            while isinstance(merged, Pending):
+                merged = merged.resume(client.submit(merged.request))
+    document = render(StructuredOutput.from_graph(merged.graph, merged.answer)) + "\n"
     if args.out:
         atomic_write(Path(args.out), [document])
         suffix = ", fell back" if merged.fell_back else ""
-        line = f"wrote {args.out} (answer: {merged.answer}, mode: {merged.merge_mode}{suffix})"
-        print(escape_surrogates(line))
+        print(f"wrote {args.out} (answer: {merged.answer}, mode: {merged.merge_mode}{suffix})")
     else:
-        print(escape_surrogates(document), end="")
+        print(document, end="")
     return EXIT_OK
 
 
@@ -407,7 +403,7 @@ def cmd_build(args: argparse.Namespace, cfg: RunConfig) -> int:
     for reason in sorted(report.discarded_by_reason):
         print(f"discarded[{reason}]: {report.discarded_by_reason[reason]}")
     print(f"lenient-only samples: {result.lenient_only}")
-    print(escape_surrogates(f"wrote {paths['train']}, {paths['valid']}, {paths['report']}"))
+    print(f"wrote {paths['train']}, {paths['valid']}, {paths['report']}")
     if report.total_in and not report.retained:
         return EXIT_FAILURE
     return EXIT_OK
@@ -416,7 +412,7 @@ def cmd_build(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
     items = load_benchmark(args.benchmark, args.path)
     write_items(items, args.out)
-    print(escape_surrogates(f"ingested {len(items)} items from {args.benchmark} -> {args.out}"))
+    print(f"ingested {len(items)} items from {args.benchmark} -> {args.out}")
     return EXIT_OK
 
 
@@ -432,17 +428,16 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     else:
         raise ConfigError("items", "provide --items or --benchmark with --path")
     if not items:
-        print("error: no items to evaluate", file=sys.stderr)
-        return EXIT_FAILURE
+        raise CommandError("no items to evaluate")
 
     with make_client(cfg) as client:
         report = evaluate(items, cfg.paradigm, client, make_sampling_config(cfg))
     failed = sum(record.error is not None for record in report.records)
-    print(escape_surrogates(render_table(report)), end="")
+    print(render_table(report), end="")
     print(f"transport failures: {failed}")
     if args.out:
         paths = write_report(report, args.out)
-        print(escape_surrogates(f"wrote {paths['text']}, {paths['json']}, {paths['records']}"))
+        print(f"wrote {paths['text']}, {paths['json']}, {paths['records']}")
     # As a build that retains nothing: no reply came back to score.
     return EXIT_FAILURE if failed == len(items) else EXIT_OK
 
@@ -453,15 +448,13 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
     labels: list[str] = []
     for lineno, row, problem in read_jsonl(path):
         if problem is not None:
-            print(f"error: {path}:{lineno}: {problem}", file=sys.stderr)
-            return EXIT_FAILURE
+            raise CommandError(f"{path}:{lineno}: {problem}")
         if not isinstance(row, dict):
             row = {}
         text = row.get("text", row.get("completion", row.get("graph_reasoning")))
         label = row.get("label")
         if not isinstance(text, str) or not isinstance(label, str):
-            print(f"error: {path}:{lineno}: row needs text and label fields", file=sys.stderr)
-            return EXIT_FAILURE
+            raise CommandError(f"{path}:{lineno}: row needs text and label fields")
         texts.append(text)
         labels.append(label)
 
@@ -476,7 +469,7 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.out:
         rows = ({"index": i, **score.to_dict()} for i, score in enumerate(scores))
         atomic_write(Path(args.out), jsonl_lines(rows))
-        print(escape_surrogates(f"wrote {args.out}"))
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -548,6 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Each stream writes what it cannot encode as its backslash escape, so a
+    # surrogate from a file name or a JSON escape never ends a command.
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
@@ -559,7 +557,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err.field}: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ClientError, MergeError, BenchError, PipelineError, OSError) as err:
+    except (
+        CommandError, ClientError, MergeError, InvalidGraphError, BenchError, PipelineError, OSError
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -99,8 +99,8 @@ class TransportExhaustedError(ClientError):
 
 
 def check_non_empty(name: str, value: str) -> None:
-    """Raise ValueError naming ``name`` when ``value`` is the empty string."""
-    if not value:
+    """Raise ValueError naming ``name`` when ``value`` is empty or only whitespace."""
+    if not value.strip():
         raise ValueError(f"{name} must be non-empty")
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
@@ -184,8 +185,8 @@ class BuildReport:
 def read_sources(path: str | Path) -> list[SourceQA]:
     """Load question/label pairs from a JSONL file.
 
-    Each record needs a string "question" and a string or number "label"
-    (or "answer"); an absent or null "id" defaults to item-<1-based line>.
+    Each record needs a string "question" and a string or finite number
+    "label" (or "answer"); an absent or null "id" defaults to item-<1-based line>.
     """
     path = Path(path)
     items: list[SourceQA] = []
@@ -203,6 +204,8 @@ def read_sources(path: str | Path) -> list[SourceQA]:
             raise SourceFormatError(f"{where}: field 'question' must be a string")
         if isinstance(label, bool) or not isinstance(label, (str, int, float)):
             raise SourceFormatError(f"{where}: field {label_key!r} must be a string or a number")
+        if isinstance(label, float) and not math.isfinite(label):
+            raise SourceFormatError(f"{where}: field {label_key!r} must be a finite number")
         source_id = record_id(raw, f"item-{lineno}")
         try:
             items.append(SourceQA(raw["question"], str(label), source_id))

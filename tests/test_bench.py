@@ -18,6 +18,7 @@ from graphreason.bench import (
     ItemRecord,
     PARADIGMS,
     SchemaError,
+    check_paradigm,
     evaluate,
     evaluate_item,
     extract_candidate,
@@ -452,6 +453,13 @@ class TestEvaluate:
     def test_unknown_paradigm_rejected(self):
         with pytest.raises(ValueError, match="paradigm"):
             evaluate([item(1)], "tree", client_for({}), CONFIG)
+
+    def test_check_paradigm_accepts_each_paradigm_and_names_the_setting(self):
+        for paradigm in PARADIGMS:
+            check_paradigm("mode", paradigm)
+        message = f"mode must be one of {PARADIGMS}, got 'tree'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_paradigm("mode", "tree")
 
     def test_serial_and_parallel_agree(self, tmp_path):
         items = [item(n) for n in range(1, 6)]

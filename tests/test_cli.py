@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _util import NOT_UTF8_TEXT, corrupt_store, run_python
-from graphreason.cli import RunConfig, build_parser, main, resolve_config
+from graphreason.cli import RunConfig, build_parser, main, make_client, resolve_config
 from graphreason.client import ChatClient, MockBackend, SamplingConfig, gather_trajectories
 from graphreason.codec import STRICT, parse
 from graphreason.merge import MERGE_MODES
@@ -786,13 +786,13 @@ FILE_READERS = {
 }
 
 
-def run_main(argv: list[str]) -> tuple[int, str, str]:
-    """``main(argv)``'s exit code, stdout and stderr, each encoding as a UTF-8 terminal's does.
+def run_main(argv: list[str], encoding: str = "utf-8") -> tuple[int, str, str]:
+    """``main(argv)``'s exit code, stdout and stderr, each encoding as a terminal's does.
 
-    stdout refuses a character with no UTF-8 form, as it does in a UTF-8
-    locale; stderr writes it as a backslash escape.
+    stdout refuses a character that ``encoding`` cannot encode, as it does
+    in a UTF-8 (or ASCII) locale; stderr writes it as a backslash escape.
     """
-    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    out = io.TextIOWrapper(io.BytesIO(), encoding=encoding, errors="strict")
     err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -850,6 +850,30 @@ def test_a_path_that_is_not_utf8_is_printed_escaped(tmp_path, command):
     code, out, _ = run_main([arg.format(d=d) for arg in PATH_ECHOES[command]])
     assert code == 0
     assert f"{tmp_path}/\\udcff/" in out
+
+
+def test_a_stdout_that_cannot_encode_a_character_prints_its_escape(tmp_path):
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps({"question": "q?", "samples": [GOOD_DOC]}))
+    code, utf8_out, _ = run_main(["merge", str(path)])
+    assert code == 0 and "collect facts → compare options" in utf8_out
+    code, ascii_out, err = run_main(["merge", str(path)], encoding="ascii")
+    assert (code, err) == (0, "")
+    assert "collect facts \\u2192 compare options" in ascii_out
+    assert ascii_out == utf8_out.encode("ascii", "backslashreplace").decode()
+
+
+def test_a_stream_without_reconfigure_is_written_as_is(tmp_path):
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps({"question": "q?", "samples": [SURROGATE_DOC, None]}))
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["merge", str(path)]) == 0
+        assert main(["merge", str(broken)]) == 1
+    assert "x\ud800 start → compare options" in out.getvalue()
+    assert err.getvalue().startswith(f"error: {broken}: invalid JSON (")
 
 
 # Per setting: the type it resolves to, then three valid raw values, each
@@ -973,6 +997,16 @@ class TestConfigResolution:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_blank_model_is_a_config_error(self, tmp_path, capsys, monkeypatch, source):
+        argv = ["sample", "q?", *mock_args(tmp_path, {}, default=GOOD_DOC)]
+        if source == "flag":
+            argv += ["--model", " "]
+        else:
+            monkeypatch.setenv("GRAPHREASON_MODEL", " \t")
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "config error: model: model must be non-empty\n")
+
     def test_bad_paradigm(self, capsys):
         assert main(["sample", "why?", "--paradigm", "tree"]) == 2
         assert "config error: paradigm:" in capsys.readouterr().err
@@ -997,6 +1031,15 @@ class TestConfigResolution:
         flag = "--" + name.replace("_", "-")
         assert main(["sample", "why?", flag, value]) == 2
         assert f"config error: {name}: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("concurrency", [1, 16, 32])
+    def test_http_pool_keeps_a_connection_per_request_in_flight(self, concurrency):
+        cfg = RunConfig(endpoint="http://example.invalid/v1/chat", concurrency=concurrency)
+        with make_client(cfg) as client:
+            adapters = client.backend._session.adapters
+        assert {prefix: a._pool_maxsize for prefix, a in adapters.items()} == {
+            "https://": concurrency, "http://": concurrency
+        }
 
     def test_credential_is_not_a_flag(self):
         with pytest.raises(SystemExit) as err:

@@ -319,6 +319,7 @@ DELETED_MODULE_NAMES = (
     ("merge", "merge_llm"),
     ("merge", "merge_llm_steps"),
     ("pipeline", "_check_merge_mode"),
+    ("_io", "escape_surrogates"),
 )
 # (module, class, attribute): methods and dataclass fields.
 DELETED_ATTRIBUTES = (

@@ -127,6 +127,16 @@ class TestReadSources:
         path.write_text('{"question": "q", "label": 4}\n{"question": "r", "answer": 2.5}\n')
         assert [item.label for item in read_sources(path)] == ["4", "2.5"]
 
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["label", "answer"])
+    def test_non_finite_label_names_line_and_field(self, tmp_path, field, number):
+        # Python's json reads these three words as floats.
+        path = tmp_path / "src.jsonl"
+        path.write_text(f'{{"question": "ok", "label": "1"}}\n{{"question": "q", "{field}": {number}}}\n')
+        message = rf"src\.jsonl:2: field '{field}' must be a finite number$"
+        with pytest.raises(SourceFormatError, match=message):
+            read_sources(path)
+
 
 @pytest.mark.parametrize(
     "body,load,attr,ids",
