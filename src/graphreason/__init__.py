@@ -22,9 +22,9 @@ _EXPORTS = {
         "write_report",
     ),
     "client": (
-        "AuthError", "ChatClient", "ClientError", "CompletionRequest", "CompletionResult",
-        "HttpBackend", "MockBackend", "ProtocolError", "ResponseCache", "SamplingConfig",
-        "TrajectorySamples", "TransientError", "TransportExhaustedError",
+        "AuthError", "ChatClient", "ClientError", "CompletionRequest", "HttpBackend",
+        "MockBackend", "ProtocolError", "ResponseCache", "SamplingConfig", "TransientError",
+        "TransportExhaustedError",
     ),
     "codec": (
         "LENIENT", "STRICT", "StructuredOutput", "TemplateParseError", "final_answer",

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from ._io import atomic_write, jsonl_lines, read_json, read_jsonl, record_id
 from .answers import OPTION_LETTERS, answers_match
-from .client import ChatClient, ClientError, CompletionRequest, SamplingConfig
+from .client import ChatClient, ClientError, CompletionRequest, SamplingConfig, read_reply
 from .codec import LENIENT, TemplateParseError, final_answer, parse
 from .prompts import DIRECT_PROMPT, LINEAR_PROMPT, SELF_GRAPH_PROMPT, PromptTemplate
 
@@ -468,10 +468,9 @@ def evaluate_item(item: BenchmarkItem, paradigm: str, reply: Future) -> ItemReco
 
     Transport failures become records, not exceptions.
     """
-    try:
-        text = reply.result().text
-    except ClientError as err:
-        log.warning("item %s failed in transport: %s", item.item_id, err)
+    text = read_reply(reply)
+    if isinstance(text, ClientError):
+        log.warning("item %s failed in transport: %s", item.item_id, text)
         return ItemRecord(
             item_id=item.item_id,
             benchmark=item.benchmark,
@@ -479,7 +478,7 @@ def evaluate_item(item: BenchmarkItem, paradigm: str, reply: Future) -> ItemReco
             label=item.label,
             candidate=None,
             correct=False,
-            error=str(err),
+            error=str(text),
         )
     candidate, node_count, edge_count = extract_candidate(text, paradigm)
     correct = candidate is not None and answers_match(candidate, item.label)
@@ -525,23 +524,18 @@ def evaluate(
     )
     records = [evaluate_item(item, paradigm, reply) for item, reply in replies]
 
-    per_benchmark: dict[str, BenchmarkScore] = {}
-    order: list[str] = []
+    # Benchmarks in order of first appearance: a dict keeps insertion order.
     counts: dict[str, list[int]] = {}
     for record in records:
-        if record.benchmark not in counts:
-            counts[record.benchmark] = [0, 0]
-            order.append(record.benchmark)
-        counts[record.benchmark][0] += 1
-        counts[record.benchmark][1] += int(record.correct)
-    for name in order:
-        n, correct = counts[name]
-        per_benchmark[name] = BenchmarkScore(n=n, correct=correct)
+        tally = counts.setdefault(record.benchmark, [0, 0])
+        tally[0] += 1
+        tally[1] += record.correct
 
     return EvalReport(
         paradigm=paradigm,
         model=config.model_name,
-        per_benchmark=per_benchmark,
+        per_benchmark={name: BenchmarkScore(n=n, correct=correct)
+                       for name, (n, correct) in counts.items()},
         records=records,
     )
 

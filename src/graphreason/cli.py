@@ -60,6 +60,7 @@ from .client import (
     MockBackend,
     ResponseCache,
     SamplingConfig,
+    all_failed_detail,
     check_at_least_one,
     check_non_empty,
     check_temperature,
@@ -149,12 +150,16 @@ class RunConfig:
         # Each range rule lives with the code that relies on it; this names the setting.
         checks = [(name, check_at_least_one)
                   for name in ("concurrency", "retry_cap", "k", "max_new_tokens")]
-        checks += [("model", check_non_empty), ("merge_mode", check_merge_mode),
-                   ("paradigm", check_paradigm), ("temperature", check_temperature),
+        checks += [(name, check_non_empty) for name in ("endpoint", "credential_env", "model")]
+        checks += [("merge_mode", check_merge_mode), ("paradigm", check_paradigm),
+                   ("temperature", check_temperature),
                    ("format_weight", check_weight), ("answer_weight", check_weight)]
         for name, check in checks:
+            value = getattr(self, name)
+            if value is None:  # an optional setting left unset
+                continue
             try:
-                check(name, getattr(self, name))
+                check(name, value)
             except ValueError as err:
                 raise ConfigError(name, str(err)) from None
 
@@ -328,19 +333,20 @@ def cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
     config = make_sampling_config(cfg)
     with make_client(cfg) as client:
         requests = trajectory_requests(args.question, config)
-        samples = gather_trajectories([client.submit(request) for request in requests])
-    failure = samples.all_failed_detail()
+        replies = gather_trajectories([client.submit(request) for request in requests])
+    failure = all_failed_detail(replies)
     if failure is not None:
         raise CommandError(failure)
+    errors = {str(i): str(r) for i, r in enumerate(replies) if isinstance(r, ClientError)}
     payload = {
         "question": args.question,
-        "samples": samples.texts,
-        "errors": {str(i): message for i, message in sorted(samples.errors.items())},
+        "samples": [None if isinstance(r, ClientError) else r for r in replies],
+        "errors": errors,
     }
     body = json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
     if args.out:
         atomic_write(Path(args.out), [body])
-        print(f"wrote {args.out} ({len(samples.successful())}/{config.k} samples)")
+        print(f"wrote {args.out} ({len(replies) - len(errors)}/{config.k} samples)")
     else:
         print(body, end="")
     return EXIT_OK

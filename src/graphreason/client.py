@@ -11,6 +11,11 @@ collects a question's k sample futures (``pipeline.trajectory_requests``
 builds their requests), and ``merge.merge_steps``, the one merge entry
 point, yields a merge's requests for the caller to submit. Executor
 tasks only send; only the callers wait on futures.
+
+A reply has one type from here to every caller: a submitted future
+holds the completion text and raises the request's ClientError, and
+``read_reply`` turns it into ``str | ClientError``, the value that
+sampling, the merge's step generators and evaluation all read.
 """
 from __future__ import annotations
 
@@ -47,6 +52,8 @@ DEFAULT_TIMEOUT = 60.0
 # Longest server-requested wait (Retry-After), in seconds, that a client
 # sleeps before a retry; a longer one fails the request at once.
 MAX_RETRY_AFTER = 120.0
+# Each backoff delay is scaled by a factor drawn from [1 - this, 1 + this].
+BACKOFF_JITTER = 0.2
 # Executor threads per concurrency slot: a send holds a slot, while backoff
 # sleeps and cache writes run on a thread without one.
 THREADS_PER_SLOT = 2
@@ -145,45 +152,33 @@ class CompletionRequest:
             raise ValueError("user_prompt must be non-empty")
 
 
-@dataclass
-class CompletionResult:
-    text: str
-    cached: bool
-    attempt_count: int
-    latency: float
+def read_reply(future: Future) -> str | ClientError:
+    """The completion text that ``future`` holds, or the ClientError its request raised."""
+    try:
+        return future.result()
+    except ClientError as err:
+        return err
 
 
-@dataclass
-class TrajectorySamples:
-    """Index-aligned sampling outcome: texts[i] is None where errors[i] says why."""
+def gather_trajectories(futures: Sequence[Future]) -> list[str | ClientError]:
+    """Wait for one question's sample futures; each reply is a text or a ClientError.
 
-    texts: list[str | None]
-    errors: dict[int, str]
-
-    def successful(self) -> list[tuple[int, str]]:
-        return [(i, t) for i, t in enumerate(self.texts) if t is not None]
-
-    def all_failed_detail(self) -> str | None:
-        """Why every sample failed, or None when at least one came back."""
-        if len(self.errors) < len(self.texts):
-            return None
-        return f"all {len(self.texts)} samples failed: " + "; ".join(self.errors.values())
-
-
-def gather_trajectories(futures: Sequence[Future]) -> TrajectorySamples:
-    """Wait for one question's sample futures and collect them by index.
-
-    Failures are reported per index, even when every sample failed.
+    A failed sample is logged and kept at its index, even when every sample failed.
     """
-    texts: list[str | None] = [None] * len(futures)
-    errors: dict[int, str] = {}
-    for i, future in enumerate(futures):
-        try:
-            texts[i] = future.result().text
-        except ClientError as err:
-            errors[i] = str(err)
-            log.warning("sample %d/%d failed: %s", i + 1, len(futures), err)
-    return TrajectorySamples(texts=texts, errors=errors)
+    replies: list[str | ClientError] = []
+    for i, future in enumerate(futures, start=1):
+        reply = read_reply(future)
+        if isinstance(reply, ClientError):
+            log.warning("sample %d/%d failed: %s", i, len(futures), reply)
+        replies.append(reply)
+    return replies
+
+
+def all_failed_detail(replies: Sequence[str | ClientError]) -> str | None:
+    """Why every reply failed, or None when at least one came back."""
+    if any(isinstance(reply, str) for reply in replies):
+        return None
+    return f"all {len(replies)} samples failed: " + "; ".join(map(str, replies))
 
 
 def _json_scalar(value: object) -> str:
@@ -347,8 +342,7 @@ class HttpBackend:
         timeout: float = DEFAULT_TIMEOUT,
         session: requests.Session | None = None,
     ) -> None:
-        if not endpoint:
-            raise ValueError("endpoint must be non-empty")
+        check_non_empty("endpoint", endpoint)
         # Imported on the caller's thread, so no executor thread runs an
         # import; send's except clauses read the module from the instance.
         import requests
@@ -517,7 +511,7 @@ class ChatClient:
     """Caching, retrying, concurrency-bounded completion front-end.
 
     Transient failures retry with exponential backoff (base * 2**n,
-    +/- jitter, never shorter than a server's Retry-After) up to
+    +/- ``BACKOFF_JITTER``, never shorter than a server's Retry-After) up to
     ``max_attempts``; a Retry-After over ``MAX_RETRY_AFTER`` seconds
     gives up at once, and auth and protocol failures propagate
     immediately.
@@ -541,7 +535,6 @@ class ChatClient:
         cache: ResponseCache | None = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_base: float = 1.0,
-        backoff_jitter: float = 0.2,
         concurrency: int = DEFAULT_CONCURRENCY,
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
@@ -552,7 +545,6 @@ class ChatClient:
         self.cache = cache
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self.backoff_jitter = backoff_jitter
         self.concurrency = concurrency
         self.lookahead = LOOKAHEAD_PER_SLOT * concurrency
         self.stats = ClientStats()
@@ -589,10 +581,10 @@ class ChatClient:
             self._semaphore.release()
 
     def _backoff_delay(self, attempt: int) -> float:
-        jitter = 1.0 + self._rng.uniform(-self.backoff_jitter, self.backoff_jitter)
+        jitter = 1.0 + self._rng.uniform(-BACKOFF_JITTER, BACKOFF_JITTER)
         return self.backoff_base * (2 ** (attempt - 1)) * jitter
 
-    def _send(self, request: CompletionRequest, key: str | None, start: float) -> CompletionResult:
+    def _send(self, request: CompletionRequest, key: str | None) -> str:
         attempt = 0
         while True:
             attempt += 1
@@ -630,16 +622,15 @@ class ChatClient:
                 log.warning("cache write failed, completion kept uncached: %s", err)
         with self._lock:
             self.stats.completions += 1
-        return CompletionResult(text, cached=False, attempt_count=attempt,
-                                latency=time.monotonic() - start)
+        return text
 
     def submit(self, request: CompletionRequest) -> Future:
-        """Start one completion; the future holds its CompletionResult or ClientError.
+        """Start one completion; the future holds its text or raises its ClientError.
 
         A cache hit resolves here without a thread hop; a miss, or a read
-        the store failed, is sent from the executor.
+        the store failed, is sent from the executor. Callers read the
+        future through ``read_reply``.
         """
-        start = time.monotonic()
         key = hit = None
         if self.cache is not None:
             key = cache_key(request)
@@ -649,13 +640,12 @@ class ChatClient:
                 # As with a failed write: the cache only saves work, so a failed read is a miss.
                 log.warning("cache read failed, requesting the completion: %s", err)
         if hit is None:
-            return self._executor.submit(self._send, request, key, start)
+            return self._executor.submit(self._send, request, key)
         with self._lock:
             self.stats.cache_hits += 1
             self.stats.completions += 1
-        latency = time.monotonic() - start
         future: Future = Future()
-        future.set_result(CompletionResult(hit, cached=True, attempt_count=1, latency=latency))
+        future.set_result(hit)
         return future
 
     def ahead(self, jobs: Iterable[T], start: Callable[[T], S]) -> Iterator[tuple[T, S]]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Generator
 
 from .answers import normalize_freeform
-from .client import ClientError, CompletionRequest, SamplingConfig
+from .client import ClientError, CompletionRequest, SamplingConfig, read_reply
 from .codec import STRICT, StructuredOutput, TemplateParseError, parse, render
 from .graph import (
     WARNING_MULTIPLE_SINKS,
@@ -259,11 +259,7 @@ class Pending:
 
     def resume(self, sent: Future) -> Any:
         """Go on with ``sent``, the request's future: its text, or the ClientError it raised."""
-        try:
-            reply: str | ClientError = sent.result().text
-        except ClientError as err:
-            reply = err
-        return advance(self.steps, reply)
+        return advance(self.steps, read_reply(sent))
 
 
 def advance(steps: Generator, reply: str | ClientError | None = None) -> Any:

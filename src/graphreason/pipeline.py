@@ -23,7 +23,7 @@ from .client import (
     ClientError,
     CompletionRequest,
     SamplingConfig,
-    TrajectorySamples,
+    all_failed_detail,
     gather_trajectories,
 )
 from .codec import LENIENT, STRICT, StructuredOutput, TemplateParseError, parse, render
@@ -231,19 +231,21 @@ def trajectory_requests(question: str, config: SamplingConfig) -> list[Completio
 
 
 def parse_candidates(
-    texts: Sequence[str | None],
+    replies: Sequence[str | ClientError | None],
 ) -> tuple[list[tuple[StructuredOutput, int]], tuple[int, ...]]:
     """Strict-parse each sampled text, falling back to lenient per sample.
 
-    Returns ``(kept, lenient_only)``: the parsed samples with their
-    indices, unparseable ones dropped, and the indices of the samples
-    that parsed only leniently. Nothing is logged for those; callers
-    report the count once.
+    An entry that is not a text (a failed sample's ClientError, or a
+    null from ``merge`` input) is skipped. Returns ``(kept,
+    lenient_only)``: the parsed samples with their indices, unparseable
+    ones dropped, and the indices of the samples that parsed only
+    leniently. Nothing is logged for those; callers report the count
+    once.
     """
     kept: list[tuple[StructuredOutput, int]] = []
     lenient_only: list[int] = []
-    for index, text in enumerate(texts):
-        if text is None:
+    for index, text in enumerate(replies):
+        if not isinstance(text, str):
             continue
         try:
             kept.append((parse(text, STRICT), index))
@@ -259,9 +261,9 @@ def parse_candidates(
 
 
 def build_instance(
-    item: SourceQA, samples: TrajectorySamples, config: SamplingConfig, merge_mode: str
+    item: SourceQA, replies: Sequence[str | ClientError], config: SamplingConfig, merge_mode: str
 ) -> TrainingInstance | DiscardRecord | Pending:
-    """Finish one source item from its drawn samples.
+    """Finish one source item from its sample replies, each a text or a ClientError.
 
     Merges the parseable samples under ``merge_mode`` and keeps the
     result only when the merged answer matches the reference label; the
@@ -277,16 +279,16 @@ def build_instance(
     the outcome or the next Pending.
     """
     check_merge_mode("merge_mode", merge_mode)
-    return advance(_instance_steps(item, samples, config, merge_mode))
+    return advance(_instance_steps(item, replies, config, merge_mode))
 
 
 def _instance_steps(
-    item: SourceQA, samples: TrajectorySamples, config: SamplingConfig, merge_mode: str
+    item: SourceQA, replies: Sequence[str | ClientError], config: SamplingConfig, merge_mode: str
 ) -> Generator[CompletionRequest, str | ClientError, TrainingInstance | DiscardRecord]:
-    failure = samples.all_failed_detail()
+    failure = all_failed_detail(replies)
     if failure is not None:
         return DiscardRecord(item.source_id, DISCARD_ALL_CANDIDATES_FAILED, failure)
-    candidates, lenient_only = parse_candidates(samples.texts)
+    candidates, lenient_only = parse_candidates(replies)
     outcome = yield from _merged_outcome(item, candidates, config, merge_mode)
     return replace(outcome, lenient_only=len(lenient_only)) if lenient_only else outcome
 

@@ -317,13 +317,14 @@ def test_criterion_08_transport_behavior():
     backend = MockBackend(default="ok")
     fail_first_attempts(backend, 2)
     request = CompletionRequest("sys", "probe", SamplingConfig(model_name="m"))
-    result = quiet_client(backend).submit(request).result()
-    assert result.attempt_count == 3
+    retrying = quiet_client(backend)
+    assert retrying.submit(request).result() == "ok"
+    assert (backend.calls, retrying.stats.retries) == (3, 2)
 
     eight = trajectory_requests("what?", SamplingConfig(model_name="m", k=8))
     ordered = quiet_client(MockBackend({"Question:": [f"reply {i}" for i in range(8)]}))
     samples = gather_trajectories([ordered.submit(r) for r in eight])
-    assert samples.texts == [f"reply {i}" for i in range(8)]
+    assert samples == [f"reply {i}" for i in range(8)]
 
     bounded = MockBackend(default="ok", delay=0.005)
     client = quiet_client(bounded, concurrency=3)

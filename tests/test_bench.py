@@ -38,7 +38,6 @@ from graphreason.bench import (
 )
 from graphreason.client import (
     ChatClient,
-    CompletionResult,
     MockBackend,
     ProtocolError,
     SamplingConfig,
@@ -384,7 +383,7 @@ class TestOneAnswerRule:
     )
     def test_eval_is_correct_exactly_when_the_answer_reward_is_earned(self, text, label, paradigm):
         reply = Future()
-        reply.set_result(CompletionResult(text, cached=False, attempt_count=1, latency=0.0))
+        reply.set_result(text)
         record = evaluate_item(item(1, label=label), paradigm, reply)
         assert record.correct == (reward_answer(text, label) == 1.0)
 

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from _util import NOT_UTF8_TEXT, corrupt_store, run_python
 from graphreason.cli import RunConfig, build_parser, main, make_client, resolve_config
-from graphreason.client import ChatClient, MockBackend, SamplingConfig, gather_trajectories
+from graphreason.client import (
+    ChatClient,
+    MockBackend,
+    ProtocolError,
+    SamplingConfig,
+    gather_trajectories,
+)
 from graphreason.codec import STRICT, parse
 from graphreason.merge import MERGE_MODES
 from graphreason.pipeline import (
@@ -188,6 +194,23 @@ class TestSample:
         printed = capsys.readouterr().out.encode("utf-8")
         assert json.loads(printed)["samples"] == [SURROGATE_DOC]
 
+    def test_a_failed_sample_is_null_and_its_error_is_kept(self, tmp_path, capsys, monkeypatch):
+        class SecondSampleFails(MockBackend):
+            def send(self, request):
+                if request.sample_index == 1:
+                    raise ProtocolError("scripted failure")
+                return super().send(request)
+
+        monkeypatch.setattr("graphreason.cli.MockBackend", SecondSampleFails)
+        out = tmp_path / "samples.json"
+        args = mock_args(tmp_path, {"Question:": ["r0", "r1", "r2"]})
+        assert main(["sample", "why?", "--k", "3", "--out", str(out), *args]) == 0
+        data = json.loads(out.read_text())
+        assert data == {
+            "question": "why?", "samples": ["r0", None, "r2"], "errors": {"1": "scripted failure"},
+        }
+        assert capsys.readouterr().out == f"wrote {out} (2/3 samples)\n"
+
     def test_all_samples_failed_exits_one(self, tmp_path, capsys):
         out = tmp_path / "samples.json"
         args = mock_args(tmp_path, {})
@@ -313,7 +336,7 @@ def test_merge_command_finishes_each_item_as_the_build_does(tmp_path, capsys, mo
         samples = {
             item.source_id: gather_trajectories(
                 [client.submit(r) for r in trajectory_requests(item.question, config)]
-            ).texts
+            )
             for item in items
         }
     failures = {
@@ -463,6 +486,25 @@ class TestIngestEval:
     def test_eval_needs_a_source(self, tmp_path, capsys):
         assert main(["eval", *mock_args(tmp_path, {})]) == 2
         assert "config error: items:" in capsys.readouterr().err
+
+    def test_eval_takes_items_or_a_benchmark_not_both(self, tmp_path, capsys):
+        items = tmp_path / "items.jsonl"
+        items.write_text("")
+        argv = ["eval", "--items", str(items), "--benchmark", "aiw", *mock_args(tmp_path, {})]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "config error: items: give either --items or --benchmark/--path, not both\n"
+        )
+
+    def test_eval_benchmark_needs_a_path(self, tmp_path, capsys):
+        assert main(["eval", "--benchmark", "aiw", *mock_args(tmp_path, {})]) == 2
+        assert capsys.readouterr() == ("", "config error: path: required with --benchmark\n")
+
+    def test_eval_of_no_items_exits_one(self, tmp_path, capsys):
+        items = tmp_path / "items.jsonl"
+        items.write_text("")
+        assert main(["eval", "--items", str(items), *mock_args(tmp_path, {})]) == 1
+        assert capsys.readouterr() == ("", "error: no items to evaluate\n")
 
     # Per command: the input file's name, its lines, each a JSON value, and
     # what the one error line says after the file's path.
@@ -953,6 +995,22 @@ class TestConfigResolution:
         monkeypatch.setenv("GRAPHREASON_CONFIG", str(config))
         assert self.sample_count(tmp_path, capsys, []) == 2
 
+    def test_missing_config_file(self, tmp_path, capsys):
+        config = tmp_path / "absent.cfg"
+        assert main(["sample", "why?", "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"config error: config: {config}: no such file\n")
+
+    @pytest.mark.parametrize("written, model", [
+        ('"quoted teacher"', "quoted teacher"),
+        ("'quoted teacher'", "quoted teacher"),
+        ('"half-quoted', '"half-quoted'),
+    ])
+    def test_quoted_config_value(self, tmp_path, written, model):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"model = {written}\n")
+        args = build_parser().parse_args(["sample", "why?", "--config", str(config)])
+        assert resolve_config(args).model == model
+
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("shards = 4\n")
@@ -1006,6 +1064,22 @@ class TestConfigResolution:
             monkeypatch.setenv("GRAPHREASON_MODEL", " \t")
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "config error: model: model must be non-empty\n")
+
+    @pytest.mark.parametrize("name", ["endpoint", "credential_env"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_blank_endpoint_or_credential_env_is_a_config_error(
+        self, capsys, monkeypatch, name, source
+    ):
+        monkeypatch.setenv("GRAPHREASON_API_KEY", "sk-test")
+        settings = {"endpoint": "http://example.invalid/v1/chat", name: " "}
+        argv = ["sample", "q?", "--k", "2", "--retry-cap", "1"]
+        for key, value in settings.items():
+            if source == "flag" or key != name:
+                argv += ["--" + key.replace("_", "-"), value]
+            else:
+                monkeypatch.setenv("GRAPHREASON_" + key.upper(), value)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"config error: {name}: {name} must be non-empty\n")
 
     def test_bad_paradigm(self, capsys):
         assert main(["sample", "why?", "--paradigm", "tree"]) == 2

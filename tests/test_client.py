@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import random
 import sqlite3
 import sys
 import threading
@@ -26,15 +27,16 @@ from graphreason.client import (
     STORE_PAGE_CACHE_KIB,
     AuthError,
     ChatClient,
+    ClientError,
     CompletionRequest,
     HttpBackend,
     MockBackend,
     ProtocolError,
     ResponseCache,
     SamplingConfig,
-    TrajectorySamples,
     TransientError,
     TransportExhaustedError,
+    all_failed_detail,
     cache_key,
     gather_trajectories,
     parse_retry_after,
@@ -54,7 +56,9 @@ def no_sleep_client(backend, **kw) -> ChatClient:
     return ChatClient(backend, **kw)
 
 
-def sample_round(client: ChatClient, question: str, config: SamplingConfig) -> TrajectorySamples:
+def sample_round(
+    client: ChatClient, question: str, config: SamplingConfig
+) -> list[str | ClientError]:
     """One question's k samples, submitted and gathered as build and ``sample`` do."""
     requests = trajectory_requests(question, config)
     return gather_trajectories([client.submit(r) for r in requests])
@@ -246,23 +250,24 @@ class TestResponseCache:
 
 class TestComplete:
     def test_scripted_reply(self):
-        client = no_sleep_client(MockBackend(default="pong"))
+        backend = MockBackend(default="pong")
+        client = no_sleep_client(backend)
         result = client.submit(request()).result()
-        assert result.text == "pong"
-        assert result.cached is False
-        assert result.attempt_count == 1
-        assert result.latency >= 0
+        assert result == "pong"
+        # Sent once, not from a cache, and not retried.
+        assert (backend.calls, client.stats.cache_hits, client.stats.retries) == (1, 0, 0)
 
     def test_cache_roundtrip(self, tmp_path):
         backend = MockBackend(default="pong")
         client = no_sleep_client(backend, cache=ResponseCache(tmp_path))
         first = client.submit(request()).result()
+        assert (first, backend.calls, client.stats.cache_hits) == ("pong", 1, 0)
         second = client.submit(request()).result()
-        assert (first.cached, second.cached) == (False, True)
-        assert second.text == "pong"
-        assert second.attempt_count == 1
+        assert second == "pong"
+        # The second reply came from the cache: no send and no retry.
         assert backend.calls == 1
         assert client.stats.cache_hits == 1
+        assert client.stats.retries == 0
 
     def test_cache_survives_new_client(self, tmp_path):
         client_a = no_sleep_client(MockBackend(default="pong"), cache=ResponseCache(tmp_path))
@@ -270,8 +275,8 @@ class TestComplete:
         fresh_backend = MockBackend(default="changed")
         client_b = no_sleep_client(fresh_backend, cache=ResponseCache(tmp_path))
         result = client_b.submit(request()).result()
-        assert result.text == "pong"
-        assert result.cached is True
+        assert result == "pong"
+        assert client_b.stats.cache_hits == 1
         assert fresh_backend.calls == 0
 
     @pytest.mark.parametrize("error", [
@@ -279,10 +284,12 @@ class TestComplete:
     ])
     def test_failed_cache_write_keeps_the_completion(self, tmp_path, caplog, error):
         cache = FailingCache(tmp_path, error, "put")
-        client = no_sleep_client(MockBackend(default="pong"), cache=cache)
+        backend = MockBackend(default="pong")
+        client = no_sleep_client(backend, cache=cache)
         with caplog.at_level(logging.WARNING, logger="graphreason.client"):
             result = client.submit(request()).result(timeout=30)
-        assert (result.text, result.cached) == ("pong", False)
+        assert result == "pong"
+        assert (backend.calls, client.stats.cache_hits) == (1, 0)
         assert client.stats.completions == 1
         assert "cache write failed" in caplog.text
 
@@ -294,7 +301,7 @@ class TestComplete:
         client = no_sleep_client(backend, cache=FailingCache(tmp_path, error, "get"))
         with caplog.at_level(logging.WARNING, logger="graphreason.client"):
             result = client.submit(request()).result(timeout=30)
-        assert (result.text, result.cached) == ("pong", False)
+        assert result == "pong"
         assert (backend.calls, client.stats.cache_hits) == (1, 0)
         assert caplog.text.count("cache read failed") == 1
         # The read failed, not the store: the completion is still written.
@@ -310,7 +317,7 @@ class TestComplete:
         client = no_sleep_client(backend, cache=ResponseCache(tmp_path))
         with caplog.at_level(logging.WARNING, logger="graphreason.client"):
             result = client.submit(request()).result(timeout=30)
-        assert (result.text, result.cached) == ("pong", False)
+        assert result == "pong"
         assert (backend.calls, client.stats.cache_hits) == (1, 0)
         assert caplog.text.count("cache read failed") == 1
         assert f"the entry for {cache_key(request())} is not UTF-8 text" in caplog.text
@@ -321,8 +328,8 @@ class TestComplete:
         fail_first_attempts(backend, 2)
         client = no_sleep_client(backend)
         result = client.submit(request()).result()
-        assert result.text == "ok"
-        assert result.attempt_count == 3
+        assert result == "ok"
+        assert backend.calls == 3
         assert client.stats.retries == 2
 
     def test_transport_exhaustion(self):
@@ -367,8 +374,7 @@ class TestSampling:
         backend = MockBackend({"Question:": ["r0", "r1", "r2"]})
         client = no_sleep_client(backend)
         samples = sample_round(client, "what?", CONFIG)
-        assert samples.texts == ["r0", "r1", "r2"]
-        assert samples.errors == {}
+        assert samples == ["r0", "r1", "r2"]
 
     def test_partial_failure_keeps_indices(self):
         def responder(req):
@@ -378,9 +384,9 @@ class TestSampling:
 
         client = no_sleep_client(MockBackend(responder=responder))
         samples = sample_round(client, "what?", CONFIG)
-        assert samples.texts == ["text-0", None, "text-2"]
-        assert list(samples.errors) == [1]
-        assert samples.successful() == [(0, "text-0"), (2, "text-2")]
+        assert [samples[0], samples[2]] == ["text-0", "text-2"]
+        assert isinstance(samples[1], ProtocolError) and str(samples[1]) == "boom"
+        assert all_failed_detail(samples) is None
 
     def test_all_failed_raises(self):
         # The all-failed detail is what the sample command reports before exiting 1.
@@ -389,8 +395,8 @@ class TestSampling:
 
         client = no_sleep_client(MockBackend(responder=responder))
         samples = sample_round(client, "what?", CONFIG)
-        assert samples.successful() == []
-        assert samples.all_failed_detail() == "all 3 samples failed: boom; boom; boom"
+        assert all(isinstance(sample, ProtocolError) for sample in samples)
+        assert all_failed_detail(samples) == "all 3 samples failed: boom; boom; boom"
 
     def test_gather_returns_a_fully_failed_round(self):
         def responder(req):
@@ -399,9 +405,9 @@ class TestSampling:
         client = no_sleep_client(MockBackend(responder=responder))
         requests = trajectory_requests("what?", CONFIG)
         samples = gather_trajectories([client.submit(r) for r in requests])
-        assert samples.texts == [None, None, None]
-        assert samples.all_failed_detail() == "all 3 samples failed: boom 0; boom 1; boom 2"
-        assert TrajectorySamples(["text", None], {1: "boom"}).all_failed_detail() is None
+        assert [type(sample) for sample in samples] == [ProtocolError] * 3
+        assert all_failed_detail(samples) == "all 3 samples failed: boom 0; boom 1; boom 2"
+        assert all_failed_detail(["text", ProtocolError("boom")]) is None
 
     def test_seed_derivation_per_sample(self):
         seeds = {}
@@ -462,6 +468,11 @@ GOOD_BODY = {"choices": [{"message": {"content": "hi there"}}]}
 
 
 class TestHttpBackend:
+    @pytest.mark.parametrize("endpoint", ["", " \t"])
+    def test_blank_endpoint_is_refused(self, endpoint):
+        with pytest.raises(ValueError, match="^endpoint must be non-empty$"):
+            HttpBackend(endpoint, session=_FakeSession(_FakeResponse(200, GOOD_BODY)))
+
     def test_missing_credential_fails_before_network(self, monkeypatch):
         monkeypatch.delenv("GRAPHREASON_API_KEY", raising=False)
         session = _FakeSession(_FakeResponse(200, GOOD_BODY))
@@ -536,6 +547,13 @@ class TestHttpBackendTransportErrors:
         assert caught.value.__cause__ is error
 
 
+class _NoJitter(random.Random):
+    """Draws the midpoint of every range, so each backoff delay is its nominal value."""
+
+    def random(self):
+        return 0.5
+
+
 class _ScriptedSession:
     """Replies with the given responses in order."""
 
@@ -582,11 +600,12 @@ class TestRetryAfter:
             HttpBackend("http://example.invalid/v1/chat", session=session),
             sleep=delays.append,
             backoff_base=backoff,
-            backoff_jitter=0.0,
+            rng=_NoJitter(),
         )
         result = client.submit(request()).result()
-        assert result.text == "hi there"
-        assert result.attempt_count == 2
+        assert result == "hi there"
+        assert session.responses == []
+        assert (client.stats.requests_attempted, client.stats.retries) == (2, 1)
         assert delays == [slept]
 
     @pytest.mark.parametrize("header", ["86400", "Fri, 31 Dec 9999 23:59:59 GMT"])
@@ -629,8 +648,8 @@ class TestMockFixtureFile:
         client = no_sleep_client(backend)
         cfg = SamplingConfig(model_name="m", k=2)
         samples = sample_round(client, "so, what?", cfg)
-        assert samples.texts == ["a", "b"]
-        assert client.submit(request("unmatched")).result().text == "fallthrough"
+        assert samples == ["a", "b"]
+        assert client.submit(request("unmatched")).result() == "fallthrough"
 
     @pytest.mark.parametrize(
         "body,problem",

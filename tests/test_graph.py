@@ -302,6 +302,8 @@ DELETED_EXPORTS = (
     "validate",
     "extract_answer_lenient",
     "merge_llm",
+    "CompletionResult",
+    "TrajectorySamples",
 )
 # (module, name) pairs of the one-value options and second paths removed
 # from the library; none may come back.
@@ -320,6 +322,8 @@ DELETED_MODULE_NAMES = (
     ("merge", "merge_llm_steps"),
     ("pipeline", "_check_merge_mode"),
     ("_io", "escape_surrogates"),
+    ("client", "CompletionResult"),
+    ("client", "TrajectorySamples"),
 )
 # (module, class, attribute): methods and dataclass fields.
 DELETED_ATTRIBUTES = (
@@ -338,6 +342,7 @@ DELETED_PARAMETERS = (
     ("pipeline", "write_dataset", "include_discards"),
     ("pipeline", "build_dataset", "prompt"),
     ("merge", "merge_steps", "fallback"),
+    ("client", "ChatClient", "backoff_jitter"),
 )
 
 

@@ -22,10 +22,10 @@ from graphreason.bench import (
 )
 from graphreason.client import (
     ChatClient,
+    ClientError,
     MockBackend,
     ResponseCache,
     SamplingConfig,
-    TrajectorySamples,
     TransientError,
     cache_key,
 )
@@ -173,7 +173,7 @@ class TestParseCandidates:
         assert not [r for r in caplog.records if r.name == "graphreason.pipeline"]
 
     def test_unparseable_and_missing_skipped(self):
-        texts = [None, "no structure at all", chain_doc("a", "1")]
+        texts = [None, "no structure at all", chain_doc("a", "1"), ClientError("down")]
         kept, _ = parse_candidates(texts)
         assert [idx for _, idx in kept] == [2]
 
@@ -218,11 +218,7 @@ def test_parse_candidates_keeps_the_same_samples_and_names_the_lenient_only_ones
 ITEM = SourceQA("q1: how many?", "4", "q1")
 
 
-def drawn(*texts: str) -> TrajectorySamples:
-    return TrajectorySamples(list(texts), {})
-
-
-def build_one(samples: TrajectorySamples, merge_mode: str = "deterministic", replies=None):
+def build_one(samples: list, merge_mode: str = "deterministic", replies=None):
     """build_instance on ITEM; ``replies`` script the integration sends of the LLM modes."""
     return finish(build_instance(ITEM, samples, CONFIG, merge_mode), client_for(replies or {}))
 
@@ -232,7 +228,7 @@ INTEGRATION = "Candidate reasoning graphs:"
 
 class TestBuildInstance:
     def test_retained_happy_path(self):
-        result = build_one(drawn(chain_doc("a", "4"), chain_doc("b", "4"), chain_doc("c", "5")))
+        result = build_one([chain_doc("a", "4"), chain_doc("b", "4"), chain_doc("c", "5")])
         assert isinstance(result, TrainingInstance)
         assert result.label == "4"
         parsed = parse(result.graph_text, STRICT)
@@ -246,32 +242,32 @@ class TestBuildInstance:
         assert prov.fell_back is False
 
     def test_answer_mismatch_discard(self):
-        result = build_one(drawn(chain_doc("a", "7")))
+        result = build_one([chain_doc("a", "7")])
         assert result == DiscardRecord(
             "q1", DISCARD_ANSWER_MISMATCH, "merged answer '7' does not match label '4'"
         )
 
     def test_unparseable_samples_discard(self):
-        result = build_one(drawn("I cannot answer in that format.", None))
+        result = build_one(["I cannot answer in that format.", ClientError("down")])
         assert result == DiscardRecord(
             "q1", DISCARD_ALL_CANDIDATES_FAILED, "no sample parsed as a reasoning template"
         )
 
     def test_transport_failure_discard(self):
-        samples = TrajectorySamples([None, None], {0: "down", 1: "timed out"})
+        samples = [ClientError("down"), TransientError("timed out")]
         assert build_one(samples) == DiscardRecord(
             "q1", DISCARD_ALL_CANDIDATES_FAILED, "all 2 samples failed: down; timed out"
         )
 
     def test_llm_mode_failure_is_parse_failure(self):
         replies = {INTEGRATION: "still not a template"}
-        result = build_one(drawn(chain_doc("a", "4")), "llm", replies)
+        result = build_one([chain_doc("a", "4")], "llm", replies)
         assert isinstance(result, DiscardRecord)
         assert result.reason == DISCARD_PARSE_FAILURE
 
     def test_llm_mode_success(self):
         replies = {INTEGRATION: chain_doc("merged", "4")}
-        result = build_one(drawn(chain_doc("a", "4")), "llm", replies)
+        result = build_one([chain_doc("a", "4")], "llm", replies)
         assert isinstance(result, TrainingInstance)
         assert result.provenance.merge_mode == "llm"
         assert result.provenance.fell_back is False
@@ -279,7 +275,7 @@ class TestBuildInstance:
 
     def test_fallback_mode_flags_provenance(self):
         replies = {INTEGRATION: "still not a template"}
-        result = build_one(drawn(chain_doc("a", "4")), "llm-with-fallback", replies)
+        result = build_one([chain_doc("a", "4")], "llm-with-fallback", replies)
         assert isinstance(result, TrainingInstance)
         assert result.provenance.merge_mode == "llm-with-fallback"
         assert result.provenance.fell_back is True
@@ -297,7 +293,7 @@ class TestBuildInstance:
         # build_instance is public, so its merge must not route an unknown
         # mode to the LLM merge, whether or not a client drives the item.
         client = client_for({}, default=chain_doc("merged", "4"))
-        samples = drawn(chain_doc("a", "4"))
+        samples = [chain_doc("a", "4")]
         with pytest.raises(ValueError, match="merge_mode must be one of .*got 'vote'"):
             outcome = build_instance(ITEM, samples, CONFIG, "vote")
             if with_client:
@@ -307,14 +303,14 @@ class TestBuildInstance:
     def test_edgeless_merge_is_discarded(self):
         # The majority {a -> b, b -> a, b -> a} loses a -> b to the cycle
         # break, and conclusion b (candidate 0's sink) keeps no edge.
-        result = build_one(drawn(*EDGELESS_REPLIES))
+        result = build_one(EDGELESS_REPLIES)
         assert isinstance(result, DiscardRecord)
         assert result.reason == DISCARD_EDGELESS_MERGE
         assert "'b'" in result.detail
 
     def test_edgeless_fallback_merge_is_discarded(self):
         replies = {INTEGRATION: "not a template"}
-        result = build_one(drawn(*EDGELESS_REPLIES), "llm-with-fallback", replies)
+        result = build_one(EDGELESS_REPLIES, "llm-with-fallback", replies)
         assert isinstance(result, DiscardRecord)
         assert result.reason == DISCARD_EDGELESS_MERGE
 

@@ -73,7 +73,7 @@ def test_cache_hits_resolve_in_the_caller(tmp_path, thread_starts):
     backend = MockBackend(default="fresh")
     future = ChatClient(backend, cache=cache).submit(request)
     assert future.done()
-    assert future.result().text == "cached"
+    assert future.result() == "cached"
     assert backend.calls == 0
     assert thread_starts == []
 
