@@ -17,9 +17,8 @@ from importlib import import_module
 _EXPORTS = {
     "answers": ("answers_match", "extract_option_letter", "normalize_freeform", "parse_number"),
     "bench": (
-        "ADAPTERS", "BENCHMARKS", "PARADIGMS", "BenchError", "BenchmarkItem", "BenchmarkScore",
-        "EvalReport", "ItemRecord", "SchemaError", "evaluate", "load_benchmark", "render_table",
-        "write_report",
+        "ADAPTERS", "BENCHMARKS", "PARADIGMS", "BenchmarkItem", "BenchmarkScore", "EvalReport",
+        "ItemRecord", "SchemaError", "evaluate", "load_benchmark", "render_table", "write_report",
     ),
     "client": (
         "AuthError", "ChatClient", "ClientError", "CompletionRequest", "HttpBackend",
@@ -30,7 +29,7 @@ _EXPORTS = {
         "LENIENT", "STRICT", "StructuredOutput", "TemplateParseError", "final_answer",
         "find_answer_tag", "parse", "render",
     ),
-    "graph": ("GraphError", "InvalidGraphError", "ReasoningGraph", "export_dot", "normalize_text"),
+    "graph": ("InvalidGraphError", "ReasoningGraph", "export_dot", "normalize_text"),
     "merge": (
         "MERGE_MODES", "CandidateSet", "DroppedEdge", "LLMMergeFailedError", "MergedResult",
         "MergeError", "merge_deterministic", "merge_steps",

@@ -97,3 +97,13 @@ def record_id(raw: dict, default: str) -> str:
     """A record's "id" field as text, or ``default`` when it is absent or null."""
     value = raw.get("id")
     return default if value is None else str(value)
+
+
+def first_repeat(ids: Iterable[str]) -> str | None:
+    """The first id in ``ids`` that an earlier one equals, or None when all differ."""
+    seen: set[str] = set()
+    for value in ids:
+        if value in seen:
+            return value
+        seen.add(value)
+    return None

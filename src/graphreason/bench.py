@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ._io import atomic_write, jsonl_lines, read_json, read_jsonl, record_id
+from ._io import atomic_write, first_repeat, jsonl_lines, read_json, read_jsonl, record_id
 from .answers import OPTION_LETTERS, answers_match
 from .client import ChatClient, ClientError, CompletionRequest, SamplingConfig, read_reply
 from .codec import LENIENT, TemplateParseError, final_answer, parse
@@ -47,11 +47,7 @@ REPORT_JSON_FILE = "report.json"
 RECORDS_FILE = "records.jsonl"
 
 
-class BenchError(Exception):
-    pass
-
-
-class SchemaError(BenchError):
+class SchemaError(Exception):
     """An upstream benchmark file does not look like its documented format."""
 
 
@@ -333,11 +329,9 @@ def load_benchmark(name: str, path: str | Path) -> list[BenchmarkItem]:
 
 
 def _unique_ids(items: list[BenchmarkItem], path: str | Path) -> list[BenchmarkItem]:
-    seen: set[str] = set()
-    for item in items:
-        if item.item_id in seen:
-            raise SchemaError(f"{path}: item_id {item.item_id!r} appears twice")
-        seen.add(item.item_id)
+    repeat = first_repeat(item.item_id for item in items)
+    if repeat is not None:
+        raise SchemaError(f"{path}: item_id {repeat!r} appears twice")
     return items
 
 
@@ -514,9 +508,9 @@ def evaluate(
     ``client.concurrency`` is the one parallelism setting.
     """
     check_paradigm("paradigm", paradigm)
-    ids = [item.item_id for item in items]
-    if len(set(ids)) != len(ids):
-        raise ValueError("item ids must be unique")
+    repeat = first_repeat(item.item_id for item in items)
+    if repeat is not None:
+        raise ValueError(f"item id {repeat!r} appears more than once")
 
     eval_config = replace(config, temperature=0.0, k=1)
     replies = client.ahead(

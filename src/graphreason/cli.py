@@ -38,7 +38,7 @@ from .bench import (
     BENCHMARKS,
     PARADIGM_SELF_GRAPH,
     PARADIGMS,
-    BenchError,
+    SchemaError,
     check_paradigm,
     evaluate,
     load_benchmark,
@@ -150,7 +150,8 @@ class RunConfig:
         # Each range rule lives with the code that relies on it; this names the setting.
         checks = [(name, check_at_least_one)
                   for name in ("concurrency", "retry_cap", "k", "max_new_tokens")]
-        checks += [(name, check_non_empty) for name in ("endpoint", "credential_env", "model")]
+        checks += [(name, check_non_empty)
+                   for name in ("endpoint", "credential_env", "model", "mock", "cache_dir")]
         checks += [("merge_mode", check_merge_mode), ("paradigm", check_paradigm),
                    ("temperature", check_temperature),
                    ("format_weight", check_weight), ("answer_weight", check_weight)]
@@ -358,7 +359,7 @@ def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise CommandError(f"{args.input}: {problem}")
     if not isinstance(data, dict) or "question" not in data:
         raise CommandError(f"{args.input}: expected an object with question and samples")
-    texts = data.get("samples", data.get("candidates"))
+    texts = data.get("samples")
     if not isinstance(texts, list):
         raise CommandError(f"{args.input}: samples must be a list")
     if not all(text is None or isinstance(text, str) for text in texts):
@@ -379,7 +380,7 @@ def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
         with make_client(cfg) as client:
             while isinstance(merged, Pending):
                 merged = merged.resume(client.submit(merged.request))
-    document = render(StructuredOutput.from_graph(merged.graph, merged.answer)) + "\n"
+    document = render(StructuredOutput(merged.graph, merged.answer)) + "\n"
     if args.out:
         atomic_write(Path(args.out), [document])
         suffix = ", fell back" if merged.fell_back else ""
@@ -423,16 +424,7 @@ def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if args.items and args.benchmark:
-        raise ConfigError("items", "give either --items or --benchmark/--path, not both")
-    if args.items:
-        items = read_items(args.items)
-    elif args.benchmark:
-        if not args.path:
-            raise ConfigError("path", "required with --benchmark")
-        items = load_benchmark(args.benchmark, args.path)
-    else:
-        raise ConfigError("items", "provide --items or --benchmark with --path")
+    items = read_items(args.items)
     if not items:
         raise CommandError("no items to evaluate")
 
@@ -457,12 +449,15 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
             raise CommandError(f"{path}:{lineno}: {problem}")
         if not isinstance(row, dict):
             row = {}
-        text = row.get("text", row.get("completion", row.get("graph_reasoning")))
-        label = row.get("label")
-        if not isinstance(text, str) or not isinstance(label, str):
+        text_key = next((key for key in ("text", "completion", "graph_reasoning") if key in row),
+                        None)
+        if text_key is None or "label" not in row:
             raise CommandError(f"{path}:{lineno}: row needs text and label fields")
-        texts.append(text)
-        labels.append(label)
+        for key in (text_key, "label"):
+            if not isinstance(row[key], str):
+                raise CommandError(f"{path}:{lineno}: field {key!r} must be a string")
+        texts.append(row[text_key])
+        labels.append(row["label"])
 
     weights = (cfg.format_weight, cfg.answer_weight)
     scores = score_batch(texts, labels, weights)
@@ -532,9 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_ingest)
 
     p = add_parser("eval", help="evaluate a paradigm on items")
-    p.add_argument("--items", help="normalized items JSONL (from ingest)")
-    p.add_argument("--benchmark", choices=BENCHMARKS, help="load upstream file directly")
-    p.add_argument("--path", help="upstream benchmark file (with --benchmark)")
+    p.add_argument("--items", required=True, help="normalized items JSONL (from ingest)")
     p.add_argument("--out", help="directory for report files")
     p.set_defaults(handler=cmd_eval)
 
@@ -564,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {err.field}: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (
-        CommandError, ClientError, MergeError, InvalidGraphError, BenchError, PipelineError, OSError
+        CommandError, ClientError, MergeError, InvalidGraphError, SchemaError, PipelineError, OSError
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE

@@ -48,7 +48,8 @@ DEFAULT_MAX_NEW_TOKENS = 1024
 DEFAULT_MAX_ATTEMPTS = 4
 DEFAULT_CONCURRENCY = 8
 DEFAULT_CREDENTIAL_ENV = "GRAPHREASON_API_KEY"
-DEFAULT_TIMEOUT = 60.0
+# Seconds an HTTP send waits to connect, and then between bytes of the reply.
+REQUEST_TIMEOUT = 60.0
 # Longest server-requested wait (Retry-After), in seconds, that a client
 # sleeps before a retry; a longer one fails the request at once.
 MAX_RETRY_AFTER = 120.0
@@ -339,7 +340,6 @@ class HttpBackend:
         self,
         endpoint: str,
         credential_env: str = DEFAULT_CREDENTIAL_ENV,
-        timeout: float = DEFAULT_TIMEOUT,
         session: requests.Session | None = None,
     ) -> None:
         check_non_empty("endpoint", endpoint)
@@ -350,7 +350,6 @@ class HttpBackend:
         self._requests = requests
         self.endpoint = endpoint
         self.credential_env = credential_env
-        self.timeout = timeout
         self._session = session or requests.Session()
 
     def payload(self, request: CompletionRequest) -> dict:
@@ -378,7 +377,7 @@ class HttpBackend:
                 self.endpoint,
                 json=self.payload(request),
                 headers={"Authorization": f"Bearer {credential}"},
-                timeout=self.timeout,
+                timeout=REQUEST_TIMEOUT,
             )
         except self._requests.Timeout as err:
             raise TransientError(f"request timed out: {err}") from err

@@ -93,28 +93,15 @@ class TemplateParseError(Exception):
 
 @dataclass
 class StructuredOutput:
-    """A parsed (or parse-ready) reasoning graph plus its final answer.
-
-    ``step_count`` records how many step lines the source document
-    carried; under strict parsing it always equals the edge count, under
-    lenient parsing duplicated steps may collapse so the edge count can
-    be lower.
-    """
+    """A parsed (or parse-ready) reasoning graph plus its final answer."""
 
     graph: ReasoningGraph
     answer: str
-    step_count: int
 
     def __post_init__(self) -> None:
         self.answer = self.answer.strip()
         if not self.answer:
             raise ValueError("answer must be non-empty after stripping")
-        if self.step_count < 1:
-            raise ValueError("step_count must be >= 1")
-
-    @classmethod
-    def from_graph(cls, graph: ReasoningGraph, answer: str) -> "StructuredOutput":
-        return cls(graph=graph, answer=answer, step_count=graph.edge_count)
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -259,7 +246,7 @@ def _from_match(match: re.Match[str], split: re.Pattern[str], ci: bool) -> Struc
                     "lenient parse collapsed a duplicated step: %r -> %r", lhs.strip(), rhs.strip()
                 )
             seen.add(edge)
-    return StructuredOutput(graph=graph, answer=answer, step_count=len(pairs))
+    return StructuredOutput(graph, answer)
 
 
 def _walk(text: str, ci: bool) -> StructuredOutput:
@@ -359,7 +346,7 @@ def _walk(text: str, ci: bool) -> StructuredOutput:
         # The steps give distinct edges and put every node on one, so
         # only a cycle can fail the check; the error names it.
         raise TemplateParseError(CYCLE_IN_STEPS, block_start, str(err)) from None
-    return StructuredOutput(graph=graph, answer=answer, step_count=len(steps))
+    return StructuredOutput(graph, answer)
 
 
 _RESERVED_IN_NODE = ("<", ">") + _ARROW_TOKENS

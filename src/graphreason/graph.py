@@ -32,16 +32,8 @@ WARNING_MULTIPLE_SINKS = "multiple-sinks"
 _STRIP_CHARS = string.punctuation + string.whitespace
 
 
-class GraphError(Exception):
-    """Base for all graph-level failures."""
-
-
-class InvalidGraphError(GraphError):
+class InvalidGraphError(Exception):
     """A graph breaks a structural rule, or the template cannot express it."""
-
-
-class DuplicateEdgeError(InvalidGraphError):
-    """An identical (parent, child) edge was given twice."""
 
 
 def normalize_text(text: str) -> str:
@@ -69,13 +61,13 @@ class ReasoningGraph:
     key-to-display-text mapping in insertion order and ``(parent key,
     child key)`` pairs. It raises :class:`InvalidGraphError` unless the
     graph has at least one node, every edge joins two of its nodes and
-    appears once (a repeat raises :class:`DuplicateEdgeError`), every
-    node lies on an edge, and no cycle, self-loops included, exists. The
-    error names the first rule broken: the first edge in edge order that
-    names a missing node or repeats, else the nodes on no edge, else the
-    cycle, as its first self-loop in edge order or else its first
-    strongly connected component of two or more nodes. :meth:`from_edges`
-    builds one from display-text pairs.
+    appears once, every node lies on an edge, and no cycle, self-loops
+    included, exists. The error names the first rule broken: the first
+    edge in edge order that names a missing node or repeats (``duplicate
+    edge 'a' -> 'b'``), else the nodes on no edge, else the cycle, as its
+    first self-loop in edge order or else its first strongly connected
+    component of two or more nodes. :meth:`from_edges` builds one from
+    display-text pairs.
     """
 
     def __init__(self, texts: Mapping[str, str], edges: Iterable[tuple[str, str]]) -> None:
@@ -94,7 +86,7 @@ class ReasoningGraph:
                     f"edge {parent!r} -> {child!r} names a missing node"
                 ) from None
             if child in out:
-                raise DuplicateEdgeError(f"duplicate edge {parent!r} -> {child!r}")
+                raise InvalidGraphError(f"duplicate edge {parent!r} -> {child!r}")
             out[child] = None
         # Kahn's algorithm from the sources; a node on a cycle is never placed.
         ready = [key for key, deg in in_deg.items() if not deg]

@@ -6,8 +6,8 @@ strength, prune to the conclusion's ancestry) and an LLM integration
 that strict-parses the model's consolidation. ``merge_steps`` is the
 one entry point that turns a merge mode into a merge; it yields the
 integration's requests and sends none, so one thread can drive the
-merges of many items. Every :class:`MergedResult` has exactly one sink,
-its conclusion.
+merges of many items. The graph of every :class:`MergedResult` has
+exactly one sink, its conclusion, so ``sinks(result.graph)[0]`` names it.
 """
 from __future__ import annotations
 
@@ -83,11 +83,10 @@ class DroppedEdge:
 
 @dataclass
 class MergedResult:
-    """A merged graph, its answer and its conclusion: the key of the graph's only sink."""
+    """A merged graph and its answer; the graph has exactly one sink, its conclusion."""
 
     graph: ReasoningGraph
     answer: str
-    conclusion: str
     contributing_indices: tuple[int, ...]
     dropped_edges: list[DroppedEdge] = field(default_factory=list)
     merge_mode: str = MODE_DETERMINISTIC
@@ -235,7 +234,6 @@ def merge_deterministic(candidate_set: CandidateSet) -> MergedResult:
     return MergedResult(
         graph=graph,
         answer=answer,
-        conclusion=conclusion,
         contributing_indices=tuple(idx for _, idx in members),
         dropped_edges=dropped,
         merge_mode=MODE_DETERMINISTIC,
@@ -283,7 +281,7 @@ def merge_steps(
     the template cannot quote (an answer holding "<") is left out of the
     prompt. When none can be quoted, both tries fail or transport dies,
     ``llm-with-fallback`` merges deterministically and ``llm`` raises
-    LLMMergeFailedError. The result's conclusion is its graph's only sink.
+    LLMMergeFailedError. The result's graph has exactly one sink.
     """
     check_merge_mode("merge_mode", mode)
     if mode == MODE_DETERMINISTIC:
@@ -316,8 +314,7 @@ def merge_steps(
                 ends = sinks(output.graph)
                 if len(ends) == 1:
                     indices = tuple(index for _, index in quoted)
-                    return MergedResult(output.graph, output.answer, ends[0], indices,
-                                        merge_mode=MODE_LLM)
+                    return MergedResult(output.graph, output.answer, indices, merge_mode=MODE_LLM)
                 # Several sinks mean no single conclusion: a failure quoted back like a parse error.
                 kind = WARNING_MULTIPLE_SINKS
                 detail = "the graph ends at " + ", ".join(repr(output.graph.texts[e]) for e in ends)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Generator, Sequence
 
-from ._io import atomic_write, jsonl_lines, read_jsonl, record_id
+from ._io import atomic_write, first_repeat, jsonl_lines, read_jsonl, record_id
 from .answers import answers_match
 from .client import (
     ChatClient,
@@ -322,7 +322,7 @@ def _merged_outcome(
         )
 
     try:
-        graph_text = render(StructuredOutput.from_graph(merged.graph, merged.answer))
+        graph_text = render(StructuredOutput(merged.graph, merged.answer))
     except InvalidGraphError as err:
         return DiscardRecord(item.source_id, DISCARD_UNRENDERABLE, str(err))
 
@@ -401,9 +401,9 @@ def build_dataset(
     ValueError before anything is sent.
     """
     check_merge_mode("merge_mode", merge_mode)
-    ids = [item.source_id for item in items]
-    if len(set(ids)) != len(ids):
-        raise PipelineError("source ids must be unique")
+    repeat = first_repeat(item.source_id for item in items)
+    if repeat is not None:
+        raise PipelineError(f"source id {repeat!r} appears more than once")
 
     def draw(item: SourceQA) -> list:
         return [client.submit(r) for r in trajectory_requests(item.question, config)]

@@ -85,7 +85,7 @@ def random_output(
 ) -> StructuredOutput:
     graph = random_graph(rng, min_nodes, max_nodes, tag)
     answer = f"option {rng.randint(0, 999)}"
-    return StructuredOutput.from_graph(graph, answer)
+    return StructuredOutput(graph, answer)
 
 
 def random_candidate_output(
@@ -101,7 +101,7 @@ def random_candidate_output(
     graph = ReasoningGraph.from_edges(
         (chosen[parent], chosen[child]) for parent, child in random_edge_indices(rng, n)
     )
-    return StructuredOutput.from_graph(graph, answer)
+    return StructuredOutput(graph, answer)
 
 
 def _script_failures(

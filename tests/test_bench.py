@@ -446,7 +446,7 @@ class TestEvaluate:
 
     def test_duplicate_ids_rejected(self):
         items = [item(1), item(1)]
-        with pytest.raises(ValueError, match="unique"):
+        with pytest.raises(ValueError, match="^item id 'aiw-1' appears more than once$"):
             evaluate(items, "direct", client_for({}), CONFIG)
 
     def test_unknown_paradigm_rejected(self):

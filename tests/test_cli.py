@@ -314,6 +314,12 @@ class TestMerge:
         assert main(["merge", str(path)]) == 1
         assert "no sample parsed" in capsys.readouterr().err
 
+    def test_candidates_is_not_a_name_for_samples(self, tmp_path, capsys):
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps({"question": "q", "candidates": [GOOD_DOC]}))
+        assert main(["merge", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: samples must be a list\n")
+
     def test_non_string_sample_fails_with_message(self, tmp_path, capsys):
         path = tmp_path / "samples.json"
         path.write_text(json.dumps({"question": "q", "samples": [5, None]}))
@@ -419,6 +425,17 @@ class TestBuild:
         assert lines[-2:-1] == ["lenient-only samples: 5"]
         assert not [r for r in caplog.records if "lenient" in r.getMessage()]
 
+    def test_a_repeated_source_id_is_named(self, tmp_path, capsys):
+        # The id-less record on line 2 defaults to item-2, the id line 1 gives.
+        sources = tmp_path / "s.jsonl"
+        sources.write_text(
+            json.dumps({"id": "item-2", "question": "q1: first?", "label": "4"}) + "\n"
+            + json.dumps({"question": "q2: second?", "label": "4"}) + "\n"
+        )
+        args = mock_args(tmp_path, {}, default=GOOD_DOC)
+        assert main(["build", "--sources", str(sources), "--out", str(tmp_path / "o"), *args]) == 1
+        assert capsys.readouterr() == ("", "error: source id 'item-2' appears more than once\n")
+
     def test_nothing_retained_exits_one(self, tmp_path):
         sources = tmp_path / "s.jsonl"
         sources.write_text(json.dumps({"question": "q1: only?", "label": "4"}) + "\n")
@@ -478,27 +495,19 @@ class TestIngestEval:
 
     def test_eval_directly_from_benchmark(self, tmp_path, capsys):
         bench_path = self.make_benchmark(tmp_path)
+        items = tmp_path / "items.jsonl"
+        assert main(["ingest", "--benchmark", "aiw", "--path", str(bench_path),
+                     "--out", str(items)]) == 0
+        capsys.readouterr()
         args = mock_args(tmp_path, {}, default="4")
-        assert main(["eval", "--benchmark", "aiw", "--path", str(bench_path),
-                     "--paradigm", "direct", *args]) == 0
+        assert main(["eval", "--items", str(items), "--paradigm", "direct", *args]) == 0
         assert "aiw" in capsys.readouterr().out
 
     def test_eval_needs_a_source(self, tmp_path, capsys):
-        assert main(["eval", *mock_args(tmp_path, {})]) == 2
-        assert "config error: items:" in capsys.readouterr().err
-
-    def test_eval_takes_items_or_a_benchmark_not_both(self, tmp_path, capsys):
-        items = tmp_path / "items.jsonl"
-        items.write_text("")
-        argv = ["eval", "--items", str(items), "--benchmark", "aiw", *mock_args(tmp_path, {})]
-        assert main(argv) == 2
-        assert capsys.readouterr() == (
-            "", "config error: items: give either --items or --benchmark/--path, not both\n"
-        )
-
-    def test_eval_benchmark_needs_a_path(self, tmp_path, capsys):
-        assert main(["eval", "--benchmark", "aiw", *mock_args(tmp_path, {})]) == 2
-        assert capsys.readouterr() == ("", "config error: path: required with --benchmark\n")
+        with pytest.raises(SystemExit) as err:
+            main(["eval", *mock_args(tmp_path, {})])
+        assert err.value.code == 2
+        assert "the following arguments are required: --items" in capsys.readouterr().err
 
     def test_eval_of_no_items_exits_one(self, tmp_path, capsys):
         items = tmp_path / "items.jsonl"
@@ -642,6 +651,19 @@ class TestScore:
         completions.write_text('{"text": "x"}\n')
         assert main(["score", "--completions", str(completions)]) == 1
         assert "needs text and label" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row,field", [
+        ({"text": "<answer> 4 </answer>", "label": 4}, "label"),
+        ({"text": None, "label": "4"}, "text"),
+        ({"completion": ["x"], "label": "4"}, "completion"),
+    ])
+    def test_a_field_that_is_not_a_string_is_named(self, tmp_path, capsys, row, field):
+        completions = tmp_path / "completions.jsonl"
+        completions.write_text(json.dumps(row) + "\n")
+        assert main(["score", "--completions", str(completions)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {completions}:1: field '{field}' must be a string\n"
+        )
 
     def test_non_object_row_exits_one(self, tmp_path, capsys):
         completions = tmp_path / "completions.jsonl"
@@ -1080,6 +1102,27 @@ class TestConfigResolution:
                 monkeypatch.setenv("GRAPHREASON_" + key.upper(), value)
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"config error: {name}: {name} must be non-empty\n")
+
+    @pytest.mark.parametrize("name", ["mock", "cache_dir"])
+    @pytest.mark.parametrize("value", ["", " "], ids=["empty", "space"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_blank_mock_or_cache_dir_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, name, value, source
+    ):
+        monkeypatch.chdir(tmp_path)
+        sources = tmp_path / "s.jsonl"
+        sources.write_text(json.dumps({"question": "q1: first?", "label": "4"}) + "\n")
+        settings = {"mock": str(write_mock(tmp_path, {}, default=GOOD_DOC)), name: value}
+        argv = ["build", "--sources", str(sources), "--out", str(tmp_path / "o")]
+        for key, setting in settings.items():
+            if source == "flag" or key != name:
+                argv += ["--" + key.replace("_", "-"), setting]
+            else:
+                monkeypatch.setenv("GRAPHREASON_" + key.upper(), setting)
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"config error: {name}: {name} must be non-empty\n")
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_bad_paradigm(self, capsys):
         assert main(["sample", "why?", "--paradigm", "tree"]) == 2

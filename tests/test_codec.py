@@ -64,10 +64,11 @@ def kind_of(text: str, mode: str = STRICT) -> str:
 
 class TestStrictParse:
     def test_movie_example(self):
-        out = parse(MOVIE_DOC, STRICT)
+        with _collapse_warnings() as collapsed:
+            out = parse(MOVIE_DOC, STRICT)
         assert out.graph.node_count == 4
         assert out.graph.edge_count == 3
-        assert out.step_count == 3
+        assert collapsed == []
         assert out.answer == "Harry Potter movie"
 
     def test_ascii_arrow_accepted(self):
@@ -158,13 +159,13 @@ class TestLenientParse:
         out = parse(text, LENIENT)
         assert out.answer == "X"
 
-    def test_duplicate_steps_collapse_with_warning(self, caplog):
+    def test_duplicate_steps_collapse_with_warning(self):
         text = doc(["a → b", "A → b."])
-        with caplog.at_level("WARNING", logger="graphreason.codec"):
+        with _collapse_warnings() as collapsed:
             out = parse(text, LENIENT)
-        assert out.step_count == 2
+        # Two step lines: one edge, and one collapse warning for the repeat.
         assert out.graph.edge_count == 1
-        assert any("collapsed" in r.message for r in caplog.records)
+        assert collapsed == [("A", "b.")]
 
     def test_agrees_with_strict_on_strict_valid_input(self):
         for text in (MOVIE_DOC, doc(["a → b", "b → c"])):
@@ -221,17 +222,6 @@ class TestAnswerClose:
 class TestGrammarOracle:
     """Enumerated documents near the grammar floor, checked exhaustively."""
 
-    def test_step_count_floor(self):
-        for n_steps in (0, 1, 2):
-            pairs = [(f"premise {i}", f"conclusion {i}") for i in range(n_steps)]
-            text = doc([f"{p} → {c}" for p, c in pairs])
-            if n_steps == 0:
-                assert kind_of(text) == MALFORMED_STEP
-            else:
-                out = parse(text, STRICT)
-                assert list(out.graph.edge_keys) == pairs
-                assert out.step_count == n_steps
-
     def test_every_failure_carries_one_primary_kind(self):
         bad_docs = [
             "",
@@ -258,7 +248,7 @@ class TestGrammarOracle:
 
 class TestRender:
     def test_minimal_canonical_document(self):
-        out = StructuredOutput.from_graph(ReasoningGraph.from_edges([("A", "B")]), "X")
+        out = StructuredOutput(ReasoningGraph.from_edges([("A", "B")]), "X")
         assert render(out) == (
             "<reasoning>\n<step> A → B </step>\n</reasoning>\n<answer> X </answer>"
         )
@@ -274,7 +264,7 @@ class TestRender:
 
     def test_edge_order_preserved(self):
         g = ReasoningGraph.from_edges([("b", "c"), ("a", "b"), ("a", "c")])
-        text = render(StructuredOutput.from_graph(g, "done"))
+        text = render(StructuredOutput(g, "done"))
         lines = [l for l in text.splitlines() if l.startswith("<step>")]
         assert lines == [
             "<step> b → c </step>",
@@ -286,29 +276,27 @@ class TestRender:
         # A cyclic graph cannot be built, so it never reaches render().
         with pytest.raises(InvalidGraphError):
             g = ReasoningGraph.from_edges([("a", "b"), ("b", "a")])
-            render(StructuredOutput(graph=g, answer="x", step_count=2))
+            render(StructuredOutput(graph=g, answer="x"))
 
     def test_rejects_isolated_node(self):
         # Nor can a graph with a node on no edge, which no step could express.
         with pytest.raises(InvalidGraphError):
             g = ReasoningGraph({"a": "a", "b": "b", "floating": "floating"}, [("a", "b")])
-            render(StructuredOutput(graph=g, answer="x", step_count=1))
+            render(StructuredOutput(graph=g, answer="x"))
 
     def test_rejects_arrow_token_in_node_text(self):
         g = ReasoningGraph.from_edges([("uses -> arrow", "tail")])
         with pytest.raises(InvalidGraphError):
-            render(StructuredOutput.from_graph(g, "x"))
+            render(StructuredOutput(g, "x"))
 
     def test_rejects_markup_in_answer(self):
         g = ReasoningGraph.from_edges([("a", "b")])
         with pytest.raises(InvalidGraphError):
-            render(StructuredOutput.from_graph(g, "a<b"))
+            render(StructuredOutput(g, "a<b"))
 
     def test_structured_output_invariants(self):
         with pytest.raises(ValueError):
-            StructuredOutput(graph=ReasoningGraph.from_edges([("a", "b")]), answer="  ", step_count=1)
-        with pytest.raises(ValueError):
-            StructuredOutput(graph=ReasoningGraph.from_edges([("a", "b")]), answer="x", step_count=0)
+            StructuredOutput(graph=ReasoningGraph.from_edges([("a", "b")]), answer="  ")
 
 
 class TestRoundTrip:
@@ -556,7 +544,7 @@ def _parent_strict_parse(text: str) -> StructuredOutput:
                 CYCLE_IN_STEPS, block_start, "cycle through " + " -> ".join(component)
             )
     graph = ReasoningGraph.from_edges((texts[parent], texts[child]) for parent, child in edges)
-    return StructuredOutput(graph=graph, answer=answer, step_count=len(steps))
+    return StructuredOutput(graph=graph, answer=answer)
 
 
 _PARENT_TAG_CI = {tag: re.compile(re.escape(tag), re.IGNORECASE | re.ASCII) for tag in _TAGS}
@@ -625,7 +613,7 @@ def _parent_lenient_parse(text: str, collapsed: list[tuple[str, str]]) -> Struct
         graph = ReasoningGraph(texts, edges)
     except InvalidGraphError as err:
         raise TemplateParseError(CYCLE_IN_STEPS, block_start, str(err)) from None
-    return StructuredOutput(graph=graph, answer=answer, step_count=len(steps))
+    return StructuredOutput(graph=graph, answer=answer)
 
 
 @contextlib.contextmanager
@@ -654,7 +642,7 @@ def _outcome(text: str, parser) -> tuple:
         out = parser(text)
     except TemplateParseError as err:
         return ("error", err.kind, err.location, err.detail)
-    return ("ok", out.graph.edge_keys, dict(out.graph.texts), out.answer, out.step_count)
+    return ("ok", out.graph.edge_keys, dict(out.graph.texts), out.answer)
 
 
 class TestParseProperties:
@@ -665,11 +653,12 @@ class TestParseProperties:
             strict = parse(text, STRICT)
         except TemplateParseError:
             return
-        lenient = parse(text, LENIENT)
+        with _collapse_warnings() as collapsed:
+            lenient = parse(text, LENIENT)
         assert lenient.graph.edge_keys == strict.graph.edge_keys
         assert dict(lenient.graph.texts) == dict(strict.graph.texts)
         assert lenient.answer == strict.answer
-        assert lenient.step_count == strict.step_count
+        assert collapsed == []
 
     @settings(max_examples=400, deadline=None)
     @given(text=_documents)
@@ -682,7 +671,9 @@ class TestParseProperties:
     @settings(max_examples=400, deadline=None)
     @given(text=_documents)
     def test_strict_matches_parent_outside_the_answer_close_rule(self, text):
-        new = _outcome(text, lambda t: parse(t, STRICT))
+        with _collapse_warnings() as collapsed:
+            new = _outcome(text, lambda t: parse(t, STRICT))
+        assert collapsed == []
         try:
             old = _outcome(text, _parent_strict_parse)
         except _AnswerClass as rule:

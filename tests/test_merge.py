@@ -37,7 +37,7 @@ from _util import finish, random_candidate_output, random_graph, random_output
 
 
 def output(edges: list[tuple[str, str]], answer: str) -> StructuredOutput:
-    return StructuredOutput.from_graph(ReasoningGraph.from_edges(edges), answer)
+    return StructuredOutput(ReasoningGraph.from_edges(edges), answer)
 
 
 def cset(*outputs: StructuredOutput, question: str = "Q?") -> CandidateSet:
@@ -162,7 +162,7 @@ class TestUnionAndCycles:
                 output([("c", "d"), ("d", "e")], "4"),
             )
         )
-        assert merged.conclusion == "c"
+        assert sinks(merged.graph) == ["c"]
         assert set(merged.graph.texts) == {"a", "b", "c"}
         pruned = {(d.parent, d.child) for d in merged.dropped_edges if d.reason == DROP_PRUNED}
         assert pruned == {("c", "d"), ("d", "e")}
@@ -179,7 +179,7 @@ class TestUnionAndCycles:
         merged = merge_deterministic(
             cset(output([("root", "left"), ("root", "right")], "4"))
         )
-        assert merged.conclusion == "left"
+        assert sinks(merged.graph) == ["left"]
 
 
 class TestDeterminism:
@@ -194,10 +194,10 @@ class TestDeterminism:
 
     def test_byte_identical_repeats(self):
         first, second = self._build(), self._build()
-        assert render(StructuredOutput.from_graph(first.graph, first.answer)) == render(
-            StructuredOutput.from_graph(second.graph, second.answer)
+        assert render(StructuredOutput(first.graph, first.answer)) == render(
+            StructuredOutput(second.graph, second.answer)
         )
-        assert first.conclusion == second.conclusion
+        assert sinks(first.graph) == sinks(second.graph)
         assert first.contributing_indices == second.contributing_indices
         assert [
             (d.parent, d.child, d.reason, d.multiplicity) for d in first.dropped_edges
@@ -206,12 +206,10 @@ class TestDeterminism:
     def test_single_candidate_is_fixed_point(self):
         single = output([("a", "b"), ("b", "c"), ("a", "c")], "4")
         once = merge_deterministic(cset(single))
-        again = merge_deterministic(
-            cset(StructuredOutput.from_graph(once.graph, once.answer))
-        )
+        again = merge_deterministic(cset(StructuredOutput(once.graph, once.answer)))
         assert again.graph == once.graph
         assert again.answer == once.answer
-        assert again.conclusion == once.conclusion
+        assert sinks(again.graph) == sinks(once.graph)
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,8 +229,10 @@ def test_merge_properties_random(seed):
         assert whole_graph_merge(candidates)[1] == []
         return
 
-    # Only the conclusion's ancestry is kept: one sink, one component.
-    assert sinks(merged.graph) == [merged.conclusion]
+    # Only the conclusion's ancestry is kept: one sink, one component. The
+    # conclusion is the first sink of the lowest-index contributing candidate.
+    first = candidates[merged.contributing_indices[0]][0]
+    assert sinks(merged.graph) == sinks(first.graph)[:1]
 
     counts = Counter(normalize_freeform(out.answer) for out, _ in candidates)
     assert counts[normalize_freeform(merged.answer)] == max(counts.values())
@@ -331,14 +331,14 @@ def test_localized_cycle_break_matches_whole_graph_oracle(seed):
         return
     assert edges
     graph = ReasoningGraph.from_edges(edges)
-    assert merged.conclusion == conclusion
+    assert sinks(merged.graph) == [conclusion]
     assert merged.graph == graph
     assert list(merged.graph.texts.items()) == list(texts.items())
     assert [
         (d.parent, d.child, d.reason, d.multiplicity) for d in merged.dropped_edges
     ] == dropped
-    assert render(StructuredOutput.from_graph(merged.graph, merged.answer)) == render(
-        StructuredOutput.from_graph(graph, merged.answer)
+    assert render(StructuredOutput(merged.graph, merged.answer)) == render(
+        StructuredOutput(graph, merged.answer)
     )
 
 
@@ -371,7 +371,7 @@ class TestLLMMerge:
         assert merged.merge_mode == MODE_LLM
         assert not merged.fell_back
         assert merged.answer == "7"
-        assert merged.conclusion == "merged conclusion"
+        assert sinks(merged.graph) == ["merged conclusion"]
         assert len(sinks(merged.graph)) == 1
 
     def test_repair_retry_after_bad_reply(self):
@@ -411,7 +411,7 @@ class TestLLMMerge:
         merged = integrate(cset(output([("p", "q")], "4")), client)
         assert merged.merge_mode == MODE_LLM_FALLBACK
         assert merged.fell_back
-        assert (merged.answer, merged.conclusion) == ("4", "q")
+        assert (merged.answer, sinks(merged.graph)) == ("4", ["q"])
         assert merged.graph.edge_keys == (("p", "q"),)
         assert backend.calls == 2
         assert "was rejected (multiple-sinks: the graph ends at 'b', 'y')" in prompts[1]
@@ -431,7 +431,7 @@ class TestLLMMerge:
         client = ChatClient(backend, sleep=lambda _: None)
         merged = integrate(cset(output([("p", "q")], "4")), client, MODE_LLM)
         assert merged.merge_mode == MODE_LLM
-        assert (merged.answer, merged.conclusion) == ("7", "merged conclusion")
+        assert (merged.answer, sinks(merged.graph)) == ("7", ["merged conclusion"])
         assert backend.calls == 2
 
     def test_double_failure_falls_back_deterministic(self):
@@ -510,7 +510,7 @@ def random_integration_reply(rng: random.Random) -> str:
     # Two graphs drawn apart make a disconnected one.
     graphs = [random_graph(rng, max_nodes=5, tag=f"merged {i}") for i in range(rng.randint(1, 2))]
     edges = [(g.texts[parent], g.texts[child]) for g in graphs for parent, child in g.edge_keys]
-    return render(StructuredOutput.from_graph(ReasoningGraph.from_edges(edges), "7"))
+    return render(StructuredOutput(ReasoningGraph.from_edges(edges), "7"))
 
 
 def concludes_once(reply: str) -> bool:
@@ -541,4 +541,4 @@ def test_llm_merge_never_returns_invalid_graph(seed, mode):
     # Accepted at the first reply that concludes once, else merged by majority.
     assert len(replies) == (1 if concludes_once(replies[0]) else 2)
     assert merged.fell_back == (not concludes_once(replies[-1]))
-    assert sinks(merged.graph) == [merged.conclusion]
+    assert len(sinks(merged.graph)) == 1

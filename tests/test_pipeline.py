@@ -524,7 +524,7 @@ class TestBuildDataset:
 
     def test_duplicate_source_ids_rejected(self):
         items = [SourceQA("q one", "1", "dup"), SourceQA("q two", "2", "dup")]
-        with pytest.raises(PipelineError, match="unique"):
+        with pytest.raises(PipelineError, match="^source id 'dup' appears more than once$"):
             build_dataset(items, client_for({}), CONFIG)
 
     def test_empty_input(self):
