@@ -1,10 +1,17 @@
-"""The one reader per input format, and the one file writer.
+"""The one reader per input format and per field type, and the one file writer.
 
-``read_text`` reads template text and config files, ``read_json`` a
-whole JSON document and ``read_jsonl`` one record per line. Each gives
-what it decoded with a problem, None when the input was well-formed,
-so bytes that are not UTF-8 are reported like any other bad input and
-each caller keeps only its policy for a problem.
+``read_text`` reads template text and config files and ``read_jsonl``
+one record per line; each gives what it decoded with a problem, None
+when the input was well-formed, so bytes that are not UTF-8 are
+reported like any other bad input and a caller that reads on past a bad
+record keeps its own policy. ``read_json`` reads a whole JSON document
+and ``read_records`` a JSONL file's objects, and each raises
+``SchemaError`` at the first problem.
+
+``Fields`` reads a decoded object with one reader per field type. Each
+checks its field once and hands on a value of that type, and every
+problem is one ``SchemaError`` whose message names the file, the line
+or entry, and the field.
 
 ``atomic_write`` writes every output file, one chunk at a time, and
 ``jsonl_lines`` gives a record file's chunks, one line per record, so
@@ -15,10 +22,22 @@ character with no UTF-8 form, a lone surrogate, is written as its
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
+
+
+class SchemaError(ValueError):
+    """An input file or record is not what its reader takes.
+
+    The message names the file, the line or entry and, for a field, the
+    field: ``<where>: missing field 'x'``, ``<where>: field 'x' must be
+    ...`` or ``<where>: expected an object``.
+    """
 
 
 def read_text(path: str | Path) -> tuple[str | None, str | None]:
@@ -35,12 +54,12 @@ def read_text(path: str | Path) -> tuple[str | None, str | None]:
 _UNDECODABLE = (ValueError, RecursionError)
 
 
-def read_json(path: str | Path) -> tuple[object, str | None]:
-    """``(value, None)`` for a UTF-8 JSON file, ``(None, "invalid JSON (...)")`` otherwise."""
+def read_json(path: str | Path) -> object:
+    """A UTF-8 JSON file's value; SchemaError ``<path>: invalid JSON (...)`` otherwise."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8")), None
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except _UNDECODABLE as err:
-        return None, f"invalid JSON ({err})"
+        raise SchemaError(f"{path}: invalid JSON ({err})") from None
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object, str | None]]:
@@ -59,6 +78,17 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object, str | None]]:
             yield lineno, None, f"invalid JSON ({err})"
         else:
             yield lineno, value, None
+
+
+def read_records(path: str | Path) -> Iterator[tuple[int, Fields]]:
+    """Yield ``(line number, Fields)`` for each record of a JSONL file of objects.
+
+    A line that is not a JSON object raises SchemaError naming it.
+    """
+    for lineno, value, problem in read_jsonl(path):
+        if problem is not None:
+            raise SchemaError(f"{path}:{lineno}: {problem}")
+        yield lineno, Fields(value, f"{path}:{lineno}")
 
 
 def atomic_write(path: Path, chunks: Iterable[str]) -> None:
@@ -93,17 +123,97 @@ def jsonl_lines(records: Iterable[dict]) -> Iterator[str]:
         yield _JSONL.encode(record) + "\n"
 
 
-def record_id(raw: dict, default: str) -> str:
-    """A record's "id" field as text, or ``default`` when it is absent or null."""
-    value = raw.get("id")
-    return default if value is None else str(value)
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def first_repeat(ids: Iterable[str]) -> str | None:
-    """The first id in ``ids`` that an earlier one equals, or None when all differ."""
+def _is_label(value: object) -> bool:
+    return isinstance(value, str) or _is_int(value) or (
+        isinstance(value, float) and math.isfinite(value)
+    )
+
+
+class Fields:
+    """One decoded JSON object, each field read by the one rule of its type.
+
+    ``where`` names the record (``file:line``, or the file and its entry)
+    and ``parent`` the field that holds it when it is nested, so an
+    error names a list member ``options[0]`` and an object member
+    ``options[A]``.
+    """
+
+    def __init__(self, raw: object, where: str, parent: str = "") -> None:
+        if not isinstance(raw, dict):
+            raise SchemaError(f"{where}: expected an object")
+        self.raw, self.where, self.parent = raw, where, parent
+
+    def _name(self, key: str | int) -> str:
+        return f"{self.parent}[{key}]" if self.parent else f"{key}"
+
+    def _read(self, key: str | int, kind: str, fits: Callable[[object], bool]):
+        if key not in self.raw:
+            raise SchemaError(f"{self.where}: missing field '{self._name(key)}'")
+        if not fits(self.raw[key]):
+            raise SchemaError(f"{self.where}: field '{self._name(key)}' must be {kind}")
+        return self.raw[key]
+
+    def text(self, key: str | int) -> str:
+        """A string."""
+        return self._read(key, "a string", lambda value: isinstance(value, str))
+
+    def label(self, key: str | int) -> str:
+        """A string, or a finite number that is not a bool, written as ``str`` writes it."""
+        value = self._read(key, "a string or a finite number", _is_label)
+        return value if isinstance(value, str) else str(value)
+
+    def index(self, key: str | int) -> int:
+        """An option index: an int that is not a bool."""
+        return self._read(key, "an option index", _is_int)
+
+    def id(self, default: str) -> str:
+        """``default`` when "id" is absent or null, else a non-blank string or an int, as text."""
+        if self.raw.get("id") is None:
+            return default
+        self._read("id", "a non-blank string or an integer", lambda value: _is_int(value) or (
+            isinstance(value, str) and bool(value.strip())
+        ))
+        return self.label("id")
+
+    def list(self, key: str | int) -> Fields:
+        """A list, its members read as the fields ``key[0]``, ``key[1]``, ..."""
+        members = self._read(key, "a list", lambda value: isinstance(value, list))
+        return Fields(dict(enumerate(members)), self.where, self._name(key))
+
+    def texts(self, key: str | int) -> list[str]:
+        """A list of strings, each member read as the field ``key[i]``."""
+        members = self.list(key)
+        return [members.text(i) for i in members.raw]
+
+    def object(self, key: str | int) -> Fields:
+        """An object, its members read as the fields ``key[name]``."""
+        members = self._read(key, "an object", lambda value: isinstance(value, dict))
+        return Fields(members, self.where, self._name(key))
+
+    def make(self, kind: Callable[..., T], *args, **kwargs) -> T:
+        """``kind(*args, **kwargs)``; its ValueError, such as a blank text, names the record."""
+        try:
+            return kind(*args, **kwargs)
+        except ValueError as err:
+            raise SchemaError(f"{self.where}: {err}") from None
+
+
+def check_filled(record: object, *names: str) -> None:
+    """Raise ValueError naming the first of ``names`` whose text on ``record`` is blank."""
+    for name in names:
+        if not getattr(record, name).strip():
+            raise ValueError(f"{name} must be non-empty")
+
+
+def repeated_id(kind: str, ids: Iterable[str]) -> str | None:
+    """The message for the first id in ``ids`` that an earlier one equals, or None."""
     seen: set[str] = set()
     for value in ids:
         if value in seen:
-            return value
+            return f"{kind} id {value!r} appears more than once"
         seen.add(value)
     return None

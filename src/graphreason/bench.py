@@ -14,9 +14,18 @@ import re
 from concurrent.futures import Future
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from ._io import atomic_write, first_repeat, jsonl_lines, read_json, read_jsonl, record_id
+from ._io import (
+    Fields,
+    SchemaError,
+    atomic_write,
+    check_filled,
+    jsonl_lines,
+    read_json,
+    read_records,
+    repeated_id,
+)
 from .answers import OPTION_LETTERS, answers_match
 from .client import ChatClient, ClientError, CompletionRequest, SamplingConfig, read_reply
 from .codec import LENIENT, TemplateParseError, final_answer, parse
@@ -47,10 +56,6 @@ REPORT_JSON_FILE = "report.json"
 RECORDS_FILE = "records.jsonl"
 
 
-class SchemaError(Exception):
-    """An upstream benchmark file does not look like its documented format."""
-
-
 @dataclass(frozen=True)
 class BenchmarkItem:
     """One evaluation question, already formatted for prompting."""
@@ -61,29 +66,14 @@ class BenchmarkItem:
     item_id: str
 
     def __post_init__(self) -> None:
-        if not self.question.strip():
-            raise ValueError("question must be non-empty")
-        if not self.label.strip():
-            raise ValueError("label must be non-empty")
-
-
-def _index_letter(index: int, where: str) -> str:
-    if not 0 <= index < len(OPTION_LETTERS):
-        raise SchemaError(f"{where}: answer index {index} outside options A-{OPTION_LETTERS[-1]}")
-    return OPTION_LETTERS[index]
+        check_filled(self, "question", "label", "item_id")
 
 
 def format_options(options: Sequence[str], where: str) -> str:
     """Render answer options as lettered lines, one per option."""
-    if not options:
-        raise SchemaError(f"{where}: empty options list")
-    if len(options) > len(OPTION_LETTERS):
-        raise SchemaError(
-            f"{where}: {len(options)} options exceed the supported letters {OPTION_LETTERS}"
-        )
-    return "\n".join(
-        f"{OPTION_LETTERS[i]}. {str(text).strip()}" for i, text in enumerate(options)
-    )
+    if not 0 < len(options) <= len(OPTION_LETTERS):
+        raise SchemaError(f"{where}: field 'options' must hold 1 to {len(OPTION_LETTERS)} options")
+    return "\n".join(f"{OPTION_LETTERS[i]}. {text.strip()}" for i, text in enumerate(options))
 
 
 def compose_question(*blocks: str) -> str:
@@ -91,93 +81,64 @@ def compose_question(*blocks: str) -> str:
     return "\n\n".join(block.strip() for block in blocks if block and block.strip())
 
 
-def _read_json(path: Path):
-    data, problem = read_json(path)
-    if problem is not None:
-        raise SchemaError(f"{path}: {problem}")
-    return data
+def _pick(record: Fields, key: str, letter: str, count: int) -> str:
+    """``letter`` when it is one of the first ``count`` option letters; else ``key`` is at fault."""
+    if letter not in list(OPTION_LETTERS[:count]):
+        raise SchemaError(
+            f"{record.where}: field '{key}' must name one of options A-{OPTION_LETTERS[count - 1]}"
+        )
+    return letter
 
 
-def _read_jsonl(path: Path) -> list[tuple[int, dict]]:
-    records = []
-    for lineno, raw, problem in read_jsonl(path):
-        if problem is not None:
-            raise SchemaError(f"{path}:{lineno}: {problem}")
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{path}:{lineno}: expected an object")
-        records.append((lineno, raw))
-    return records
+def _index_letter(record: Fields, key: str, count: int) -> str:
+    index = record.index(key)
+    return _pick(record, key, OPTION_LETTERS[index] if 0 <= index < count else "", count)
 
 
-def _require(raw: dict, key: str, where: str):
-    if key not in raw:
-        raise SchemaError(f"{where}: missing field {key!r}")
-    return raw[key]
+def _text_letter(record: Fields, key: str, count: int) -> str:
+    return _pick(record, key, record.text(key).strip().upper(), count)
 
 
-def _require_text(raw: dict, key: str, where: str) -> str:
-    value = _require(raw, key, where)
-    if not isinstance(value, str):
-        raise SchemaError(f"{where}: field {key!r} must be a string")
-    return value
-
-
-def _item(where: str, **fields: str) -> BenchmarkItem:
-    """The item one record makes; a blank question or label is the record's fault."""
-    try:
-        return BenchmarkItem(**fields)
-    except ValueError as err:
-        raise SchemaError(f"{where}: {err}") from None
+def _entries(path: Path, kind: str, name: str) -> Iterator[tuple[int, Fields]]:
+    """The numbered objects of a JSON file that holds an array of them."""
+    data = read_json(path)
+    if not isinstance(data, list):
+        raise SchemaError(f"{path}: expected a JSON array of {kind}")
+    for n, raw in enumerate(data, start=1):
+        yield n, Fields(raw, f"{path}: {name} {n}")
 
 
 def load_logiqa(path: str | Path) -> list[BenchmarkItem]:
     """LogiQA split file: JSONL with text/question/options/answer-index."""
-    path = Path(path)
     items = []
-    for lineno, raw in _read_jsonl(path):
-        where = f"{path}:{lineno}"
-        context = _require_text(raw, "text", where)
-        question = _require_text(raw, "question", where)
-        options = _require(raw, "options", where)
-        answer = _require(raw, "answer", where)
-        if not isinstance(options, list):
-            raise SchemaError(f"{where}: options must be a list")
-        if not isinstance(answer, int):
-            raise SchemaError(f"{where}: answer must be an option index")
+    for lineno, record in read_records(path):
+        options = record.texts("options")
         items.append(
-            _item(
-                where,
-                question=compose_question(context, question, format_options(options, where)),
-                label=_index_letter(answer, where),
+            record.make(
+                BenchmarkItem,
+                question=compose_question(
+                    record.text("text"), record.text("question"),
+                    format_options(options, record.where),
+                ),
+                label=_index_letter(record, "answer", len(options)),
                 benchmark="logiqa",
-                item_id=record_id(raw, f"logiqa-{lineno}"),
+                item_id=record.id(f"logiqa-{lineno}"),
             )
         )
     return items
 
 
 def _load_aiw_family(path: str | Path, benchmark: str) -> list[BenchmarkItem]:
-    path = Path(path)
-    data = _read_json(path)
-    if not isinstance(data, list):
-        raise SchemaError(f"{path}: expected a JSON array of prompt records")
-    items = []
-    for i, raw in enumerate(data, start=1):
-        where = f"{path}: item {i}"
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{where}: expected an object")
-        prompt = _require(raw, "prompt", where)
-        answer = _require(raw, "right_answer", where)
-        items.append(
-            _item(
-                where,
-                question=str(prompt),
-                label=str(answer),
-                benchmark=benchmark,
-                item_id=record_id(raw, f"{benchmark}-{i}"),
-            )
+    return [
+        record.make(
+            BenchmarkItem,
+            question=record.text("prompt"),
+            label=record.label("right_answer"),
+            benchmark=benchmark,
+            item_id=record.id(f"{benchmark}-{i}"),
         )
-    return items
+        for i, record in _entries(Path(path), "prompt records", "item")
+    ]
 
 
 def load_aiw(path: str | Path) -> list[BenchmarkItem]:
@@ -192,43 +153,23 @@ def load_aiw_plus(path: str | Path) -> list[BenchmarkItem]:
 
 def load_arlsat(path: str | Path) -> list[BenchmarkItem]:
     """AR-LSAT: JSON array of passages, each with nested questions."""
-    path = Path(path)
-    data = _read_json(path)
-    if not isinstance(data, list):
-        raise SchemaError(f"{path}: expected a JSON array of passages")
     items = []
-    for p, passage_raw in enumerate(data, start=1):
-        where = f"{path}: passage {p}"
-        if not isinstance(passage_raw, dict):
-            raise SchemaError(f"{where}: expected an object")
-        passage = _require_text(passage_raw, "passage", where)
-        questions = _require(passage_raw, "questions", where)
-        if not isinstance(questions, list):
-            raise SchemaError(f"{where}: questions must be a list")
-        for q, question_raw in enumerate(questions, start=1):
-            q_where = f"{where} question {q}"
-            if not isinstance(question_raw, dict):
-                raise SchemaError(f"{q_where}: expected an object")
-            question = _require_text(question_raw, "question", q_where)
-            options = _require(question_raw, "options", q_where)
-            answer = _require(question_raw, "answer", q_where)
-            if not isinstance(options, list):
-                raise SchemaError(f"{q_where}: options must be a list")
-            if isinstance(answer, int):
-                label = _index_letter(answer, q_where)
-            else:
-                label = str(answer).strip().upper()
-                if label not in OPTION_LETTERS:
-                    raise SchemaError(f"{q_where}: answer {answer!r} is not an option letter")
+    for p, passage in _entries(Path(path), "passages", "passage"):
+        text = passage.text("passage")
+        questions = passage.list("questions")
+        for q in questions.raw:
+            record = Fields(questions.raw[q], f"{passage.where} question {q + 1}")
+            options = record.texts("options")
+            letter = _text_letter if isinstance(record.raw.get("answer"), str) else _index_letter
             items.append(
-                _item(
-                    q_where,
+                record.make(
+                    BenchmarkItem,
                     question=compose_question(
-                        passage, question, format_options(options, q_where)
+                        text, record.text("question"), format_options(options, record.where)
                     ),
-                    label=label,
+                    label=letter(record, "answer", len(options)),
                     benchmark="arlsat",
-                    item_id=record_id(question_raw, f"arlsat-{p}-{q}"),
+                    item_id=record.id(f"arlsat-{p}-{q + 1}"),
                 )
             )
     return items
@@ -236,29 +177,21 @@ def load_arlsat(path: str | Path) -> list[BenchmarkItem]:
 
 def load_medqa(path: str | Path) -> list[BenchmarkItem]:
     """MedQA (US) split: JSONL with an options object keyed by letter."""
-    path = Path(path)
     items = []
-    for lineno, raw in _read_jsonl(path):
-        where = f"{path}:{lineno}"
-        question = _require_text(raw, "question", where)
-        options = _require(raw, "options", where)
-        answer_idx = _require(raw, "answer_idx", where)
-        if not isinstance(options, dict):
-            raise SchemaError(f"{where}: options must be an object keyed by letter")
-        letters = sorted(options)
+    for lineno, record in read_records(path):
+        question = record.text("question")
+        options = record.object("options")
+        letters = sorted(options.raw)
         if letters != list(OPTION_LETTERS[: len(letters)]):
-            raise SchemaError(f"{where}: option letters {letters} are not consecutive from A")
-        label = str(answer_idx).strip().upper()
-        if label not in letters:
-            raise SchemaError(f"{where}: answer_idx {answer_idx!r} not among options")
-        option_lines = format_options([options[letter] for letter in letters], where)
+            raise SchemaError(f"{record.where}: field 'options' must be keyed A, B, ... in turn")
+        option_lines = format_options([options.text(letter) for letter in letters], record.where)
         items.append(
-            _item(
-                where,
+            record.make(
+                BenchmarkItem,
                 question=compose_question(question, option_lines),
-                label=label,
+                label=_text_letter(record, "answer_idx", len(letters)),
                 benchmark="medqa",
-                item_id=record_id(raw, f"medqa-{lineno}"),
+                item_id=record.id(f"medqa-{lineno}"),
             )
         )
     return items
@@ -275,36 +208,24 @@ def parse_packed_options(packed: str, where: str) -> list[str]:
     for i, chunk in enumerate(chunks):
         match = _MATHQA_OPTION.match(chunk.strip())
         if not match or match.group(1) != "abcde"[i]:
-            raise SchemaError(f"{where}: cannot parse options string {packed!r}")
+            raise SchemaError(f"{where}: field 'options' must read 'a ) ... , b ) ...'")
         options.append(match.group(2).strip())
     return options
 
 
 def load_mathqa(path: str | Path) -> list[BenchmarkItem]:
     """MathQA split: JSON array with a packed options string per problem."""
-    path = Path(path)
-    data = _read_json(path)
-    if not isinstance(data, list):
-        raise SchemaError(f"{path}: expected a JSON array of problems")
     items = []
-    for i, raw in enumerate(data, start=1):
-        where = f"{path}: item {i}"
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{where}: expected an object")
-        problem = _require_text(raw, "Problem", where)
-        packed = _require(raw, "options", where)
-        correct = _require(raw, "correct", where)
-        options = parse_packed_options(str(packed), where)
-        label = str(correct).strip().upper()
-        if label not in OPTION_LETTERS[: len(options)]:
-            raise SchemaError(f"{where}: correct letter {correct!r} not among options")
+    for i, record in _entries(Path(path), "problems", "item"):
+        problem = record.text("Problem")
+        options = parse_packed_options(record.text("options"), record.where)
         items.append(
-            _item(
-                where,
-                question=compose_question(problem, format_options(options, where)),
-                label=label,
+            record.make(
+                BenchmarkItem,
+                question=compose_question(problem, format_options(options, record.where)),
+                label=_text_letter(record, "correct", len(options)),
                 benchmark="mathqa",
-                item_id=record_id(raw, f"mathqa-{i}"),
+                item_id=record.id(f"mathqa-{i}"),
             )
         )
     return items
@@ -329,9 +250,9 @@ def load_benchmark(name: str, path: str | Path) -> list[BenchmarkItem]:
 
 
 def _unique_ids(items: list[BenchmarkItem], path: str | Path) -> list[BenchmarkItem]:
-    repeat = first_repeat(item.item_id for item in items)
+    repeat = repeated_id("item", (item.item_id for item in items))
     if repeat is not None:
-        raise SchemaError(f"{path}: item_id {repeat!r} appears twice")
+        raise SchemaError(f"{path}: {repeat}")
     return items
 
 
@@ -353,12 +274,10 @@ def write_items(items: Sequence[BenchmarkItem], path: str | Path) -> None:
 
 def read_items(path: str | Path) -> list[BenchmarkItem]:
     """Read items previously written by ``write_items``: four string fields, ids unique."""
-    path = Path(path)
-    items = []
-    for lineno, raw in _read_jsonl(path):
-        where = f"{path}:{lineno}"
-        texts = {f.name: _require_text(raw, f.name, where) for f in fields(BenchmarkItem)}
-        items.append(_item(where, **texts))
+    items = [
+        record.make(BenchmarkItem, **{f.name: record.text(f.name) for f in fields(BenchmarkItem)})
+        for _, record in read_records(path)
+    ]
     return _unique_ids(items, path)
 
 
@@ -508,9 +427,9 @@ def evaluate(
     ``client.concurrency`` is the one parallelism setting.
     """
     check_paradigm("paradigm", paradigm)
-    repeat = first_repeat(item.item_id for item in items)
+    repeat = repeated_id("item", (item.item_id for item in items))
     if repeat is not None:
-        raise ValueError(f"item id {repeat!r} appears more than once")
+        raise ValueError(repeat)
 
     eval_config = replace(config, temperature=0.0, k=1)
     replies = client.ahead(

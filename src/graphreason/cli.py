@@ -33,12 +33,20 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, TextIO, get_args, get_type_hints
 
-from ._io import atomic_write, jsonl_lines, read_json, read_jsonl, read_text
+from ._io import (
+    Fields,
+    SchemaError,
+    atomic_write,
+    jsonl_lines,
+    read_json,
+    read_jsonl,
+    read_records,
+    read_text,
+)
 from .bench import (
     BENCHMARKS,
     PARADIGM_SELF_GRAPH,
     PARADIGMS,
-    SchemaError,
     check_paradigm,
     evaluate,
     load_benchmark,
@@ -259,42 +267,44 @@ def make_sampling_config(cfg: RunConfig) -> SamplingConfig:
     )
 
 
-def read_template_records(path: Path) -> Iterator[tuple[str, str | None, str | None]]:
-    """Yield (where, template text, problem) rows from a text or JSONL file.
+# The keys a row's template text may sit under, in the order they are looked for.
+TEMPLATE_KEYS = ("text", "completion", "graph_reasoning")
 
-    A .jsonl file contributes one record per line, taking the template
-    from the graph_reasoning (or text) field; any other file is one
-    record holding the whole file body. A row with a problem has no text.
-    """
-    if path.suffix != ".jsonl":
-        yield str(path), *read_text(path)
-        return
-    for lineno, row, problem in read_jsonl(path):
-        text = row.get("graph_reasoning", row.get("text")) if isinstance(row, dict) else None
-        if not isinstance(text, str):
-            text, problem = None, problem or "no graph_reasoning or text field"
-        yield f"{path}:{lineno}", text, problem
+
+def template_text(row: Fields) -> str:
+    """A row's template: the first of TEMPLATE_KEYS it holds, which must be a string."""
+    return row.text(next((key for key in TEMPLATE_KEYS if key in row.raw), TEMPLATE_KEYS[0]))
 
 
 def parse_template_records(paths: list[str], lenient: bool, failures_to: TextIO, on_parsed) -> int:
     """Hand each parsed template record of ``paths`` to ``on_parsed(where, output)``, in order.
 
-    A record that cannot be read or parsed prints one line to
-    ``failures_to`` instead, and makes the exit code 1.
+    A .jsonl file holds one record per line, its ``template_text``; any
+    other file is one record, the whole file body. A record that cannot
+    be read or parsed prints one line to ``failures_to`` instead, and
+    makes the exit code 1.
     """
     mode = LENIENT if lenient else STRICT
     failures = 0
-    for path in paths:
-        for where, text, problem in read_template_records(Path(path)):
-            if problem is None:
-                try:
-                    output = parse(text, mode)
-                except TemplateParseError as err:
-                    problem = f"parse error: {err.kind} ({err.detail})"
-                else:
-                    on_parsed(where, output)
-                    continue
-            print(f"{where}: {problem}", file=failures_to)
+    for path in map(Path, paths):
+        if path.suffix == ".jsonl":
+            records = read_jsonl(path)
+        else:
+            records = [(None, *read_text(path))]
+        for lineno, value, problem in records:
+            where = f"{path}" if lineno is None else f"{path}:{lineno}"
+            try:
+                if problem is not None:
+                    raise SchemaError(f"{where}: {problem}")
+                text = value if lineno is None else template_text(Fields(value, where))
+                output = parse(text, mode)
+            except SchemaError as err:
+                print(err, file=failures_to)
+            except TemplateParseError as err:
+                print(f"{where}: parse error: {err.kind} ({err.detail})", file=failures_to)
+            else:
+                on_parsed(where, output)
+                continue
             failures += 1
     return EXIT_FAILURE if failures else EXIT_OK
 
@@ -354,16 +364,10 @@ def cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
-    data, problem = read_json(args.input)
-    if problem is not None:
-        raise CommandError(f"{args.input}: {problem}")
-    if not isinstance(data, dict) or "question" not in data:
-        raise CommandError(f"{args.input}: expected an object with question and samples")
-    texts = data.get("samples")
-    if not isinstance(texts, list):
-        raise CommandError(f"{args.input}: samples must be a list")
-    if not all(text is None or isinstance(text, str) for text in texts):
-        raise CommandError(f"{args.input}: samples must be strings or null")
+    record = Fields(read_json(args.input), args.input)
+    question = record.text("question")
+    samples = record.list("samples")
+    texts = [None if samples.raw[i] is None else samples.text(i) for i in samples.raw]
 
     candidates, lenient_only = parse_candidates(texts)
     if lenient_only:
@@ -372,7 +376,7 @@ def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
         )
     if not candidates:
         raise CommandError("no sample parsed as a reasoning template")
-    candidate_set = CandidateSet(candidates, question=str(data["question"]))
+    candidate_set = CandidateSet(candidates, question=question)
 
     # A deterministic merge yields no request, so it builds no client.
     merged = advance(merge_steps(candidate_set, make_sampling_config(cfg), cfg.merge_mode))
@@ -441,23 +445,11 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
-    path = Path(args.completions)
     texts: list[str] = []
     labels: list[str] = []
-    for lineno, row, problem in read_jsonl(path):
-        if problem is not None:
-            raise CommandError(f"{path}:{lineno}: {problem}")
-        if not isinstance(row, dict):
-            row = {}
-        text_key = next((key for key in ("text", "completion", "graph_reasoning") if key in row),
-                        None)
-        if text_key is None or "label" not in row:
-            raise CommandError(f"{path}:{lineno}: row needs text and label fields")
-        for key in (text_key, "label"):
-            if not isinstance(row[key], str):
-                raise CommandError(f"{path}:{lineno}: field {key!r} must be a string")
-        texts.append(row[text_key])
-        labels.append(row["label"])
+    for _, record in read_records(args.completions):
+        texts.append(template_text(record))
+        labels.append(record.label("label"))
 
     weights = (cfg.format_weight, cfg.answer_weight)
     scores = score_batch(texts, labels, weights)

@@ -35,7 +35,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 
-from ._io import read_json
+from ._io import Fields, read_json
 
 if TYPE_CHECKING:
     import requests
@@ -443,28 +443,19 @@ class MockBackend:
         """Load ``{"replies": {fragment: reply or [replies]}, "default": reply}``.
 
         Both keys are optional. A missing file, or one that is not such an
-        object, raises ValueError naming the file.
+        object, raises ValueError naming the file and any field at fault.
         """
         if not Path(path).is_file():
             raise ValueError(f"{path}: no such file")
-        data, problem = read_json(path)
-        if problem is not None:
-            raise ValueError(f"{path}: {problem}")
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: expected a JSON object")
-        replies = data.get("replies", {})
-        if not isinstance(replies, dict):
-            raise ValueError(f"{path}: replies must be an object")
-        for fragment, value in replies.items():
-            texts = value if isinstance(value, list) else [value]
-            if not texts or not all(isinstance(text, str) for text in texts):
-                raise ValueError(
-                    f"{path}: reply for {fragment!r} must be a string or a non-empty list of strings"
-                )
-        default = data.get("default")
-        if default is not None and not isinstance(default, str):
-            raise ValueError(f"{path}: default must be a string or null")
-        return cls(replies, default=default)
+        record = Fields(read_json(path), str(path))
+        replies = record.object("replies") if "replies" in record.raw else Fields({}, record.where)
+        for fragment, value in replies.raw.items():
+            if isinstance(value, list) and value:
+                replies.texts(fragment)
+            else:
+                replies.text(fragment)
+        default = None if record.raw.get("default") is None else record.text("default")
+        return cls(replies.raw, default=default)
 
     def send(self, request: CompletionRequest) -> str:
         with self._lock:

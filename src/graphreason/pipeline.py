@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import random
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Generator, Sequence
 
-from ._io import atomic_write, first_repeat, jsonl_lines, read_jsonl, record_id
+from ._io import atomic_write, check_filled, jsonl_lines, read_records, repeated_id
 from .answers import answers_match
 from .client import (
     ChatClient,
@@ -70,10 +69,6 @@ class PipelineError(Exception):
     pass
 
 
-class SourceFormatError(PipelineError):
-    """A source record could not be read; message names file and line."""
-
-
 @dataclass(frozen=True)
 class SourceQA:
     """One input question with its reference label."""
@@ -83,12 +78,7 @@ class SourceQA:
     source_id: str
 
     def __post_init__(self) -> None:
-        if not self.question.strip():
-            raise ValueError("question must be non-empty")
-        if not self.label.strip():
-            raise ValueError("label must be non-empty")
-        if not self.source_id:
-            raise ValueError("source_id must be non-empty")
+        check_filled(self, "question", "label", "source_id")
 
 
 @dataclass(frozen=True)
@@ -185,32 +175,16 @@ class BuildReport:
 def read_sources(path: str | Path) -> list[SourceQA]:
     """Load question/label pairs from a JSONL file.
 
-    Each record needs a string "question" and a string or finite number
-    "label" (or "answer"); an absent or null "id" defaults to item-<1-based line>.
+    Each record needs a text "question" and a "label" (or, without one,
+    "answer"); an absent or null "id" defaults to item-<1-based line>.
+    Any other record raises SchemaError naming the file, line and field.
     """
-    path = Path(path)
-    items: list[SourceQA] = []
-    for lineno, raw, problem in read_jsonl(path):
-        where = f"{path}:{lineno}"
-        if problem is not None:
-            raise SourceFormatError(f"{where}: {problem}")
-        if not isinstance(raw, dict) or "question" not in raw:
-            raise SourceFormatError(f"{where}: record must be an object with a question")
-        label_key = "label" if "label" in raw else "answer"
-        label = raw.get(label_key)
-        if label is None:
-            raise SourceFormatError(f"{where}: record has no label or answer field")
-        if not isinstance(raw["question"], str):
-            raise SourceFormatError(f"{where}: field 'question' must be a string")
-        if isinstance(label, bool) or not isinstance(label, (str, int, float)):
-            raise SourceFormatError(f"{where}: field {label_key!r} must be a string or a number")
-        if isinstance(label, float) and not math.isfinite(label):
-            raise SourceFormatError(f"{where}: field {label_key!r} must be a finite number")
-        source_id = record_id(raw, f"item-{lineno}")
-        try:
-            items.append(SourceQA(raw["question"], str(label), source_id))
-        except ValueError as err:
-            raise SourceFormatError(f"{where}: {err}") from err
+    items = []
+    for lineno, record in read_records(path):
+        label_key = "answer" if "answer" in record.raw and "label" not in record.raw else "label"
+        items.append(record.make(
+            SourceQA, record.text("question"), record.label(label_key), record.id(f"item-{lineno}")
+        ))
     return items
 
 
@@ -401,9 +375,9 @@ def build_dataset(
     ValueError before anything is sent.
     """
     check_merge_mode("merge_mode", merge_mode)
-    repeat = first_repeat(item.source_id for item in items)
+    repeat = repeated_id("source", (item.source_id for item in items))
     if repeat is not None:
-        raise PipelineError(f"source id {repeat!r} appears more than once")
+        raise PipelineError(repeat)
 
     def draw(item: SourceQA) -> list:
         return [client.submit(r) for r in trajectory_requests(item.question, config)]

@@ -10,8 +10,9 @@ expressible in the step grammar. ``fail_first_attempts`` and
 responder; ``FailingCache`` is a response store whose reads or writes
 fail; ``corrupt_store`` overwrites every row of a store with a value
 that is not UTF-8 text; ``finish`` drives a step generator's pending
-requests through a client; ``run_python`` runs a script in a fresh
-interpreter; ``traced_peak`` measures the Python memory a call allocates.
+requests through a client; ``run_python`` runs a script, and ``run_cli``
+the command line, in a fresh interpreter; ``traced_peak`` measures the
+Python memory a call allocates.
 """
 from __future__ import annotations
 
@@ -199,10 +200,19 @@ def corrupt_store(root: str | Path, value: bytes | str | int) -> int:
 
 def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
     """Run ``script`` in a fresh interpreter that imports this checkout's graphreason."""
-    path = [str(Path(graphreason.__file__).parent.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    return subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
+    return subprocess.run([sys.executable, "-c", script, *args], env=_checkout_env(), check=True,
                           capture_output=True, text=True, timeout=120)
+
+
+def run_cli(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run ``python -m graphreason.cli args`` from ``cwd`` in a fresh interpreter, any exit code."""
+    return subprocess.run([sys.executable, "-m", "graphreason.cli", *args], cwd=cwd,
+                          env=_checkout_env(), capture_output=True, text=True, timeout=120)
+
+
+def _checkout_env() -> dict[str, str]:
+    path = [str(Path(graphreason.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def traced_peak(call: Callable[[], object]) -> tuple[object, int]:

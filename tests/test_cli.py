@@ -318,13 +318,13 @@ class TestMerge:
         path = tmp_path / "samples.json"
         path.write_text(json.dumps({"question": "q", "candidates": [GOOD_DOC]}))
         assert main(["merge", str(path)]) == 1
-        assert capsys.readouterr() == ("", f"error: {path}: samples must be a list\n")
+        assert capsys.readouterr() == ("", f"error: {path}: missing field 'samples'\n")
 
     def test_non_string_sample_fails_with_message(self, tmp_path, capsys):
         path = tmp_path / "samples.json"
         path.write_text(json.dumps({"question": "q", "samples": [5, None]}))
         assert main(["merge", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: {path}: samples must be strings or null\n"
+        assert capsys.readouterr().err == f"error: {path}: field 'samples[0]' must be a string\n"
 
 
 GOLDEN = FIXTURES / "golden"
@@ -539,10 +539,10 @@ class TestIngestEval:
          ":1: question must be non-empty"),
         (["ingest", "--benchmark", "aiw"], "b.json",
          [[{"id": "x", "prompt": "p?", "right_answer": "4"}] * 2],
-         ": item_id 'x' appears twice"),
+         ": item id 'x' appears more than once"),
         (["eval", "--mock", "{mock}"], "items.jsonl",
          [{"question": "q?", "label": "4", "benchmark": "demo", "item_id": "x"}] * 2,
-         ": item_id 'x' appears twice"),
+         ": item id 'x' appears more than once"),
     ], ids=["logiqa", "aiw", "aiw_plus", "arlsat", "medqa", "mathqa", "eval-items",
             "ingest-repeated-id", "eval-items-repeated-id"])
     def test_malformed_record_is_one_error_line(
@@ -650,10 +650,10 @@ class TestScore:
         completions = tmp_path / "completions.jsonl"
         completions.write_text('{"text": "x"}\n')
         assert main(["score", "--completions", str(completions)]) == 1
-        assert "needs text and label" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {completions}:1: missing field 'label'\n"
 
     @pytest.mark.parametrize("row,field", [
-        ({"text": "<answer> 4 </answer>", "label": 4}, "label"),
+        ({"text": "<answer> 4 </answer>", "label": True}, "label"),
         ({"text": None, "label": "4"}, "text"),
         ({"completion": ["x"], "label": "4"}, "completion"),
     ])
@@ -661,16 +661,50 @@ class TestScore:
         completions = tmp_path / "completions.jsonl"
         completions.write_text(json.dumps(row) + "\n")
         assert main(["score", "--completions", str(completions)]) == 1
+        kind = "a string or a finite number" if field == "label" else "a string"
         assert capsys.readouterr() == (
-            "", f"error: {completions}:1: field '{field}' must be a string\n"
+            "", f"error: {completions}:1: field '{field}' must be {kind}\n"
         )
+
+    def test_a_number_label_is_read_as_build_reads_it(self, tmp_path, capsys):
+        completions = tmp_path / "completions.jsonl"
+        completions.write_text(json.dumps({"text": GOOD_DOC, "label": 4}) + "\n")
+        assert main(["score", "--completions", str(completions)]) == 0
+        assert "mean answer reward: 1.0000" in capsys.readouterr().out
+
+    # A row with two template keys: score and validate read its first, "text",
+    # which holds no template, so it earns no format reward and does not parse.
+    TWO_KEYS = {"graph_reasoning": GOOD_DOC, "text": "no template", "label": "4"}
+
+    def test_score_reads_the_first_template_key_a_row_has(self, tmp_path, capsys):
+        rows = tmp_path / "rows.jsonl"
+        rows.write_text(json.dumps(self.TWO_KEYS) + "\n")
+        assert main(["score", "--completions", str(rows)]) == 0
+        assert "mean format reward: 0.0000" in capsys.readouterr().out
+
+    def test_validate_reads_the_first_template_key_a_row_has(self, tmp_path, capsys):
+        rows = tmp_path / "rows.jsonl"
+        rows.write_text(json.dumps(self.TWO_KEYS) + "\n")
+        assert main(["validate", str(rows)]) == 1
+        assert capsys.readouterr().out.startswith(f"{rows}:1: parse error: ")
+
+    @pytest.mark.parametrize("command, stream", [
+        (["score", "--completions"], "err"), (["validate"], "out"),
+    ], ids=["score", "validate"])
+    def test_a_null_first_template_key_is_named(self, tmp_path, capsys, command, stream):
+        rows = tmp_path / "rows.jsonl"
+        row = {"text": None, "graph_reasoning": GOOD_DOC, "label": "4"}
+        rows.write_text(json.dumps(row) + "\n")
+        assert main([*command, str(rows)]) == 1
+        line = f"{rows}:1: field 'text' must be a string\n"
+        assert getattr(capsys.readouterr(), stream) == ("error: " if stream == "err" else "") + line
 
     def test_non_object_row_exits_one(self, tmp_path, capsys):
         completions = tmp_path / "completions.jsonl"
         completions.write_text(json.dumps({"text": GOOD_DOC, "label": "4"}) + "\n[1, 2]\n")
         assert main(["score", "--completions", str(completions)]) == 1
         assert capsys.readouterr().err == (
-            f"error: {completions}:2: row needs text and label fields\n"
+            f"error: {completions}:2: expected an object\n"
         )
 
 
@@ -679,9 +713,9 @@ class TestMockFile:
         "body,problem",
         [
             ("{not json", "invalid JSON"),
-            ("[]", "expected a JSON object"),
-            ('{"replies": "why?"}', "replies must be an object"),
-            ('{"default": ["x"]}', "default must be a string or null"),
+            ("[]", "expected an object"),
+            ('{"replies": "why?"}', "field 'replies' must be an object"),
+            ('{"default": ["x"]}', "field 'default' must be a string"),
         ],
     )
     def test_malformed_mock_is_a_config_error(self, tmp_path, capsys, body, problem):
@@ -795,17 +829,17 @@ def mutants(draw, value):
     return value
 
 
-def file_bodies(document) -> st.SearchStrategy:
-    """Bytes of a file near ``document``, or bytes that are not UTF-8.
+def file_bodies(name: str, document) -> st.SearchStrategy:
+    """Bytes of a file named ``name`` near ``document``, or bytes that are not UTF-8.
 
-    A str is a text file: any text, or lines of it. A list of dicts is a
-    JSONL file: mutants of its record, one per line. Anything else is a
-    JSON file holding a mutant of it.
+    A str is a text file: any text, or lines of it. A .jsonl file's
+    document is a list of dicts: mutants of its record, one per line.
+    Anything else is a JSON file holding a mutant of it.
     """
     if isinstance(document, str):
         lines = document.splitlines(keepends=True)
         near = st.text() | st.lists(st.sampled_from(lines)).map("".join)
-    elif isinstance(document, list) and isinstance(document[0], dict):
+    elif name.endswith(".jsonl"):
         near = st.lists(mutants(document[0]), min_size=1, max_size=3).map(
             lambda rows: "".join(json.dumps(row) + "\n" for row in rows)
         )
@@ -820,8 +854,73 @@ def _ingest(benchmark: str) -> list[str]:
     return ["ingest", "--benchmark", benchmark, "--path", "{f}", "--out", "{d}/items.jsonl"]
 
 
-# Every command that reads a file, the file's name and a valid body for it.
-# In a command, {f} is the drawn file, {d} a fresh directory, {mock} a mock
+BUILD = ["build", "--sources", "{f}", "--out", "{d}", "--mock", "{mock}", "--k", "2"]
+
+# Input that a reader refuses: per case, the command, the input file's name,
+# its document, and what the one error line says after the file's path.
+MALFORMED = {
+    "aiw-null-prompt": (_ingest("aiw"), "b.json", [{"prompt": None, "right_answer": {"a": 1}}],
+                        ": item 1: field 'prompt' must be a string"),
+    "logiqa-null-option": (
+        _ingest("logiqa"), "b.jsonl",
+        [{"text": "t.", "question": "q?", "options": [None, {"a": 1}], "answer": True}],
+        ":1: field 'options[0]' must be a string",
+    ),
+    "logiqa-bool-answer": (
+        _ingest("logiqa"), "b.jsonl",
+        [{"text": "t.", "question": "q?", "options": ["x", "y"], "answer": True}],
+        ":1: field 'answer' must be an option index",
+    ),
+    "medqa-null-option": (
+        _ingest("medqa"), "b.jsonl",
+        [{"question": "q?", "options": {"A": 1, "B": None}, "answer_idx": "A"}],
+        ":1: field 'options[A]' must be a string",
+    ),
+    "arlsat-bool-answer": (
+        _ingest("arlsat"), "b.json",
+        [{"passage": "p.",
+          "questions": [{"question": "q?", "options": ["x", "y"], "answer": True}]}],
+        ": passage 1 question 1: field 'answer' must be an option index",
+    ),
+    "mathqa-number-options": (_ingest("mathqa"), "b.json",
+                              [{"Problem": "p?", "options": 12345, "correct": "a"}],
+                              ": item 1: field 'options' must be a string"),
+    **{
+        f"ingest-{name}-id": (_ingest("aiw"), "b.json",
+                              [{"prompt": "p?", "right_answer": 4, "id": value}],
+                              ": item 1: field 'id' must be a non-blank string or an integer")
+        for name, value in [("blank", ""), ("float", 1.5), ("list", [1])]
+    },
+    **{
+        f"build-{name}-id": (BUILD, "sources.jsonl",
+                             [{"question": "q?", "label": "4", "id": value}],
+                             ":1: field 'id' must be a non-blank string or an integer")
+        for name, value in [("object", {"x": 1}), ("bool", True)]
+    },
+    "merge-null-question": (["merge", "{f}", "--out", "{d}/merged.txt"], "samples.json",
+                            {"question": None, "samples": [GOOD_DOC]},
+                            ": field 'question' must be a string"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_value_of_another_type_is_one_error_line_and_writes_nothing(tmp_path, capsys, case):
+    argv, name, document, problem = MALFORMED[case]
+    path = tmp_path / name
+    if name.endswith(".jsonl"):
+        path.write_text("".join(json.dumps(row) + "\n" for row in document))
+    else:
+        path.write_text(json.dumps(document))
+    out = tmp_path / "out"
+    mock = write_mock(tmp_path, {}, default=GOOD_DOC)
+    assert main([arg.format(f=path, d=out, mock=mock) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}{problem}\n")
+    assert not out.exists()
+
+
+# Every command that reads a file, the file's name and a body for it: a
+# valid one, or one that MALFORMED or the template key order names. In a
+# command, {f} is the drawn file, {d} a fresh directory, {mock} a mock
 # whose every reply is GOOD_DOC and {doc} a file holding GOOD_DOC.
 FILE_READERS = {
     "validate-txt": (["validate", "{f}"], "doc.txt", GOOD_DOC),
@@ -847,6 +946,9 @@ FILE_READERS = {
     "score": (["score", "--completions", "{f}"], "completions.jsonl",
               [{"text": GOOD_DOC, "label": "4"}]),
     "config": (["validate", "{doc}", "--config", "{f}"], "run.cfg", "k = 3\nseed = 1\nmodel = m\n"),
+    "validate-null-first-key": (["validate", "{f}"], "rows.jsonl",
+                                [{"graph_reasoning": None, "text": GOOD_DOC}]),
+    **{case: (argv, name, document) for case, (argv, name, document, _) in MALFORMED.items()},
 }
 
 
@@ -870,7 +972,7 @@ def run_main(argv: list[str], encoding: str = "utf-8") -> tuple[int, str, str]:
 @given(data=st.data())
 def test_any_input_file_exits_with_a_code_and_at_most_one_error_line(command, data):
     argv, name, document = FILE_READERS[command]
-    body = data.draw(file_bodies(document), label="body")
+    body = data.draw(file_bodies(name, document), label="body")
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
         (tmp_path / name).write_bytes(body)

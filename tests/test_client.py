@@ -655,12 +655,12 @@ class TestMockFixtureFile:
         "body,problem",
         [
             ("{not json", "invalid JSON"),
-            ("[]", "expected a JSON object"),
-            ('{"replies": ["a"]}', "replies must be an object"),
-            ('{"replies": null}', "replies must be an object"),
-            ('{"replies": {"q": 3}}', "reply for 'q' must be a string or a non-empty list"),
-            ('{"replies": {"q": []}}', "reply for 'q' must be a string or a non-empty list"),
-            ('{"default": 7}', "default must be a string or null"),
+            ("[]", "expected an object"),
+            ('{"replies": ["a"]}', "field 'replies' must be an object"),
+            ('{"replies": null}', "field 'replies' must be an object"),
+            ('{"replies": {"q": 3}}', "field 'replies[q]' must be a string"),
+            ('{"replies": {"q": []}}', "field 'replies[q]' must be a string"),
+            ('{"default": 7}', "field 'default' must be a string"),
         ],
     )
     def test_from_file_rejects_a_malformed_file(self, tmp_path, body, problem):

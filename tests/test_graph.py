@@ -333,6 +333,9 @@ DELETED_MODULE_NAMES = (
     ("client", "TrajectorySamples"),
     ("bench", "BenchError"),
     ("client", "DEFAULT_TIMEOUT"),
+    ("pipeline", "SourceFormatError"),
+    ("_io", "record_id"),
+    ("_io", "first_repeat"),
 )
 # (module, class, attribute): methods and dataclass fields.
 DELETED_ATTRIBUTES = (

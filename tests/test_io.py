@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from graphreason._io import atomic_write, read_json, read_jsonl
+from graphreason._io import SchemaError, atomic_write, read_json, read_jsonl
 
 
 def test_each_chunk_is_written_with_its_surrogates_escaped(tmp_path):
@@ -33,7 +33,8 @@ def test_a_failing_source_leaves_the_old_file_and_no_temp_file(tmp_path):
 def test_json_that_cannot_be_decoded_is_a_problem_not_a_crash(tmp_path, body):
     path = tmp_path / "doc.json"
     path.write_text(body + "\n")
-    value, problem = read_json(path)
-    assert value is None and problem.startswith("invalid JSON (")
+    with pytest.raises(SchemaError) as err:
+        read_json(path)
+    assert str(err.value).startswith(f"{path}: invalid JSON (")
     [(lineno, value, problem)] = read_jsonl(path)
     assert (lineno, value) == (1, None) and problem.startswith("invalid JSON (")

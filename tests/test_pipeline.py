@@ -15,6 +15,7 @@ from graphreason.answers import answers_match
 from graphreason.bench import (
     PARADIGMS,
     BenchmarkItem,
+    SchemaError,
     evaluate,
     extract_candidate,
     load_logiqa,
@@ -43,7 +44,6 @@ from graphreason.pipeline import (
     DiscardRecord,
     PipelineError,
     Provenance,
-    SourceFormatError,
     SourceQA,
     TrainingInstance,
     build_dataset,
@@ -93,19 +93,19 @@ class TestReadSources:
     def test_bad_json_names_line(self, tmp_path):
         path = tmp_path / "src.jsonl"
         path.write_text('{"question": "ok", "label": "1"}\n{broken\n')
-        with pytest.raises(SourceFormatError, match=r"src\.jsonl:2"):
+        with pytest.raises(SchemaError, match=r"src\.jsonl:2"):
             read_sources(path)
 
     def test_missing_label_rejected(self, tmp_path):
         path = tmp_path / "src.jsonl"
         path.write_text('{"question": "ok"}\n')
-        with pytest.raises(SourceFormatError, match="label or answer"):
+        with pytest.raises(SchemaError, match=r"src\.jsonl:1: missing field 'label'$"):
             read_sources(path)
 
     def test_blank_question_rejected(self, tmp_path):
         path = tmp_path / "src.jsonl"
         path.write_text('{"question": "  ", "label": "1"}\n')
-        with pytest.raises(SourceFormatError, match=r"src\.jsonl:1"):
+        with pytest.raises(SchemaError, match=r"src\.jsonl:1"):
             read_sources(path)
 
     @pytest.mark.parametrize("record,field", [
@@ -119,7 +119,7 @@ class TestReadSources:
     def test_mistyped_field_names_line_and_field(self, tmp_path, record, field):
         path = tmp_path / "src.jsonl"
         path.write_text('{"question": "ok", "label": "1"}\n' + record + "\n")
-        with pytest.raises(SourceFormatError, match=rf"src\.jsonl:2: field '{field}' must be"):
+        with pytest.raises(SchemaError, match=rf"src\.jsonl:2: field '{field}' must be"):
             read_sources(path)
 
     def test_number_label_is_read_as_text(self, tmp_path):
@@ -133,8 +133,8 @@ class TestReadSources:
         # Python's json reads these three words as floats.
         path = tmp_path / "src.jsonl"
         path.write_text(f'{{"question": "ok", "label": "1"}}\n{{"question": "q", "{field}": {number}}}\n')
-        message = rf"src\.jsonl:2: field '{field}' must be a finite number$"
-        with pytest.raises(SourceFormatError, match=message):
+        message = rf"src\.jsonl:2: field '{field}' must be a string or a finite number$"
+        with pytest.raises(SchemaError, match=message):
             read_sources(path)
 
 
