@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import logging
 import re
-from concurrent.futures import Future
-from dataclasses import dataclass, field, fields, replace
+from contextlib import closing
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -27,7 +27,7 @@ from ._io import (
     repeated_id,
 )
 from .answers import OPTION_LETTERS, answers_match
-from .client import ChatClient, ClientError, CompletionRequest, SamplingConfig, read_reply
+from .client import ChatClient, ClientError, CompletionRequest, SamplingConfig
 from .codec import LENIENT, TemplateParseError, final_answer, parse
 from .prompts import DIRECT_PROMPT, LINEAR_PROMPT, SELF_GRAPH_PROMPT, PromptTemplate
 
@@ -273,9 +273,10 @@ def write_items(items: Sequence[BenchmarkItem], path: str | Path) -> None:
 
 
 def read_items(path: str | Path) -> list[BenchmarkItem]:
-    """Read items previously written by ``write_items``: four string fields, ids unique."""
+    """Read items as ``write_items`` writes them: a label and three texts, ids unique."""
     items = [
-        record.make(BenchmarkItem, **{f.name: record.text(f.name) for f in fields(BenchmarkItem)})
+        record.make(BenchmarkItem, record.text("question"), record.label("label"),
+                    record.text("benchmark"), record.text("item_id"))
         for _, record in read_records(path)
     ]
     return _unique_ids(items, path)
@@ -376,14 +377,13 @@ def extract_candidate(text: str, paradigm: str) -> tuple[str | None, int | None,
     return candidate, None, None
 
 
-def evaluate_item(item: BenchmarkItem, paradigm: str, reply: Future) -> ItemRecord:
-    """Score one item from its completion, already started with ``ChatClient.submit``.
+def evaluate_item(item: BenchmarkItem, paradigm: str, reply: str | ClientError) -> ItemRecord:
+    """Score one item from its reply: the completion text, or its request's ClientError.
 
     Transport failures become records, not exceptions.
     """
-    text = read_reply(reply)
-    if isinstance(text, ClientError):
-        log.warning("item %s failed in transport: %s", item.item_id, text)
+    if isinstance(reply, ClientError):
+        log.warning("item %s failed in transport: %s", item.item_id, reply)
         return ItemRecord(
             item_id=item.item_id,
             benchmark=item.benchmark,
@@ -391,9 +391,9 @@ def evaluate_item(item: BenchmarkItem, paradigm: str, reply: Future) -> ItemReco
             label=item.label,
             candidate=None,
             correct=False,
-            error=str(text),
+            error=str(reply),
         )
-    candidate, node_count, edge_count = extract_candidate(text, paradigm)
+    candidate, node_count, edge_count = extract_candidate(reply, paradigm)
     correct = candidate is not None and answers_match(candidate, item.label)
     return ItemRecord(
         item_id=item.item_id,
@@ -421,10 +421,11 @@ def evaluate(
 ) -> EvalReport:
     """Evaluate items under one paradigm, one greedy completion each.
 
-    Requests go through ``client.submit`` up to ``client.lookahead``
+    Requests go through ``client.replies`` up to ``client.lookahead``
     items ahead (a warm-cache hit answers at once, in this thread),
     while this thread extracts and matches each reply in input order;
-    ``client.concurrency`` is the one parallelism setting.
+    ``client.concurrency`` is the one parallelism setting. The window
+    closes before this returns or raises.
     """
     check_paradigm("paradigm", paradigm)
     repeat = repeated_id("item", (item.item_id for item in items))
@@ -432,10 +433,9 @@ def evaluate(
         raise ValueError(repeat)
 
     eval_config = replace(config, temperature=0.0, k=1)
-    replies = client.ahead(
-        items, lambda item: client.submit(eval_request(item, paradigm, eval_config))
-    )
-    records = [evaluate_item(item, paradigm, reply) for item, reply in replies]
+    replies = client.replies(items, lambda item: [eval_request(item, paradigm, eval_config)])
+    with closing(replies):
+        records = [evaluate_item(item, paradigm, reply) for item, (reply,) in replies]
 
     # Benchmarks in order of first appearance: a dict keeps insertion order.
     counts: dict[str, list[int]] = {}

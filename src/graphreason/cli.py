@@ -72,7 +72,6 @@ from .client import (
     check_at_least_one,
     check_non_empty,
     check_temperature,
-    gather_trajectories,
 )
 from .codec import LENIENT, STRICT, StructuredOutput, TemplateParseError, parse, render
 from .graph import WARNING_MULTIPLE_SINKS, InvalidGraphError, export_dot, sinks
@@ -343,8 +342,9 @@ def cmd_viz(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
     config = make_sampling_config(cfg)
     with make_client(cfg) as client:
-        requests = trajectory_requests(args.question, config)
-        replies = gather_trajectories([client.submit(request) for request in requests])
+        [(_, replies)] = client.replies(
+            [args.question], lambda question: trajectory_requests(question, config)
+        )
     failure = all_failed_detail(replies)
     if failure is not None:
         raise CommandError(failure)
@@ -376,14 +376,15 @@ def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
         )
     if not candidates:
         raise CommandError("no sample parsed as a reasoning template")
-    candidate_set = CandidateSet(candidates, question=question)
+    candidate_set = record.make(CandidateSet, candidates, question=question)
 
     # A deterministic merge yields no request, so it builds no client.
     merged = advance(merge_steps(candidate_set, make_sampling_config(cfg), cfg.merge_mode))
     if isinstance(merged, Pending):
         with make_client(cfg) as client:
             while isinstance(merged, Pending):
-                merged = merged.resume(client.submit(merged.request))
+                [(_, [reply])] = client.replies([merged.request], lambda request: [request])
+                merged = merged.resume(reply)
     document = render(StructuredOutput(merged.graph, merged.answer)) + "\n"
     if args.out:
         atomic_write(Path(args.out), [document])

@@ -5,17 +5,13 @@ The wire protocol is the common JSON chat shape: POST a ``model`` +
 compatible server works. Credentials travel only through an
 environment variable, never through flags or config files. A mock
 backend with the same interface supports tests and offline runs.
-Every caller sends through the client's one executor, sized by
-``concurrency``: ``submit`` starts one completion, ``gather_trajectories``
-collects a question's k sample futures (``pipeline.trajectory_requests``
-builds their requests), and ``merge.merge_steps``, the one merge entry
-point, yields a merge's requests for the caller to submit. Executor
-tasks only send; only the callers wait on futures.
 
-A reply has one type from here to every caller: a submitted future
-holds the completion text and raises the request's ClientError, and
-``read_reply`` turns it into ``str | ClientError``, the value that
-sampling, the merge's step generators and evaluation all read.
+Every caller (a sample round, an eval item, a merge's next request)
+sends through ``ChatClient.replies``, which hands each job its replies
+in job order. The calling thread reads and writes the store, a batch of
+jobs at a time; executor tasks only send. A reply has one type from
+here to every caller: the completion text, or the ClientError its
+request raised.
 """
 from __future__ import annotations
 
@@ -28,12 +24,15 @@ import threading
 import time
 import weakref
 from collections import deque
+from itertools import islice
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar,
+)
 
 from ._io import Fields, read_json
 
@@ -55,19 +54,21 @@ REQUEST_TIMEOUT = 60.0
 MAX_RETRY_AFTER = 120.0
 # Each backoff delay is scaled by a factor drawn from [1 - this, 1 + this].
 BACKOFF_JITTER = 0.2
-# Executor threads per concurrency slot: a send holds a slot, while backoff
-# sleeps and cache writes run on a thread without one.
+# Executor threads per concurrency slot: a send holds a slot, while a
+# retry's backoff sleep runs on a thread without one.
 THREADS_PER_SLOT = 2
-# Items that batch callers (build, eval) submit ahead, per concurrency slot.
+# Jobs that ChatClient.replies requests ahead, per concurrency slot.
 LOOKAHEAD_PER_SLOT = 4
 # SQLite page cache of an open ResponseCache, in KiB. A run writes each
 # completion once and reads it about once, so cached leaf pages are almost
 # never read again; this holds the B-tree's upper levels, where SQLite's
 # default is 2 MiB.
 STORE_PAGE_CACHE_KIB = 256
+# Keys that one store query binds. SQLite before 3.32 allows 999 variables
+# in a statement, and Python 3.10 cannot ask a connection for its limit.
+STORE_KEYS_PER_QUERY = 500
 
 T = TypeVar("T")
-S = TypeVar("S")
 
 
 class ClientError(Exception):
@@ -153,28 +154,6 @@ class CompletionRequest:
             raise ValueError("user_prompt must be non-empty")
 
 
-def read_reply(future: Future) -> str | ClientError:
-    """The completion text that ``future`` holds, or the ClientError its request raised."""
-    try:
-        return future.result()
-    except ClientError as err:
-        return err
-
-
-def gather_trajectories(futures: Sequence[Future]) -> list[str | ClientError]:
-    """Wait for one question's sample futures; each reply is a text or a ClientError.
-
-    A failed sample is logged and kept at its index, even when every sample failed.
-    """
-    replies: list[str | ClientError] = []
-    for i, future in enumerate(futures, start=1):
-        reply = read_reply(future)
-        if isinstance(reply, ClientError):
-            log.warning("sample %d/%d failed: %s", i, len(futures), reply)
-        replies.append(reply)
-    return replies
-
-
 def all_failed_detail(replies: Sequence[str | ClientError]) -> str | None:
     """Why every reply failed, or None when at least one came back."""
     if any(isinstance(reply, str) for reply in replies):
@@ -227,14 +206,15 @@ class ResponseCache:
 
     The file is ``<root>/completions.sqlite3``; a directory in the older
     one-file-per-completion layout is not read, so its completions are
-    requested again. Each put commits on its own, so a crashed writer
-    never leaves a torn entry and another store on the same directory
-    sees every finished put at once. Concurrent runs may share the file
-    on a local disk but not on a network file system: the write-ahead
-    log needs shared memory. Texts are stored as UTF-8 with surrogates
-    passed through, so any ``str`` round-trips unchanged. The store's
-    one connection is shared by the caller's thread (``get``) and the
-    executor's (``put``), and closes when the store is collected.
+    requested again. ``get`` reads a batch of keys and ``put`` writes a
+    batch of completions in one transaction, so a crashed writer never
+    leaves a torn entry and another store on the same directory sees
+    every finished put at once. Concurrent runs may share the file on a
+    local disk but not on a network file system: the write-ahead log
+    needs shared memory. Texts are stored as UTF-8 with surrogates
+    passed through, so any ``str`` round-trips unchanged. A lock
+    serializes the round-trips of threads that share a store, whose one
+    connection closes when the store is collected.
 
     An open store holds at most ``STORE_PAGE_CACHE_KIB`` (256 KiB) of
     SQLite pages, so a lookup in a larger store may read its pages from
@@ -245,9 +225,8 @@ class ResponseCache:
     that cannot be opened as a store, raises ValueError naming it;
     ``errors`` holds the exception types that ``get`` and ``put`` raise
     when the store fails. A row that is not UTF-8 text, which ``put``
-    never writes, makes ``get`` raise ``sqlite3.DataError``, one of
-    ``errors``, so the client treats it as a failed read: a miss, whose
-    fresh completion then replaces the row.
+    never writes, is logged and left out of what ``get`` returns: a
+    miss for that key alone, whose fresh completion then replaces it.
     """
 
     FILENAME = "completions.sqlite3"
@@ -264,7 +243,8 @@ class ResponseCache:
         self._lock = threading.Lock()
         path = self.root / self.FILENAME
         try:
-            self._db = sqlite3.connect(path, check_same_thread=False, isolation_level=None)
+            # A put's first INSERT opens its transaction, which put's with-block ends.
+            self._db = sqlite3.connect(path, check_same_thread=False)
             # Connections sit in reference cycles; close this one as soon as the store goes.
             weakref.finalize(self, self._db.close)
             self._db.execute("PRAGMA journal_mode=WAL")
@@ -278,26 +258,31 @@ class ResponseCache:
         except sqlite3.Error as err:
             raise ValueError(f"{path}: {err}") from None
 
-    def get(self, key: str) -> str | None:
+    def get(self, keys: Sequence[str]) -> dict[str, str]:
+        """The stored text of each of ``keys`` that has one, read in one query per 500 keys."""
+        rows: list[tuple[str, object]] = []
         with self._lock:
-            row = self._db.execute("SELECT text FROM completions WHERE key = ?", (key,)).fetchone()
-        if row is None:
-            return None
-        try:
-            return row[0].decode("utf-8", "surrogatepass")
-        except (AttributeError, UnicodeDecodeError):
-            # put writes only UTF-8 bytes, so a TEXT or number value, or bytes
-            # that are not UTF-8, were damaged or written by another program.
-            import sqlite3  # loaded by __init__
+            for start in range(0, len(keys), STORE_KEYS_PER_QUERY):
+                chunk = keys[start:start + STORE_KEYS_PER_QUERY]
+                marks = ",".join("?" * len(chunk))
+                query = f"SELECT key, text FROM completions WHERE key IN ({marks})"
+                rows += self._db.execute(query, chunk).fetchall()
+        texts = {}
+        for key, value in rows:
+            try:
+                texts[key] = value.decode("utf-8", "surrogatepass")
+            except (AttributeError, UnicodeDecodeError):
+                # put writes only UTF-8 bytes, so a TEXT or number value, or bytes
+                # that are not UTF-8, were damaged or written by another program.
+                log.warning("cache read failed, requesting the completion: %s: the entry for %s "
+                            "is not UTF-8 text", self.root / self.FILENAME, key)
+        return texts
 
-            raise sqlite3.DataError(
-                f"{self.root / self.FILENAME}: the entry for {key} is not UTF-8 text"
-            ) from None
-
-    def put(self, key: str, text: str) -> None:
-        blob = text.encode("utf-8", "surrogatepass")
-        with self._lock:
-            self._db.execute("INSERT OR REPLACE INTO completions VALUES (?, ?)", (key, blob))
+    def put(self, rows: Mapping[str, str]) -> None:
+        """Store each key's text, replacing what the key held, in one transaction."""
+        blobs = [(key, text.encode("utf-8", "surrogatepass")) for key, text in rows.items()]
+        with self._lock, self._db:
+            self._db.executemany("INSERT OR REPLACE INTO completions VALUES (?, ?)", blobs)
 
 
 class Backend(Protocol):
@@ -510,12 +495,11 @@ class ChatClient:
 
     Each client owns one executor of ``THREADS_PER_SLOT * concurrency``
     threads, started on demand and stopped by ``close`` (or leaving a
-    ``with`` block) or when the client is garbage-collected. ``submit``
-    answers a cache hit in the caller and sends a miss from the
-    executor. Every caller (``build_dataset``, ``evaluate``, the
-    ``sample`` and ``merge`` commands) starts its sends through it, so
-    ``concurrency`` is the one parallelism setting. Executor tasks only
-    send; callers wait on the futures.
+    ``with`` block) or when the client is garbage-collected. Every
+    caller (``build_dataset``, ``evaluate``, the ``sample`` and ``merge``
+    commands) sends through ``replies``, so ``concurrency`` is the one
+    parallelism setting. ``replies`` reads and writes the store on the
+    caller's thread; executor tasks only send.
     """
 
     def __init__(
@@ -574,7 +558,7 @@ class ChatClient:
         jitter = 1.0 + self._rng.uniform(-BACKOFF_JITTER, BACKOFF_JITTER)
         return self.backoff_base * (2 ** (attempt - 1)) * jitter
 
-    def _send(self, request: CompletionRequest, key: str | None) -> str:
+    def _send(self, request: CompletionRequest) -> str:
         attempt = 0
         while True:
             attempt += 1
@@ -603,52 +587,84 @@ class ChatClient:
                     err, attempt, self.max_attempts, delay,
                 )
                 self._sleep(delay)
-
-        if key is not None:
-            try:
-                self.cache.put(key, text)
-            except self.cache.errors as err:
-                # The cache only saves work: a failed write keeps the completion.
-                log.warning("cache write failed, completion kept uncached: %s", err)
         with self._lock:
             self.stats.completions += 1
         return text
 
-    def submit(self, request: CompletionRequest) -> Future:
-        """Start one completion; the future holds its text or raises its ClientError.
+    def replies(
+        self, jobs: Iterable[T], requests_of: Callable[[T], Sequence[CompletionRequest]]
+    ) -> Iterator[tuple[T, list[str | ClientError]]]:
+        """Yield each job with its replies in job order: per request, its text or ClientError.
 
-        A cache hit resolves here without a thread hop; a miss, or a read
-        the store failed, is sent from the executor. Callers read the
-        future through ``read_reply``.
+        Jobs are taken ``lookahead`` at a time, with one store read per
+        batch, and a job's misses are sent when it enters the window, up
+        to ``lookahead`` jobs ahead. This thread writes the completions
+        handed out in one transaction per batch. Closing the window, even
+        on an error, writes every completion received and cancels the
+        sends not yet started; it does not wait for those in flight.
         """
-        key = hit = None
-        if self.cache is not None:
-            key = cache_key(request)
+        window: deque[tuple[T, list[str | None], list[str | Future]]] = deque()
+        fresh: dict[str, str] = {}
+        jobs = iter(jobs)
+        try:
+            while batch := [(job, requests_of(job)) for job in islice(jobs, self.lookahead)]:
+                self._write(fresh)
+                keys = [[cache_key(r) for r in requests] if self.cache else [None] * len(requests)
+                        for _, requests in batch]
+                stored = self._read([key for job_keys in keys for key in job_keys])
+                hits = sum(key in stored for job_keys in keys for key in job_keys)
+                with self._lock:
+                    self.stats.cache_hits += hits
+                    self.stats.completions += hits
+                for (job, requests), job_keys in zip(batch, keys):
+                    window.append((job, job_keys, [
+                        stored[key] if key in stored else self._executor.submit(self._send, r)
+                        for r, key in zip(requests, job_keys)
+                    ]))
+                    if len(window) > self.lookahead:
+                        yield self._hand_out(window, fresh)
+            while window:
+                yield self._hand_out(window, fresh)
+        finally:
+            for _, job_keys, slots in window:
+                for key, slot in zip(job_keys, slots):
+                    if isinstance(slot, Future) and not slot.cancel() and slot.done() \
+                            and key and not slot.exception():
+                        fresh[key] = slot.result()
+            self._write(fresh)
+
+    def _hand_out(self, window: deque, fresh: dict[str, str]) -> tuple[T, list[str | ClientError]]:
+        """Take the first job from the window with its replies; its completions join ``fresh``."""
+        job, keys, slots = window[0]
+        replies: list[str | ClientError] = []
+        for key, slot in zip(keys, slots):
+            if isinstance(slot, Future):
+                try:
+                    slot = slot.result()
+                except ClientError as err:
+                    slot = err
+                else:
+                    if key:
+                        fresh[key] = slot
+            replies.append(slot)
+        window.popleft()
+        return job, replies
+
+    def _read(self, keys: list[str | None]) -> dict[str, str]:
+        """The stored texts of ``keys``; a failed read is a miss for each of them."""
+        if self.cache is None or not keys:
+            return {}
+        try:
+            return self.cache.get(keys)
+        except self.cache.errors as err:
+            log.warning("cache read failed, requesting the completions: %s", err)
+            return {}
+
+    def _write(self, fresh: dict[str, str]) -> None:
+        """Store ``fresh`` and empty it; a failed write keeps the completions."""
+        if fresh:
             try:
-                hit = self.cache.get(key)
+                self.cache.put(fresh)
             except self.cache.errors as err:
-                # As with a failed write: the cache only saves work, so a failed read is a miss.
-                log.warning("cache read failed, requesting the completion: %s", err)
-        if hit is None:
-            return self._executor.submit(self._send, request, key)
-        with self._lock:
-            self.stats.cache_hits += 1
-            self.stats.completions += 1
-        future: Future = Future()
-        future.set_result(hit)
-        return future
-
-    def ahead(self, jobs: Iterable[T], start: Callable[[T], S]) -> Iterator[tuple[T, S]]:
-        """Yield (job, start(job)) in job order, starting up to ``lookahead`` jobs early.
-
-        ``start`` submits a job's work and returns its futures, so the
-        consumer can wait on one job while the next ones are in flight;
-        the work in flight stays bounded however many jobs there are.
-        """
-        window: deque[tuple[T, S]] = deque()
-        for job in jobs:
-            window.append((job, start(job)))
-            if len(window) > self.lookahead:
-                yield window.popleft()
-        while window:
-            yield window.popleft()
+                log.warning("cache write failed, %d completions kept uncached: %s", len(fresh), err)
+            fresh.clear()

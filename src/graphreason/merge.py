@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 import logging
-from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from typing import Any, Generator
 
+from ._io import check_filled
 from .answers import normalize_freeform
-from .client import ClientError, CompletionRequest, SamplingConfig, read_reply
+from .client import ClientError, CompletionRequest, SamplingConfig
 from .codec import STRICT, StructuredOutput, TemplateParseError, parse, render
 from .graph import (
     WARNING_MULTIPLE_SINKS,
@@ -66,6 +66,7 @@ class CandidateSet:
     question: str
 
     def __post_init__(self) -> None:
+        check_filled(self, "question")
         if not self.candidates:
             raise ValueError("candidate set must be non-empty")
         indices = [idx for _, idx in self.candidates]
@@ -255,9 +256,9 @@ class Pending:
     request: CompletionRequest
     steps: Generator
 
-    def resume(self, sent: Future) -> Any:
-        """Go on with ``sent``, the request's future: its text, or the ClientError it raised."""
-        return advance(self.steps, read_reply(sent))
+    def resume(self, reply: str | ClientError) -> Any:
+        """Go on with the request's reply: its text, or the ClientError it raised."""
+        return advance(self.steps, reply)
 
 
 def advance(steps: Generator, reply: str | ClientError | None = None) -> Any:

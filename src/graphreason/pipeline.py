@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import logging
 import random
-from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Generator, Sequence
@@ -23,7 +22,6 @@ from .client import (
     CompletionRequest,
     SamplingConfig,
     all_failed_detail,
-    gather_trajectories,
 )
 from .codec import LENIENT, STRICT, StructuredOutput, TemplateParseError, parse, render
 from .graph import InvalidGraphError
@@ -259,6 +257,9 @@ def build_instance(
 def _instance_steps(
     item: SourceQA, replies: Sequence[str | ClientError], config: SamplingConfig, merge_mode: str
 ) -> Generator[CompletionRequest, str | ClientError, TrainingInstance | DiscardRecord]:
+    for i, reply in enumerate(replies, start=1):
+        if isinstance(reply, ClientError):
+            log.warning("sample %d/%d failed: %s", i, len(replies), reply)
     failure = all_failed_detail(replies)
     if failure is not None:
         return DiscardRecord(item.source_id, DISCARD_ALL_CANDIDATES_FAILED, failure)
@@ -366,35 +367,34 @@ def build_dataset(
 ) -> BuildResult:
     """Build a dataset from question/label pairs, preserving input order.
 
-    This thread drives every item. Samples are requested through the
-    client's executor up to ``client.lookahead`` items ahead and handed
+    This thread drives every item. Samples are requested through
+    ``client.replies`` up to ``client.lookahead`` items ahead and handed
     to ``build_instance`` in input order; an LLM merge's integration
     request, then its repair, go through windows of their own, so that
     the requests of different items overlap. ``client.concurrency`` is
-    the one parallelism setting. An unknown ``merge_mode`` raises
-    ValueError before anything is sent.
+    the one parallelism setting, and every window closes before this
+    returns or raises. An unknown ``merge_mode`` raises ValueError
+    before anything is sent.
     """
     check_merge_mode("merge_mode", merge_mode)
     repeat = repeated_id("source", (item.source_id for item in items))
     if repeat is not None:
         raise PipelineError(repeat)
 
-    def draw(item: SourceQA) -> list:
-        return [client.submit(r) for r in trajectory_requests(item.question, config)]
-
-    def send(outcome) -> Future | None:
-        return client.submit(outcome.request) if isinstance(outcome, Pending) else None
-
-    outcomes = (
-        build_instance(item, gather_trajectories(futures), config, merge_mode)
-        for item, futures in client.ahead(items, draw)
-    )
+    windows = [client.replies(items, lambda item: trajectory_requests(item.question, config))]
+    outcomes = (build_instance(item, replies, config, merge_mode) for item, replies in windows[0])
     # One window per request, chained: a single window waiting at its head
     # would send each item's repair only after the one before it came back.
     for _ in range(MAX_INTEGRATION_REQUESTS):
-        window = client.ahead(outcomes, send)
-        outcomes = (o if sent is None else o.resume(sent) for o, sent in window)
-    outcomes = list(outcomes)
+        windows.append(client.replies(
+            outcomes, lambda outcome: [outcome.request] if isinstance(outcome, Pending) else []
+        ))
+        outcomes = (o.resume(*replies) if replies else o for o, replies in windows[-1])
+    try:
+        outcomes = list(outcomes)
+    finally:
+        for window in windows:
+            window.close()
 
     instances = [o for o in outcomes if isinstance(o, TrainingInstance)]
     discards = [o for o in outcomes if isinstance(o, DiscardRecord)]

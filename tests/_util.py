@@ -152,10 +152,16 @@ def queue_failures(backend: MockBackend, *errors: ClientError) -> None:
     _script_failures(backend, error_for)
 
 
+def reply_to(client: ChatClient, request: CompletionRequest) -> str | ClientError:
+    """One request's reply, text or ClientError, sent through ``client.replies``."""
+    [(_, [reply])] = client.replies([request], lambda request: [request])
+    return reply
+
+
 def finish(outcome, client: ChatClient):
     """Send a pending item's requests through ``client`` until its outcome comes back."""
     while isinstance(outcome, Pending):
-        outcome = outcome.resume(client.submit(outcome.request))
+        outcome = outcome.resume(reply_to(client, outcome.request))
     return outcome
 
 
@@ -170,15 +176,15 @@ class FailingCache(ResponseCache):
         self.error = error
         self.failing = failing
 
-    def get(self, key: str) -> str | None:
+    def get(self, keys):
         if self.failing == "get":
             raise self.error
-        return super().get(key)
+        return super().get(keys)
 
-    def put(self, key: str, text: str) -> None:
+    def put(self, rows) -> None:
         if self.failing == "put":
             raise self.error
-        super().put(key, text)
+        super().put(rows)
 
 
 # Row values that ResponseCache.put never writes, as parameters for corrupt_store.

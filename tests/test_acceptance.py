@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from _util import fail_first_attempts, random_candidate_output, random_output
+from _util import fail_first_attempts, random_candidate_output, random_output, reply_to
 from conftest import record_acceptance
 from graphreason.answers import answers_match, normalize_freeform
 from graphreason.bench import (
@@ -34,7 +34,6 @@ from graphreason.client import (
     CompletionRequest,
     MockBackend,
     SamplingConfig,
-    gather_trajectories,
 )
 from graphreason.codec import STRICT, StructuredOutput, parse, render
 from graphreason.graph import export_dot, sinks
@@ -320,17 +319,17 @@ def test_criterion_08_transport_behavior():
     fail_first_attempts(backend, 2)
     request = CompletionRequest("sys", "probe", SamplingConfig(model_name="m"))
     retrying = quiet_client(backend)
-    assert retrying.submit(request).result() == "ok"
+    assert reply_to(retrying, request) == "ok"
     assert (backend.calls, retrying.stats.retries) == (3, 2)
 
     eight = trajectory_requests("what?", SamplingConfig(model_name="m", k=8))
     ordered = quiet_client(MockBackend({"Question:": [f"reply {i}" for i in range(8)]}))
-    samples = gather_trajectories([ordered.submit(r) for r in eight])
+    [(_, samples)] = ordered.replies([eight], lambda requests: requests)
     assert samples == [f"reply {i}" for i in range(8)]
 
     bounded = MockBackend(default="ok", delay=0.005)
     client = quiet_client(bounded, concurrency=3)
-    gather_trajectories([client.submit(r) for r in eight])
+    list(client.replies([eight], lambda requests: requests))
     assert bounded.calls == 8
     assert bounded.max_concurrent <= 3
     assert client.stats.max_in_flight <= 3

@@ -20,7 +20,6 @@ from graphreason.client import (
     MockBackend,
     ProtocolError,
     SamplingConfig,
-    gather_trajectories,
 )
 from graphreason.codec import STRICT, parse
 from graphreason.merge import MERGE_MODES
@@ -340,10 +339,9 @@ def test_merge_command_finishes_each_item_as_the_build_does(tmp_path, capsys, mo
     with ChatClient(MockBackend.from_file(GOLDEN / "mock.json"), sleep=lambda _: None) as client:
         result = build_dataset(items, client, config, merge_mode=mode)
         samples = {
-            item.source_id: gather_trajectories(
-                [client.submit(r) for r in trajectory_requests(item.question, config)]
+            item.source_id: replies for item, replies in client.replies(
+                items, lambda item: trajectory_requests(item.question, config)
             )
-            for item in items
         }
     failures = {
         d.source_id: d.detail for d in result.discards

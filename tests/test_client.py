@@ -21,6 +21,7 @@ from _util import (
     corrupt_store,
     fail_first_attempts,
     queue_failures,
+    reply_to,
     run_python,
 )
 from graphreason.client import (
@@ -38,7 +39,6 @@ from graphreason.client import (
     TransportExhaustedError,
     all_failed_detail,
     cache_key,
-    gather_trajectories,
     parse_retry_after,
 )
 from graphreason.pipeline import trajectory_requests
@@ -56,12 +56,20 @@ def no_sleep_client(backend, **kw) -> ChatClient:
     return ChatClient(backend, **kw)
 
 
+def complete(client: ChatClient, request: CompletionRequest) -> str:
+    """``request``'s completion text; the ClientError it raised is raised here."""
+    reply = reply_to(client, request)
+    if isinstance(reply, ClientError):
+        raise reply
+    return reply
+
+
 def sample_round(
     client: ChatClient, question: str, config: SamplingConfig
 ) -> list[str | ClientError]:
-    """One question's k samples, submitted and gathered as build and ``sample`` do."""
-    requests = trajectory_requests(question, config)
-    return gather_trajectories([client.submit(r) for r in requests])
+    """One question's k samples, requested as build and ``sample`` do."""
+    [(_, replies)] = client.replies([question], lambda q: trajectory_requests(q, config))
+    return replies
 
 
 class TestConfigValidation:
@@ -160,8 +168,8 @@ class TestResponseCache:
         "", "plain", "naïve ✓", "lone \ud800 surrogate", "\udfff\ud800", "nul \x00 byte",
     ])
     def test_any_str_round_trips(self, tmp_path, text):
-        ResponseCache(tmp_path).put("k", text)
-        assert ResponseCache(tmp_path).get("k") == text
+        ResponseCache(tmp_path).put({"k": text})
+        assert ResponseCache(tmp_path).get(["k"]) == {"k": text}
 
     def test_a_file_that_is_not_a_store_is_a_value_error_naming_it(self, tmp_path):
         (tmp_path / ResponseCache.FILENAME).write_text("not a database " * 20)
@@ -170,7 +178,7 @@ class TestResponseCache:
         assert str(err.value).startswith(f"{tmp_path / ResponseCache.FILENAME}: ")
 
     def test_one_file_per_store(self, tmp_path):
-        ResponseCache(tmp_path / "cache").put("k", "v")
+        ResponseCache(tmp_path / "cache").put({"k": "v"})
         assert (tmp_path / "cache" / ResponseCache.FILENAME).is_file()
 
     def test_concurrent_puts_and_gets(self, tmp_path):
@@ -181,9 +189,9 @@ class TestResponseCache:
             try:
                 for i in range(40):
                     key = f"{thread}-{i}"
-                    store.put(key, f"text {key}")
-                    store.put("shared", f"text {key}")
-                    if store.get(key) != f"text {key}" or store.get("shared") is None:
+                    store.put({key: f"text {key}"})
+                    store.put({"shared": f"text {key}"})
+                    if store.get([key]) != {key: f"text {key}"} or not store.get(["shared"]):
                         problems.append(key)
             except Exception as err:  # a thread's exception would otherwise vanish
                 problems.append(err)
@@ -201,28 +209,29 @@ class TestResponseCache:
         assert not any(thread.is_alive() for thread in threads)
         assert problems == []
         fresh = ResponseCache(tmp_path)
-        assert all(fresh.get(f"{t}-{i}") == f"text {t}-{i}" for t in range(8) for i in range(40))
+        keys = [f"{t}-{i}" for t in range(8) for i in range(40)]
+        assert fresh.get(keys) == {key: f"text {key}" for key in keys}
 
     def test_two_stores_on_one_directory_see_each_others_writes(self, tmp_path):
         first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
-        first.put("a", "from first")
-        second.put("b", "from second")
-        assert (first.get("b"), second.get("a")) == ("from second", "from first")
+        first.put({"a": "from first"})
+        second.put({"b": "from second"})
+        assert (first.get(["b"]), second.get(["a"])) == ({"b": "from second"}, {"a": "from first"})
 
     def test_put_survives_a_writer_that_exits_without_closing(self, tmp_path):
         script = (
             "import os, sys\n"
             "from graphreason.client import ResponseCache\n"
             "store = ResponseCache(sys.argv[1])\n"
-            "store.put('k', 'written before exit')\n"
+            "store.put({'k': 'written before exit'})\n"
             "os._exit(0)\n"
         )
         run_python(script, str(tmp_path))
-        assert ResponseCache(tmp_path).get("k") == "written before exit"
+        assert ResponseCache(tmp_path).get(["k"]) == {"k": "written before exit"}
 
     def test_new_and_reopened_stores_bound_their_page_cache(self, tmp_path):
         new = ResponseCache(tmp_path)
-        new.put("k", "v")
+        new.put({"k": "v"})
         reopened = ResponseCache(tmp_path)
         for store in (new, reopened):
             # A negative cache_size is a bound in KiB.
@@ -231,14 +240,13 @@ class TestResponseCache:
     def test_a_store_larger_than_its_page_cache_round_trips(self, tmp_path):
         texts = {f"k{i}": f"{i} " + "naïve ✓ \ud800 " * 150 for i in range(300)}
         store = ResponseCache(tmp_path)
-        for key, text in texts.items():
-            store.put(key, text)
+        store.put(texts)
         (size,) = store._db.execute(
             "SELECT page_count * page_size FROM pragma_page_count, pragma_page_size"
         ).fetchone()
         assert size > 2 * STORE_PAGE_CACHE_KIB * 1024
         for reader in (store, ResponseCache(tmp_path)):
-            assert {key: reader.get(key) for key in texts} == texts
+            assert reader.get(list(texts)) == texts
 
     def test_dropped_store_closes_its_connection(self, tmp_path):
         store = ResponseCache(tmp_path)
@@ -252,7 +260,7 @@ class TestComplete:
     def test_scripted_reply(self):
         backend = MockBackend(default="pong")
         client = no_sleep_client(backend)
-        result = client.submit(request()).result()
+        result = complete(client, request())
         assert result == "pong"
         # Sent once, not from a cache, and not retried.
         assert (backend.calls, client.stats.cache_hits, client.stats.retries) == (1, 0, 0)
@@ -260,9 +268,9 @@ class TestComplete:
     def test_cache_roundtrip(self, tmp_path):
         backend = MockBackend(default="pong")
         client = no_sleep_client(backend, cache=ResponseCache(tmp_path))
-        first = client.submit(request()).result()
+        first = complete(client, request())
         assert (first, backend.calls, client.stats.cache_hits) == ("pong", 1, 0)
-        second = client.submit(request()).result()
+        second = complete(client, request())
         assert second == "pong"
         # The second reply came from the cache: no send and no retry.
         assert backend.calls == 1
@@ -271,10 +279,10 @@ class TestComplete:
 
     def test_cache_survives_new_client(self, tmp_path):
         client_a = no_sleep_client(MockBackend(default="pong"), cache=ResponseCache(tmp_path))
-        client_a.submit(request()).result()
+        complete(client_a, request())
         fresh_backend = MockBackend(default="changed")
         client_b = no_sleep_client(fresh_backend, cache=ResponseCache(tmp_path))
-        result = client_b.submit(request()).result()
+        result = complete(client_b, request())
         assert result == "pong"
         assert client_b.stats.cache_hits == 1
         assert fresh_backend.calls == 0
@@ -287,7 +295,7 @@ class TestComplete:
         backend = MockBackend(default="pong")
         client = no_sleep_client(backend, cache=cache)
         with caplog.at_level(logging.WARNING, logger="graphreason.client"):
-            result = client.submit(request()).result(timeout=30)
+            result = complete(client, request())
         assert result == "pong"
         assert (backend.calls, client.stats.cache_hits) == (1, 0)
         assert client.stats.completions == 1
@@ -300,34 +308,34 @@ class TestComplete:
         backend = MockBackend(default="pong")
         client = no_sleep_client(backend, cache=FailingCache(tmp_path, error, "get"))
         with caplog.at_level(logging.WARNING, logger="graphreason.client"):
-            result = client.submit(request()).result(timeout=30)
+            result = complete(client, request())
         assert result == "pong"
         assert (backend.calls, client.stats.cache_hits) == (1, 0)
         assert caplog.text.count("cache read failed") == 1
         # The read failed, not the store: the completion is still written.
-        assert ResponseCache(tmp_path).get(cache_key(request())) == "pong"
+        assert ResponseCache(tmp_path).get([cache_key(request())]) == {cache_key(request()): "pong"}
 
     @pytest.mark.parametrize("value", NOT_UTF8_TEXT)
     def test_a_row_that_is_not_utf8_text_is_a_miss_that_the_reply_replaces(
         self, tmp_path, caplog, value
     ):
-        ResponseCache(tmp_path).put(cache_key(request()), "stored")
+        ResponseCache(tmp_path).put({cache_key(request()): "stored"})
         assert corrupt_store(tmp_path, value) == 1
         backend = MockBackend(default="pong")
         client = no_sleep_client(backend, cache=ResponseCache(tmp_path))
         with caplog.at_level(logging.WARNING, logger="graphreason.client"):
-            result = client.submit(request()).result(timeout=30)
+            result = complete(client, request())
         assert result == "pong"
         assert (backend.calls, client.stats.cache_hits) == (1, 0)
         assert caplog.text.count("cache read failed") == 1
         assert f"the entry for {cache_key(request())} is not UTF-8 text" in caplog.text
-        assert ResponseCache(tmp_path).get(cache_key(request())) == "pong"
+        assert ResponseCache(tmp_path).get([cache_key(request())]) == {cache_key(request()): "pong"}
 
     def test_retry_then_success(self):
         backend = MockBackend(default="ok")
         fail_first_attempts(backend, 2)
         client = no_sleep_client(backend)
-        result = client.submit(request()).result()
+        result = complete(client, request())
         assert result == "ok"
         assert backend.calls == 3
         assert client.stats.retries == 2
@@ -337,7 +345,7 @@ class TestComplete:
         fail_first_attempts(backend, 99)
         client = no_sleep_client(backend, max_attempts=4)
         with pytest.raises(TransportExhaustedError) as err:
-            client.submit(request()).result()
+            complete(client, request())
         assert err.value.attempts == 4
         assert backend.calls == 4
 
@@ -346,7 +354,7 @@ class TestComplete:
         queue_failures(backend, AuthError("nope"))
         client = no_sleep_client(backend)
         with pytest.raises(AuthError):
-            client.submit(request()).result()
+            complete(client, request())
         assert backend.calls == 1
 
     def test_protocol_error_never_retried(self):
@@ -354,7 +362,7 @@ class TestComplete:
         queue_failures(backend, ProtocolError("garbled"))
         client = no_sleep_client(backend)
         with pytest.raises(ProtocolError):
-            client.submit(request()).result()
+            complete(client, request())
         assert backend.calls == 1
 
     def test_backoff_schedule_with_jitter(self):
@@ -362,7 +370,7 @@ class TestComplete:
         backend = MockBackend(default="ok")
         fail_first_attempts(backend, 3)
         client = ChatClient(backend, sleep=delays.append, max_attempts=4)
-        client.submit(request()).result()
+        complete(client, request())
         assert len(delays) == 3
         for n, delay in enumerate(delays):
             nominal = 2**n
@@ -403,8 +411,7 @@ class TestSampling:
             raise ProtocolError(f"boom {req.sample_index}")
 
         client = no_sleep_client(MockBackend(responder=responder))
-        requests = trajectory_requests("what?", CONFIG)
-        samples = gather_trajectories([client.submit(r) for r in requests])
+        samples = sample_round(client, "what?", CONFIG)
         assert [type(sample) for sample in samples] == [ProtocolError] * 3
         assert all_failed_detail(samples) == "all 3 samples failed: boom 0; boom 1; boom 2"
         assert all_failed_detail(["text", ProtocolError("boom")]) is None
@@ -602,7 +609,7 @@ class TestRetryAfter:
             backoff_base=backoff,
             rng=_NoJitter(),
         )
-        result = client.submit(request()).result()
+        result = complete(client, request())
         assert result == "hi there"
         assert session.responses == []
         assert (client.stats.requests_attempted, client.stats.retries) == (2, 1)
@@ -619,7 +626,7 @@ class TestRetryAfter:
             HttpBackend("http://example.invalid/v1/chat", session=session), sleep=delays.append
         )
         with pytest.raises(TransportExhaustedError, match="over the 120s limit") as err:
-            client.submit(request()).result()
+            complete(client, request())
         assert err.value.attempts == 1
         assert err.value.last.status == 429
         assert delays == []
@@ -649,7 +656,7 @@ class TestMockFixtureFile:
         cfg = SamplingConfig(model_name="m", k=2)
         samples = sample_round(client, "so, what?", cfg)
         assert samples == ["a", "b"]
-        assert client.submit(request("unmatched")).result() == "fallthrough"
+        assert complete(client, request("unmatched")) == "fallthrough"
 
     @pytest.mark.parametrize(
         "body,problem",
@@ -680,4 +687,4 @@ class TestMockFixtureFile:
         backend = MockBackend({"nope": "x"})
         client = no_sleep_client(backend)
         with pytest.raises(ProtocolError):
-            client.submit(request("other")).result()
+            complete(client, request("other"))

@@ -1,16 +1,22 @@
 """The ``graphreason`` command run as a user runs it: in a fresh interpreter.
 
 Each row is one run of ``python -m graphreason.cli`` in a real process,
-so the exit code and the streams are the real ones. A row gives the
-input file and its one line, the argv, and what the run must print.
+so the exit code and the streams are the real ones. A bad-input row
+gives the input file and its one line, the argv, and what the run must
+print. The walkthrough rows run the README's own fixture through the
+store: two builds with one ``--cache-dir``, a rebuild from a corrupt
+store, and an LLM-merge build cold then warm.
 """
 from __future__ import annotations
 
 import json
+import re
+import subprocess
+from pathlib import Path
 
 import pytest
 
-from _util import run_cli
+from _util import corrupt_store, run_cli
 
 MOCK = {"default": "<reasoning>\n<step> a → b </step>\n</reasoning>\n<answer> 4 </answer>"}
 BUILD = ["build", "--out", "out/", "--mock", "mock.json", "--sources"]
@@ -39,3 +45,72 @@ def test_a_bad_input_file_is_one_error_line_and_no_traceback(tmp_path, case):
     assert len(errors) == 1 and errors[0].startswith(f"error: {name}:1: field '{field}' must be ")
     assert "Traceback" not in result.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_merge_refuses_a_blank_question(tmp_path):
+    samples = {"question": " \t", "samples": [MOCK["default"]]}
+    (tmp_path / "samples.json").write_text(json.dumps(samples))
+    result = run_cli("merge", "samples.json", cwd=tmp_path)
+    assert result.returncode == 1
+    errors = [entry for entry in result.stderr.splitlines() if entry.startswith("error:")]
+    assert errors == ["error: samples.json: question must be non-empty"]
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+# The README walkthrough's store runs: the README's mock.json and sources.jsonl,
+# built twice into dataset/ with one --cache-dir, as a user who reruns a build does.
+README = Path(__file__).parent.parent / "README.md"
+README_BUILD = [
+    "build", "--sources", "sources.jsonl", "--mock", "mock.json", "--k", "3", "--seed", "7",
+]
+
+
+def dataset(out: Path) -> dict[str, bytes]:
+    """The bytes of each file a build writes into ``out``."""
+    names = ("train.jsonl", "valid.jsonl", "report.json")
+    return {name: (out / name).read_bytes() for name in names}
+
+
+@pytest.fixture(scope="module")
+def walkthrough(tmp_path_factory) -> tuple[Path, list[subprocess.CompletedProcess]]:
+    root = tmp_path_factory.mktemp("walkthrough")
+    setup = re.search(r"```sh\n(cat > mock\.json.*?)```", README.read_text("utf-8"), re.S).group(1)
+    subprocess.run(["bash", "-euo", "pipefail", "-c", setup], cwd=root, check=True, timeout=60)
+    runs = [run_cli(*README_BUILD, "--out", "dataset/", "--cache-dir", "cache/", cwd=root)
+            for _ in range(2)]
+    return root, runs
+
+
+def test_two_cache_dir_builds_of_the_walkthrough_succeed(walkthrough):
+    _, runs = walkthrough
+    assert [run.returncode for run in runs] == [0, 0]
+    assert not any("Traceback" in run.stderr for run in runs)
+
+
+def test_lenient_only_samples_are_one_count_on_stdout_not_a_warning(walkthrough):
+    _, (first, _) = walkthrough
+    assert re.search(r"^lenient-only samples: [0-9]+$", first.stdout, re.M)
+    assert "accepted only under lenient parsing" not in first.stderr
+
+
+def test_a_store_of_rows_that_are_not_utf8_is_requested_again_with_the_same_files(walkthrough):
+    # Each read is a miss, the completions are requested again, and the rebuild
+    # writes the same files.
+    root, _ = walkthrough
+    assert corrupt_store(root / "cache", b"\xff not utf-8") > 0
+    result = run_cli(*README_BUILD, "--out", "dataset-corrupt/", "--cache-dir", "cache/", cwd=root)
+    assert result.returncode == 0
+    assert dataset(root / "dataset-corrupt") == dataset(root / "dataset")
+
+
+def test_an_llm_merge_build_runs_cold_then_warm(walkthrough):
+    root, _ = walkthrough
+    argv = [*README_BUILD, "--out", "dataset-llm/", "--merge-mode", "llm-with-fallback",
+            "--cache-dir", "cache-llm/"]
+    cold = run_cli(*argv, cwd=root)
+    cold_files = dataset(root / "dataset-llm")
+    warm = run_cli(*argv, cwd=root)
+    assert (cold.returncode, warm.returncode) == (0, 0)
+    assert dataset(root / "dataset-llm") == cold_files
+    assert run_cli("validate", "dataset-llm/train.jsonl", cwd=root).returncode == 0

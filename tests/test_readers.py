@@ -204,7 +204,7 @@ READERS = {
     ),
     "read_items": Reader(
         {"question": "q?", "label": "4", "benchmark": "demo", "item_id": "d1"},
-        {"question": "text", "label": "text", "benchmark": "text", "item_id": "text"},
+        {"question": "text", "label": "label", "benchmark": "text", "item_id": "text"},
         ":1", _jsonl, _items(read_items), optional=(),
     ),
     "merge": Reader(

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from _util import fail_first_attempts
+from _util import fail_first_attempts, reply_to
 from graphreason.client import (
     THREADS_PER_SLOT,
     ChatClient,
@@ -16,7 +16,6 @@ from graphreason.client import (
     MockBackend,
     ResponseCache,
     SamplingConfig,
-    gather_trajectories,
 )
 from graphreason.pipeline import SourceQA, build_dataset, trajectory_requests
 from graphreason.prompts import REPAIR_SUFFIX
@@ -68,12 +67,10 @@ def test_build_thread_starts_do_not_grow_with_items(thread_starts):
 def test_cache_hits_resolve_in_the_caller(tmp_path, thread_starts):
     request = CompletionRequest("sys", "probe", SamplingConfig(model_name="m"))
     cache = ResponseCache(tmp_path)
-    ChatClient(MockBackend(default="cached"), cache=cache).submit(request).result()
+    reply_to(ChatClient(MockBackend(default="cached"), cache=cache), request)
     thread_starts.clear()
     backend = MockBackend(default="fresh")
-    future = ChatClient(backend, cache=cache).submit(request)
-    assert future.done()
-    assert future.result() == "cached"
+    assert reply_to(ChatClient(backend, cache=cache), request) == "cached"
     assert backend.calls == 0
     assert thread_starts == []
 
@@ -136,9 +133,7 @@ def _client_threads(before: set[threading.Thread]) -> list[threading.Thread]:
 def test_threads_exit_when_the_client_is_collected():
     before = set(threading.enumerate())
     client = ChatClient(MockBackend(default="ok"), concurrency=2)
-    gather_trajectories(
-        [client.submit(r) for r in trajectory_requests("what?", CONFIG)]
-    )
+    list(client.replies(["what?"], lambda question: trajectory_requests(question, CONFIG)))
     threads = _client_threads(before)
     assert 1 <= len(threads) <= THREADS_PER_SLOT * 2
     del client
@@ -152,9 +147,7 @@ def test_threads_exit_when_the_client_is_collected():
 def test_threads_exit_on_close():
     before = set(threading.enumerate())
     with ChatClient(MockBackend(default="ok"), concurrency=2) as client:
-        gather_trajectories(
-            [client.submit(r) for r in trajectory_requests("what?", CONFIG)]
-        )
+        list(client.replies(["what?"], lambda question: trajectory_requests(question, CONFIG)))
         threads = _client_threads(before)
     for thread in threads:
         thread.join(timeout=5)
