@@ -202,11 +202,10 @@ class Fields:
             raise SchemaError(f"{self.where}: {err}") from None
 
 
-def check_filled(record: object, *names: str) -> None:
-    """Raise ValueError naming the first of ``names`` whose text on ``record`` is blank."""
-    for name in names:
-        if not getattr(record, name).strip():
-            raise ValueError(f"{name} must be non-empty")
+def check_non_empty(name: str, value: str) -> None:
+    """Raise ValueError naming ``name`` when ``value`` is empty or only whitespace."""
+    if not value.strip():
+        raise ValueError(f"{name} must be non-empty")
 
 
 def repeated_id(kind: str, ids: Iterable[str]) -> str | None:

@@ -20,7 +20,7 @@ from ._io import (
     Fields,
     SchemaError,
     atomic_write,
-    check_filled,
+    check_non_empty,
     jsonl_lines,
     read_json,
     read_records,
@@ -66,7 +66,8 @@ class BenchmarkItem:
     item_id: str
 
     def __post_init__(self) -> None:
-        check_filled(self, "question", "label", "item_id")
+        for name in ("question", "label", "item_id"):
+            check_non_empty(name, getattr(self, name))
 
 
 def format_options(options: Sequence[str], where: str) -> str:

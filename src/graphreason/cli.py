@@ -37,6 +37,7 @@ from ._io import (
     Fields,
     SchemaError,
     atomic_write,
+    check_non_empty,
     jsonl_lines,
     read_json,
     read_jsonl,
@@ -70,7 +71,6 @@ from .client import (
     SamplingConfig,
     all_failed_detail,
     check_at_least_one,
-    check_non_empty,
     check_temperature,
 )
 from .codec import LENIENT, STRICT, StructuredOutput, TemplateParseError, parse, render
@@ -340,6 +340,10 @@ def cmd_viz(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
+    try:
+        check_non_empty("question", args.question)
+    except ValueError as err:
+        raise CommandError(str(err)) from None
     config = make_sampling_config(cfg)
     with make_client(cfg) as client:
         [(_, replies)] = client.replies(

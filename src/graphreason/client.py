@@ -34,7 +34,7 @@ from typing import (
     TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar,
 )
 
-from ._io import Fields, read_json
+from ._io import Fields, check_non_empty, read_json
 
 if TYPE_CHECKING:
     import requests
@@ -54,9 +54,6 @@ REQUEST_TIMEOUT = 60.0
 MAX_RETRY_AFTER = 120.0
 # Each backoff delay is scaled by a factor drawn from [1 - this, 1 + this].
 BACKOFF_JITTER = 0.2
-# Executor threads per concurrency slot: a send holds a slot, while a
-# retry's backoff sleep runs on a thread without one.
-THREADS_PER_SLOT = 2
 # Jobs that ChatClient.replies requests ahead, per concurrency slot.
 LOOKAHEAD_PER_SLOT = 4
 # SQLite page cache of an open ResponseCache, in KiB. A run writes each
@@ -105,12 +102,6 @@ class TransportExhaustedError(ClientError):
         super().__init__(message)
         self.attempts = attempts
         self.last = last
-
-
-def check_non_empty(name: str, value: str) -> None:
-    """Raise ValueError naming ``name`` when ``value`` is empty or only whitespace."""
-    if not value.strip():
-        raise ValueError(f"{name} must be non-empty")
 
 
 def check_at_least_one(name: str, value: int) -> None:
@@ -490,16 +481,17 @@ class ChatClient:
     ``max_attempts``; a Retry-After over ``MAX_RETRY_AFTER`` seconds
     gives up at once, and auth and protocol failures propagate
     immediately.
-    A semaphore shared by every caller keeps the number of in-flight
-    backend sends at or under ``concurrency``.
 
-    Each client owns one executor of ``THREADS_PER_SLOT * concurrency``
-    threads, started on demand and stopped by ``close`` (or leaving a
-    ``with`` block) or when the client is garbage-collected. Every
-    caller (``build_dataset``, ``evaluate``, the ``sample`` and ``merge``
-    commands) sends through ``replies``, so ``concurrency`` is the one
-    parallelism setting. ``replies`` reads and writes the store on the
-    caller's thread; executor tasks only send.
+    Each client owns one executor of ``concurrency`` threads, started on
+    demand and stopped by ``close`` (or leaving a ``with`` block) or when
+    the client is garbage-collected; it is the one bound on in-flight
+    backend sends. A send, its backoff sleeps and its retries run on one
+    thread, so a backoff holds its slot and a retry goes out as soon as
+    its backoff ends. Every caller (``build_dataset``, ``evaluate``, the
+    ``sample`` and ``merge`` commands) sends through ``replies``, so
+    ``concurrency`` is the one parallelism setting. ``replies`` reads
+    and writes the store on the caller's thread; executor tasks only
+    send.
     """
 
     def __init__(
@@ -524,10 +516,9 @@ class ChatClient:
         self.stats = ClientStats()
         self._sleep = sleep
         self._rng = rng or random.Random()
-        self._semaphore = threading.Semaphore(concurrency)
         self._lock = threading.Lock()
         self._in_flight_now = 0
-        self._executor = ThreadPoolExecutor(THREADS_PER_SLOT * concurrency, "graphreason-client")
+        self._executor = ThreadPoolExecutor(concurrency, "graphreason-client")
         # Queued tasks hold the client, so it is only collected once idle.
         self._shutdown = weakref.finalize(self, self._executor.shutdown, wait=False)
 
@@ -543,7 +534,6 @@ class ChatClient:
 
     @contextmanager
     def _in_flight(self) -> Iterator[None]:
-        self._semaphore.acquire()
         with self._lock:
             self._in_flight_now += 1
             self.stats.max_in_flight = max(self.stats.max_in_flight, self._in_flight_now)
@@ -552,7 +542,6 @@ class ChatClient:
         finally:
             with self._lock:
                 self._in_flight_now -= 1
-            self._semaphore.release()
 
     def _backoff_delay(self, attempt: int) -> float:
         jitter = 1.0 + self._rng.uniform(-BACKOFF_JITTER, BACKOFF_JITTER)

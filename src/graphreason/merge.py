@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Any, Generator
 
-from ._io import check_filled
+from ._io import check_non_empty
 from .answers import normalize_freeform
 from .client import ClientError, CompletionRequest, SamplingConfig
 from .codec import STRICT, StructuredOutput, TemplateParseError, parse, render
@@ -66,7 +66,7 @@ class CandidateSet:
     question: str
 
     def __post_init__(self) -> None:
-        check_filled(self, "question")
+        check_non_empty("question", self.question)
         if not self.candidates:
             raise ValueError("candidate set must be non-empty")
         indices = [idx for _, idx in self.candidates]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Generator, Sequence
 
-from ._io import atomic_write, check_filled, jsonl_lines, read_records, repeated_id
+from ._io import atomic_write, check_non_empty, jsonl_lines, read_records, repeated_id
 from .answers import answers_match
 from .client import (
     ChatClient,
@@ -76,7 +76,8 @@ class SourceQA:
     source_id: str
 
     def __post_init__(self) -> None:
-        check_filled(self, "question", "label", "source_id")
+        for name in ("question", "label", "source_id"):
+            check_non_empty(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

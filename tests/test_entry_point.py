@@ -58,6 +58,17 @@ def test_merge_refuses_a_blank_question(tmp_path):
     assert result.stdout == ""
 
 
+def test_sample_refuses_a_blank_question_before_building_a_client(tmp_path):
+    (tmp_path / "mock.json").write_text(json.dumps(MOCK))
+    result = run_cli("sample", "  ", "--mock", "mock.json", "--k", "1", "--cache-dir", "cache",
+                     cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == ["error: question must be non-empty"]
+    assert result.stdout == ""
+    # The client's store is made with the client, so no store means no send.
+    assert not (tmp_path / "cache").exists()
+
+
 # The README walkthrough's store runs: the README's mock.json and sources.jsonl,
 # built twice into dataset/ with one --cache-dir, as a user who reruns a build does.
 README = Path(__file__).parent.parent / "README.md"

@@ -336,6 +336,8 @@ DELETED_MODULE_NAMES = (
     ("pipeline", "SourceFormatError"),
     ("_io", "record_id"),
     ("_io", "first_repeat"),
+    ("client", "THREADS_PER_SLOT"),
+    ("_io", "check_filled"),
 )
 # (module, class, attribute): methods and dataclass fields.
 DELETED_ATTRIBUTES = (

@@ -1,4 +1,4 @@
-"""The client's one executor: fixed thread count, overlap, no deadlock, no leaked threads."""
+"""The client's one executor: thread count, retry order, overlap, no deadlock, no leaked threads."""
 from __future__ import annotations
 
 import gc
@@ -10,12 +10,12 @@ import pytest
 
 from _util import fail_first_attempts, reply_to
 from graphreason.client import (
-    THREADS_PER_SLOT,
     ChatClient,
     CompletionRequest,
     MockBackend,
     ResponseCache,
     SamplingConfig,
+    TransientError,
 )
 from graphreason.pipeline import SourceQA, build_dataset, trajectory_requests
 from graphreason.prompts import REPAIR_SUFFIX
@@ -61,7 +61,7 @@ def test_build_thread_starts_do_not_grow_with_items(thread_starts):
         assert build_dataset(items, client, CONFIG).report.retained == n
         counts[n] = len(thread_starts)
         thread_starts.clear()
-    assert all(1 <= count <= THREADS_PER_SLOT * 2 for count in counts.values()), counts
+    assert all(1 <= count <= 2 for count in counts.values()), counts
 
 
 def test_cache_hits_resolve_in_the_caller(tmp_path, thread_starts):
@@ -73,6 +73,27 @@ def test_cache_hits_resolve_in_the_caller(tmp_path, thread_starts):
     assert reply_to(ChatClient(backend, cache=cache), request) == "cached"
     assert backend.calls == 0
     assert thread_starts == []
+
+
+def test_a_retry_is_sent_before_the_sends_queued_after_it():
+    # Job a's first send is refused with a 429; its retry holds the one slot
+    # through a short real backoff, so b to e wait for it.
+    sent = []
+
+    def respond(request):
+        job = request.user_prompt
+        if job == "a" and not sent:
+            sent.append("a!")
+            raise TransientError("scripted 429", status=429)
+        sent.append(job)
+        return job
+
+    client = ChatClient(MockBackend(responder=respond), concurrency=1, backoff_base=0.05)
+    jobs = "abcde"
+    replies = list(client.replies(jobs, lambda job: [CompletionRequest("sys", job, CONFIG)]))
+    assert replies == [(job, [job]) for job in jobs]
+    assert sent == ["a!", "a", "b", "c", "d", "e"]
+    assert client.stats.retries == 1
 
 
 @pytest.mark.parametrize("mode", ["llm", "llm-with-fallback"])
@@ -135,7 +156,7 @@ def test_threads_exit_when_the_client_is_collected():
     client = ChatClient(MockBackend(default="ok"), concurrency=2)
     list(client.replies(["what?"], lambda question: trajectory_requests(question, CONFIG)))
     threads = _client_threads(before)
-    assert 1 <= len(threads) <= THREADS_PER_SLOT * 2
+    assert 1 <= len(threads) <= 2
     del client
     gc.collect()
     for thread in threads:
