@@ -1,24 +1,29 @@
 """The completion store as build and eval use it: read and written by the caller, kept on abort.
 
 ``ChatClient.replies`` reads a window's keys a batch at a time and writes
-the completions it has handed out, on the caller's thread. These tests
-pin what that leaves in the store: every completion of a run that
-returns, every completion received before a run that raised, and
-nothing sent again by a warm rerun.
+the completions it has handed out, on the caller's thread, before it
+waits. These tests pin what that leaves in the store: every completion
+of a run that returns, every completion received before a run that
+raised, one reply for a request made twice, and nothing sent again by a
+warm rerun.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import re
 import sqlite3
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from graphreason import bench, pipeline
-from graphreason.bench import evaluate, read_items, write_report
+from graphreason.bench import BenchmarkItem, evaluate, read_items, write_report
 from graphreason.client import (
+    LOOKAHEAD_PER_SLOT,
     STORE_KEYS_PER_QUERY,
     ChatClient,
     CompletionRequest,
@@ -157,10 +162,11 @@ def test_an_aborted_run_keeps_what_it_received_and_a_rerun_sends_only_the_rest(
 def test_closing_a_window_stores_every_completion_received(tmp_path):
     backend = MockBackend(responder=lambda request: "reply to " + request.user_prompt)
     client = ChatClient(backend, cache=ResponseCache(tmp_path), concurrency=1)
-    jobs = [CompletionRequest("sys", f"q{i}", CONFIG) for i in range(10)]
+    jobs = [CompletionRequest("sys", f"q{i}", CONFIG) for i in range(client.lookahead + 10)]
     window = client.replies(jobs, lambda request: [request])
     assert next(window) == (jobs[0], ["reply to q0"])
-    # Job 0 is handed out and jobs 1-4 wait in the window: let every send come back.
+    # Job 0 is handed out and the next `lookahead` jobs wait in the window, the
+    # rest of the second batch unsent: let every send come back.
     client._executor.shutdown(wait=True)
     assert stored_keys(tmp_path) == set()
     window.close()
@@ -258,13 +264,112 @@ class ThreadRecordingCache(ResponseCache):
         super().put(rows)
 
 
+class AfterThePreviousIsStored:
+    """A responder whose reply to each job waits until the job before it is in the store.
+
+    It polls a second store on the same directory, so it sees only what
+    the client has committed. A job that waits over ``timeout`` seconds
+    is recorded in ``missed``, and the jobs after it do not wait.
+    """
+
+    def __init__(self, root: Path, jobs: list[CompletionRequest], timeout: float = 2.0) -> None:
+        self.store = ResponseCache(root)
+        self.previous = {job.user_prompt: cache_key(before) for before, job in zip(jobs, jobs[1:])}
+        self.timeout = timeout
+        self.missed: list[str] = []
+
+    def __call__(self, request: CompletionRequest) -> str:
+        key = self.previous.get(request.user_prompt)
+        deadline = time.monotonic() + self.timeout
+        while key and not self.store.get([key]):
+            if time.monotonic() > deadline:
+                self.missed.append(request.user_prompt)
+                self.timeout = 0.0
+                break
+            time.sleep(0.001)
+        return "reply to " + request.user_prompt
+
+
+def test_the_completions_handed_out_are_stored_before_the_caller_waits(tmp_path):
+    jobs = [CompletionRequest("sys", f"q{i}", CONFIG) for i in range(3)]
+    responder = AfterThePreviousIsStored(tmp_path, jobs)
+    client = ChatClient(MockBackend(responder=responder), cache=ResponseCache(tmp_path), concurrency=1)
+    replies = [reply for _, [reply] in client.replies(jobs, lambda request: [request])]
+    assert replies == ["reply to q0", "reply to q1", "reply to q2"]
+    assert responder.missed == []
+
+
 def test_the_store_is_read_and_written_on_the_callers_thread_once_per_batch(tmp_path):
     cache = ThreadRecordingCache(tmp_path)
-    backend = MockBackend(responder=lambda request: "reply to " + request.user_prompt, delay=0.001)
-    client = ChatClient(backend, cache=cache, concurrency=1)
-    jobs = [CompletionRequest("sys", f"q{i}", CONFIG) for i in range(10)]
-    assert len(list(client.replies(jobs, lambda request: [request]))) == 10
-    # Batches of 4 jobs: three reads; a write after 4 jobs are handed out, and one at the close.
-    assert [method for method, _ in cache.calls] == ["get", "get", "put", "get", "put"]
+    jobs = [CompletionRequest("sys", f"q{i}", CONFIG) for i in range(2 * LOOKAHEAD_PER_SLOT + 10)]
+    responder = AfterThePreviousIsStored(tmp_path, jobs)
+    client = ChatClient(MockBackend(responder=responder), cache=cache, concurrency=1)
+    assert len(list(client.replies(jobs, lambda request: [request]))) == len(jobs)
+    # Three batches, one read each. A job's send waits until the job before it
+    # is stored, so the caller writes each completion on its own before it
+    # waits on the next send, and the last one at the close.
+    methods = [method for method, _ in cache.calls]
+    assert (methods[0], methods.count("get"), methods.count("put")) == ("get", 3, len(jobs))
+    assert responder.missed == []
     assert {thread for _, thread in cache.calls} == {threading.get_ident()}
     assert stored_keys(tmp_path) == {cache_key(job) for job in jobs}
+
+
+def alternating_answers():
+    """A responder whose replies answer 4 and 5 in turn."""
+    answers = itertools.cycle("45")
+    lock = threading.Lock()
+
+    def respond(request: CompletionRequest) -> str:
+        with lock:
+            answer = next(answers)
+        return f"<reasoning>\n<step> 2 + 2 → {answer} </step>\n</reasoning>\n<answer> {answer} </answer>"
+
+    return respond
+
+
+def evaluate_two_asking_alike(client: ChatClient, out: Path) -> None:
+    items = [BenchmarkItem("What is 2 + 2?", "4", "demo", f"d{i}") for i in (1, 2)]
+    write_report(evaluate(items, "self-graph", client, CONFIG), out)
+
+
+def build_two_asking_alike(client: ChatClient, out: Path) -> None:
+    sources = [SourceQA("What is 2 + 2?", "4", f"s{i}") for i in (1, 2)]
+    write_dataset(build_dataset(sources, client, CONFIG), out)
+
+
+@pytest.mark.parametrize("run, sends", [
+    (evaluate_two_asking_alike, 1),
+    (build_two_asking_alike, CONFIG.k),
+], ids=["eval", "build"])
+def test_a_request_made_twice_in_one_window_is_sent_once(tmp_path, run, sends):
+    calls = {}
+    for name in ("first", "rerun"):
+        backend = MockBackend(responder=alternating_answers())
+        with ChatClient(backend, cache=ResponseCache(tmp_path / "cache"), concurrency=2) as client:
+            run(client, tmp_path / name)
+        calls[name] = backend.calls
+    assert calls == {"first": sends, "rerun": 0}
+    assert tree(tmp_path / "rerun") == tree(tmp_path / "first")
+    # Without a store, each request is sent on its own.
+    backend = MockBackend(responder=alternating_answers())
+    with ChatClient(backend, concurrency=2) as client:
+        run(client, tmp_path / "uncached")
+    assert backend.calls == 2 * sends
+
+
+def test_each_request_repeated_across_batches_is_sent_once(tmp_path):
+    sent = itertools.count()
+    backend = MockBackend(responder=lambda request: f"{request.user_prompt} #{next(sent)}")
+    client = ChatClient(backend, cache=ResponseCache(tmp_path), concurrency=4)
+    jobs = [CompletionRequest("sys", f"q{i % 7}", CONFIG) for i in range(3 * client.lookahead + 10)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        replies = {}
+        for job, [reply] in client.replies(jobs, lambda request: [request]):
+            replies.setdefault(job.user_prompt, set()).add(reply)
+    finally:
+        sys.setswitchinterval(interval)
+    assert backend.calls == 7
+    assert all(len(texts) == 1 for texts in replies.values()) and len(replies) == 7
