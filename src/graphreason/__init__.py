@@ -7,7 +7,7 @@ chain, and self-generated graph prompting paradigms.
 
 Importing the package loads no submodule: each exported name loads the
 submodule that defines it on first use (PEP 562), so a consumer of the
-reward functions never loads the client, its thread pool or its store.
+reward functions never loads the client, its sender threads or its store.
 """
 from __future__ import annotations
 

@@ -140,7 +140,7 @@ class RunConfig:
     mock: str | None = _setting(None, "scripted-replies JSON file instead of a network backend")
     cache_dir: str | None = _setting(None, "completion cache directory")
     concurrency: int = _setting(
-        DEFAULT_CONCURRENCY, "max in-flight requests; also sizes the client's thread pool"
+        DEFAULT_CONCURRENCY, "max in-flight requests, one client sender thread each"
     )
     retry_cap: int = _setting(DEFAULT_MAX_ATTEMPTS, "max attempts per request")
     k: int = _setting(DEFAULT_K, "samples per question")

@@ -9,9 +9,9 @@ backend with the same interface supports tests and offline runs.
 Every caller (a sample round, an eval item, a merge's next request)
 sends through ``ChatClient.replies``, which hands each job its replies
 in job order. The calling thread reads the store a batch of jobs at a
-time and writes it before it waits; executor tasks only send. A reply
-has one type from here to every caller: the completion text, or the
-ClientError its request raised.
+time and writes it before it waits; the client's sender threads only
+send. A reply has one type from here to every caller: the completion
+text, or the ClientError its request raised.
 """
 from __future__ import annotations
 
@@ -19,13 +19,13 @@ import json
 import logging
 import math
 import os
+import queue
 import random
 import threading
 import time
 import weakref
 from collections import deque
 from itertools import islice
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring
@@ -55,7 +55,7 @@ MAX_RETRY_AFTER = 120.0
 # Each backoff delay is scaled by a factor drawn from [1 - this, 1 + this].
 BACKOFF_JITTER = 0.2
 # Jobs that ChatClient.replies requests ahead, per concurrency slot. A deep
-# window keeps the pool sending while the caller parses, and reads the store
+# window keeps the senders busy while the caller parses, and reads the store
 # once for many keys. On 2 cores at concurrency 2, a cold self-graph eval of
 # 600 items (perfbench eval-score's set-up) took 1.0 of its CPU time at 4
 # jobs per slot, 0.85 at 16 and about 0.80 to 0.83 at 64.
@@ -323,7 +323,7 @@ class HttpBackend:
         session: requests.Session | None = None,
     ) -> None:
         check_non_empty("endpoint", endpoint)
-        # Imported on the caller's thread, so no executor thread runs an
+        # Imported on the caller's thread, so no sender thread runs an
         # import; send's except clauses read the module from the instance.
         import requests
 
@@ -466,6 +466,64 @@ class MockBackend:
         )
 
 
+class _Send:
+    """One request handed to the sender threads, and its outcome once a sender sets it.
+
+    ``outcome`` is the text ``send`` returned or the exception it raised.
+    ``_pending`` is held from the send's making until its outcome is set,
+    so waiting on it is one acquire.
+    """
+
+    __slots__ = ("send", "request", "outcome", "_pending")
+
+    def __init__(
+        self, send: Callable[[CompletionRequest], str], request: CompletionRequest
+    ) -> None:
+        self.send = send
+        self.request = request
+        self.outcome: str | BaseException | None = None
+        self._pending = threading.Lock()
+        self._pending.acquire()
+
+    def run(self) -> None:
+        try:
+            self.outcome = self.send(self.request)
+        except BaseException as err:
+            # Handed to the caller, who raises any that is not a ClientError.
+            self.outcome = err
+        self._pending.release()
+
+    def done(self) -> bool:
+        return not self._pending.locked()
+
+    def wait(self) -> str | BaseException:
+        """The outcome, once it is set; a send shared by several jobs is waited on by each."""
+        with self._pending:
+            return self.outcome
+
+
+def _serve(sends: queue.SimpleQueue[_Send | None], unclaimed: set[_Send]) -> None:
+    """A sender thread: run each send it claims from ``unclaimed`` until a stop (None).
+
+    A claim and a cancel each remove the send from ``unclaimed`` in one
+    call, so a send is either run by one sender or cancelled, never both.
+    """
+    while (send := sends.get()) is not None:
+        try:
+            unclaimed.remove(send)
+        except KeyError:
+            pass
+        else:
+            send.run()
+        # Between sends the thread holds none, and so not the client a send holds.
+        del send
+
+
+def _stop_senders(sends: queue.SimpleQueue[_Send | None], senders: list[threading.Thread]) -> None:
+    for _ in senders:
+        sends.put(None)
+
+
 @dataclass
 class ClientStats:
     """Instrumentation counters; max_in_flight observes the concurrency bound."""
@@ -486,18 +544,20 @@ class ChatClient:
     gives up at once, and auth and protocol failures propagate
     immediately.
 
-    Each client owns one executor of ``concurrency`` threads, started on
-    demand and stopped by ``close`` (or leaving a ``with`` block) or when
-    the client is garbage-collected; it is the one bound on in-flight
-    backend sends. A send, its backoff sleeps and its retries run on one
-    thread, so a backoff holds its slot and a retry goes out as soon as
-    its backoff ends. Every caller (``build_dataset``, ``evaluate``, the
-    ``sample`` and ``merge`` commands) sends through ``replies``, so
-    ``concurrency`` is the one parallelism setting. ``replies`` keeps
-    ``lookahead`` (64 per slot) jobs ahead, so the executor keeps sending
-    while the caller parses; it reads and writes the store on the
-    caller's thread, writing before it waits on a send, and executor
-    tasks only send.
+    Each client owns up to ``concurrency`` sender threads, started on
+    demand, which take sends from one queue; they are the one bound on
+    in-flight backend sends. ``close`` (or leaving a ``with`` block), or
+    collecting the client, stops each thread once the sends queued before
+    it are done. The threads are daemons, so the interpreter does not
+    wait at exit for a send whose reply nothing will read. A send, its
+    backoff sleeps and its retries run on one thread, so a backoff holds
+    its slot and a retry goes out as soon as its backoff ends. Every
+    caller (``build_dataset``, ``evaluate``, the ``sample`` and ``merge``
+    commands) sends through ``replies``, so ``concurrency`` is the one
+    parallelism setting. ``replies`` keeps ``lookahead`` (64 per slot)
+    jobs ahead, so the senders stay busy while the caller parses; it
+    reads and writes the store on the caller's thread, writing before it
+    waits on a send, and the sender threads only send.
     """
 
     def __init__(
@@ -524,12 +584,15 @@ class ChatClient:
         self._rng = rng or random.Random()
         self._lock = threading.Lock()
         self._in_flight_now = 0
-        self._executor = ThreadPoolExecutor(concurrency, "graphreason-client")
-        # Queued tasks hold the client, so it is only collected once idle.
-        self._shutdown = weakref.finalize(self, self._executor.shutdown, wait=False)
+        # The sender threads hold these two and never the client; a queued
+        # send holds the client, so it is only collected once idle.
+        self._queue: queue.SimpleQueue[_Send | None] = queue.SimpleQueue()
+        self._unclaimed: set[_Send] = set()
+        self._senders: list[threading.Thread] = []
+        self._shutdown = weakref.finalize(self, _stop_senders, self._queue, self._senders)
 
     def close(self) -> None:
-        """Let the executor's threads exit once queued work is done; idempotent."""
+        """Let the sender threads exit once the sends queued so far are done; idempotent."""
         self._shutdown()
 
     def __enter__(self) -> ChatClient:
@@ -586,6 +649,22 @@ class ChatClient:
             self.stats.completions += 1
         return text
 
+    def _submit(self, request: CompletionRequest) -> _Send:
+        """Queue ``request`` for a sender; start a sender while fewer than ``concurrency`` run."""
+        if not self._shutdown.alive:
+            raise RuntimeError("cannot send through a closed client")
+        send = _Send(self._send, request)
+        self._unclaimed.add(send)
+        self._queue.put(send)
+        if len(self._senders) < self.concurrency:
+            sender = threading.Thread(
+                target=_serve, args=(self._queue, self._unclaimed),
+                name=f"graphreason-client_{len(self._senders)}", daemon=True,
+            )
+            sender.start()
+            self._senders.append(sender)
+        return send
+
     def replies(
         self, jobs: Iterable[T], requests_of: Callable[[T], Sequence[CompletionRequest]]
     ) -> Iterator[tuple[T, list[str | ClientError]]]:
@@ -602,9 +681,9 @@ class ChatClient:
         completion received and cancels the sends not yet started; it does
         not wait for those in flight.
         """
-        window: deque[tuple[T, list[str | None], list[str | Future]]] = deque()
+        window: deque[tuple[T, list[str | None], list[str | _Send]]] = deque()
         fresh: dict[str, str] = {}
-        sending: dict[str, Future] = {}
+        sending: dict[str, _Send] = {}
         jobs = iter(jobs)
         try:
             while batch := [(job, requests_of(job)) for job in islice(jobs, self.lookahead)]:
@@ -612,7 +691,7 @@ class ChatClient:
                 if self.cache:
                     # The sends still in the window; those handed out are in the store now.
                     sending = {key: slot for _, job_keys, slots in window
-                               for key, slot in zip(job_keys, slots) if isinstance(slot, Future)}
+                               for key, slot in zip(job_keys, slots) if isinstance(slot, _Send)}
                 keys = [[cache_key(r) for r in requests] if self.cache else [None] * len(requests)
                         for _, requests in batch]
                 stored = self._read([key for job_keys in keys for key in job_keys])
@@ -621,11 +700,11 @@ class ChatClient:
                     self.stats.cache_hits += hits
                     self.stats.completions += hits
                 for (job, requests), job_keys in zip(batch, keys):
-                    slots: list[str | Future] = []
+                    slots: list[str | _Send] = []
                     for request, key in zip(requests, job_keys):
                         slot = stored.get(key, sending.get(key))
                         if slot is None:
-                            slot = self._executor.submit(self._send, request)
+                            slot = self._submit(request)
                             if key:
                                 sending[key] = slot
                         slots.append(slot)
@@ -637,9 +716,11 @@ class ChatClient:
         finally:
             for _, job_keys, slots in window:
                 for key, slot in zip(job_keys, slots):
-                    if isinstance(slot, Future) and not slot.cancel() and slot.done() \
-                            and key and not slot.exception():
-                        fresh[key] = slot.result()
+                    if isinstance(slot, _Send):
+                        # A send no sender has claimed is cancelled; one claimed is not waited for.
+                        self._unclaimed.discard(slot)
+                        if key and slot.done() and not isinstance(slot.outcome, BaseException):
+                            fresh[key] = slot.outcome
             self._write(fresh)
 
     def _hand_out(self, window: deque, fresh: dict[str, str]) -> tuple[T, list[str | ClientError]]:
@@ -650,16 +731,15 @@ class ChatClient:
         job, keys, slots = window[0]
         replies: list[str | ClientError] = []
         for key, slot in zip(keys, slots):
-            if isinstance(slot, Future):
+            if isinstance(slot, _Send):
                 if not slot.done():
                     self._write(fresh)
-                try:
-                    slot = slot.result()
-                except ClientError as err:
-                    slot = err
-                else:
-                    if key:
-                        fresh[key] = slot
+                slot = slot.wait()
+                if isinstance(slot, BaseException):
+                    if not isinstance(slot, ClientError):
+                        raise slot
+                elif key:
+                    fresh[key] = slot
             replies.append(slot)
         window.popleft()
         return job, replies

@@ -328,6 +328,7 @@ def _walk(text: str, ci: bool) -> StructuredOutput:
 
     texts: dict[str, str] = {}
     edges: dict[tuple[str, str], None] = {}
+    collapsed: list[tuple[str, str]] = []
     for lhs, lkey, rhs, rkey, loc in steps:
         texts.setdefault(lkey, lhs)
         texts.setdefault(rkey, rhs)
@@ -338,7 +339,7 @@ def _walk(text: str, ci: bool) -> StructuredOutput:
                 DUPLICATE_STEP, loc, f"step repeats an earlier dependency: {lhs!r} -> {rhs!r}"
             )
         else:
-            log.warning("lenient parse collapsed a duplicated step: %r -> %r", lhs, rhs)
+            collapsed.append((lhs, rhs))
 
     try:
         graph = ReasoningGraph(texts, edges)
@@ -346,6 +347,9 @@ def _walk(text: str, ci: bool) -> StructuredOutput:
         # The steps give distinct edges and put every node on one, so
         # only a cycle can fail the check; the error names it.
         raise TemplateParseError(CYCLE_IN_STEPS, block_start, str(err)) from None
+    # Logged once the document is accepted, as the pattern path does.
+    for lhs, rhs in collapsed:
+        log.warning("lenient parse collapsed a duplicated step: %r -> %r", lhs, rhs)
     return StructuredOutput(graph, answer)
 
 

@@ -9,10 +9,12 @@ expressible in the step grammar. ``fail_first_attempts`` and
 ``queue_failures`` script a mock backend's failures through a raising
 responder; ``FailingCache`` is a response store whose reads or writes
 fail; ``corrupt_store`` overwrites every row of a store with a value
-that is not UTF-8 text; ``finish`` drives a step generator's pending
-requests through a client; ``run_python`` runs a script, and ``run_cli``
-the command line, in a fresh interpreter; ``traced_peak`` measures the
-Python memory a call allocates.
+that is not UTF-8 text, and ``stored_keys`` lists a store's keys;
+``finish`` drives a step generator's pending requests through a client;
+``close_and_join`` closes a client and waits for its sender threads;
+``run_python`` runs a script, and ``run_cli`` the command line, in a
+fresh interpreter; ``traced_peak`` measures the Python memory a call
+allocates.
 """
 from __future__ import annotations
 
@@ -165,6 +167,18 @@ def finish(outcome, client: ChatClient):
     return outcome
 
 
+def close_and_join(client: ChatClient, before: set[threading.Thread]) -> None:
+    """Close ``client`` and wait for its sender threads, those not in ``before``.
+
+    Every send queued before the close is then done, so each one is received.
+    """
+    client.close()
+    for thread in threading.enumerate():
+        if thread not in before and thread.name.startswith("graphreason-client"):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+
 class FailingCache(ResponseCache):
     """A store whose ``failing`` method, "get" or "put", always raises ``error``.
 
@@ -204,19 +218,28 @@ def corrupt_store(root: str | Path, value: bytes | str | int) -> int:
         db.close()
 
 
+def stored_keys(root: str | Path) -> set[str]:
+    """The keys of every row of the store in ``root``."""
+    db = sqlite3.connect(Path(root) / ResponseCache.FILENAME)
+    try:
+        return {key for (key,) in db.execute("SELECT key FROM completions")}
+    finally:
+        db.close()
+
+
 def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
     """Run ``script`` in a fresh interpreter that imports this checkout's graphreason."""
-    return subprocess.run([sys.executable, "-c", script, *args], env=_checkout_env(), check=True,
+    return subprocess.run([sys.executable, "-c", script, *args], env=checkout_env(), check=True,
                           capture_output=True, text=True, timeout=120)
 
 
 def run_cli(*args: str, cwd: Path) -> subprocess.CompletedProcess:
     """Run ``python -m graphreason.cli args`` from ``cwd`` in a fresh interpreter, any exit code."""
     return subprocess.run([sys.executable, "-m", "graphreason.cli", *args], cwd=cwd,
-                          env=_checkout_env(), capture_output=True, text=True, timeout=120)
+                          env=checkout_env(), capture_output=True, text=True, timeout=120)
 
 
-def _checkout_env() -> dict[str, str]:
+def checkout_env() -> dict[str, str]:
     path = [str(Path(graphreason.__file__).parent.parent), os.environ.get("PYTHONPATH")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 

@@ -1385,13 +1385,13 @@ def test_each_module_loads_on_first_use(tmp_path):
     ]
     done = run_python(IMPORT_BOUNDARY_SCRIPT, json.dumps(runs), str(tmp_path / "cache"))
     steps, undir, unstarred = json.loads(done.stdout.splitlines()[-1])
-    client = ["graphreason.client", "concurrent.futures"]
+    client = ["graphreason.client"]
     assert steps == [
         ["import rewards, codec", None, []],
         ["from graphreason import ChatClient", None, client],
         ["score", 0, client],
         ["validate", 0, client],
         ["build", 0, client],
-        ["ResponseCache", None, ["graphreason.client", "sqlite3", "concurrent.futures"]],
+        ["ResponseCache", None, ["graphreason.client", "sqlite3"]],
     ]
     assert undir == unstarred == []

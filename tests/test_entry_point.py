@@ -5,18 +5,23 @@ so the exit code and the streams are the real ones. A bad-input row
 gives the input file and its one line, the argv, and what the run must
 print. The walkthrough rows run the README's own fixture through the
 store: two builds with one ``--cache-dir``, a rebuild from a corrupt
-store, and an LLM-merge build cold then warm.
+store, and an LLM-merge build cold then warm. The interrupted-build rows
+send SIGINT to a build whose teacher is slow, and check that it exits
+at once and keeps what came back.
 """
 from __future__ import annotations
 
 import json
 import re
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from _util import corrupt_store, run_cli
+from _util import checkout_env, corrupt_store, run_cli, stored_keys
 
 MOCK = {"default": "<reasoning>\n<step> a → b </step>\n</reasoning>\n<answer> 4 </answer>"}
 BUILD = ["build", "--out", "out/", "--mock", "mock.json", "--sources"]
@@ -67,6 +72,58 @@ def test_sample_refuses_a_blank_question_before_building_a_client(tmp_path):
     assert result.stdout == ""
     # The client's store is made with the client, so no store means no send.
     assert not (tmp_path / "cache").exists()
+
+
+# A build whose teacher answers sample 0 of each question at once and every
+# other send slowly: after 3 s (argv[1] "slow") or by a 429 asking for a
+# 10 s wait (argv[1] "429"). It touches `sending` as a slow send starts and
+# appends the store key of each reply it returns to `returned`.
+STOPPED_BUILD = """
+import sys, time
+from graphreason import cli, client
+
+class Teacher(client.MockBackend):
+    def send(self, request):
+        if request.sample_index:
+            open("sending", "w").close()
+            if sys.argv[1] == "slow":
+                time.sleep(3)
+            else:
+                raise client.TransientError("scripted 429", status=429, retry_after=10.0)
+        text = super().send(request)
+        with open("returned", "a") as returned:
+            returned.write(client.cache_key(request) + "\\n")
+        return text
+
+cli.MockBackend = Teacher
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("teacher", ["slow", "429"])
+def test_an_interrupted_build_exits_at_once_and_keeps_what_came_back(tmp_path, teacher):
+    (tmp_path / "mock.json").write_text(json.dumps(MOCK))
+    sources = [json.dumps({"question": f"q{i}: what?", "label": "4"}) for i in range(4)]
+    (tmp_path / "sources.jsonl").write_text("\n".join(sources) + "\n")
+    argv = [*BUILD, "sources.jsonl", "--k", "3", "--concurrency", "2", "--cache-dir", "cache"]
+    started = time.monotonic()
+    run = subprocess.Popen([sys.executable, "-c", STOPPED_BUILD, teacher, *argv], cwd=tmp_path,
+                           env=checkout_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        while not (tmp_path / "sending").exists():
+            assert run.poll() is None and time.monotonic() - started < 60
+            time.sleep(0.01)
+        time.sleep(max(0.0, started + 0.5 - time.monotonic()))
+        run.send_signal(signal.SIGINT)
+        # Each slow send started before the signal would take 3 s or 30 s more.
+        run.wait(timeout=1.0)
+    finally:
+        run.kill()
+        run.wait()
+    assert run.returncode != 0
+    returned = set((tmp_path / "returned").read_text().split())
+    assert returned and stored_keys(tmp_path / "cache") == returned
+    assert not (tmp_path / "out").exists()
 
 
 # The README walkthrough's store runs: the README's mock.json and sources.jsonl,

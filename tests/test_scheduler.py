@@ -1,4 +1,4 @@
-"""The client's one executor: thread count, retry order, overlap, no deadlock, no leaked threads."""
+"""The client's sender threads: thread count, retry order, faults, overlap, no deadlock, no leaks."""
 from __future__ import annotations
 
 import gc
@@ -94,6 +94,25 @@ def test_a_retry_is_sent_before_the_sends_queued_after_it():
     assert replies == [(job, [job]) for job in jobs]
     assert sent == ["a!", "a", "b", "c", "d", "e"]
     assert client.stats.retries == 1
+
+
+def test_a_backend_fault_that_is_not_a_client_error_reaches_the_caller_as_raised():
+    fault = ValueError("backend bug")
+
+    def respond(request):
+        raise fault
+
+    client = ChatClient(MockBackend(responder=respond), concurrency=2)
+    with pytest.raises(ValueError) as raised:
+        list(client.replies(["a", "b"], lambda job: [CompletionRequest("sys", job, CONFIG)]))
+    assert raised.value is fault
+
+
+def test_a_closed_client_refuses_to_send():
+    client = ChatClient(MockBackend(default="ok"), concurrency=2)
+    client.close()
+    with pytest.raises(RuntimeError):
+        reply_to(client, CompletionRequest("sys", "q", CONFIG))
 
 
 @pytest.mark.parametrize("mode", ["llm", "llm-with-fallback"])

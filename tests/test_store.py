@@ -4,8 +4,8 @@
 the completions it has handed out, on the caller's thread, before it
 waits. These tests pin what that leaves in the store: every completion
 of a run that returns, every completion received before a run that
-raised, one reply for a request made twice, and nothing sent again by a
-warm rerun.
+raised, no send that a closed window cancelled, one reply for a request
+made twice, and nothing sent again by a warm rerun.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from _util import close_and_join, stored_keys
 from graphreason import bench, pipeline
 from graphreason.bench import BenchmarkItem, evaluate, read_items, write_report
 from graphreason.client import (
@@ -98,14 +99,6 @@ RUNS = {
 }
 
 
-def stored_keys(root: Path) -> set[str]:
-    db = sqlite3.connect(root / ResponseCache.FILENAME)
-    try:
-        return {key for (key,) in db.execute("SELECT key FROM completions")}
-    finally:
-        db.close()
-
-
 def tree(root: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
@@ -129,6 +122,7 @@ def test_an_aborted_run_keeps_what_it_received_and_a_rerun_sends_only_the_rest(
     run(golden_client(whole), tmp_path / "whole")
 
     aborted = RecordingBackend(fail_at=5 if fault == "backend" else None)
+    before = set(threading.enumerate())
     client = golden_client(aborted, ResponseCache(tmp_path / "cache"))
     if fault == "consumer":
         finish, calls = getattr(module, item_function), []
@@ -137,7 +131,7 @@ def test_an_aborted_run_keeps_what_it_received_and_a_rerun_sends_only_the_rest(
             calls.append(args)
             if len(calls) == 5:
                 # Every send started comes back first, so each one is received.
-                client._executor.shutdown(wait=True)
+                close_and_join(client, before)
                 raise Boom("item 5")
             return finish(*args)
 
@@ -161,17 +155,45 @@ def test_an_aborted_run_keeps_what_it_received_and_a_rerun_sends_only_the_rest(
 
 def test_closing_a_window_stores_every_completion_received(tmp_path):
     backend = MockBackend(responder=lambda request: "reply to " + request.user_prompt)
+    before = set(threading.enumerate())
     client = ChatClient(backend, cache=ResponseCache(tmp_path), concurrency=1)
     jobs = [CompletionRequest("sys", f"q{i}", CONFIG) for i in range(client.lookahead + 10)]
     window = client.replies(jobs, lambda request: [request])
     assert next(window) == (jobs[0], ["reply to q0"])
     # Job 0 is handed out and the next `lookahead` jobs wait in the window, the
     # rest of the second batch unsent: let every send come back.
-    client._executor.shutdown(wait=True)
+    close_and_join(client, before)
     assert stored_keys(tmp_path) == set()
     window.close()
     assert backend.calls == 1 + client.lookahead
     assert stored_keys(tmp_path) == {cache_key(job) for job in jobs[:1 + client.lookahead]}
+
+
+@pytest.mark.parametrize("concurrency", [1, 2, 3, 4])
+def test_closing_a_window_cancels_the_sends_queued_behind_slow_ones(tmp_path, concurrency):
+    # Job 0 comes back at once; jobs 1 to `concurrency` hold every sender
+    # until the window is closed, and the jobs after them wait in the queue.
+    release, slow_started = threading.Event(), threading.Semaphore(0)
+
+    def respond(request):
+        if request.user_prompt != "q0":
+            slow_started.release()
+            assert release.wait(timeout=10)
+        return "reply to " + request.user_prompt
+
+    backend = MockBackend(responder=respond)
+    before = set(threading.enumerate())
+    client = ChatClient(backend, cache=ResponseCache(tmp_path), concurrency=concurrency)
+    jobs = [CompletionRequest("sys", f"q{i}", CONFIG) for i in range(3 * concurrency + 2)]
+    window = client.replies(jobs, lambda request: [request])
+    assert next(window) == (jobs[0], ["reply to q0"])
+    for _ in range(concurrency):
+        assert slow_started.acquire(timeout=10)
+    window.close()
+    release.set()
+    close_and_join(client, before)
+    assert backend.calls == client.stats.requests_attempted == 1 + concurrency
+    assert stored_keys(tmp_path) == {cache_key(jobs[0])}
 
 
 def teacher(request: CompletionRequest) -> str:
