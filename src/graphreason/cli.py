@@ -102,6 +102,7 @@ ENV_PREFIX = "GRAPHREASON_"
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 DEFAULT_MODEL = "teacher"
 
@@ -558,6 +559,10 @@ def main(argv: list[str] | None = None) -> int:
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE
+    except KeyboardInterrupt:
+        # The windows' finally blocks have already stored what came back.
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

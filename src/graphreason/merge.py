@@ -11,7 +11,6 @@ exactly one sink, its conclusion, so ``sinks(result.graph)[0]`` names it.
 """
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field, replace
 from typing import Any, Generator
@@ -104,19 +103,20 @@ def _majority_group(
     groups: dict[str, list[tuple[StructuredOutput, int]]] = {}
     for output, idx in candidates:
         groups.setdefault(normalize_freeform(output.answer), []).append((output, idx))
-    best: list[tuple[StructuredOutput, int]] | None = None
-    for members in groups.values():
-        if best is None:
-            best = members
-            continue
-        # Bigger group wins; equal sizes go to the group holding the
-        # lowest sampling index (members are already index-ascending).
-        if len(members) > len(best) or (
-            len(members) == len(best) and members[0][1] < best[0][1]
-        ):
-            best = members
-    assert best is not None
-    return best
+    # Groups meet lowest index first and max keeps the first of equal sizes.
+    return max(groups.values(), key=len)
+
+
+def _reachable(adjacency: dict[str, list[str]], start: str) -> set[str]:
+    """Every key reachable from ``start`` along ``adjacency``, ``start`` included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in adjacency[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def _break_cycles(
@@ -130,42 +130,28 @@ def _break_cycles(
     multiplicity, ties to the lexicographically greatest key. Dropping
     an edge never puts another edge on a cycle, so one ranking of the
     initially cyclic edges, skipping those no longer on a cycle, gives
-    the drop order. A drop can only split the strongly connected
-    component that held it (Tarjan 1972), so only that component is
-    decomposed again.
+    the drop order. An edge is still on a cycle while its child reaches
+    its parent through the edges left.
     """
-    component_of: dict[str, int] = {}  # node key -> id of its cyclic component
-    members_of: dict[int, list[str]] = {}
-    edges_of: dict[int, list[tuple[str, str]]] = {}
-    ids = itertools.count()
-
-    def assign(components: list[list[str]], edges: list[tuple[str, str]]) -> None:
-        for component in components:
-            if len(component) == 1:
-                component_of.pop(component[0], None)
-                continue
-            cid = next(ids)
-            members_of[cid] = component
-            edges_of[cid] = []
-            for key in component:
-                component_of[key] = cid
-        for edge in edges:
-            cid = component_of.get(edge[0])
-            if cid is not None and component_of.get(edge[1]) == cid:
-                edges_of[cid].append(edge)
-
-    assign(strongly_connected_components(node_order, edge_order), edge_order)
-    ranked = sorted((e for edges in edges_of.values() for e in edges), reverse=True)
+    component_of = {
+        key: cid
+        for cid, component in enumerate(strongly_connected_components(node_order, edge_order))
+        for key in component
+    }
+    # Without self-loops, an edge inside one component lies on a cycle.
+    ranked = sorted(
+        (edge for edge in edge_order if component_of[edge[0]] == component_of[edge[1]]),
+        reverse=True,
+    )
     ranked.sort(key=multiplicity.__getitem__)
+    adjacency: dict[str, list[str]] = {key: [] for key in component_of}
+    for parent, child in ranked:
+        adjacency[parent].append(child)
     dropped: list[tuple[str, str]] = []
-    for victim in ranked:
-        cid = component_of.get(victim[0])
-        if cid is None or component_of.get(victim[1]) != cid:
-            continue
-        dropped.append(victim)
-        members = members_of.pop(cid)
-        rest = [e for e in edges_of.pop(cid) if e != victim]
-        assign(strongly_connected_components(members, rest), rest)
+    for parent, child in ranked:
+        if parent in _reachable(adjacency, child):
+            adjacency[parent].remove(child)
+            dropped.append((parent, child))
     return dropped
 
 
@@ -209,13 +195,7 @@ def merge_deterministic(candidate_set: CandidateSet) -> MergedResult:
     incoming: dict[str, list[str]] = {key: [] for key in node_order}
     for parent, child in working:
         incoming[child].append(parent)
-    keep = {conclusion}
-    queue = [conclusion]
-    while queue:
-        for parent in incoming[queue.pop()]:
-            if parent not in keep:
-                keep.add(parent)
-                queue.append(parent)
+    keep = _reachable(incoming, conclusion)
     if len(keep) == 1:
         raise EdgelessMergeError(
             f"conclusion {conclusion!r} keeps no incoming edge "

@@ -606,6 +606,29 @@ class TestIngestEval:
         assert json.loads(outputs["uncached"]["report.json"])["per_benchmark"]["demo"]["correct"] == 2
 
 
+def test_eval_and_score_take_a_later_answer_tag_by_one_rule(tmp_path, capsys):
+    # A reply whose later answer tag corrects an earlier one: eval counts it
+    # correct and score gives it the full answer reward.
+    reply = (
+        "<reasoning>\n<step> add 3 and 3 -> 6 </step>\n</reasoning>\n"
+        "<answer> 3 </answer> Wait, actually <answer> 6 </answer>"
+    )
+    items = tmp_path / "items.jsonl"
+    item = {"question": "What is 3 + 3?", "label": "6", "benchmark": "demo", "item_id": "d1"}
+    items.write_text(json.dumps(item) + "\n")
+    out_dir = tmp_path / "results"
+    assert main(["eval", "--items", str(items), "--paradigm", "self-graph", "--out", str(out_dir),
+                 *mock_args(tmp_path, {"What is 3 + 3?": reply})]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["per_benchmark"]["demo"]["correct"] == 1
+    capsys.readouterr()
+
+    completions = tmp_path / "completions.jsonl"
+    completions.write_text(json.dumps({"text": reply, "label": "6"}) + "\n")
+    assert main(["score", "--completions", str(completions)]) == 0
+    assert "mean answer reward: 1.0000" in capsys.readouterr().out.splitlines()
+
+
 class TestScore:
     def test_scores_and_writes(self, tmp_path, capsys):
         completions = tmp_path / "completions.jsonl"

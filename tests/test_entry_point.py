@@ -7,7 +7,7 @@ print. The walkthrough rows run the README's own fixture through the
 store: two builds with one ``--cache-dir``, a rebuild from a corrupt
 store, and an LLM-merge build cold then warm. The interrupted-build rows
 send SIGINT to a build whose teacher is slow, and check that it exits
-at once and keeps what came back.
+at once, with code 130 and one line, and keeps what came back.
 """
 from __future__ import annotations
 
@@ -108,7 +108,8 @@ def test_an_interrupted_build_exits_at_once_and_keeps_what_came_back(tmp_path, t
     argv = [*BUILD, "sources.jsonl", "--k", "3", "--concurrency", "2", "--cache-dir", "cache"]
     started = time.monotonic()
     run = subprocess.Popen([sys.executable, "-c", STOPPED_BUILD, teacher, *argv], cwd=tmp_path,
-                           env=checkout_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                           env=checkout_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                           text=True)
     try:
         while not (tmp_path / "sending").exists():
             assert run.poll() is None and time.monotonic() - started < 60
@@ -116,11 +117,14 @@ def test_an_interrupted_build_exits_at_once_and_keeps_what_came_back(tmp_path, t
         time.sleep(max(0.0, started + 0.5 - time.monotonic()))
         run.send_signal(signal.SIGINT)
         # Each slow send started before the signal would take 3 s or 30 s more.
-        run.wait(timeout=1.0)
+        _, stderr = run.communicate(timeout=1.0)
     finally:
         run.kill()
-        run.wait()
-    assert run.returncode != 0
+        run.communicate()
+    assert run.returncode == 130
+    # Besides the 429 teacher's one logged line per retry, the stop is one line.
+    retry = "WARNING graphreason.client: transient failure (scripted 429)"
+    assert [line for line in stderr.splitlines() if not line.startswith(retry)] == ["interrupted"]
     returned = set((tmp_path / "returned").read_text().split())
     assert returned and stored_keys(tmp_path / "cache") == returned
     assert not (tmp_path / "out").exists()

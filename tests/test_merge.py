@@ -143,6 +143,29 @@ class TestUnionAndCycles:
         dropped = {(d.parent, d.child) for d in merged.dropped_edges if d.reason == DROP_CYCLE_BREAK}
         assert dropped == {("b", "a")}
 
+    def test_drops_interleave_across_disjoint_cycles_in_rank_order(self):
+        # Two components, m-n-o and a-b-c, each with two 2-cycles. The back
+        # edges rank (o, n), (c, b) at multiplicity 1, then (n, m), (b, a) at
+        # 2, so the drops alternate between the components; the forward
+        # edges, at 3, are off every cycle by the time their turn comes.
+        forward = [("m", "n"), ("n", "o"), ("a", "b"), ("b", "c"), ("o", "end"), ("c", "end")]
+        merged = merge_deterministic(
+            cset(
+                output(forward, "4"),
+                output(forward, "4"),
+                output(forward, "4"),
+                output([("o", "n"), ("n", "m"), ("c", "b"), ("b", "a")], "4"),
+                output([("n", "m"), ("b", "a")], "4"),
+            )
+        )
+        assert [(d.parent, d.child, d.reason, d.multiplicity) for d in merged.dropped_edges] == [
+            ("o", "n", DROP_CYCLE_BREAK, 1),
+            ("c", "b", DROP_CYCLE_BREAK, 1),
+            ("n", "m", DROP_CYCLE_BREAK, 2),
+            ("b", "a", DROP_CYCLE_BREAK, 2),
+        ]
+        assert set(merged.graph.edge_keys) == set(forward)
+
     def test_union_deduplicates_shared_structure(self):
         merged = merge_deterministic(
             cset(
@@ -245,8 +268,9 @@ def test_merge_properties_random(seed):
 def whole_graph_merge(candidates):
     """Oracle: the deterministic merge with one whole-graph SCC pass per drop.
 
-    A test-local copy of the merge as it stood before cycle breaking
-    learned to recompute only the component that held the victim; it
+    Each drop recomputes the strongly connected components of the whole
+    graph left and removes the weakest edge inside one of two or more
+    nodes, until none is left; the rest is the merge as specified. It
     returns (key -> display text of the kept nodes in first-seen order,
     kept edges as display-text pairs, conclusion key, dropped edges as
     tuples).
