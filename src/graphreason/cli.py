@@ -20,7 +20,8 @@ one ``error:`` or ``config error:`` line of a command that fails.
 
 Exit codes: 0 success, 1 item-level failure (bad records, an input
 file that cannot be decoded, failed merge, nothing retained, no eval
-reply), 2 configuration error.
+reply), 2 configuration error, 130 interrupted (Ctrl-C), after the one
+line ``interrupted`` on stderr.
 """
 from __future__ import annotations
 

@@ -27,14 +27,16 @@ case-insensitively; strict parsing refuses the document with
 :func:`parse` is the one entry point. One precompiled pattern per mode
 accepts a well-formed document whole and captures its steps and answer;
 a second splits every step body on its one arrow, and each distinct
-side is normalized once per document before the checked
+side is normalized once per document. This pattern path parses and
+checks every document it accepts: it raises ``duplicate-step`` (strict)
+and ``cycle-in-steps``, the graph-level rules, and the checked
 ``ReasoningGraph`` constructor builds the graph. A document the pattern
-declines, or whose steps break a rule it does not check (an empty
-endpoint or answer, a strict duplicate, a cycle), goes to a
-tag-by-tag walk over the original text that raises the first violation
-it meets. So every error carries the walk's kind, offset and detail,
-each offset indexes the text as given, and both paths cost time linear
-in the document.
+declines, or whose steps break a rule it does not check (a stray arrow
+or ``>``, an empty endpoint or answer), goes to a tag-by-tag walk over
+the original text, which only names the first error of structure, of a
+step or of the answer. So every error names the first rule the document
+breaks, each offset indexes the text as given, and both paths cost time
+linear in the document.
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ import logging
 import re
 from dataclasses import dataclass
 from itertools import chain
+from typing import NoReturn
 
 from .graph import InvalidGraphError, ReasoningGraph, normalize_text
 
@@ -121,12 +124,8 @@ def _find(text: str, token: str, start: int, ci: bool) -> int:
     return hit.start() if hit else -1
 
 
-def _split_step(content: str, offset: int) -> tuple[str, str, str, str]:
-    """Split one step body on its single dependency arrow.
-
-    Returns (parent text, parent key, child text, child key): each
-    endpoint is normalized here, once.
-    """
+def _check_step(content: str, offset: int) -> None:
+    """Raise the first rule one step body breaks: its arrow count, markup, an empty side."""
     arrow_hits = content.count(ARROW) + content.count("->")
     if arrow_hits == 0:
         raise TemplateParseError(MALFORMED_STEP, offset, "step has no dependency arrow")
@@ -138,20 +137,16 @@ def _split_step(content: str, offset: int) -> tuple[str, str, str, str]:
         lhs, rhs = content.split(ARROW, 1)
     else:
         lhs, rhs = content.split("->", 1)
-    sides: list[tuple[str, str]] = []
     for raw in (lhs, rhs):
         side = raw.strip()
         if "<" in side or ">" in side:
             raise TemplateParseError(
                 MALFORMED_STEP, offset, f"markup inside step text: {side!r}"
             )
-        key = normalize_text(side)
-        if not key:
+        if not normalize_text(side):
             raise TemplateParseError(
                 EMPTY_ENDPOINT, offset, "step endpoint is empty after normalization"
             )
-        sides.append((side, key))
-    return (*sides[0], *sides[1])
 
 
 def _template_patterns(ci: bool) -> tuple[re.Pattern[str], re.Pattern[str]]:
@@ -201,16 +196,18 @@ def parse(text: str, mode: str = STRICT) -> StructuredOutput:
         output = _from_match(match, split, mode == LENIENT)
         if output is not None:
             return output
-    return _walk(text, mode == LENIENT)
+    _walk(text, mode == LENIENT)
 
 
 def _from_match(match: re.Match[str], split: re.Pattern[str], ci: bool) -> StructuredOutput | None:
     """The parse of a document the template pattern accepted.
 
-    None when the steps or the answer break a rule the document pattern
-    does not check (a step without exactly one arrow or with a stray
-    ``>``, an empty endpoint or answer, a strict duplicate, a cycle), so
-    that the walk names the error.
+    Raises ``duplicate-step`` (strict) and ``cycle-in-steps``, the two
+    graph-level rules, which only this path checks. None when the steps
+    or the answer break a rule the document pattern does not check (a
+    step without exactly one arrow or with a stray ``>``, an empty
+    endpoint or answer), so that the walk names the error in document
+    order.
     """
     answer = match[2].strip()
     if not answer:
@@ -232,29 +229,39 @@ def _from_match(match: re.Match[str], split: re.Pattern[str], ci: bool) -> Struc
         return None
     edges = [(keys[lhs], keys[rhs]) for lhs, rhs in pairs]
     unique = dict.fromkeys(edges)
-    if len(unique) < len(edges) and not ci:
-        return None
+    collapsed: list[tuple[str, str]] = []
+    if len(unique) < len(edges):
+        # Rare: split the steps again for each repeat's offset and texts.
+        seen: set[tuple[str, str]] = set()
+        for step, edge in zip(split.finditer(match.string, match.start(1), match.end(1)), edges):
+            if edge in seen:
+                lhs, rhs = step[1].strip(), step[2].strip()
+                if not ci:
+                    raise TemplateParseError(
+                        DUPLICATE_STEP, step.start(),
+                        f"step repeats an earlier dependency: {lhs!r} -> {rhs!r}",
+                    )
+                collapsed.append((lhs, rhs))
+            seen.add(edge)
     try:
         graph = ReasoningGraph(texts, unique)
-    except InvalidGraphError:
-        return None
-    if len(unique) < len(edges):
-        seen: set[tuple[str, str]] = set()
-        for (lhs, rhs), edge in zip(pairs, edges):
-            if edge in seen:
-                log.warning(
-                    "lenient parse collapsed a duplicated step: %r -> %r", lhs.strip(), rhs.strip()
-                )
-            seen.add(edge)
+    except InvalidGraphError as err:
+        # The steps give distinct edges and put every node on one, so
+        # only a cycle can fail the check; the error names it.
+        raise TemplateParseError(CYCLE_IN_STEPS, match.start(1), str(err)) from None
+    # Logged once the document is accepted.
+    for lhs, rhs in collapsed:
+        log.warning("lenient parse collapsed a duplicated step: %r -> %r", lhs, rhs)
     return StructuredOutput(graph, answer)
 
 
-def _walk(text: str, ci: bool) -> StructuredOutput:
-    """Parse by walking the text tag by tag, raising the first violation met.
+def _walk(text: str, ci: bool) -> NoReturn:
+    """Name the first error of a document the pattern path declined.
 
-    ``parse`` calls it for a document its pattern declines or whose steps
-    break a rule, so each error carries the kind, offset and detail of
-    the walk.
+    Walks the text tag by tag and raises the first violation of
+    structure, of a step or of the answer, with its kind, offset and
+    detail. It never returns: a document that breaks none of these rules
+    is one the pattern path parses, graph-level rules included.
     """
     if ci:
         start = _find(text, _REASONING_OPEN, 0, True)
@@ -272,7 +279,7 @@ def _walk(text: str, ci: bool) -> StructuredOutput:
         pos += len(_REASONING_OPEN)
 
     block_start = pos
-    steps: list[tuple[str, str, str, str, int]] = []
+    steps = 0
     while True:
         pos = _skip_ws(text, pos)
         if pos >= len(text):
@@ -287,7 +294,8 @@ def _walk(text: str, ci: bool) -> StructuredOutput:
             end = _find(text, _STEP_CLOSE, body_start, ci)
             if end < 0:
                 raise TemplateParseError(MALFORMED_STEP, pos, "unterminated <step>")
-            steps.append((*_split_step(text[body_start:end], pos), pos))
+            _check_step(text[body_start:end], pos)
+            steps += 1
             pos = end + len(_STEP_CLOSE)
             continue
         raise TemplateParseError(
@@ -314,8 +322,7 @@ def _walk(text: str, ci: bool) -> StructuredOutput:
         raise TemplateParseError(
             MISSING_ANSWER_BLOCK, answer_end, "answer block must close with </answer>"
         )
-    answer = text[answer_start:answer_end].strip()
-    if not answer:
+    if not text[answer_start:answer_end].strip():
         raise TemplateParseError(MISSING_ANSWER_BLOCK, answer_start, "empty answer")
     pos = answer_end + len(_ANSWER_CLOSE)
 
@@ -326,31 +333,7 @@ def _walk(text: str, ci: bool) -> StructuredOutput:
                 TRAILING_GARBAGE, tail, "content after </answer> in strict mode"
             )
 
-    texts: dict[str, str] = {}
-    edges: dict[tuple[str, str], None] = {}
-    collapsed: list[tuple[str, str]] = []
-    for lhs, lkey, rhs, rkey, loc in steps:
-        texts.setdefault(lkey, lhs)
-        texts.setdefault(rkey, rhs)
-        if (lkey, rkey) not in edges:
-            edges[(lkey, rkey)] = None
-        elif not ci:
-            raise TemplateParseError(
-                DUPLICATE_STEP, loc, f"step repeats an earlier dependency: {lhs!r} -> {rhs!r}"
-            )
-        else:
-            collapsed.append((lhs, rhs))
-
-    try:
-        graph = ReasoningGraph(texts, edges)
-    except InvalidGraphError as err:
-        # The steps give distinct edges and put every node on one, so
-        # only a cycle can fail the check; the error names it.
-        raise TemplateParseError(CYCLE_IN_STEPS, block_start, str(err)) from None
-    # Logged once the document is accepted, as the pattern path does.
-    for lhs, rhs in collapsed:
-        log.warning("lenient parse collapsed a duplicated step: %r -> %r", lhs, rhs)
-    return StructuredOutput(graph, answer)
+    raise AssertionError("a document that breaks no rule the walk checks matches the pattern")
 
 
 _RESERVED_IN_NODE = ("<", ">") + _ARROW_TOKENS

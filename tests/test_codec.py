@@ -104,7 +104,14 @@ class TestStrictParse:
         assert kind_of(doc(["a <b> → c"])) == MALFORMED_STEP
 
     def test_duplicate_step(self):
-        assert kind_of(doc(["a → b", "A → b."])) == DUPLICATE_STEP
+        text = doc(["a → b", "c → d", "A -> b."])
+        with pytest.raises(TemplateParseError) as err:
+            parse(text, STRICT)
+        assert (err.value.kind, err.value.location, err.value.detail) == (
+            DUPLICATE_STEP,
+            text.index("<step> A -> b."),
+            "step repeats an earlier dependency: 'A' -> 'b.'",
+        )
 
     def test_cycle_in_steps(self):
         assert kind_of(doc(["a → b", "b → a"])) == CYCLE_IN_STEPS
@@ -432,9 +439,14 @@ def _near_template(draw) -> str:
     # A step-free reasoning block is damage too, so it is as rare.
     for i in range(mostly(st.integers(1, 3), st.just(0))):
         arrow = draw(st.sampled_from(("->", "→")))
-        step = [pad(), tag("<step>"), text(f"p{i}"), arrow, text(f"c{i}"), tag("</step>")]
+        parent, child = text(f"p{i}"), text(f"c{i}")
+        step = [pad(), tag("<step>"), parent, arrow, child, tag("</step>")]
         # A repeated step is damage too: strict refuses it and lenient collapses it.
         parts += step * mostly(st.just(1), st.just(2))
+        # So is a step back from the child to the parent, which closes a cycle.
+        parts += [pad(), tag("<step>"), child, arrow, parent, tag("</step>")] * mostly(
+            st.just(0), st.just(1)
+        )
     # A mis-cased close inside the answer is where the two modes used to part.
     answer = text("") + draw(st.sampled_from(("", "", "</ANSWER>", " </Answer> x")))
     parts += [pad(), tag("</reasoning>"), pad(), tag("<answer>"), answer]
@@ -702,12 +714,17 @@ class TestParseProperties:
     @settings(max_examples=400, deadline=None)
     @given(text=_documents, mode=st.sampled_from((STRICT, LENIENT)))
     def test_the_walk_only_names_errors(self, text, mode):
-        # The template pattern accepts every valid document itself, so the
-        # character walk runs only to name an error.
+        # The template pattern accepts every valid document itself and checks
+        # its graph-level rules, so the character walk runs only to name an
+        # error of structure, of a step or of the answer.
         walk = codec._walk
 
         def walk_that_must_raise(text: str, ci: bool) -> StructuredOutput:
-            output = walk(text, ci)
+            try:
+                output = walk(text, ci)
+            except TemplateParseError as err:
+                assert err.kind not in (DUPLICATE_STEP, CYCLE_IN_STEPS), err
+                raise
             pytest.fail(f"the walk parsed a document the pattern declined: {output!r}")
 
         with mock.patch.object(codec, "_walk", walk_that_must_raise):

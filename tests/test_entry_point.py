@@ -5,9 +5,11 @@ so the exit code and the streams are the real ones. A bad-input row
 gives the input file and its one line, the argv, and what the run must
 print. The walkthrough rows run the README's own fixture through the
 store: two builds with one ``--cache-dir``, a rebuild from a corrupt
-store, and an LLM-merge build cold then warm. The interrupted-build rows
+store, and an LLM-merge build cold then warm; one more row runs the
+walkthrough's other commands on those files. The interrupted-build rows
 send SIGINT to a build whose teacher is slow, and check that it exits
-at once, with code 130 and one line, and keeps what came back.
+at once, with code 130 and one line, and keeps what came back; a rerun
+then sends only the rest and writes what an uninterrupted build writes.
 """
 from __future__ import annotations
 
@@ -74,16 +76,27 @@ def test_sample_refuses_a_blank_question_before_building_a_client(tmp_path):
     assert not (tmp_path / "cache").exists()
 
 
+def dataset(out: Path) -> dict[str, bytes]:
+    """The bytes of each file a build writes into ``out``."""
+    names = ("train.jsonl", "valid.jsonl", "report.json")
+    return {name: (out / name).read_bytes() for name in names}
+
+
 # A build whose teacher answers sample 0 of each question at once and every
 # other send slowly: after 3 s (argv[1] "slow") or by a 429 asking for a
 # 10 s wait (argv[1] "429"). It touches `sending` as a slow send starts and
-# appends the store key of each reply it returns to `returned`.
+# appends the store key of each reply it returns to `returned`. The "fast"
+# teacher answers every send at once and appends its key to `sent` instead.
 STOPPED_BUILD = """
 import sys, time
 from graphreason import cli, client
 
 class Teacher(client.MockBackend):
     def send(self, request):
+        if sys.argv[1] == "fast":
+            with open("sent", "a") as sent:
+                sent.write(client.cache_key(request) + "\\n")
+            return super().send(request)
         if request.sample_index:
             open("sending", "w").close()
             if sys.argv[1] == "slow":
@@ -128,6 +141,18 @@ def test_an_interrupted_build_exits_at_once_and_keeps_what_came_back(tmp_path, t
     returned = set((tmp_path / "returned").read_text().split())
     assert returned and stored_keys(tmp_path / "cache") == returned
     assert not (tmp_path / "out").exists()
+    # The rerun sends only what did not come back, and writes what a build
+    # that was never stopped writes.
+    rerun = subprocess.run([sys.executable, "-c", STOPPED_BUILD, "fast", *argv], cwd=tmp_path,
+                           env=checkout_env(), capture_output=True, text=True, timeout=120)
+    assert rerun.returncode == 0, rerun.stderr
+    sent = set((tmp_path / "sent").read_text().split())
+    assert not sent & returned and len(sent | returned) == len(sources) * 3
+    assert stored_keys(tmp_path / "cache") == sent | returned
+    fresh = ["build", "--out", "fresh/", "--mock", "mock.json", "--sources", "sources.jsonl",
+             "--k", "3", "--cache-dir", "fresh-cache"]
+    assert run_cli(*fresh, cwd=tmp_path).returncode == 0
+    assert dataset(tmp_path / "out") == dataset(tmp_path / "fresh")
 
 
 # The README walkthrough's store runs: the README's mock.json and sources.jsonl,
@@ -136,12 +161,6 @@ README = Path(__file__).parent.parent / "README.md"
 README_BUILD = [
     "build", "--sources", "sources.jsonl", "--mock", "mock.json", "--k", "3", "--seed", "7",
 ]
-
-
-def dataset(out: Path) -> dict[str, bytes]:
-    """The bytes of each file a build writes into ``out``."""
-    names = ("train.jsonl", "valid.jsonl", "report.json")
-    return {name: (out / name).read_bytes() for name in names}
 
 
 @pytest.fixture(scope="module")
@@ -186,3 +205,29 @@ def test_an_llm_merge_build_runs_cold_then_warm(walkthrough):
     assert (cold.returncode, warm.returncode) == (0, 0)
     assert dataset(root / "dataset-llm") == cold_files
     assert run_cli("validate", "dataset-llm/train.jsonl", cwd=root).returncode == 0
+
+
+# The rest of the README walkthrough, run in order on the fixture's files.
+WALKTHROUGH_COMMANDS = [
+    ["sample", "What is 2 + 2?", "--mock", "mock.json", "--k", "3", "--seed", "7",
+     "--out", "samples.json"],
+    ["merge", "samples.json"],
+    ["merge", "samples.json", "--merge-mode", "llm-with-fallback", "--mock", "mock.json"],
+    ["merge", "samples.json", "--merge-mode", "llm", "--mock", "mock.json"],
+    ["validate", "dataset/train.jsonl"],
+    ["viz", "dataset/train.jsonl", "--out-dir", "dots/"],
+    ["score", "--completions", "dataset/train.jsonl", "--out", "scores.jsonl"],
+    ["eval", "--items", "items.jsonl", "--mock", "mock.json", "--paradigm", "self-graph",
+     "--out", "results/"],
+]
+
+
+def test_the_walkthrough_commands_exit_0_without_a_traceback(walkthrough):
+    root, _ = walkthrough
+    # eval over an items file, with the mock's default reply.
+    item = {"question": "What is 3 + 3?", "label": "6", "benchmark": "demo", "item_id": "d1"}
+    (root / "items.jsonl").write_text(json.dumps(item) + "\n")
+    for argv in WALKTHROUGH_COMMANDS:
+        result = run_cli(*argv, cwd=root)
+        assert result.returncode == 0 and "Traceback" not in result.stderr, (argv, result.stderr)
+    assert (root / "results" / "report.txt").stat().st_size > 0
