@@ -383,26 +383,20 @@ def evaluate_item(item: BenchmarkItem, paradigm: str, reply: str | ClientError) 
 
     Transport failures become records, not exceptions.
     """
+    candidate = node_count = edge_count = error = None
     if isinstance(reply, ClientError):
         log.warning("item %s failed in transport: %s", item.item_id, reply)
-        return ItemRecord(
-            item_id=item.item_id,
-            benchmark=item.benchmark,
-            paradigm=paradigm,
-            label=item.label,
-            candidate=None,
-            correct=False,
-            error=str(reply),
-        )
-    candidate, node_count, edge_count = extract_candidate(reply, paradigm)
-    correct = candidate is not None and answers_match(candidate, item.label)
+        error = str(reply)
+    else:
+        candidate, node_count, edge_count = extract_candidate(reply, paradigm)
     return ItemRecord(
         item_id=item.item_id,
         benchmark=item.benchmark,
         paradigm=paradigm,
         label=item.label,
         candidate=candidate,
-        correct=correct,
+        correct=candidate is not None and answers_match(candidate, item.label),
+        error=error,
         node_count=node_count,
         edge_count=edge_count,
     )

@@ -5,10 +5,11 @@ documents, sample trajectories, merge candidates, build datasets,
 ingest benchmarks, evaluate paradigms, and score completions.
 
 Each setting is declared once, as a ``RunConfig`` field, which gives
-its flag, environment variable (GRAPHREASON_<NAME>), config key, help,
-type and check. Settings resolve with precedence: command line flag,
-then environment variable, then config file (key = value lines), then
-built-in defaults. The API credential is never a flag or a config key;
+its flag, environment variable (GRAPHREASON_<NAME>), config key, help
+and type; its check is a row of the table in ``RunConfig.__post_init__``.
+Settings resolve with precedence: command line flag, then environment
+variable, then config file (key = value lines), then built-in
+defaults. The API credential is never a flag or a config key;
 it is read from the environment variable named by ``--credential-env``
 (default GRAPHREASON_API_KEY). Input files are read through ``_io``,
 and each command applies its own policy to a problem it reports.
@@ -19,9 +20,9 @@ surrogate, or any non-ASCII text on an ASCII stream), and it prints the
 one ``error:`` or ``config error:`` line of a command that fails.
 
 Exit codes: 0 success, 1 item-level failure (bad records, an input
-file that cannot be decoded, failed merge, nothing retained, no eval
-reply), 2 configuration error, 130 interrupted (Ctrl-C), after the one
-line ``interrupted`` on stderr.
+file that cannot be read or decoded, failed merge, nothing retained, no
+eval reply), 2 configuration error, 130 interrupted (Ctrl-C), after the
+one line ``interrupted`` on stderr.
 """
 from __future__ import annotations
 
@@ -282,16 +283,21 @@ def parse_template_records(paths: list[str], lenient: bool, failures_to: TextIO,
 
     A .jsonl file holds one record per line, its ``template_text``; any
     other file is one record, the whole file body. A record that cannot
-    be read or parsed prints one line to ``failures_to`` instead, and
-    makes the exit code 1.
+    be read or parsed, or a path that cannot be read at all, prints one
+    line to ``failures_to`` instead and makes the exit code 1.
     """
     mode = LENIENT if lenient else STRICT
     failures = 0
     for path in map(Path, paths):
-        if path.suffix == ".jsonl":
-            records = read_jsonl(path)
-        else:
-            records = [(None, *read_text(path))]
+        try:
+            if path.suffix == ".jsonl":
+                records = list(read_jsonl(path))
+            else:
+                records = [(None, *read_text(path))]
+        except OSError as err:
+            print(f"{path}: cannot be read ({err.strerror})", file=failures_to)
+            failures += 1
+            continue
         for lineno, value, problem in records:
             where = f"{path}" if lineno is None else f"{path}:{lineno}"
             try:

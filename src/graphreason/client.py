@@ -145,8 +145,7 @@ class CompletionRequest:
     sample_index: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.user_prompt:
-            raise ValueError("user_prompt must be non-empty")
+        check_non_empty("user_prompt", self.user_prompt)
 
 
 def all_failed_detail(replies: Sequence[str | ClientError]) -> str | None:

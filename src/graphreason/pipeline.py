@@ -11,6 +11,7 @@ import json
 import logging
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Generator, Sequence
 
@@ -108,7 +109,8 @@ class TrainingInstance:
     """One emitted dataset row: question, graph template text, label.
 
     ``lenient_only`` counts the item's samples that parsed only
-    leniently; it is a run stat, so ``to_dict`` does not write it.
+    leniently. It is set when the record is made, and it is a run stat,
+    so ``to_dict`` does not write it.
     """
 
     question: str
@@ -265,34 +267,20 @@ def _instance_steps(
     if failure is not None:
         return DiscardRecord(item.source_id, DISCARD_ALL_CANDIDATES_FAILED, failure)
     candidates, lenient_only = parse_candidates(replies)
-    outcome = yield from _merged_outcome(item, candidates, config, merge_mode)
-    return replace(outcome, lenient_only=len(lenient_only)) if lenient_only else outcome
-
-
-def _merged_outcome(
-    item: SourceQA,
-    candidates: list[tuple[StructuredOutput, int]],
-    config: SamplingConfig,
-    merge_mode: str,
-) -> Generator[CompletionRequest, str | ClientError, TrainingInstance | DiscardRecord]:
+    discard = partial(DiscardRecord, item.source_id, lenient_only=len(lenient_only))
     if not candidates:
-        return DiscardRecord(
-            item.source_id,
-            DISCARD_ALL_CANDIDATES_FAILED,
-            "no sample parsed as a reasoning template",
-        )
+        return discard(DISCARD_ALL_CANDIDATES_FAILED, "no sample parsed as a reasoning template")
     candidate_set = CandidateSet(candidates, question=item.question)
 
     try:
         merged = yield from merge_steps(candidate_set, config, merge_mode)
     except LLMMergeFailedError as err:
-        return DiscardRecord(item.source_id, DISCARD_PARSE_FAILURE, str(err))
+        return discard(DISCARD_PARSE_FAILURE, str(err))
     except EdgelessMergeError as err:
-        return DiscardRecord(item.source_id, DISCARD_EDGELESS_MERGE, str(err))
+        return discard(DISCARD_EDGELESS_MERGE, str(err))
 
     if not answers_match(merged.answer, item.label):
-        return DiscardRecord(
-            item.source_id,
+        return discard(
             DISCARD_ANSWER_MISMATCH,
             f"merged answer {merged.answer!r} does not match label {item.label!r}",
         )
@@ -300,7 +288,7 @@ def _merged_outcome(
     try:
         graph_text = render(StructuredOutput(merged.graph, merged.answer))
     except InvalidGraphError as err:
-        return DiscardRecord(item.source_id, DISCARD_UNRENDERABLE, str(err))
+        return discard(DISCARD_UNRENDERABLE, str(err))
 
     provenance = Provenance(
         source_id=item.source_id,
@@ -309,7 +297,7 @@ def _merged_outcome(
         contributing_indices=merged.contributing_indices,
         merge_mode=merged.merge_mode,
     )
-    return TrainingInstance(item.question, graph_text, item.label, provenance)
+    return TrainingInstance(item.question, graph_text, item.label, provenance, len(lenient_only))
 
 
 def split_instances(

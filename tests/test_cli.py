@@ -119,7 +119,25 @@ class TestValidate:
 
     def test_missing_file(self, capsys):
         assert main(["validate", "no-such-file.txt"]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "no-such-file.txt: cannot be read (No such file or directory)\n", ""
+        )
+
+    def test_a_path_that_cannot_be_read_is_one_line_and_the_rest_are_checked(
+        self, tmp_path, capsys
+    ):
+        ok = tmp_path / "doc.txt"
+        ok.write_text(GOOD_DOC)
+        missing, directory = tmp_path / "missing.txt", tmp_path / "dir.jsonl"
+        directory.mkdir()
+        assert main(["validate", str(ok), str(missing), str(directory), str(ok)]) == 1
+        assert capsys.readouterr() == (
+            f"{ok}: 3 nodes, 2 edges, 0 errors\n"
+            f"{missing}: cannot be read (No such file or directory)\n"
+            f"{directory}: cannot be read (Is a directory)\n"
+            f"{ok}: 3 nodes, 2 edges, 0 errors\n",
+            "",
+        )
 
     def test_lone_surrogate_in_a_parse_error_is_printed_escaped(self, tmp_path, capsys):
         steps = "<step> x\ud800 → b </step>\n<step> b → x\ud800 </step>"
@@ -154,6 +172,12 @@ class TestViz:
         assert main(["viz", str(rows), "--out-dir", str(tmp_path / "dots")]) == 0
         dot = (tmp_path / "dots" / "row-1.dot").read_bytes().decode("utf-8")
         assert "x\\ud800 start" in dot
+
+    def test_a_path_that_cannot_be_read_is_one_line_on_stderr(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        assert main(["viz", str(missing), "--out-dir", str(tmp_path / "dots")]) == 1
+        err = f"{missing}: cannot be read (No such file or directory)\n"
+        assert capsys.readouterr() == ("", err)
 
     def test_colon_in_text_file_path(self, tmp_path, capsys):
         doc = tmp_path / "a:b" / "doc.txt"

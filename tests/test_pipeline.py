@@ -318,6 +318,29 @@ class TestBuildInstance:
 EDGELESS_REPLIES = [doc([("a", "b")], "4"), doc([("b", "a")], "4"), doc([("b", "a")], "4")]
 
 
+@pytest.mark.parametrize(
+    "label,samples,merge_mode,kind",
+    [
+        ("4", [chain_doc(t, "4") for t in "abc"], "deterministic", "retained"),
+        ("4", [chain_doc(t, "7") for t in "abc"], "deterministic", DISCARD_ANSWER_MISMATCH),
+        ("4", EDGELESS_REPLIES, "deterministic", DISCARD_EDGELESS_MERGE),
+        ("x < y", [chain_doc(t, "x < y") for t in "abc"], "deterministic", DISCARD_UNRENDERABLE),
+        ("4", [chain_doc(t, "4") for t in "abc"], "llm", DISCARD_PARSE_FAILURE),
+    ],
+    ids=["retained", "answer-mismatch", "edgeless-merge", "unrenderable", "parse-failure"],
+)
+def test_every_outcome_counts_its_lenient_only_sample(label, samples, merge_mode, kind):
+    # Exactly one sample is wrapped in prose, so it parses only leniently.
+    samples = ["Sure, here you go:\n" + samples[0], *samples[1:]]
+    replies = {INTEGRATION: "still not a template", "q1:": samples}
+    result = build_dataset([SourceQA("q1: which?", label, "q1")], client_for(replies), CONFIG,
+                           merge_mode=merge_mode)
+    [outcome] = [*result.instances, *result.discards]
+    assert (outcome.reason if isinstance(outcome, DiscardRecord) else "retained") == kind
+    assert outcome.lenient_only == 1
+    assert result.lenient_only == 1
+
+
 def make_instances(n: int) -> list[TrainingInstance]:
     prov = Provenance("s", "m", 3, (0,), "deterministic")
     text = chain_doc("a", "4")
