@@ -90,10 +90,13 @@ class TestConfigValidation:
         cfg = SamplingConfig(model_name="m")
         assert (cfg.temperature, cfg.k, cfg.max_new_tokens, cfg.seed) == (0.9, 5, 1024, None)
 
-    @pytest.mark.parametrize("prompt", ["", " \n\t"], ids=["empty", "whitespace"])
-    def test_empty_user_prompt_rejected(self, prompt):
+    def test_empty_user_prompt_rejected(self):
         with pytest.raises(ValueError, match="^user_prompt must be non-empty$"):
-            CompletionRequest("sys", prompt, SamplingConfig(model_name="m"))
+            CompletionRequest("sys", "", SamplingConfig(model_name="m"))
+
+    def test_whitespace_user_prompt_rejected(self):
+        with pytest.raises(ValueError, match="^user_prompt must be non-empty$"):
+            CompletionRequest("sys", " \n\t", SamplingConfig(model_name="m"))
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_attempts": 0}, "max_attempts must be >= 1, got 0"),
