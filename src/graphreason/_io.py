@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -96,12 +95,16 @@ def atomic_write(path: Path, chunks: Iterable[str]) -> None:
 
     The chunks go to a sibling temp file that is renamed over ``path``
     once the last is written, so readers never see a torn file and an
-    error, in the chunks' source too, leaves ``path`` as it was. Only one
+    error, in the chunks' source too, leaves ``path`` as it was. The file
+    gets the permissions a plain write gives under the umask. Only one
     chunk is held at a time: pass a whole document as one chunk, and a
     record file as ``jsonl_lines(records)``.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # Mode 0o666 lets the umask set the file's permissions, as a plain write
+    # does; mkstemp would make it owner-only.
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         # A surrogate has no UTF-8 form; the handler writes it as \uXXXX.
         with os.fdopen(fd, "w", encoding="utf-8", errors="backslashreplace") as handle:

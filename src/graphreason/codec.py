@@ -74,14 +74,22 @@ _ANSWER_CLOSE = "</answer>"
 
 _ANSWER_TAG_RE = re.compile(r"<answer>(.*?)</answer>", re.IGNORECASE | re.DOTALL | re.ASCII)
 
-# Case-insensitive forms of the tags, matched on the original text. ASCII
-# folding keeps each match the tag's own length and stops "ſ" matching "s".
-_TAG_CI = {
-    tag: re.compile(re.escape(tag), re.IGNORECASE | re.ASCII)
-    for tag in (
-        _REASONING_OPEN, _REASONING_CLOSE, _STEP_OPEN, _STEP_CLOSE, _ANSWER_OPEN, _ANSWER_CLOSE
-    )
+# Each tag's pattern in each mode, matched on the original text: strict
+# matches the tag exactly, lenient folds the case of its ASCII letters. ASCII
+# folding keeps each match the tag's own length and stops "ſ" matching "s"
+# and "ı" or "İ" matching "i".
+_TAGS = {
+    ci: {
+        tag: re.compile(re.escape(tag), re.IGNORECASE | re.ASCII if ci else 0)
+        for tag in (
+            _REASONING_OPEN, _REASONING_CLOSE, _STEP_OPEN, _STEP_CLOSE, _ANSWER_OPEN, _ANSWER_CLOSE
+        )
+    }
+    for ci in (False, True)
 }
+# Unicode \s is exactly str.isspace.
+_SPACE = re.compile(r"\s*")
+_ARROW = re.compile("|".join(map(re.escape, _ARROW_TOKENS)))
 
 
 class TemplateParseError(Exception):
@@ -107,37 +115,16 @@ class StructuredOutput:
             raise ValueError("answer must be non-empty after stripping")
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _startswith(text: str, pos: int, token: str, ci: bool) -> bool:
-    return text.startswith(token, pos) or (ci and _TAG_CI[token].match(text, pos) is not None)
-
-
-def _find(text: str, token: str, start: int, ci: bool) -> int:
-    if not ci:
-        return text.find(token, start)
-    hit = _TAG_CI[token].search(text, start)
-    return hit.start() if hit else -1
-
-
 def _check_step(content: str, offset: int) -> None:
     """Raise the first rule one step body breaks: its arrow count, markup, an empty side."""
-    arrow_hits = content.count(ARROW) + content.count("->")
-    if arrow_hits == 0:
+    parts = _ARROW.split(content)
+    if len(parts) == 1:
         raise TemplateParseError(MALFORMED_STEP, offset, "step has no dependency arrow")
-    if arrow_hits > 1:
+    if len(parts) > 2:
         raise TemplateParseError(
             MALFORMED_STEP, offset, "step has more than one arrow; chains are not sugar"
         )
-    if ARROW in content:
-        lhs, rhs = content.split(ARROW, 1)
-    else:
-        lhs, rhs = content.split("->", 1)
-    for raw in (lhs, rhs):
+    for raw in parts:
         side = raw.strip()
         if "<" in side or ">" in side:
             raise TemplateParseError(
@@ -263,71 +250,70 @@ def _walk(text: str, ci: bool) -> NoReturn:
     detail. It never returns: a document that breaks none of these rules
     is one the pattern path parses, graph-level rules included.
     """
+    tags = _TAGS[ci]
     if ci:
-        start = _find(text, _REASONING_OPEN, 0, True)
-        if start < 0:
+        opening = tags[_REASONING_OPEN].search(text)
+        if opening is None:
             raise TemplateParseError(
                 MISSING_REASONING_BLOCK, 0, "no <reasoning> block found"
             )
-        pos = start + len(_REASONING_OPEN)
     else:
-        pos = _skip_ws(text, 0)
-        if not _startswith(text, pos, _REASONING_OPEN, False):
+        pos = _SPACE.match(text).end()
+        opening = tags[_REASONING_OPEN].match(text, pos)
+        if opening is None:
             raise TemplateParseError(
                 MISSING_REASONING_BLOCK, pos, "document must open with <reasoning>"
             )
-        pos += len(_REASONING_OPEN)
 
-    block_start = pos
+    block_start = pos = opening.end()
     steps = 0
     while True:
-        pos = _skip_ws(text, pos)
+        pos = _SPACE.match(text, pos).end()
         if pos >= len(text):
             raise TemplateParseError(
                 MISSING_REASONING_BLOCK, pos, "unterminated <reasoning> block"
             )
-        if _startswith(text, pos, _REASONING_CLOSE, ci):
-            pos += len(_REASONING_CLOSE)
+        if close := tags[_REASONING_CLOSE].match(text, pos):
+            pos = close.end()
             break
-        if _startswith(text, pos, _STEP_OPEN, ci):
-            body_start = pos + len(_STEP_OPEN)
-            end = _find(text, _STEP_CLOSE, body_start, ci)
-            if end < 0:
-                raise TemplateParseError(MALFORMED_STEP, pos, "unterminated <step>")
-            _check_step(text[body_start:end], pos)
-            steps += 1
-            pos = end + len(_STEP_CLOSE)
-            continue
-        raise TemplateParseError(
-            MALFORMED_STEP, pos, "unexpected content inside <reasoning> block"
-        )
+        if not tags[_STEP_OPEN].match(text, pos):
+            raise TemplateParseError(
+                MALFORMED_STEP, pos, "unexpected content inside <reasoning> block"
+            )
+        body_start = pos + len(_STEP_OPEN)
+        close = tags[_STEP_CLOSE].search(text, body_start)
+        if close is None:
+            raise TemplateParseError(MALFORMED_STEP, pos, "unterminated <step>")
+        _check_step(text[body_start:close.start()], pos)
+        steps += 1
+        pos = close.end()
 
     if not steps:
         raise TemplateParseError(
             MALFORMED_STEP, block_start, "reasoning block contains no steps"
         )
 
-    pos = _skip_ws(text, pos)
-    if not _startswith(text, pos, _ANSWER_OPEN, ci):
+    pos = _SPACE.match(text, pos).end()
+    if not tags[_ANSWER_OPEN].match(text, pos):
         raise TemplateParseError(
             MISSING_ANSWER_BLOCK, pos, "expected <answer> after reasoning block"
         )
     answer_start = pos + len(_ANSWER_OPEN)
     # Both modes end the answer at the first </answer> in any case, so they
     # agree on where it ends; strict then insists on the exact tag.
-    answer_end = _find(text, _ANSWER_CLOSE, answer_start, True)
-    if answer_end < 0:
+    close = _TAGS[True][_ANSWER_CLOSE].search(text, answer_start)
+    if close is None:
         raise TemplateParseError(MISSING_ANSWER_BLOCK, pos, "unterminated <answer> block")
+    answer_end = close.start()
     if not ci and not text.startswith(_ANSWER_CLOSE, answer_end):
         raise TemplateParseError(
             MISSING_ANSWER_BLOCK, answer_end, "answer block must close with </answer>"
         )
     if not text[answer_start:answer_end].strip():
         raise TemplateParseError(MISSING_ANSWER_BLOCK, answer_start, "empty answer")
-    pos = answer_end + len(_ANSWER_CLOSE)
 
     if not ci:
-        tail = _skip_ws(text, pos)
+        tail = _SPACE.match(text, close.end()).end()
         if tail != len(text):
             raise TemplateParseError(
                 TRAILING_GARBAGE, tail, "content after </answer> in strict mode"

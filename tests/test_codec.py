@@ -212,6 +212,33 @@ class TestLenientParse:
         assert kind_of(text, LENIENT) == MISSING_REASONING_BLOCK
 
 
+# Each tag with "ſ" for an "s" or "ı"/"İ" for an "i", the tag whose offset the
+# error names, and its kind. re.IGNORECASE without re.ASCII matches each of
+# these letters to its ASCII letter.
+_LOOKALIKE_TAGS = [
+    pytest.param(tag, tag.replace(letter, look), at, kind, id=f"{tag}-{look}")
+    for tag, at, kind in (
+        ("<reasoning>", "<reasoning>", MISSING_REASONING_BLOCK),
+        ("</reasoning>", "</reasoning>", MALFORMED_STEP),
+        ("<step>", "<step>", MALFORMED_STEP),
+        ("</step>", "<step>", MALFORMED_STEP),
+        ("<answer>", "<answer>", MISSING_ANSWER_BLOCK),
+        ("</answer>", "<answer>", MISSING_ANSWER_BLOCK),
+    )
+    for letter, look in (("s", "ſ"), ("i", "ı"), ("i", "İ"))
+    if letter in tag
+]
+
+
+@pytest.mark.parametrize("mode", [STRICT, LENIENT])
+@pytest.mark.parametrize("tag, lookalike, at, kind", _LOOKALIKE_TAGS)
+def test_no_lookalike_letter_makes_a_tag(mode, tag, lookalike, at, kind):
+    text = doc(["a → b"])
+    with pytest.raises(TemplateParseError) as err:
+        parse(text.replace(tag, lookalike), mode)
+    assert (err.value.kind, err.value.location) == (kind, text.index(at))
+
+
 class TestAnswerClose:
     """Both modes end the answer at the first </answer> in any case."""
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import stat
+
 import pytest
 
 from graphreason._io import SchemaError, atomic_write, read_json, read_jsonl
@@ -23,6 +26,24 @@ def test_a_failing_source_leaves_the_old_file_and_no_temp_file(tmp_path):
         atomic_write(path, chunks())
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+@pytest.mark.parametrize("umask, rewrite, mode", [
+    (0o022, False, 0o644),
+    (0o022, True, 0o644),
+    (0o077, False, 0o600),
+], ids=["umask-022-new", "umask-022-rewrite", "umask-077-new"])
+def test_a_written_file_gets_the_permissions_of_a_plain_write(tmp_path, umask, rewrite, mode):
+    path = tmp_path / "out.txt"
+    old = os.umask(umask)
+    try:
+        if rewrite:
+            path.write_text("old\n")
+        atomic_write(path, ["new\n"])
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_text() == "new\n"
 
 
 
