@@ -208,7 +208,8 @@ def parse_packed_options(packed: str, where: str) -> list[str]:
     options = []
     for i, chunk in enumerate(chunks):
         match = _MATHQA_OPTION.match(chunk.strip())
-        if not match or match.group(1) != "abcde"[i]:
+        # Past "e" the slice is empty and matches no letter.
+        if not match or match.group(1) != "abcde"[i:i + 1]:
             raise SchemaError(f"{where}: field 'options' must read 'a ) ... , b ) ...'")
         options.append(match.group(2).strip())
     return options

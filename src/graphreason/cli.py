@@ -397,7 +397,7 @@ def cmd_merge(args: argparse.Namespace, cfg: RunConfig) -> int:
             while isinstance(merged, Pending):
                 [(_, [reply])] = client.replies([merged.request], lambda request: [request])
                 merged = merged.resume(reply)
-    document = render(StructuredOutput(merged.graph, merged.answer)) + "\n"
+    document = render(merged) + "\n"
     if args.out:
         atomic_write(Path(args.out), [document])
         suffix = ", fell back" if merged.fell_back else ""

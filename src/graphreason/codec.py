@@ -362,6 +362,8 @@ def find_answer_tag(text: str) -> str | None:
 
 
 ANSWER_CUES = ("answer is", "answer:")
+# Cues fold the case of their ASCII letters, as lenient tags do.
+_CUE_RE = re.compile("|".join(map(re.escape, ANSWER_CUES)), re.IGNORECASE | re.ASCII)
 
 
 def final_answer(text: str) -> str | None:
@@ -384,19 +386,11 @@ def extract_untagged_answer(text: str) -> str | None:
     ``ANSWER_CUES``, else the final non-empty line; None when the text is
     blank. Cues match with ASCII case folding, as tags do.
     """
-    # bytes.lower() folds A-Z and nothing else, and a UTF-8 match always
-    # starts on a character boundary, so the offset maps back to the text.
-    data = text.encode("utf-8", "surrogatepass").lower()
-    best_pos = -1
-    best_cue = ""
-    for cue in ANSWER_CUES:
-        idx = data.rfind(cue.encode("utf-8", "surrogatepass").lower())
-        if idx > best_pos:
-            best_pos = idx
-            best_cue = cue
-    if best_pos >= 0:
-        start = len(data[:best_pos].decode("utf-8", "surrogatepass")) + len(best_cue)
-        segment = text[start:].strip().lstrip(":").strip()
+    # No cue starts inside a match of either cue, so the last match is the
+    # last occurrence of any cue.
+    cues = list(_CUE_RE.finditer(text))
+    if cues:
+        segment = text[cues[-1].end():].strip().lstrip(":").strip()
         if segment:
             return segment
     lines = [line.strip() for line in text.splitlines() if line.strip()]

@@ -82,11 +82,9 @@ class DroppedEdge:
 
 
 @dataclass
-class MergedResult:
-    """A merged graph and its answer; the graph has exactly one sink, its conclusion."""
+class MergedResult(StructuredOutput):
+    """A merge's graph and answer with its provenance; the graph has one sink, its conclusion."""
 
-    graph: ReasoningGraph
-    answer: str
     contributing_indices: tuple[int, ...]
     dropped_edges: list[DroppedEdge] = field(default_factory=list)
     merge_mode: str = MODE_DETERMINISTIC

@@ -286,7 +286,7 @@ def _instance_steps(
         )
 
     try:
-        graph_text = render(StructuredOutput(merged.graph, merged.answer))
+        graph_text = render(merged)
     except InvalidGraphError as err:
         return discard(DISCARD_UNRENDERABLE, str(err))
 

@@ -24,6 +24,14 @@ Rules:
 - the <answer> block holds only the final answer (for multiple choice, the option letter)"""
 
 
+# The persona of every prompt that asks for a reasoning graph.
+REASONER_SYSTEM = (
+    "You are a careful reasoner. You decompose a question into atomic "
+    "reasoning steps, connect the steps by logical dependency, and only "
+    "then commit to an answer."
+)
+
+
 @dataclass(frozen=True)
 class PromptTemplate:
     """A (system, user-template) pair."""
@@ -36,11 +44,7 @@ class PromptTemplate:
 
 
 TRAJECTORY_PROMPT = PromptTemplate(
-    system=(
-        "You are a careful reasoner. You decompose a question into atomic "
-        "reasoning steps, connect the steps by logical dependency, and only "
-        "then commit to an answer."
-    ),
+    system=REASONER_SYSTEM,
     user_template=(
         "Question:\n{question}\n\n"
         "Work the question out as a dependency graph of short reasoning steps.\n\n"
@@ -83,11 +87,7 @@ LINEAR_PROMPT = PromptTemplate(
 )
 
 SELF_GRAPH_PROMPT = PromptTemplate(
-    system=(
-        "You are a careful reasoner. You decompose a question into atomic "
-        "reasoning steps, connect the steps by logical dependency, and only "
-        "then commit to an answer."
-    ),
+    system=REASONER_SYSTEM,
     user_template=(
         "Question:\n{question}\n\n"
         "Reason about the question as a dependency graph of short steps, then "

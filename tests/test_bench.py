@@ -247,8 +247,9 @@ class TestMathqa:
         assert options == ["1", "2", "3"]
 
     def test_packed_parser_rejects_disorder(self):
-        with pytest.raises(SchemaError):
-            parse_packed_options("b ) 1 , a ) 2", "w")
+        for packed in ("b ) 1 , a ) 2", "a ) 1 , b ) 2 , c ) 3 , d ) 4 , e ) 5 , a ) 6"):
+            with pytest.raises(SchemaError):
+                parse_packed_options(packed, "w")
 
     def test_unknown_correct_letter(self, tmp_path):
         path = tmp_path / "mathqa.json"

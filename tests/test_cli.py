@@ -556,6 +556,10 @@ class TestIngestEval:
         (["ingest", "--benchmark", "mathqa"], "b.json",
          [[{"Problem": 3, "options": "a ) 1 , b ) 2", "correct": "a"}]],
          ": item 1: field 'Problem' must be a string"),
+        (["ingest", "--benchmark", "mathqa"], "b.json",
+         [[{"Problem": "p?", "options": "a ) 1 , b ) 2 , c ) 3 , d ) 4 , e ) 5 , a ) 6",
+            "correct": "a"}]],
+         ": item 1: field 'options' must read 'a ) ... , b ) ...'"),
         (["eval", "--mock", "{mock}"], "items.jsonl",
          [{"question": "  ", "label": "4", "benchmark": "demo", "item_id": "d1"}],
          ":1: question must be non-empty"),
@@ -565,7 +569,8 @@ class TestIngestEval:
         (["eval", "--mock", "{mock}"], "items.jsonl",
          [{"question": "q?", "label": "4", "benchmark": "demo", "item_id": "x"}] * 2,
          ": item id 'x' appears more than once"),
-    ], ids=["logiqa", "aiw", "aiw_plus", "arlsat", "medqa", "mathqa", "eval-items",
+    ], ids=["logiqa", "aiw", "aiw_plus", "arlsat", "medqa", "mathqa", "mathqa-six-options",
+            "eval-items",
             "ingest-repeated-id", "eval-items-repeated-id"])
     def test_malformed_record_is_one_error_line(
         self, tmp_path, capsys, command, name, lines, problem
@@ -601,7 +606,10 @@ class TestIngestEval:
         assert main([*argv, *mock_args(tmp_path, replies)]) == code
         lines = capsys.readouterr().out.splitlines()
         assert lines[-2] == f"transport failures: {failed}"
-        records = [json.loads(line) for line in (tmp_path / "r" / "records.jsonl").open()]
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "r" / "records.jsonl").read_text().splitlines()
+        ]
         assert sum(r["error"] is not None for r in records) == failed
 
     def test_lone_surrogate_benchmark_is_printed_and_written_escaped(self, tmp_path, capsys):

@@ -358,7 +358,42 @@ def _holds_cue(text: str) -> bool:
     return any(cue in low for cue in ANSWER_CUES)
 
 
+def _byte_folding_extract(text: str) -> str | None:
+    """The reference cue search: fold A-Z on the UTF-8 bytes, rfind each cue."""
+    data = text.encode("utf-8", "surrogatepass").lower()
+    best_pos, best_cue = -1, ""
+    for cue in ANSWER_CUES:
+        idx = data.rfind(cue.encode("utf-8").lower())
+        if idx > best_pos:
+            best_pos, best_cue = idx, cue
+    if best_pos >= 0:
+        # A UTF-8 match starts on a character boundary, so the offset maps back.
+        start = len(data[:best_pos].decode("utf-8", "surrogatepass")) + len(best_cue)
+        segment = text[start:].strip().lstrip(":").strip()
+        if segment:
+            return segment
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    return lines[-1] if lines else None
+
+
+_cue_texts = st.lists(
+    st.one_of(
+        st.text(max_size=4),
+        st.sampled_from((
+            "answer is", "ANSWER:", "AnSwEr iS", "anſwer:", "answer", " IS", "İ", "ı", "\u212a",
+            "\ud800", "\x85", "\u3000", ":", "\n", " ",
+        )),
+    ),
+    max_size=8,
+).map("".join)
+
+
 class TestAnswerExtraction:
+    @settings(max_examples=400, deadline=None)
+    @given(text=_cue_texts)
+    def test_cue_search_matches_the_byte_folding_reference(self, text):
+        assert extract_untagged_answer(text) == _byte_folding_extract(text)
+
     def test_tag_wins(self):
         assert final_answer("junk <answer> 42 </answer> junk") == "42"
 

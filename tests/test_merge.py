@@ -378,6 +378,22 @@ class TestMergeSteps:
             advance(merge_steps(cset(output([("a", "b")], "4")), CONFIG, "vote"))
 
 
+@pytest.mark.parametrize("mode, reply, expected", [
+    (MODE_DETERMINISTIC, None,
+     "<reasoning>\n<step> a → b </step>\n</reasoning>\n<answer> 4 </answer>"),
+    (MODE_LLM, GOOD_REPLY, GOOD_REPLY),
+    (MODE_LLM_FALLBACK, BAD_REPLY,
+     "<reasoning>\n<step> a → b </step>\n</reasoning>\n<answer> 4 </answer>"),
+], ids=["deterministic", "llm", "llm-with-fallback-failed"])
+def test_merged_result_is_the_structured_output_it_renders(mode, reply, expected):
+    merged = finish(
+        advance(merge_steps(cset(output([("a", "b")], "4")), CONFIG, mode)),
+        mock_client(default=reply),
+    )
+    assert isinstance(merged, StructuredOutput)
+    assert render(merged) == expected
+
+
 @pytest.mark.parametrize("record", [
     merge_deterministic(cset(output([("a", "b")], "4"))),
     Provenance("s", "m", 3, (0,), MODE_DETERMINISTIC),
